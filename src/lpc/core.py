@@ -15,7 +15,7 @@ same on clean labels is the oracle variant.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -83,7 +83,7 @@ class Classifier:
     rho: RhoParams
     loss_kind: str = "squared"
     n: int = 0
-    p: int = 0
+    p: int = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float).reshape(-1)
@@ -98,11 +98,40 @@ def _targets(y_noisy: np.ndarray, rho: RhoParams) -> np.ndarray:
     return np.where(y_noisy == 1, rho.lambda_plus, -rho.lambda_minus)
 
 
-def _gram_factor(X: np.ndarray, gamma: float):
-    p, n = X.shape
-    A = (X @ X.T) / n
-    A[np.diag_indices_from(A)] += gamma
-    return A, cho_factor(A, lower=True)
+class _Ridge:
+    """The regularized system ``(X X^T / n + gamma I) W = X T / n`` of one
+    training draw, factored once; every target block shares the factor."""
+
+    def __init__(self, X: np.ndarray, gamma: float):
+        _check_inputs(X, gamma)
+        self.X = X
+        self.n = X.shape[1]
+        self.A = (X @ X.T) / self.n
+        self.A[np.diag_indices_from(self.A)] += gamma
+        self._factor = cho_factor(self.A, lower=True)
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        return cho_solve(self._factor, B)
+
+    def weights(self, T: np.ndarray) -> np.ndarray:
+        """``p x k`` weights for an ``n x k`` target block (``p`` for a
+        vector), each column's normal-equation residual verified to
+        ``1e-8 * ||w||``."""
+        rhs = self.X @ T / self.n
+        W = self.solve(rhs)
+        res = np.linalg.norm(self.A @ W - rhs, axis=0)
+        if np.any(res > _RESIDUAL_TOL * np.linalg.norm(W, axis=0)):
+            raise FloatingPointError(
+                f"normal-equation residual {np.max(res):.3e} exceeds {_RESIDUAL_TOL:.0e} * ||w||"
+            )
+        return W
+
+
+def _check_inputs(X: np.ndarray, gamma: float) -> None:
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0 (got {gamma}); the system may be singular")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features contain non-finite values")
 
 
 def train_lpc(ds: LabeledDataset, rho: RhoParams, gamma: float) -> Classifier:
@@ -111,31 +140,8 @@ def train_lpc(ds: LabeledDataset, rho: RhoParams, gamma: float) -> Classifier:
     Uses a Cholesky factorization of the (SPD) regularized Gram matrix;
     the normal-equation residual is verified to ``1e-8`` relative.
     """
-    _check_training_inputs(ds, gamma)
-    t = _targets(ds.y_noisy, rho)
-    A, factor = _gram_factor(ds.X, gamma)
-    rhs = ds.X @ t / ds.n
-    w = cho_solve(factor, rhs)
-    _check_residual(A, w, rhs)
-    return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="squared", n=ds.n, p=ds.p)
-
-
-def _check_training_inputs(ds: LabeledDataset, gamma: float) -> None:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0 (got {gamma}); the system may be singular")
-    if not np.all(np.isfinite(ds.X)):
-        raise ValueError("features contain non-finite values")
-
-
-def _check_residual(A: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> None:
-    scale = float(np.linalg.norm(w))
-    if scale == 0.0:
-        return
-    res = float(np.linalg.norm(A @ w - rhs))
-    if res > _RESIDUAL_TOL * scale:
-        raise FloatingPointError(
-            f"normal-equation residual {res:.3e} exceeds {_RESIDUAL_TOL:.0e} * ||w||"
-        )
+    w = _Ridge(ds.X, gamma).weights(_targets(ds.y_noisy, rho))
+    return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="squared", n=ds.n)
 
 
 def decision(c: Classifier, X_test: np.ndarray) -> np.ndarray:
@@ -176,15 +182,15 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
     serves all ``n`` indices.  Indices where the downdate denominator
     degenerates fall back to an explicit retrain.
     """
-    _check_training_inputs(ds, gamma)
-    if ds.n < 2:
+    n = ds.n
+    if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
     X = ds.X
+    ridge = _Ridge(X, gamma)
     t = _targets(ds.y_noisy, rho)
-    A, factor = _gram_factor(X, gamma)
-    w = cho_solve(factor, X @ t / ds.n)
-    QX = cho_solve(factor, X)
-    d = np.einsum("ij,ij->j", X, QX) / ds.n
+    w = ridge.solve(X @ t / n)
+    QX = ridge.solve(X)
+    d = np.einsum("ij,ij->j", X, QX) / n
     denom = 1.0 - d
     scores = (X.T @ w - t * d) / np.where(np.abs(denom) < _LOO_DENOM_TOL, np.nan, denom)
 
@@ -194,12 +200,12 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
             f"loo downdate denominator degenerate for {bad.size} indices; retraining explicitly",
             stacklevel=2,
         )
+        # the same system on the n - 1 kept columns: rescaling it by
+        # n / (n - 1) keeps the full-data 1/n scaling of w^{-i}
         for i in bad:
-            keep = np.arange(ds.n) != i
+            keep = np.arange(n) != i
             Xi = X[:, keep]
-            Ai = (Xi @ Xi.T) / ds.n
-            Ai[np.diag_indices_from(Ai)] += gamma
-            wi = np.linalg.solve(Ai, Xi @ t[keep] / ds.n)
+            wi = _Ridge(Xi, gamma * n / (n - 1)).solve(Xi @ t[keep] / (n - 1))
             scores[i] = X[:, i] @ wi
     return scores
 
@@ -245,7 +251,6 @@ def train_lpc_bce(
     rho: RhoParams,
     learning_rate: float = 0.1,
     iters: int = 400,
-    seed: int = 0,
     gamma: float = 1e-3,
 ) -> Classifier:
     """Full-batch gradient descent on the reweighted BCE loss, from ``w = 0``.
@@ -253,11 +258,9 @@ def train_lpc_bce(
     Labels are remapped to {0, 1} with 1 = class 2 (noisy label ``+1``).
     Runs exactly ``iters`` steps unless the loss turns non-finite, in which
     case descent halts at the last finite iterate with a warning naming the
-    step.  Deterministic; ``seed`` is accepted for interface symmetry with
-    the stochastic trainers but unused by full-batch descent.
+    step.  Deterministic.
     """
-    del seed
-    _check_training_inputs(ds, gamma)
+    _check_inputs(ds.X, gamma)
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     y01 = (ds.y_noisy == 1).astype(float)
@@ -280,7 +283,7 @@ def train_lpc_bce(
             )
             break
         w = w_next
-    return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="bce", n=ds.n, p=ds.p)
+    return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="bce", n=ds.n)
 
 
 _FORMAT_TAG = "lpc-classifier-v1"
@@ -313,5 +316,4 @@ def load_classifier(path) -> Classifier:
         rho=RhoParams(rho_plus, rho_minus),
         loss_kind=loss_kind,
         n=0,
-        p=w.size,
     )

@@ -2,13 +2,18 @@
 
 Each ``run_*`` function consumes an :class:`ExperimentConfig` and returns a
 :class:`RunReport` pairing every empirical cell with its theoretical
-counterpart where one exists.  Variants:
+counterpart where one exists.  Variants differ only in their regression
+targets:
 
-- ``naive``      train on noisy labels, rho = (0, 0)
-- ``unbiased``   train on noisy labels, rho = (eps_plus, eps_minus)
-- ``optimized``  train on noisy labels, rho = (optimal rho_plus, 0)
-- ``oracle``     train on clean labels, rho = (0, 0)
-- ``custom``     train on noisy labels, configured rho
+- ``naive``      noisy labels, rho = (0, 0)
+- ``unbiased``   noisy labels, rho = (eps_plus, eps_minus)
+- ``optimized``  noisy labels, rho = (optimal rho_plus, 0)
+- ``oracle``     clean labels, rho = (0, 0)
+- ``custom``     noisy labels, configured rho
+
+Every variant and grid point that shares a training draw (and ``gamma``)
+is one target column of a single block solve on that draw's factored
+ridge system.
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
@@ -22,9 +27,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ..core import RhoParams, _gram_factor, _targets
+from ..core import RhoParams, _Ridge, _targets
 from ..datasets import (
     GmmSpec,
     LabeledDataset,
@@ -111,23 +115,21 @@ def _variant_theory(name: str, rho: RhoParams, eta: float, gamma: float, snr: fl
     )
 
 
-def _train_variants(
-    ds_noisy: LabeledDataset,
-    variant_rhos: dict[str, RhoParams],
-    gamma: float,
-) -> dict[str, np.ndarray]:
-    """One Gram factorization shared across all variants of one draw."""
-    X, n = ds_noisy.X, ds_noisy.n
-    _, factor = _gram_factor(X, gamma)
-    out = {}
-    for name, rho in variant_rhos.items():
-        labels = ds_noisy.y_clean if name == "oracle" else ds_noisy.y_noisy
-        rhs = X @ _targets(labels, rho) / n
-        out[name] = cho_solve(factor, rhs)
-    return out
+def _variant_targets(ds: LabeledDataset, rhos: dict[str, RhoParams]) -> list[np.ndarray]:
+    """Regression targets of every variant; ``oracle`` trains on clean labels."""
+    return [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
+            for v, rho in rhos.items()]
 
 
-def _oriented_accuracy(scores: np.ndarray, y: np.ndarray, orientation: float) -> float:
+def _block_scores(X: np.ndarray, gamma: float, targets: list[np.ndarray],
+                  X_test: np.ndarray) -> np.ndarray:
+    """Test scores of every target column (one row each), from one
+    factorization of the features ``X`` and one block solve."""
+    return _Ridge(X, gamma).weights(np.column_stack(targets)).T @ X_test
+
+
+def _oriented_accuracy(scores: np.ndarray, y: np.ndarray, st: TheoryStats) -> float:
+    orientation = 1.0 if st.m_rho >= 0 else -1.0
     pred = np.where(orientation * scores >= 0, 1, -1)
     return float(np.mean(pred == y))
 
@@ -182,8 +184,8 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
         test = generate_gmm(GmmSpec.isotropic(
             cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
-        weights = _train_variants(noisy, rhos, gamma)
-        return seed, {v: w @ test.X for v, w in weights.items()}, test.y_clean
+        scores = _block_scores(noisy.X, gamma, _variant_targets(noisy, rhos), test.X)
+        return seed, dict(zip(rhos, scores)), test.y_clean
 
     for seed, score_map, y_clean in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, scores in score_map.items():
@@ -194,9 +196,8 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
             report.add(v, 0.0, seed, "mean_class2", stats["mean_class2"], st.m_rho)
             report.add(v, 0.0, seed, "std_class1", stats["std_class1"], sigma)
             report.add(v, 0.0, seed, "std_class2", stats["std_class2"], sigma)
-            orientation = 1.0 if st.m_rho >= 0 else -1.0
             report.add(v, 0.0, seed, "accuracy",
-                       _oriented_accuracy(scores, y_clean, orientation), st.accuracy)
+                       _oriented_accuracy(scores, y_clean, st), st.accuracy)
             report.add(v, 0.0, seed, "risk",
                        float(np.mean((scores - y_clean) ** 2)), st.risk)
             if seed == cfg.seeds[0]:
@@ -251,6 +252,25 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     """
     report = RunReport("sweep", cfg)
     eta = cfg.p / cfg.n
+    base_gamma = _gamma_value(cfg, eta, cfg.snr)
+    # grid points by gamma: each group shares one factored draw per seed
+    groups: dict[float, list] = {}
+    for g, value in enumerate(cfg.grid):
+        gamma, eps_plus, flip_stream = base_gamma, cfg.eps_plus, 1
+        if cfg.sweep_param == "eps_plus":
+            eps_plus, flip_stream = value, 10 + g
+        elif cfg.sweep_param == "gamma":
+            gamma = value
+        rhos = {
+            v: RhoParams(value, cfg.custom_rho_minus)
+            if v == "custom" and cfg.sweep_param == "rho_plus"
+            else _variant_rho(v, cfg.pi1, eps_plus, cfg.eps_minus, cfg)
+            for v in cfg.variants
+        }
+        theories = {v: _variant_theory(v, rho, eta, gamma, cfg.snr, cfg.pi1,
+                                       eps_plus, cfg.eps_minus)
+                    for v, rho in rhos.items()}
+        groups.setdefault(gamma, []).append((value, eps_plus, flip_stream, rhos, theories))
 
     def one_seed(seed: int):
         train = generate_gmm(GmmSpec.isotropic(
@@ -258,33 +278,17 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
         test = generate_gmm(GmmSpec.isotropic(
             cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
         rows = []
-        for g, value in enumerate(cfg.grid):
-            eps_plus, eps_minus = cfg.eps_plus, cfg.eps_minus
-            if cfg.sweep_param == "eps_plus":
-                gamma = _gamma_value(cfg, eta, cfg.snr)
-                eps_plus = value
-                flip_stream = 10 + g
-            elif cfg.sweep_param == "gamma":
-                gamma = value
-                flip_stream = 1
-            else:
-                gamma = _gamma_value(cfg, eta, cfg.snr)
-                flip_stream = 1
-            noisy = flip_labels(train, eps_plus, eps_minus, derive_seed(seed, flip_stream))
-            rhos = {}
-            for v in cfg.variants:
-                if v == "custom" and cfg.sweep_param == "rho_plus":
-                    rhos[v] = RhoParams(value, cfg.custom_rho_minus)
-                else:
-                    rhos[v] = _variant_rho(v, cfg.pi1, eps_plus, eps_minus, cfg)
-            weights = _train_variants(noisy, rhos, gamma)
-            for v, w in weights.items():
-                st = _variant_theory(v, rhos[v], eta, gamma, cfg.snr, cfg.pi1,
-                                     eps_plus, eps_minus)
-                scores = w @ test.X
-                orientation = 1.0 if st.m_rho >= 0 else -1.0
-                acc = _oriented_accuracy(scores, test.y_clean, orientation)
-                risk = float(np.mean((scores - test.y_clean) ** 2))
+        for gamma, points in groups.items():
+            targets, cells = [], []
+            for value, eps_plus, flip_stream, rhos, theories in points:
+                noisy = flip_labels(train, eps_plus, cfg.eps_minus,
+                                    derive_seed(seed, flip_stream))
+                targets += _variant_targets(noisy, rhos)
+                cells += [(v, value, st) for v, st in theories.items()]
+            scores = _block_scores(train.X, gamma, targets, test.X)
+            for (v, value, st), s in zip(cells, scores):
+                acc = _oriented_accuracy(s, test.y_clean, st)
+                risk = float(np.mean((s - test.y_clean) ** 2))
                 rows.append((v, value, seed, acc, risk, st))
         return rows
 
@@ -432,15 +436,12 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
         gamma = _gamma_value(cfg, eta, snr)
         rhos = {v: _variant_rho(v, pi1_train, cfg.eps_plus, cfg.eps_minus, cfg)
                 for v in cfg.variants}
-        weights = _train_variants(noisy, rhos, gamma)
+        scores = _block_scores(noisy.X, gamma, _variant_targets(noisy, rhos), test_X)
         out = []
-        for v, w in weights.items():
-            st = _variant_theory(v, rhos[v], eta, gamma, snr, pi1_train,
+        for (v, rho), s in zip(rhos.items(), scores):
+            st = _variant_theory(v, rho, eta, gamma, snr, pi1_train,
                                  cfg.eps_plus, cfg.eps_minus)
-            scores = w @ test_X
-            orientation = 1.0 if st.m_rho >= 0 else -1.0
-            acc = _oriented_accuracy(scores, test_y, orientation)
-            out.append((v, seed, acc, st.accuracy, gamma))
+            out.append((v, seed, _oriented_accuracy(s, test_y, st), st.accuracy, gamma))
         return out
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):

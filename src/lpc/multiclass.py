@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from .core import _Ridge
 from .datasets import _rng, derive_seed
 
 __all__ = [
@@ -154,16 +154,9 @@ def build_label_matrix(y_noisy: np.ndarray, k: int, ab: AlphaBeta) -> np.ndarray
 
 def train_multi_lpc(X: np.ndarray, Yab: np.ndarray, gamma: float) -> np.ndarray:
     """Solve ``(X X^T / n + gamma I) W = (1/n) X Yab`` for the p x k weights."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
-    p, n = X.shape
-    if Yab.shape[0] != n:
-        raise ValueError(f"label matrix rows ({Yab.shape[0]}) must match n={n}")
-    A = (X @ X.T) / n
-    A[np.diag_indices_from(A)] += gamma
-    return cho_solve(cho_factor(A, lower=True), X @ Yab / n)
+    if Yab.shape[0] != X.shape[1]:
+        raise ValueError(f"label matrix rows ({Yab.shape[0]}) must match n={X.shape[1]}")
+    return _Ridge(X, gamma).weights(Yab)
 
 
 def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> float:
@@ -203,9 +196,8 @@ class _SeedEvaluator:
     """Per-seed precomputation making each (alpha, beta) candidate O(k * m).
 
     The training solve is linear in the label matrix, which itself is affine
-    in (alpha, beta): precomputing the solved one-hot block and the solved
-    all-ones block reduces every candidate to a reweighting of two score
-    tables.
+    in (alpha, beta): one block solve of the one-hot and all-ones targets
+    reduces every candidate to a reweighting of two score tables.
     """
 
     def __init__(self, spec: MultiGmmSpec, gamma: float, seed: int, n_test: int):
@@ -221,15 +213,11 @@ class _SeedEvaluator:
                 eps=spec.eps, seed=derive_seed(seed, 1),
             )
         )
-        X, n = train.X, train.X.shape[1]
-        A = (X @ X.T) / n
-        A[np.diag_indices_from(A)] += gamma
-        factor = cho_factor(A, lower=True)
         onehot = (train.y_noisy[:, None] == np.arange(1, spec.k + 1)[None, :]).astype(float)
-        QP = cho_solve(factor, X @ onehot / n)  # p x k
-        Qs = cho_solve(factor, X.sum(axis=1) / n)  # p
-        self.on_scores = QP.T @ test.X  # k x m, one-hot part
-        self.all_scores = Qs @ test.X  # m, all-ones part
+        targets = np.column_stack([onehot, np.ones(spec.n)])
+        scores = _Ridge(train.X, gamma).weights(targets).T @ test.X
+        self.on_scores = scores[:-1]  # k x m, one-hot part
+        self.all_scores = scores[-1]  # m, all-ones part
         self.y_test = test.y_clean
 
     def accuracy(self, ab: AlphaBeta) -> float:

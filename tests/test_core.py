@@ -209,6 +209,24 @@ class TestLooDecisions:
         C = gap_small * 40 * 3.0
         assert max_gap(80) <= C / 160  # n = 160
 
+    def test_degenerate_downdate_falls_back_to_retrain(self):
+        # scaling sample 0 by 1e6 drives its downdate denominator 1 - d_0
+        # below tolerance; that index is retrained on the other n - 1
+        from lpc.datasets import LabeledDataset
+
+        rho, gamma = RhoParams(0.2, 0.1), 1e-3
+        for seed in range(5):
+            base = _noisy_dataset(3, 12, seed=seed)
+            X = base.X.copy()
+            X[:, 0] *= 1e6
+            ds = LabeledDataset(X=X, y_noisy=base.y_noisy, y_clean=base.y_clean)
+            with pytest.warns(UserWarning, match="degenerate"):
+                scores = loo_decisions(ds, rho, gamma)
+            expected = self._brute_force(ds, rho, gamma)
+            np.testing.assert_allclose(
+                scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
+            )
+
     def test_large_gamma_shrinks_scores(self):
         ds = _noisy_dataset(4, 20, seed=8)
         scores = loo_decisions(ds, RhoParams(), gamma=1e8)

@@ -232,6 +232,47 @@ class TestRunners:
         for v in ("naive", "unbiased", "optimized", "custom"):
             assert oracle >= rep.mean_over_seeds(v, "accuracy", 0.4)
 
+    @pytest.mark.parametrize("sweep", ["rho_plus", "eps_plus", "gamma"])
+    def test_sweep_risk_matches_public_api(self, sweep):
+        # every risk cell is the squared risk of lpc.train_lpc on the same
+        # draw, scored on the same test set
+        import lpc
+        from lpc.datasets import LabeledDataset, derive_seed
+
+        grid = {"rho_plus": (-0.3, 0.6, 1.5), "eps_plus": (0.0, 0.3), "gamma": (0.1, 1.0, 10.0)}
+        cfg = ex.parse_config_text(
+            f"schema_version = 1\nexperiment = sweep\nsweep_param = {sweep}\n"
+            f"grid = {','.join(map(str, grid[sweep]))}\nn = 120\np = 40\npi1 = 0.3\n"
+            "snr = 2\ngamma = optimal\neps_plus = 0.3\neps_minus = 0.2\n"
+            "variants = custom,naive,unbiased,optimized,oracle\n"
+            "custom_rho_plus = 0.2\ncustom_rho_minus = 0\nseeds = 0,1\nn_test = 500\n"
+        )
+        rep = ex.run_sweep(cfg)
+        risks = [r for r in rep.rows if r.metric == "risk"]
+        assert len(risks) == 2 * len(grid[sweep]) * 5
+        for row in risks:
+            seed, value = row.seed, row.grid_value
+            eps_plus = value if sweep == "eps_plus" else cfg.eps_plus
+            gamma = value if sweep == "gamma" else ex.optimal_gamma(cfg.p / cfg.n, cfg.snr)
+            stream = 10 + cfg.grid.index(value) if sweep == "eps_plus" else 1
+            train = lpc.generate_gmm(lpc.GmmSpec.isotropic(
+                cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 0)))
+            test = lpc.generate_gmm(lpc.GmmSpec.isotropic(
+                cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
+            noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, stream))
+            rho = {
+                "custom": lpc.RhoParams(value if sweep == "rho_plus" else 0.2, 0.0),
+                "naive": lpc.RhoParams(),
+                "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
+                "optimized": lpc.RhoParams(
+                    lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
+                "oracle": lpc.RhoParams(),
+            }[row.variant]
+            if row.variant == "oracle":
+                noisy = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
+            _, risk = lpc.evaluate(lpc.train_lpc(noisy, rho, gamma), test.X, test.y_clean)
+            assert row.empirical == pytest.approx(risk, rel=1e-10, abs=0)
+
     def test_optimal_gamma_is_deterministic_and_in_range(self):
         g1 = ex.optimal_gamma(0.5, 2.0)
         g2 = ex.optimal_gamma(0.5, 2.0)
