@@ -123,6 +123,14 @@ class ExperimentConfig:
                 raise ConfigError(f"eps matrix needs k={self.k} rows")
             if self.pis and len(self.pis) != self.k:
                 raise ConfigError(f"pis needs k={self.k} entries")
+            if self.grid_size < 1:
+                raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
+            if self.tau_points < 2:
+                raise ConfigError(f"tau_points must be >= 2, got {self.tau_points}")
+            if not self.box_low < self.box_high:
+                raise ConfigError(
+                    f"box_low must be < box_high, got {self.box_low} >= {self.box_high}"
+                )
 
     def resolved_out(self) -> str:
         return self.out or f"runs/{self.experiment}"

@@ -140,11 +140,15 @@ def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
     return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy, k=spec.k)
 
 
+def _check_length(ab: AlphaBeta, k: int) -> None:
+    if ab.alpha.size != k:
+        raise ValueError(f"alpha/beta length {ab.alpha.size} does not match k={k}")
+
+
 def build_label_matrix(y_noisy: np.ndarray, k: int, ab: AlphaBeta) -> np.ndarray:
     """n x k target matrix: column j is alpha_j where label == j, else beta_j."""
     y_noisy = np.asarray(y_noisy)
-    if ab.alpha.size != k:
-        raise ValueError(f"alpha/beta length {ab.alpha.size} does not match k={k}")
+    _check_length(ab, k)
     if np.any((y_noisy < 1) | (y_noisy > k)):
         bad = y_noisy[(y_noisy < 1) | (y_noisy > k)][0]
         raise ValueError(f"label {bad} out of range 1..{k}")
@@ -192,12 +196,18 @@ class SearchResult:
         return rows
 
 
-class _SeedEvaluator:
-    """Per-seed precomputation making each (alpha, beta) candidate O(k * m).
+# Candidate rows per block; at k = 3 and 800 test columns its score tables take 1.2 MB.
+_CHUNK_ROWS = 64
 
-    The training solve is linear in the label matrix, which itself is affine
-    in (alpha, beta): one block solve of the one-hot and all-ones targets
-    reduces every candidate to a reweighting of two score tables.
+
+class _SeedEvaluator:
+    """Per-seed precomputation that scores (alpha, beta) candidates in blocks.
+
+    Training is linear in the label matrix, itself affine in (alpha, beta): one
+    solve of the one-hot and all-ones targets gives per-class test score tables
+    ``on_j`` and ``off_j = all - on_j``; a candidate scores class j as ``s_j =
+    alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
+    ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule).
     """
 
     def __init__(self, spec: MultiGmmSpec, gamma: float, seed: int, n_test: int):
@@ -216,15 +226,22 @@ class _SeedEvaluator:
         onehot = (train.y_noisy[:, None] == np.arange(1, spec.k + 1)[None, :]).astype(float)
         targets = np.column_stack([onehot, np.ones(spec.n)])
         scores = _Ridge(train.X, gamma).weights(targets).T @ test.X
-        self.on_scores = scores[:-1]  # k x m, one-hot part
-        self.all_scores = scores[-1]  # m, all-ones part
-        self.y_test = test.y_clean
+        on, y = scores[:-1], test.y_clean  # k x m one-hot part, m true classes
+        off = scores[-1] - on  # k x m, all-ones minus one-hot part
+        self.by_class = [(on[:, y == c], off[:, y == c]) for c in range(1, spec.k + 1)]
+        self.m = y.size
 
-    def accuracy(self, ab: AlphaBeta) -> float:
-        off = self.all_scores[None, :] - self.on_scores
-        scores = ab.alpha[:, None] * self.on_scores + ab.beta[:, None] * off
-        pred = np.argmax(scores, axis=0) + 1
-        return float(np.mean(pred == self.y_test))
+    def accuracies(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``."""
+        hits = np.zeros(A.shape[0], dtype=np.int64)
+        for lo in range(0, A.shape[0], _CHUNK_ROWS):
+            a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
+            for c, (on, off) in enumerate(self.by_class):
+                s = [a[:, j, None] * on[j] + b[:, j, None] * off[j] for j in range(len(on))]
+                hit = np.logical_and.reduce([s[c] > sj for sj in s[:c]]
+                                            + [s[c] >= sj for sj in s[c + 1:]])
+                hits[lo:lo + _CHUNK_ROWS] += np.count_nonzero(hit, axis=1)
+        return hits / self.m
 
 
 def search_alpha_beta(
@@ -251,39 +268,35 @@ def search_alpha_beta(
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     if not eval_seeds:
         raise ValueError("eval_seeds must be nonempty")
+    if tau_points < 2:
+        raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
+    if not box[0] < box[1]:
+        raise ValueError(f"box must have low < high, got {tuple(box)}")
     k = spec.k
-    rng = _rng(search_seed)
-    samples = rng.uniform(box[0], box[1], size=(grid_size, 2 * k))
-    candidates = [AlphaBeta(alpha=row[:k], beta=row[k:]) for row in samples]
-    if extra_candidates:
-        candidates = candidates + list(extra_candidates)
-
+    for ab in extra_candidates or []:
+        _check_length(ab, k)
+    rows = _rng(search_seed).uniform(box[0], box[1], size=(grid_size, 2 * k))  # alpha | beta
+    rows = np.vstack([rows] + [np.r_[ab.alpha, ab.beta] for ab in extra_candidates or []])
     evaluators = [_SeedEvaluator(spec, gamma, seed, n_test) for seed in eval_seeds]
-    acc = np.array(
-        [[ev.accuracy(ab) for ev in evaluators] for ab in candidates]
-    )  # n_cand x n_seeds
-    mean_acc = acc.mean(axis=1)
-    best_i = int(np.argmax(mean_acc))
-    worst_i = int(np.argmin(mean_acc))
-    ab_best, ab_worst = candidates[best_i], candidates[worst_i]
 
+    def accuracy(block: np.ndarray) -> np.ndarray:  # n_rows x n_seeds
+        return np.column_stack([ev.accuracies(block[:, :k], block[:, k:]) for ev in evaluators])
+
+    mean_acc = accuracy(rows).mean(axis=1)
+    best_i, worst_i = int(np.argmax(mean_acc)), int(np.argmin(mean_acc))
+    best, worst = rows[best_i], rows[worst_i]
+
+    # the tau path and, in its last row, the naive one-hot candidate
     taus = np.linspace(0.0, 1.0, tau_points)
-    tau_acc = np.empty((tau_points, len(eval_seeds)))
-    for i, tau in enumerate(taus):
-        ab_tau = AlphaBeta(
-            alpha=tau * ab_best.alpha + (1.0 - tau) * ab_worst.alpha,
-            beta=tau * ab_best.beta + (1.0 - tau) * ab_worst.beta,
-        )
-        tau_acc[i] = [ev.accuracy(ab_tau) for ev in evaluators]
-
-    naive_acc = float(np.mean([ev.accuracy(AlphaBeta.naive(k)) for ev in evaluators]))
+    path = taus[:, None] * best + (1.0 - taus)[:, None] * worst
+    tail_acc = accuracy(np.vstack([path, np.r_[np.ones(k), np.zeros(k)]]))
     return SearchResult(
-        ab_best=ab_best,
-        ab_worst=ab_worst,
+        ab_best=AlphaBeta(alpha=best[:k], beta=best[k:]),
+        ab_worst=AlphaBeta(alpha=worst[:k], beta=worst[k:]),
         best_accuracy=float(mean_acc[best_i]),
         worst_accuracy=float(mean_acc[worst_i]),
-        naive_accuracy=naive_acc,
+        naive_accuracy=float(np.mean(tail_acc[-1])),
         tau_grid=taus,
-        tau_accuracy=tau_acc,
+        tau_accuracy=tail_acc[:-1],
         candidate_accuracy=mean_acc,
     )

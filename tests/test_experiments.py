@@ -85,6 +85,18 @@ class TestConfigParsing:
         )
         assert cfg.eps_rows == ((0.0, 0.2), (0.1, 0.0))
 
+    @pytest.mark.parametrize("bad, match", [
+        ("tau_points = 1", "tau_points"),
+        ("grid_size = 0", "grid_size"),
+        ("box_low = 1.5\nbox_high = 1.5", "box_low"),
+    ], ids=["tau_points", "grid_size", "box"])
+    def test_multiclass_search_ranges(self, bad, match):
+        head = "schema_version = 1\nexperiment = multiclass\n"
+        edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\nbox_high = -1.9\n")
+        assert (edge.tau_points, edge.grid_size) == (2, 1)
+        with pytest.raises(ConfigError, match=match):
+            ex.parse_config_text(head + bad + "\n")
+
 
 class TestConfigHash:
     def test_semantic_fields_change_hash(self):

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lpc.datasets import derive_seed
 from lpc.multiclass import (
+    _CHUNK_ROWS,
     AlphaBeta,
     MultiGmmSpec,
+    _SeedEvaluator,
     build_label_matrix,
     generate_multi_gmm,
     multi_accuracy,
@@ -197,3 +202,76 @@ class TestAccuracyAndSearch:
             search_alpha_beta(_spec3(), grid_size=0, eval_seeds=[0], gamma=1.0)
         with pytest.raises(ValueError, match="eval_seeds"):
             search_alpha_beta(_spec3(), grid_size=1, eval_seeds=[], gamma=1.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(tau_points=0), "tau_points"),
+        (dict(tau_points=1), "tau_points"),
+        (dict(box=(2.0, -2.0)), "box"),
+        (dict(box=(1.0, 1.0)), "box"),
+        (dict(extra_candidates=[AlphaBeta.naive(3), AlphaBeta(alpha=[5.0], beta=[0.0])]),
+         "length 1 does not match k=3"),
+    ])
+    def test_search_range_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            search_alpha_beta(_spec3(n=60, p=4), grid_size=2, eval_seeds=[0],
+                              gamma=1.0, n_test=30, **kwargs)
+
+
+def _scalar_accuracies(ev, A, B):
+    """The per-candidate rule: argmax over classes, first maximum wins."""
+    on = np.hstack([on_c for on_c, _ in ev.by_class])
+    off = np.hstack([off_c for _, off_c in ev.by_class])
+    y = np.concatenate([np.full(on_c.shape[1], c) for c, (on_c, _) in
+                        enumerate(ev.by_class, start=1)])
+    return np.array([
+        np.mean(np.argmax(alpha[:, None] * on + beta[:, None] * off, axis=0) + 1 == y)
+        for alpha, beta in zip(A, B)
+    ])
+
+
+class TestBlockScoring:
+    def test_matches_scalar_rule_with_ties(self):
+        ev = _SeedEvaluator(_spec3(n=300, p=10), gamma=1.0, seed=4, n_test=250)
+        rng = np.random.default_rng(0)
+        A, B = rng.uniform(-2, 2, (40, 3)), rng.uniform(-2, 2, (40, 3))
+        A[0], B[0] = 0.0, 0.0  # every class ties at zero
+        A[1], B[1] = 1.0, 1.0  # s_j = on_j + off_j: near-ties within rounding
+        A[2:6] = 0.7  # equal alphas
+        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+
+    def test_exact_integer_ties(self):
+        # small integer tables make most columns tie across classes
+        rng = np.random.default_rng(1)
+        ev = _SeedEvaluator.__new__(_SeedEvaluator)
+        ev.by_class = [(rng.integers(-1, 2, (3, m)).astype(float),
+                        rng.integers(-1, 2, (3, m)).astype(float)) for m in (7, 5, 9)]
+        ev.m = 21
+        A = rng.integers(-1, 2, (200, 3)).astype(float)
+        B = rng.integers(-1, 2, (200, 3)).astype(float)
+        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+
+    def test_chunk_boundary(self):
+        ev = _SeedEvaluator(_spec3(n=200, p=6), gamma=0.5, seed=2, n_test=120)
+        rng = np.random.default_rng(3)
+        A, B = rng.uniform(-2, 2, (2, _CHUNK_ROWS + 1, 3))
+        row_by_row = np.concatenate([ev.accuracies(A[i:i + 1], B[i:i + 1])
+                                     for i in range(len(A))])
+        np.testing.assert_array_equal(ev.accuracies(A, B), row_by_row)
+
+    def test_search_matches_public_api(self):
+        spec, seeds, gamma, n_test = _spec3(n=300, p=10), [0, 1], 0.8, 250
+        res = search_alpha_beta(spec, grid_size=50, eval_seeds=seeds, gamma=gamma,
+                                n_test=n_test, tau_points=3, search_seed=5)
+
+        def public(ab):
+            accs = []
+            for seed in seeds:
+                train = generate_multi_gmm(replace(spec, seed=derive_seed(seed, 0)))
+                test = generate_multi_gmm(replace(spec, n=n_test, seed=derive_seed(seed, 1)))
+                W = train_multi_lpc(train.X, build_label_matrix(train.y_noisy, 3, ab), gamma)
+                accs.append(multi_accuracy(W, test.X, test.y_clean))
+            return np.mean(accs)
+
+        for ab, acc in [(res.ab_best, res.best_accuracy), (res.ab_worst, res.worst_accuracy),
+                        (AlphaBeta.naive(3), res.naive_accuracy)]:
+            assert abs(public(ab) - acc) <= 1.0 / n_test
