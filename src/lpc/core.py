@@ -182,31 +182,35 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
     serves all ``n`` indices.  Indices where the downdate denominator
     degenerates fall back to an explicit retrain.
     """
-    n = ds.n
+    return _loo_block(ds.X, _targets(ds.y_noisy, rho)[:, None], gamma)[:, 0]
+
+
+def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
+    """:func:`loo_decisions` for an ``n x k`` target block: one factorization
+    serves every column, and a degenerate index retrains the whole row."""
+    n = X.shape[1]
     if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
-    X = ds.X
     ridge = _Ridge(X, gamma)
-    t = _targets(ds.y_noisy, rho)
-    w = ridge.solve(X @ t / n)
+    W = ridge.solve(X @ T / n)
     QX = ridge.solve(X)
-    d = np.einsum("ij,ij->j", X, QX) / n
+    d = np.einsum("ij,ij->j", X, QX)[:, None] / n
     denom = 1.0 - d
-    scores = (X.T @ w - t * d) / np.where(np.abs(denom) < _LOO_DENOM_TOL, np.nan, denom)
+    scores = (X.T @ W - T * d) / np.where(np.abs(denom) < _LOO_DENOM_TOL, np.nan, denom)
 
-    bad = np.flatnonzero(~np.isfinite(scores))
+    bad = np.flatnonzero(~np.all(np.isfinite(scores), axis=1))
     if bad.size:
         warnings.warn(
             f"loo downdate denominator degenerate for {bad.size} indices; retraining explicitly",
-            stacklevel=2,
+            stacklevel=3,
         )
         # the same system on the n - 1 kept columns: rescaling it by
         # n / (n - 1) keeps the full-data 1/n scaling of w^{-i}
         for i in bad:
             keep = np.arange(n) != i
             Xi = X[:, keep]
-            wi = _Ridge(Xi, gamma * n / (n - 1)).solve(Xi @ t[keep] / (n - 1))
-            scores[i] = X[:, i] @ wi
+            Wi = _Ridge(Xi, gamma * n / (n - 1)).solve(Xi @ T[keep] / (n - 1))
+            scores[i] = X[:, i] @ Wi
     return scores
 
 

@@ -320,6 +320,10 @@ def _sweep_figure(cfg: ExperimentConfig, report: RunReport) -> str:
 def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
+    Each cell also reports the solver's ``residual`` and ``roots``, the
+    number of exact solutions in the capped simplex (0: the least-squares
+    point was taken; 2: the estimate is ambiguous).
+
     With ``data_path`` set the sweep is skipped: the rates of the ingested
     noisy dataset are estimated once per seed, with SNR and class
     proportion taken from :func:`standardize_and_estimate` (approximate,
@@ -349,6 +353,7 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
             report.add("estimator", eps_plus, seed, "eps_minus_hat", est.eps_minus,
                        cfg.eps_minus)
             report.add("estimator", eps_plus, seed, "residual", est.residual)
+            report.add("estimator", eps_plus, seed, "roots", len(est.roots))
 
     fig = Figure(title=f"noise-rate recovery (snr={cfg.snr})",
                  xlabel="true eps_plus", ylabel="estimated eps_plus")
@@ -375,6 +380,7 @@ def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
     report.add("estimator", 0.0, seed, "eps_plus_hat", est.eps_plus)
     report.add("estimator", 0.0, seed, "eps_minus_hat", est.eps_minus)
     report.add("estimator", 0.0, seed, "residual", est.residual)
+    report.add("estimator", 0.0, seed, "roots", len(est.roots))
     report.add("estimator", 0.0, seed, "snr_estimate", snr)
     report.add("estimator", 0.0, seed, "pi1_estimate", pi1)
     fig = Figure(title="noise-rate estimate (ingested data)",

@@ -2,9 +2,9 @@
 
 The second moment of the decision function has a closed asymptotic form
 ``nu_rho(eps_plus, eps_minus)``.  Training two LPC probes with different
-``rho`` pairs on the same noisy data and equating their empirical
-leave-one-out second moments to the theory yields a 2x2 system in the
-unknown noise rates, solved here by a grid scan plus Newton refinement.
+gaps ``rho_plus - rho_minus`` on the same noisy data and equating their
+empirical leave-one-out second moments to the theory yields a 2x2 quadratic
+system in the unknown noise rates, inverted here in closed form.
 """
 
 from __future__ import annotations
@@ -13,29 +13,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RhoParams, loo_decisions
+from .core import SINGULARITY_GUARD, RhoParams, _loo_block, _targets, loo_decisions
 from .datasets import LabeledDataset
 from .theory import isotropic_moments
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
 _SIMPLEX_CAP = 0.99
-_GRID_SIZE = 100
-_NEWTON_MAX_ITERS = 50
-_NEWTON_FD_STEP = 1e-6
-_NEWTON_TOL = 1e-12
+_SNAP_TOL = 1e-12
+_CORNERS = np.array([[0.0, 0.0], [_SIMPLEX_CAP, 0.0], [0.0, _SIMPLEX_CAP]])
 
 
 @dataclass(frozen=True)
 class NoiseEstimate:
-    """Estimated flip probabilities with solver diagnostics."""
+    """Estimated flip probabilities with solver diagnostics.
+
+    ``roots`` holds every exact solution ``(eps_plus, eps_minus)`` in the
+    capped simplex, sorted by ``eps_plus + eps_minus``; the estimate is the
+    first.  With no root it is the least-squares point of the capped simplex.
+    ``residual`` is the norm of the moment mismatch at the estimate.
+    """
 
     eps_plus: float
     eps_minus: float
     residual: float
     probes: tuple[RhoParams, RhoParams]
-    iterations: int
-    newton_converged: bool
+    roots: tuple[tuple[float, float], ...]
     high_residual: bool
 
     def __post_init__(self) -> None:
@@ -44,6 +47,21 @@ class NoiseEstimate:
         if not np.isfinite(self.residual):
             raise ValueError("non-finite residual")
 
+    @property
+    def ambiguous(self) -> bool:
+        """Two exact solutions: the moments do not single out the rates."""
+        return len(self.roots) > 1
+
+    @property
+    def iterations(self) -> int:
+        """Always 0: the inversion is closed form (a field of the former search)."""
+        return 0
+
+    @property
+    def newton_converged(self) -> bool:
+        """Whether an exact root exists (a field of the former search)."""
+        return bool(self.roots)
+
 
 def empirical_second_moment(ds: LabeledDataset, rho: RhoParams, gamma: float) -> float:
     """Mean squared leave-one-out decision value, the empirical ``nu_rho``."""
@@ -51,128 +69,113 @@ def empirical_second_moment(ds: LabeledDataset, rho: RhoParams, gamma: float) ->
     return float(np.mean(scores**2))
 
 
-def _forward_map(eta, gamma, snr, pi1, probes):
-    """Map ``(eps_plus, eps_minus)`` (scalars or same-shape arrays) to the
-    stacked moments ``nu`` of the two probes, shape ``(2,) + input shape``."""
-
-    def nu(eps_plus, eps_minus):
-        eps_plus = np.asarray(eps_plus, dtype=float)
-        eps_minus = np.asarray(eps_minus, dtype=float)
-        values = [
-            isotropic_moments(eta, gamma, snr, pi1, eps_plus, eps_minus, probe)[1]
-            for probe in probes
-        ]
-        return np.stack([np.broadcast_to(v, eps_plus.shape) for v in values])
-
-    return nu
+def _check_probes(probe1: RhoParams, probe2: RhoParams) -> None:
+    # With equal gaps g the targets are beta * (y + g): the second probe is a
+    # rescaled copy of the first and the two moment equations coincide.
+    gaps = [probe.rho_plus - probe.rho_minus for probe in (probe1, probe2)]
+    if abs(gaps[0] - gaps[1]) <= SINGULARITY_GUARD:
+        raise ValueError(f"the two probes must have distinct gaps rho_plus - rho_minus: {gaps}")
 
 
-def estimate_noise_rates(
-    ds: LabeledDataset,
-    probe1: RhoParams,
-    probe2: RhoParams,
-    gamma: float,
-    snr: float,
-    pi1: float,
-) -> NoiseEstimate:
+def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParams,
+                         gamma: float, snr: float, pi1: float) -> NoiseEstimate:
     """Estimate ``(eps_plus, eps_minus)`` from one noisy dataset.
 
-    ``snr`` and ``pi1`` are assumed known (or pre-estimated).  The solver
-    minimizes the residual of the two moment equations over the simplex
-    ``{eps >= 0, eps_plus + eps_minus <= 0.99}``: a coarse grid scan picks
-    the basin, Newton's method (finite-difference Jacobian) refines it.  A
-    residual above ``5%`` of the measured moments sets ``high_residual``
-    rather than raising.
+    ``snr`` and ``pi1`` are assumed known (or pre-estimated).  One
+    factorization gives both probes' leave-one-out moments, and
+    :func:`solve_noise_system` inverts them over the capped simplex
+    ``{eps >= 0, eps_plus + eps_minus <= 0.99}``.  A residual above ``5%``
+    of the measured moments sets ``high_residual`` rather than raising.
     """
-    if (probe1.rho_plus, probe1.rho_minus) == (probe2.rho_plus, probe2.rho_minus):
-        raise ValueError("the two probes must be distinct")
+    _check_probes(probe1, probe2)
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     if not 0.0 < pi1 < 1.0:
         raise ValueError(f"pi1 must lie in (0, 1), got {pi1}")
-    nu_hat = np.array(
-        [empirical_second_moment(ds, probe, gamma) for probe in (probe1, probe2)]
-    )
+    T = np.column_stack([_targets(ds.y_noisy, probe) for probe in (probe1, probe2)])
+    nu_hat = np.mean(_loo_block(ds.X, T, gamma) ** 2, axis=0)
+    return solve_noise_system(nu_hat, ds.p / ds.n, gamma, snr, pi1, (probe1, probe2))
+
+
+def solve_noise_system(nu_hat: np.ndarray, eta: float, gamma: float, snr: float, pi1: float,
+                       probes: tuple[RhoParams, RhoParams]) -> NoiseEstimate:
+    """Invert the two-probe moment map for given target moments ``nu_hat``.
+
+    In ``u = pi1*eps_minus + pi2*eps_plus`` and ``v = pi1*eps_minus -
+    pi2*eps_plus``, probe ``k``'s moment minus its target is ``P_k(u) + a_k v``
+    with ``P_k(u) = kappa (S0_k - 2 beta_k u)^2 - kappa S0_k^2 + nu_k(0) -
+    nu_hat_k`` and ``a_k = 4 beta_k^2 (rho_plus - rho_minus) (1 - h) / h``
+    (``S0_k``: mean label weight, ``nu_k(0)``: moment at ``eps = 0``).
+    Eliminating ``v`` leaves the quadratic ``q(u) = a_2 P_1(u) - a_1 P_2(u)``,
+    whose roots in the capped simplex are the exact solutions.  Without one,
+    the least-squares point is the best of: the vertex of ``q`` with its best
+    ``v`` (the only interior stationary point that is not a root), the
+    stationary points along each edge (roots of a cubic) and the corners.
+    """
+    _check_probes(*probes)
+    nu_hat = np.asarray(nu_hat, dtype=float)
     if not np.all(np.isfinite(nu_hat)):
         raise ValueError("non-finite empirical second moments")
-    eta = ds.p / ds.n
-    return solve_noise_system(nu_hat, eta, gamma, snr, pi1, (probe1, probe2))
+    pi2 = 1.0 - pi1
+    P = np.empty((2, 3))  # coefficients of P_k, highest power first
+    a = np.empty(2)
+    for k, probe in enumerate(probes):
+        _, nu0, _, h, kappa = isotropic_moments(eta, gamma, snr, pi1, 0.0, 0.0, probe)
+        beta, S0 = probe.beta, pi1 * probe.lambda_minus + pi2 * probe.lambda_plus
+        P[k] = 4.0 * kappa * beta**2, -4.0 * kappa * beta * S0, nu0 - nu_hat[k]
+        a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - h) / h
 
+    def terms(u, v):
+        # each probe's moment minus its target, for arrays or polynomials
+        return [c2 * u**2 + c1 * u + c0 + ak * v for (c2, c1, c0), ak in zip(P, a)]
 
-def solve_noise_system(
-    nu_hat: np.ndarray,
-    eta: float,
-    gamma: float,
-    snr: float,
-    pi1: float,
-    probes: tuple[RhoParams, RhoParams],
-) -> NoiseEstimate:
-    """Invert the two-probe moment map for given target moments ``nu_hat``."""
-    nu_hat = np.asarray(nu_hat, dtype=float)
-    forward = _forward_map(eta, gamma, snr, pi1, probes)
+    def uv(eps_plus, eps_minus):
+        return pi2 * eps_plus + pi1 * eps_minus, pi1 * eps_minus - pi2 * eps_plus
 
-    def residual_vec(point: np.ndarray) -> np.ndarray:
-        return forward(point[None, 0], point[None, 1])[:, 0] - nu_hat
+    def at_best_v(u):
+        # (eps_plus, eps_minus) rows at u with the residual-minimizing v,
+        # which is exact where q(u) = 0
+        u = np.asarray(u, dtype=float)
+        v = -(a @ terms(u, 0.0)) / (a @ a)
+        return np.column_stack([(u - v) / (2.0 * pi2), (u + v) / (2.0 * pi1)])
 
-    # coarse scan of the simplex
-    axis = np.linspace(0.0, _SIMPLEX_CAP, _GRID_SIZE)
-    ep, em = np.meshgrid(axis, axis, indexing="ij")
-    feasible = ep + em <= _SIMPLEX_CAP
-    res = forward(ep.ravel(), em.ravel()) - nu_hat[:, None]
-    sq = np.where(feasible.ravel(), np.sum(res**2, axis=0), np.inf)
-    best_flat = int(np.argmin(sq))
-    point = np.array([ep.ravel()[best_flat], em.ravel()[best_flat]])
-    best_point = point.copy()
-    best_norm = float(np.sqrt(sq[best_flat]))
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, _NEWTON_MAX_ITERS + 1):
-        F = residual_vec(point)
-        norm = float(np.linalg.norm(F))
-        if norm < best_norm:
-            best_norm = norm
-            best_point = point.copy()
-        if norm < _NEWTON_TOL:
-            converged = True
-            break
-        J = np.empty((2, 2))
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = _NEWTON_FD_STEP
-            J[:, j] = (residual_vec(point + step) - residual_vec(point - step)) / (
-                2.0 * _NEWTON_FD_STEP
-            )
-        try:
-            update = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(update)):
-            break
-        point = _clamp_simplex(point - update)
-        if np.linalg.norm(update) < _NEWTON_TOL:
-            converged = True
-            F = residual_vec(point)
-            norm = float(np.linalg.norm(F))
-            if norm < best_norm:
-                best_norm, best_point = norm, point.copy()
-            break
-
-    threshold = 0.05 * float(np.sum(np.abs(nu_hat)))
+    q = a[1] * P[0] - a[0] * P[1]
+    roots = _snap(at_best_v(_quadratic_roots(*q)))
+    points = roots = roots[np.argsort(roots.sum(axis=1), kind="stable")]
+    if not roots.size:
+        t = np.polynomial.Polynomial([0.0, 1.0])
+        candidates = [_CORNERS, at_best_v([-0.5 * q[1] / q[0]] if q[0] else [])]
+        for start, end in zip(_CORNERS, np.roll(_CORNERS, -1, axis=0)):
+            # along an edge the squared residual is a quartic in t
+            edge = terms(*uv(*(s + (e - s) * t for s, e in zip(start, end))))
+            ts = np.clip(sum(r**2 for r in edge).deriv().roots().real, 0.0, 1.0)
+            candidates.append(start + np.outer(ts, end - start))
+        points = _snap(np.concatenate(candidates))
+    residuals = np.hypot(*terms(*uv(*points.T)))
+    best = 0 if roots.size else int(np.argmin(residuals))
     return NoiseEstimate(
-        eps_plus=float(best_point[0]),
-        eps_minus=float(best_point[1]),
-        residual=best_norm,
+        eps_plus=float(points[best, 0]),
+        eps_minus=float(points[best, 1]),
+        residual=float(residuals[best]),
         probes=probes,
-        iterations=iterations,
-        newton_converged=converged,
-        high_residual=best_norm > threshold,
+        roots=tuple(map(tuple, roots.tolist())),
+        high_residual=bool(residuals[best] > 0.05 * np.sum(np.abs(nu_hat))),
     )
 
 
-def _clamp_simplex(point: np.ndarray) -> np.ndarray:
-    point = np.clip(point, 0.0, _SIMPLEX_CAP)
-    total = point[0] + point[1]
-    if total > _SIMPLEX_CAP:
-        point = point * (_SIMPLEX_CAP / total)
-    return point
+def _quadratic_roots(c2: float, c1: float, c0: float) -> np.ndarray:
+    """Real roots of ``c2 x^2 + c1 x + c0``, computed without cancellation."""
+    if c2 == 0.0:
+        return np.array([-c0 / c1] if c1 != 0.0 else [])
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc <= 0.0:
+        return np.array([-0.5 * c1 / c2] if disc == 0.0 else [])
+    m = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    return np.array([m / c2, c0 / m])
+
+
+def _snap(points: np.ndarray) -> np.ndarray:
+    """The points within ``_SNAP_TOL`` of the capped simplex, moved onto it."""
+    near = (points.min(axis=1) >= -_SNAP_TOL) & (points.sum(axis=1) <= _SIMPLEX_CAP + _SNAP_TOL)
+    points = np.clip(points[near], 0.0, None)
+    return points * (_SIMPLEX_CAP / np.maximum(points.sum(axis=1), _SIMPLEX_CAP))[:, None]

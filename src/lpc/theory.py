@@ -152,8 +152,7 @@ def _diag_weights(rho: RhoParams, eps_plus, eps_minus):
 def isotropic_moments(eta, gamma, snr, pi1, eps_plus, eps_minus, rho: RhoParams):
     """Decision mean and second moment ``(m, nu)`` for the isotropic model.
 
-    Broadcasts over array-valued ``eps_plus``/``eps_minus`` (used by the
-    noise-rate estimator's grid scan).
+    Broadcasts over array-valued ``eps_plus``/``eps_minus``.
     """
     d = delta(eta, gamma)
     gd = gamma * (1.0 + d)

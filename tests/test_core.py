@@ -15,7 +15,7 @@ from lpc import (
     train_lpc,
     train_lpc_bce,
 )
-from lpc.core import _targets, perturbed_bce_loss
+from lpc.core import _loo_block, _targets, perturbed_bce_loss
 
 
 def _noisy_dataset(p, n, pi1=0.4, snr=1.5, eps=(0.2, 0.1), seed=0):
@@ -226,6 +226,28 @@ class TestLooDecisions:
             np.testing.assert_allclose(
                 scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
             )
+
+    def test_block_matches_brute_force_per_column(self):
+        # the two-probe block of the noise estimator: one factorization for
+        # both columns, and a degenerate index retrains the whole row
+        from lpc.datasets import LabeledDataset
+
+        rhos, gamma = (RhoParams(0.2, 0.1), RhoParams(0.0, 0.4)), 1e-3
+        base = _noisy_dataset(3, 12, seed=2)
+        X = base.X.copy()
+        X[:, 0] *= 1e6
+        for ds in (base, LabeledDataset(X=X, y_noisy=base.y_noisy)):
+            T = np.column_stack([_targets(ds.y_noisy, rho) for rho in rhos])
+            if ds is base:
+                block = _loo_block(ds.X, T, gamma)
+            else:
+                with pytest.warns(UserWarning, match="degenerate"):
+                    block = _loo_block(ds.X, T, gamma)
+            for k, rho in enumerate(rhos):
+                expected = self._brute_force(ds, rho, gamma)
+                np.testing.assert_allclose(
+                    block[:, k], expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
+                )
 
     def test_large_gamma_shrinks_scores(self):
         ds = _noisy_dataset(4, 20, seed=8)

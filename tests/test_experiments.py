@@ -178,7 +178,7 @@ class TestRunners:
         with pytest.warns(UserWarning, match="noisy labels"):
             rep = ex.run_noise_estimation(cfg)
         metrics = {r.metric: r.empirical for r in rep.rows}
-        assert set(metrics) >= {"eps_plus_hat", "eps_minus_hat", "residual",
+        assert set(metrics) >= {"eps_plus_hat", "eps_minus_hat", "residual", "roots",
                                 "snr_estimate", "pi1_estimate"}
         assert 0.0 <= metrics["eps_plus_hat"] < 1.0
 
@@ -191,6 +191,10 @@ class TestRunners:
         rep = ex.run_noise_estimation(cfg)
         residuals = [r.empirical for r in rep.rows if r.metric == "residual"]
         assert residuals and all(np.isfinite(residuals))
+        # number of exact solutions: 0 = least-squares point, 2 = ambiguous
+        roots = [r for r in rep.rows if r.metric == "roots"]
+        assert len(roots) == len(residuals)
+        assert all(r.empirical in (0, 1, 2) and r.theory is None for r in roots)
 
     def test_real_data_missing_file_is_clean_error(self):
         cfg = ex.parse_config_text(

@@ -23,6 +23,10 @@ def _noisy(p, n, pi1, snr, eps, seed):
     return flip_labels(ds, eps[0], eps[1], derive_seed(seed, 1))
 
 
+def _exact_moments(eta, gamma, snr, pi1, ep, em, probes):
+    return np.array([isotropic_moments(eta, gamma, snr, pi1, ep, em, pr)[1] for pr in probes])
+
+
 class TestEmpiricalSecondMoment:
     def test_zero_features(self):
         ds = LabeledDataset(X=np.zeros((2, 6)), y_noisy=np.array([1, -1, 1, -1, 1, -1]))
@@ -61,12 +65,26 @@ class TestEstimateNoiseRates:
         with pytest.raises(ValueError, match="distinct"):
             estimate_noise_rates(ds, PROBES[0], PROBES[0], 1.0, 1.0, 0.5)
 
+    def test_equal_gap_probes_rejected(self):
+        # equal rho_plus - rho_minus: the second probe's targets are a
+        # rescaled copy of the first's, so the rates are not identifiable.
+        # The check runs before any leave-one-out pass, which rejects n = 1.
+        probes = (RhoParams(0.1, 0.0), RhoParams(0.3, 0.2))
+        tiny = LabeledDataset(X=np.ones((2, 1)), y_noisy=np.array([1]))
+        with pytest.raises(ValueError, match="distinct"):
+            estimate_noise_rates(tiny, *probes, 0.1, 2.0, 1 / 3)
+        nu = _exact_moments(0.1, 0.1, 2.0, 1 / 3, 0.3337, 0.2011, probes)
+        with pytest.raises(ValueError, match="distinct"):
+            solve_noise_system(nu, 0.1, 0.1, 2.0, 1 / 3, probes)
+
     def test_input_validation(self):
         ds = _noisy(10, 40, 0.5, 1.0, (0.1, 0.1), seed=0)
         with pytest.raises(ValueError, match="snr"):
             estimate_noise_rates(ds, PROBES[0], PROBES[1], 1.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="pi1"):
             estimate_noise_rates(ds, PROBES[0], PROBES[1], 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_noise_system(np.array([np.nan, 0.5]), 0.1, 0.1, 2.0, 1 / 3, PROBES)
 
     def test_noiseless_recovery(self):
         hats = []
@@ -119,6 +137,81 @@ class TestForwardInverse:
             assert abs(est.eps_minus - em) <= 1e-8
             assert est.residual <= 1e-10
             checked += 1
+
+    @pytest.mark.parametrize("snr", [1.0, 2.0, 3.0])
+    def test_exact_moments_on_criterion_06_grid(self, snr):
+        eta, gamma, pi1, em = 0.1, 0.1, 1 / 3, 0.2
+        for ep in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            nu = _exact_moments(eta, gamma, snr, pi1, ep, em, PROBES)
+            est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+            assert est.roots and not est.ambiguous
+            assert abs(est.eps_plus - ep) <= 1e-12
+            assert abs(est.eps_minus - em) <= 1e-12
+
+    def test_true_rates_among_roots(self):
+        rng = np.random.default_rng(11)
+        probe_pairs = [PROBES, (RhoParams(0.2, 0.0), RhoParams(0.0, 0.3)),
+                       (RhoParams(0.1, 0.1), RhoParams(0.3, -0.1))]
+        checked = 0
+        while checked < 300:
+            probes = probe_pairs[checked % 3]
+            eta, gamma = rng.uniform(0.05, 2.0, 2)
+            snr, pi1 = rng.uniform(0.5, 4.0), rng.uniform(0.2, 0.8)
+            ep, em = rng.uniform(0.0, 0.9, 2)
+            if ep + em > 0.95:
+                continue
+            try:
+                nu = _exact_moments(eta, gamma, snr, pi1, ep, em, probes)
+            except ValueError:  # h <= 0: outside the theory's validity range
+                continue
+            est = solve_noise_system(nu, eta, gamma, snr, pi1, probes)
+            assert min(max(abs(r[0] - ep), abs(r[1] - em)) for r in est.roots) <= 1e-9
+            assert (est.eps_plus, est.eps_minus) == est.roots[0]
+            checked += 1
+
+    @pytest.mark.parametrize("eps", [(0.05, 0.0), (0.1, 0.0), (0.0, 0.3), (0.6, 0.39)])
+    def test_roots_on_the_boundary_are_kept(self, eps):
+        # rounding puts such a root just outside the capped simplex; it is
+        # snapped onto it instead of being dropped
+        nu = _exact_moments(0.1, 0.1, 1.0, 1 / 3, *eps, PROBES)
+        est = solve_noise_system(nu, 0.1, 0.1, 1.0, 1 / 3, PROBES)
+        root = min(est.roots, key=lambda r: max(abs(r[0] - eps[0]), abs(r[1] - eps[1])))
+        assert np.allclose(root, eps, rtol=0, atol=1e-12)
+        assert min(root) >= 0.0 and sum(root) <= 0.99
+
+    def test_two_roots_reported(self):
+        eta, gamma, snr, pi1 = 0.1, 0.1, 1.0, 0.7
+        nu = _exact_moments(eta, gamma, snr, pi1, 0.3, 0.6, PROBES)
+        est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+        assert est.ambiguous and len(est.roots) == 2
+        for root in est.roots:
+            np.testing.assert_allclose(
+                _exact_moments(eta, gamma, snr, pi1, *root, PROBES), nu, rtol=1e-12)
+        assert np.allclose(est.roots[1], (0.3, 0.6), atol=1e-12)
+        assert sum(est.roots[0]) < sum(est.roots[1])
+        assert (est.eps_plus, est.eps_minus) == est.roots[0]
+
+    @pytest.mark.parametrize("nu, setting, probes", [
+        # least-squares point on an edge
+        ((0.2429, 0.5348), (0.1, 0.1, 2.0, 1 / 3), PROBES),
+        # at the vertex of q, inside the simplex
+        ((1.0, 0.1), (0.9, 0.35, 1.3, 0.64), (RhoParams(0.3, -0.1), RhoParams(-0.3, -0.15))),
+        # far from any attainable moment pair
+        ((50.0, 0.01), (0.1, 0.1, 2.0, 1 / 3), PROBES),
+    ])
+    def test_no_root_is_least_squares(self, nu, setting, probes):
+        est = solve_noise_system(np.array(nu), *setting, probes)
+        assert est.roots == () and not est.newton_converged
+        # brute-force reference: a 0.001-spaced grid of the capped simplex
+        axis = np.linspace(0.0, 0.99, 991)
+        ep, em = np.meshgrid(axis, axis, indexing="ij")
+        inside = ep + em <= 0.99
+        grid = _exact_moments(*setting, ep[inside], em[inside], probes)
+        best = np.min(np.linalg.norm(grid - np.array(nu)[:, None], axis=0))
+        assert est.residual <= best * (1 + 1e-12)
+        assert est.residual == pytest.approx(
+            np.linalg.norm(_exact_moments(*setting, est.eps_plus, est.eps_minus, probes) - nu),
+            rel=1e-10)
 
     def test_high_residual_flag(self):
         # moments that no simplex point can produce leave a large residual
