@@ -3,7 +3,7 @@
 from .config import ConfigError, ExperimentConfig, parse_config_file, parse_config_text
 from .report import RunReport, emit_report, read_report_csv
 from .runner import (
-    optimal_gamma,
+    OPTIMAL_GAMMA,
     run_experiment,
     run_histogram,
     run_multiclass,
@@ -14,11 +14,11 @@ from .runner import (
 )
 
 __all__ = [
+    "OPTIMAL_GAMMA",
     "ConfigError",
     "ExperimentConfig",
     "RunReport",
     "emit_report",
-    "optimal_gamma",
     "parse_config_file",
     "parse_config_text",
     "read_report_csv",

@@ -9,12 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config_file
+from .config import EXPERIMENT_KINDS, ConfigError, parse_config_file
 from .report import emit_report
 from .runner import run_experiment, theory_csv
-
-_SUBCOMMANDS = ("histogram", "sweep", "estimate-noise", "multiclass",
-                "real-data", "theory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labels-Perturbed Classifier experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="flat key-value config file")
         p.add_argument("--out", default=None, help="output directory")

@@ -66,15 +66,19 @@ class RunReport:
         return float(np.mean(vals))
 
     def theory_value(self, variant: str, metric: str, grid_value: float | None = None):
-        for r in self.rows:
-            if (
-                r.variant == variant
-                and r.metric == metric
-                and r.theory is not None
-                and (grid_value is None or r.grid_value == grid_value)
-            ):
-                return r.theory
-        raise KeyError(f"no theory cell for ({variant}, {metric}, {grid_value})")
+        """Mean theory cell over seeds (it differs per seed when the theory
+        inputs do, e.g. the class proportion of a random real-data split)."""
+        vals = [
+            r.theory
+            for r in self.rows
+            if r.variant == variant
+            and r.metric == metric
+            and r.theory is not None
+            and (grid_value is None or r.grid_value == grid_value)
+        ]
+        if not vals:
+            raise KeyError(f"no theory cell for ({variant}, {metric}, {grid_value})")
+        return float(np.mean(vals))
 
     def provenance_lines(self) -> list[str]:
         import lpc

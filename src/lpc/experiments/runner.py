@@ -51,7 +51,7 @@ from .report import RunReport
 from .svgplot import Figure
 
 __all__ = [
-    "optimal_gamma",
+    "OPTIMAL_GAMMA",
     "run_experiment",
     "run_histogram",
     "run_multiclass",
@@ -62,34 +62,10 @@ __all__ = [
 ]
 
 
-def optimal_gamma(eta: float, snr: float, lo: float = 1e-3, hi: float = 1e3) -> float:
-    """Regularization maximizing the predicted oracle accuracy.
-
-    Golden-section search over ``log10(gamma)``; deterministic stand-in for
-    the undefined "optimal gamma" of the figure setups.
-    """
-
-    def neg_score(log_g: float) -> float:
-        st = theory_stats_isotropic(
-            TheoryConfig(eta=eta, pi1=0.5, gamma=10.0**log_g, snr=snr)
-        )
-        var = st.nu_oracle - st.m_oracle**2
-        return -st.m_oracle / math.sqrt(var)
-
-    a, b = math.log10(lo), math.log10(hi)
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = neg_score(c), neg_score(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = neg_score(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = neg_score(d)
-    return 10.0 ** ((a + b) / 2.0)
+# The isotropic oracle score m / sqrt(nu - m^2) is non-decreasing in gamma
+# and tends to snr^2 / sqrt(snr^2 + eta), the mean-difference classifier, as
+# gamma -> infinity; at 1e3 it is within 1e-5 of that limit.
+OPTIMAL_GAMMA = 1e3
 
 
 def _variant_rho(name: str, pi1: float, eps_plus: float, eps_minus: float,
@@ -152,10 +128,8 @@ def _class_statistics(scores: np.ndarray, y_clean: np.ndarray) -> dict[str, floa
     }
 
 
-def _gamma_value(cfg: ExperimentConfig, eta: float, snr: float) -> float:
-    if cfg.gamma == "optimal":
-        return optimal_gamma(eta, snr)
-    return float(cfg.gamma)
+def _gamma_value(cfg: ExperimentConfig) -> float:
+    return OPTIMAL_GAMMA if cfg.gamma == "optimal" else float(cfg.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +142,7 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     Gaussian mixture; bins from the first seed, moment rows from all."""
     report = RunReport("histogram", cfg)
     eta = cfg.p / cfg.n
-    gamma = _gamma_value(cfg, eta, cfg.snr)
+    gamma = _gamma_value(cfg)
     rhos = {v: _variant_rho(v, cfg.pi1, cfg.eps_plus, cfg.eps_minus, cfg) for v in cfg.variants}
     theories = {
         v: _variant_theory(v, rhos[v], eta, gamma, cfg.snr, cfg.pi1,
@@ -252,7 +226,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     """
     report = RunReport("sweep", cfg)
     eta = cfg.p / cfg.n
-    base_gamma = _gamma_value(cfg, eta, cfg.snr)
+    base_gamma = _gamma_value(cfg)
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
     for g, value in enumerate(cfg.grid):
@@ -334,8 +308,7 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
     report = RunReport("estimate-noise", cfg)
-    eta = cfg.p / cfg.n
-    gamma = _gamma_value(cfg, eta, cfg.snr)
+    gamma = _gamma_value(cfg)
 
     def one_seed(seed: int):
         rows = []
@@ -374,7 +347,7 @@ def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
     snr, pi1 = std.snr_estimate, std.pi1_estimate
     if snr <= 0 or not 0.0 < pi1 < 1.0:
         raise ValueError("cannot estimate SNR/class proportion from this dataset")
-    gamma = _gamma_value(cfg, data.p / data.n, snr)
+    gamma = _gamma_value(cfg)
     est = estimate_noise_rates(data, probe1, probe2, gamma, snr, pi1)
     seed = cfg.seeds[0]
     report.add("estimator", 0.0, seed, "eps_plus_hat", est.eps_plus)
@@ -400,10 +373,11 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
 
     With ``data_path`` set, ingests the CSV, standardizes it and splits it
     per seed; otherwise draws a synthetic stand-in of the same shape.  Uses
-    the estimated SNR and class proportion, and the optimal-gamma rule when
-    ``gamma = optimal``.
+    the estimated SNR and the training split's class proportion; ``gamma =
+    optimal`` resolves to :data:`OPTIMAL_GAMMA` for every seed.
     """
     report = RunReport("real-data", cfg)
+    gamma = _gamma_value(cfg)
     data = None
     if cfg.data_path:
         raw = load_features_csv(cfg.data_path, _label_col(cfg.label_column),
@@ -439,7 +413,6 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
         pi1_train = noisy.class_counts[0] / noisy.n
         eta = cfg.p / noisy.n
-        gamma = _gamma_value(cfg, eta, snr)
         rhos = {v: _variant_rho(v, pi1_train, cfg.eps_plus, cfg.eps_minus, cfg)
                 for v in cfg.variants}
         scores = _block_scores(noisy.X, gamma, _variant_targets(noisy, rhos), test_X)
@@ -447,11 +420,11 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
         for (v, rho), s in zip(rhos.items(), scores):
             st = _variant_theory(v, rho, eta, gamma, snr, pi1_train,
                                  cfg.eps_plus, cfg.eps_minus)
-            out.append((v, seed, _oriented_accuracy(s, test_y, st), st.accuracy, gamma))
+            out.append((v, seed, _oriented_accuracy(s, test_y, st), st.accuracy))
         return out
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for v, seed, acc, theory_acc, gamma in rows:
+        for v, seed, acc, theory_acc in rows:
             report.add(v, 0.0, seed, "accuracy", acc, theory_acc)
             report.add(v, 0.0, seed, "gamma", gamma)
 
@@ -560,7 +533,7 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
 def theory_csv(cfg: ExperimentConfig) -> str:
     """TheoryStats of every variant at the configured model, as CSV text."""
     eta = cfg.p / cfg.n
-    gamma = _gamma_value(cfg, eta, cfg.snr)
+    gamma = _gamma_value(cfg)
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]

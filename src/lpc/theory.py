@@ -35,7 +35,6 @@ __all__ = [
 _H_GUARD = 1e-6
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITERS = 10_000
-_FIXED_POINT_DAMPING = 0.5
 
 
 def delta(eta: float, gamma: float) -> float:
@@ -263,7 +262,12 @@ def _check_sym_psd(name: str, M: np.ndarray) -> np.ndarray:
 def _general_fixed_point(
     C1: np.ndarray, C2: np.ndarray, pi1: float, gamma: float, eta: float
 ) -> tuple[float, float]:
-    """Damped fixed point for the per-class trace pair ``(delta_1, delta_2)``.
+    """Fixed point of the per-class trace pair ``(delta_1, delta_2)``.
+
+    ``delta_a = eta/p * tr(C_a Q0(delta))`` is a standard interference
+    function (Yates 1995), so plain iteration from 0 rises monotonically to
+    the unique fixed point.  The stop test is relative to
+    ``max(1, delta_1, delta_2)``.
 
     The iteration runs on the mean-free resolvent: the rank-one mean
     contribution to a normalized trace is O(1/n) and dropping it makes the
@@ -278,9 +282,8 @@ def _general_fixed_point(
         f1 = eta / p * float(np.trace(C1 @ Q0))
         f2 = eta / p * float(np.trace(C2 @ Q0))
         residual = max(abs(f1 - d1), abs(f2 - d2))
-        d1 = (1.0 - _FIXED_POINT_DAMPING) * d1 + _FIXED_POINT_DAMPING * f1
-        d2 = (1.0 - _FIXED_POINT_DAMPING) * d2 + _FIXED_POINT_DAMPING * f2
-        if residual < _FIXED_POINT_TOL:
+        d1, d2 = f1, f2
+        if residual <= _FIXED_POINT_TOL * max(1.0, d1, d2):
             return d1, d2
     raise RuntimeError(
         f"trace fixed point did not converge in {_FIXED_POINT_MAX_ITERS} iterations; "

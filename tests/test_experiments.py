@@ -1,13 +1,18 @@
+import itertools
 import os
+import pathlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import lpc
 import lpc.experiments as ex
 from lpc.experiments.cli import main as cli_main
 from lpc.experiments.config import ConfigError
 from lpc.experiments.svgplot import Figure
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 SWEEP_CFG = """
 schema_version = 1
@@ -159,8 +164,6 @@ class TestRunners:
         assert "bins.csv" in rep.extra_files
 
     def test_noise_estimation_from_file(self, tmp_path):
-        import lpc
-
         ds = lpc.generate_gmm(lpc.GmmSpec(
             p=30, n=800, pi1=0.4, mu=np.full(30, 1.5 / np.sqrt(30)), seed=2))
         noisy = lpc.flip_labels(ds, 0.3, 0.1, seed=3)
@@ -252,7 +255,6 @@ class TestRunners:
     def test_sweep_risk_matches_public_api(self, sweep):
         # every risk cell is the squared risk of lpc.train_lpc on the same
         # draw, scored on the same test set
-        import lpc
         from lpc.datasets import LabeledDataset, derive_seed
 
         grid = {"rho_plus": (-0.3, 0.6, 1.5), "eps_plus": (0.0, 0.3), "gamma": (0.1, 1.0, 10.0)}
@@ -269,7 +271,7 @@ class TestRunners:
         for row in risks:
             seed, value = row.seed, row.grid_value
             eps_plus = value if sweep == "eps_plus" else cfg.eps_plus
-            gamma = value if sweep == "gamma" else ex.optimal_gamma(cfg.p / cfg.n, cfg.snr)
+            gamma = value if sweep == "gamma" else ex.OPTIMAL_GAMMA
             stream = 10 + cfg.grid.index(value) if sweep == "eps_plus" else 1
             train = lpc.generate_gmm(lpc.GmmSpec.isotropic(
                 cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 0)))
@@ -289,11 +291,65 @@ class TestRunners:
             _, risk = lpc.evaluate(lpc.train_lpc(noisy, rho, gamma), test.X, test.y_clean)
             assert row.empirical == pytest.approx(risk, rel=1e-10, abs=0)
 
-    def test_optimal_gamma_is_deterministic_and_in_range(self):
-        g1 = ex.optimal_gamma(0.5, 2.0)
-        g2 = ex.optimal_gamma(0.5, 2.0)
-        assert g1 == g2
-        assert 1e-3 <= g1 <= 1e3
+    def test_predicted_accuracy_non_decreasing_in_gamma(self):
+        # the property that lets gamma = optimal be a constant: no variant's
+        # predicted accuracy dips anywhere on [1e-3, 1e3]
+        gammas = np.logspace(-3, 3, 61)
+        for eta, snr, pi1, (ep, em) in itertools.product(
+                (0.2, 1.0, 3.0), (1.0, 2.0), (0.3, 0.5), ((0.2, 0.1), (0.4, 0.3))):
+            for rho, noise in (
+                (lpc.RhoParams(), (ep, em)),
+                (lpc.RhoParams(ep, em), (ep, em)),
+                (lpc.RhoParams(lpc.optimal_rho_plus(pi1, ep, em), 0.0), (ep, em)),
+                (lpc.RhoParams(), (0.0, 0.0)),
+            ):
+                accs = [lpc.theory_stats_isotropic(lpc.TheoryConfig(
+                    eta=eta, pi1=pi1, gamma=g, eps_plus=noise[0], eps_minus=noise[1],
+                    rho=rho, snr=snr)).accuracy for g in gammas]
+                assert all(b >= a * (1 - 1e-9) for a, b in zip(accs, accs[1:]))
+
+    @pytest.mark.parametrize("eta, snr", [(0.2, 1.0), (1.0, 2.0), (3.0, 0.5), (2.0, 4.0)])
+    def test_optimal_gamma_reaches_the_mean_difference_limit(self, eta, snr):
+        st = lpc.theory_stats_isotropic(lpc.TheoryConfig(
+            eta=eta, pi1=0.5, gamma=ex.OPTIMAL_GAMMA, snr=snr))
+        score = st.m_oracle / np.sqrt(st.nu_oracle - st.m_oracle**2)
+        assert score == pytest.approx(snr**2 / np.sqrt(snr**2 + eta), rel=1e-5)
+
+    def test_real_data_theory_value_is_seed_mean(self, tmp_path):
+        # random splits give each seed its own training class proportion,
+        # hence its own theory cell; the plotted theory is their mean
+        rng = np.random.default_rng(1)
+        rows = []
+        for _ in range(90):
+            label = 1 if rng.uniform() < 0.4 else -1
+            feats = rng.standard_normal(8) + 0.8 * label
+            rows.append(",".join([str(label)] + [f"{v:.6f}" for v in feats]))
+        path = tmp_path / "toy.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = real-data\n"
+            f"data_path = {path}\nlabel_column = 0\nn_train = 60\np = 8\n"
+            "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\n"
+            "variants = naive,optimized\nseeds = 0,1,2,3\n"
+        )
+        rep = ex.run_real_data(cfg)
+        for v in cfg.variants:
+            cells = [r.theory for r in rep.rows if r.variant == v and r.metric == "accuracy"]
+            assert len(cells) == 4 and len(set(cells)) > 1
+            assert rep.theory_value(v, "accuracy") == pytest.approx(np.mean(cells), rel=1e-12)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_theory_is_finite(path):
+    cfg = ex.parse_config_file(path)
+    header, *rows = ex.theory_csv(cfg).splitlines()
+    cols = header.split(",")
+    gamma = 1000.0 if path.name in ("sweep_rho.cfg", "table_synthetic.cfg") else float(cfg.gamma)
+    assert rows
+    for row in rows:
+        vals = dict(zip(cols, row.split(",")))
+        assert all(np.isfinite(float(x)) for k, x in vals.items() if k != "variant")
+        assert float(vals["gamma"]) == gamma
 
 
 class TestSvg:

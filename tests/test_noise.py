@@ -191,6 +191,15 @@ class TestForwardInverse:
         assert sum(est.roots[0]) < sum(est.roots[1])
         assert (est.eps_plus, est.eps_minus) == est.roots[0]
 
+    def test_double_root_is_one_root(self):
+        # the true rates sit where the two roots of q meet: rounding leaves
+        # a discriminant of ~1e-16 * c1^2, which must not split the root
+        eta, gamma, snr, pi1, eps = 0.1, 0.1, 0.5, 1 / 3, (0.65, 0.2)
+        nu = _exact_moments(eta, gamma, snr, pi1, *eps, PROBES)
+        est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+        assert len(est.roots) == 1 and not est.ambiguous
+        assert np.allclose(est.roots[0], eps, rtol=0, atol=1e-7)
+
     @pytest.mark.parametrize("nu, setting, probes", [
         # least-squares point on an edge
         ((0.2429, 0.5348), (0.1, 0.1, 2.0, 1 / 3), PROBES),

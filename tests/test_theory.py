@@ -295,6 +295,25 @@ class TestGeneralCovariance:
             d = 0.5 * d + 0.5 * nxt
         assert gen.delta == pytest.approx(d, abs=1e-9)
 
+    def test_fixed_point_converges_at_large_delta(self):
+        # delta ~ 1e4 here, so an absolute 1e-12 stop test would sit below
+        # one ulp of delta and never be met
+        p, pi1, gamma, eta = 200, 0.3, 1e-3, 5.0
+        c1, c2 = np.linspace(0.01, 5.0, p), np.full(p, 3.0)
+        mu = np.zeros(p)
+        mu[0] = 1.0
+        gen = theory_stats_general(TheoryConfig(
+            eta=eta, pi1=pi1, gamma=gamma, mu=mu, C1=np.diag(c1), C2=np.diag(c2)))
+        d1, d2 = gen.delta, gen.delta2
+        assert min(d1, d2) > 5e3
+        q0 = 1.0 / (pi1 * c1 / (1.0 + d1) + (1.0 - pi1) * c2 / (1.0 + d2) + gamma)
+        np.testing.assert_allclose(eta / p * np.array([c1 @ q0, c2 @ q0]), [d1, d2],
+                                   rtol=1e-11)
+        iso = theory_stats_general(TheoryConfig(
+            eta=eta, pi1=pi1, gamma=gamma, mu=mu, C1=np.eye(p), C2=np.eye(p)))
+        assert iso.delta == pytest.approx(delta(eta, gamma), rel=1e-9)
+        assert iso.delta2 == pytest.approx(delta(eta, gamma), rel=1e-9)
+
     def test_psd_validation(self):
         p = 5
         mu = np.zeros(p)
