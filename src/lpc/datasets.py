@@ -60,19 +60,18 @@ def _check_covariance(name: str, cov: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GmmSpec:
-    """Parameters of the two-cluster Gaussian mixture and its label noise.
+    """Parameters of the two-cluster Gaussian mixture.
 
     ``mu`` is the mean direction: class means are ``-mu`` and ``+mu``.  With
     ``cov=None`` both clusters have identity covariance; otherwise ``cov``
-    is the pair ``(C1, C2)`` of symmetric PSD matrices.
+    is the pair ``(C1, C2)`` of symmetric PSD matrices.  Label noise is
+    injected afterwards, with :func:`flip_labels`.
     """
 
     p: int
     n: int
     pi1: float
     mu: np.ndarray
-    eps_plus: float = 0.0
-    eps_minus: float = 0.0
     cov: tuple[np.ndarray, np.ndarray] | None = None
     seed: int = 0
 
@@ -83,12 +82,6 @@ class GmmSpec:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.pi1 < 1.0:
             raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
-        if not (0.0 <= self.eps_plus < 1.0 and 0.0 <= self.eps_minus < 1.0):
-            raise ValueError("flip probabilities must lie in [0, 1)")
-        if self.eps_plus + self.eps_minus >= 1.0:
-            raise ValueError(
-                f"eps_plus + eps_minus must be < 1, got {self.eps_plus + self.eps_minus}"
-            )
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
         if mu.size != self.p:
             raise ValueError(f"mu must have length p={self.p}, got {mu.size}")
@@ -113,20 +106,11 @@ class GmmSpec:
         return float(np.linalg.norm(self.mu))
 
     @staticmethod
-    def isotropic(
-        p: int,
-        n: int,
-        pi1: float,
-        snr: float,
-        eps_plus: float = 0.0,
-        eps_minus: float = 0.0,
-        seed: int = 0,
-    ) -> "GmmSpec":
+    def isotropic(p: int, n: int, pi1: float, snr: float, seed: int = 0) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
         mu = np.zeros(p)
         mu[0] = snr
-        return GmmSpec(p=p, n=n, pi1=pi1, mu=mu, eps_plus=eps_plus,
-                       eps_minus=eps_minus, seed=seed)
+        return GmmSpec(p=p, n=n, pi1=pi1, mu=mu, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -213,6 +197,8 @@ def flip_labels(
     ``-1 -> +1`` w.p. ``eps_minus``.  Features and clean labels are untouched."""
     if ds.y_clean is None:
         raise ValueError("cannot flip without ground truth: y_clean is missing")
+    if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):
+        raise ValueError(f"flip probabilities must lie in [0, 1), got ({eps_plus}, {eps_minus})")
     if eps_plus + eps_minus >= 1.0:
         raise ValueError("eps_plus + eps_minus must be < 1")
     rng = _rng(seed)

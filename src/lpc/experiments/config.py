@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -69,7 +70,6 @@ class ExperimentConfig:
     data_path: str = ""
     label_column: str = "0"
     has_header: bool = False
-    n_train: int = 1600
     # multiclass
     k: int = 3
     means: tuple[float, ...] = (-2.0, 0.0, 2.0)
@@ -161,20 +161,34 @@ def _echo_value(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-_INT_KEYS = {
-    "schema_version", "n", "p", "n_test", "bins", "threads", "n_train",
-    "k", "grid_size", "tau_points", "search_seed",
+def _parse_bool(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parser(hint):
+    """Value parser of a field annotation: a scalar type, ``float | str``
+    (``gamma``: a number or ``optimal``) or ``tuple[item, ...]``."""
+    if hint is bool:
+        return _parse_bool
+    if hint in (int, float, str):
+        return hint
+    if hint == float | str:
+        return lambda v: v if v == "optimal" else float(v)
+    item = _parser(get_args(hint)[0])
+    return lambda v: tuple(item(x.strip()) for x in v.split(","))
+
+
+# One parser per config key, read from the field annotations; ``eps_rows``
+# is set only through ``eps_row_<j>`` lines.
+_KEY_PARSERS = {
+    name: _parser(hint)
+    for name, hint in get_type_hints(ExperimentConfig).items()
+    if name != "eps_rows"
 }
-_FLOAT_KEYS = {
-    "pi1", "snr", "eps_plus", "eps_minus", "custom_rho_plus", "custom_rho_minus",
-    "probe1_rho_plus", "probe1_rho_minus", "probe2_rho_plus", "probe2_rho_minus",
-    "box_low", "box_high",
-}
-_STR_KEYS = {"experiment", "sweep_param", "out", "data_path", "label_column"}
-_BOOL_KEYS = {"has_header"}
-_FLOAT_LIST_KEYS = {"grid", "means", "pis"}
-_INT_LIST_KEYS = {"seeds"}
-_STR_LIST_KEYS = {"variants"}
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -197,14 +211,14 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
             continue
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _ALL_KEYS:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         raw[key] = value
 
     kwargs: dict = {}
     for key, value in raw.items():
         try:
-            kwargs[key] = _coerce(key, value)
+            kwargs[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from None
     if eps_rows:
@@ -223,35 +237,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
     except TypeError as exc:
         raise ConfigError(f"unknown config key: {exc}") from None
     return cfg
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _STR_KEYS:
-        return value
-    if key in _BOOL_KEYS:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if key in _FLOAT_LIST_KEYS:
-        return tuple(float(v) for v in value.split(","))
-    if key in _INT_LIST_KEYS:
-        return tuple(int(v) for v in value.split(","))
-    if key in _STR_LIST_KEYS:
-        return tuple(v.strip() for v in value.split(","))
-    # key == "gamma", the only remaining member of _ALL_KEYS
-    return value if value == "optimal" else float(value)
-
-
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-    | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_LIST_KEYS | {"gamma"}
-)
 
 
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -8,12 +8,15 @@ targets:
 - ``naive``      noisy labels, rho = (0, 0)
 - ``unbiased``   noisy labels, rho = (eps_plus, eps_minus)
 - ``optimized``  noisy labels, rho = (optimal rho_plus, 0)
-- ``oracle``     clean labels, rho = (0, 0)
+- ``oracle``     clean labels, rho = (0, 0); its theory is at zero noise
 - ``custom``     noisy labels, configured rho
 
-Every variant and grid point that shares a training draw (and ``gamma``)
-is one target column of a single block solve on that draw's factored
-ridge system.
+Each harness decision is made in one function: :func:`_variants` resolves
+every variant's ``(rho, theory)`` at a model point, :func:`_draw` draws a
+synthetic set, :func:`_ingest` loads and standardizes a CSV, and
+:func:`_score` trains and scores cells.  Every variant and grid point that
+shares a training draw (and ``gamma``) is one target column of a single
+block solve on that draw's factored ridge system.
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
@@ -32,6 +35,7 @@ from ..core import RhoParams, _Ridge, _targets
 from ..datasets import (
     GmmSpec,
     LabeledDataset,
+    StandardizeResult,
     derive_seed,
     flip_labels,
     generate_gmm,
@@ -68,46 +72,63 @@ __all__ = [
 OPTIMAL_GAMMA = 1e3
 
 
-def _variant_rho(name: str, pi1: float, eps_plus: float, eps_minus: float,
-                 cfg: ExperimentConfig) -> RhoParams:
-    if name in ("naive", "oracle"):
-        return RhoParams()
-    if name == "unbiased":
-        return RhoParams(eps_plus, eps_minus)
-    if name == "optimized":
-        return RhoParams(optimal_rho_plus(pi1, eps_plus, eps_minus, 0.0), 0.0)
-    if name == "custom":
-        return RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
-    raise ConfigError(f"unknown variant {name!r}")
+def _variants(cfg: ExperimentConfig, pi1: float, eps_plus: float, eta: float,
+              gamma: float, snr: float,
+              custom: RhoParams | None = None) -> dict[str, tuple[RhoParams, TheoryStats]]:
+    """``{variant: (rho, theory)}`` of every configured variant at one model
+    point; ``custom`` replaces the configured custom pair (rho_plus sweep)."""
+    out = {}
+    for v in cfg.variants:
+        if v == "unbiased":
+            rho = RhoParams(eps_plus, cfg.eps_minus)
+        elif v == "optimized":
+            rho = RhoParams(optimal_rho_plus(pi1, eps_plus, cfg.eps_minus, 0.0), 0.0)
+        elif v == "custom":
+            rho = custom or RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
+        else:  # naive, oracle
+            rho = RhoParams()
+        noise = (0.0, 0.0) if v == "oracle" else (eps_plus, cfg.eps_minus)
+        out[v] = rho, theory_stats_isotropic(TheoryConfig(
+            eta=eta, pi1=pi1, gamma=gamma, eps_plus=noise[0], eps_minus=noise[1],
+            rho=rho, snr=snr))
+    return out
 
 
-def _variant_theory(name: str, rho: RhoParams, eta: float, gamma: float, snr: float,
-                    pi1: float, eps_plus: float, eps_minus: float) -> TheoryStats:
-    if name == "oracle":
-        eps_plus = eps_minus = 0.0
-    return theory_stats_isotropic(
-        TheoryConfig(eta=eta, pi1=pi1, gamma=gamma, eps_plus=eps_plus,
-                     eps_minus=eps_minus, rho=rho, snr=snr)
-    )
+def _score(X: np.ndarray, gamma: float, cells: list, X_test: np.ndarray,
+           y_test: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
+    """``(test scores, accuracy, squared risk)`` of every cell ``(noisy,
+    variant, rho, theory)``, from one factorization of the features ``X``
+    and one block solve.  ``oracle`` trains on the clean labels; predictions
+    are oriented by the theory's ``sign(m_rho)``."""
+    targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
+               for ds, v, rho, _ in cells]
+    scores = _Ridge(X, gamma).weights(np.column_stack(targets)).T @ X_test
+    out = []
+    for s, (*_, st) in zip(scores, cells):
+        pred = np.where((1.0 if st.m_rho >= 0 else -1.0) * s >= 0, 1, -1)
+        out.append((s, float(np.mean(pred == y_test)), float(np.mean((s - y_test) ** 2))))
+    return out
 
 
-def _variant_targets(ds: LabeledDataset, rhos: dict[str, RhoParams]) -> list[np.ndarray]:
-    """Regression targets of every variant; ``oracle`` trains on clean labels."""
-    return [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
-            for v, rho in rhos.items()]
+def _draw(cfg: ExperimentConfig, n: int, pi1: float, snr: float, seed: int,
+          stream: int) -> LabeledDataset:
+    """``n`` isotropic samples in dimension ``cfg.p``, from stream ``stream``
+    of ``seed``."""
+    return generate_gmm(GmmSpec.isotropic(cfg.p, n, pi1, snr, seed=derive_seed(seed, stream)))
 
 
-def _block_scores(X: np.ndarray, gamma: float, targets: list[np.ndarray],
-                  X_test: np.ndarray) -> np.ndarray:
-    """Test scores of every target column (one row each), from one
-    factorization of the features ``X`` and one block solve."""
-    return _Ridge(X, gamma).weights(np.column_stack(targets)).T @ X_test
-
-
-def _oriented_accuracy(scores: np.ndarray, y: np.ndarray, st: TheoryStats) -> float:
-    orientation = 1.0 if st.m_rho >= 0 else -1.0
-    pred = np.where(orientation * scores >= 0, 1, -1)
-    return float(np.mean(pred == y))
+def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
+    """Load ``cfg.data_path`` (its labels are ground truth when ``clean``)
+    and standardize it; a single-class dataset raises."""
+    try:
+        label = int(cfg.label_column)
+    except ValueError:
+        label = cfg.label_column
+    std = standardize_and_estimate(load_features_csv(
+        cfg.data_path, label, has_clean_labels=clean, has_header=cfg.has_header))
+    if std.single_class:
+        raise ValueError("ingested data has a single class")
+    return std
 
 
 def _pool_map(fn, args, threads: int):
@@ -115,17 +136,6 @@ def _pool_map(fn, args, threads: int):
         return [fn(a) for a in args]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, args))
-
-
-def _class_statistics(scores: np.ndarray, y_clean: np.ndarray) -> dict[str, float]:
-    c1 = scores[y_clean == -1]
-    c2 = scores[y_clean == +1]
-    return {
-        "mean_class1": float(c1.mean()),
-        "mean_class2": float(c2.mean()),
-        "std_class1": float(c1.std()),
-        "std_class2": float(c2.std()),
-    }
 
 
 def _gamma_value(cfg: ExperimentConfig) -> float:
@@ -141,39 +151,28 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     """Decision-value distributions of every variant against the predicted
     Gaussian mixture; bins from the first seed, moment rows from all."""
     report = RunReport("histogram", cfg)
-    eta = cfg.p / cfg.n
     gamma = _gamma_value(cfg)
-    rhos = {v: _variant_rho(v, cfg.pi1, cfg.eps_plus, cfg.eps_minus, cfg) for v in cfg.variants}
-    theories = {
-        v: _variant_theory(v, rhos[v], eta, gamma, cfg.snr, cfg.pi1,
-                           cfg.eps_plus, cfg.eps_minus)
-        for v in cfg.variants
-    }
-
-    first_seed_scores: dict[str, np.ndarray] = {}
+    variants = _variants(cfg, cfg.pi1, cfg.eps_plus, cfg.p / cfg.n, gamma, cfg.snr)
+    theories = {v: st for v, (_, st) in variants.items()}
 
     def one_seed(seed: int):
-        train = generate_gmm(GmmSpec.isotropic(
-            cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 0)))
-        noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
-        test = generate_gmm(GmmSpec.isotropic(
-            cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
-        scores = _block_scores(noisy.X, gamma, _variant_targets(noisy, rhos), test.X)
-        return seed, dict(zip(rhos, scores)), test.y_clean
+        noisy = flip_labels(_draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 0),
+                            cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
+        test = _draw(cfg, cfg.n_test, cfg.pi1, cfg.snr, seed, 2)
+        cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
+        return seed, _score(noisy.X, gamma, cells, test.X, test.y_clean), test.y_clean
 
-    for seed, score_map, y_clean in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for v, scores in score_map.items():
-            st = theories[v]
+    first_seed_scores: dict[str, np.ndarray] = {}
+    for seed, scored, y in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
+        for (v, st), (scores, acc, risk) in zip(theories.items(), scored):
             sigma = math.sqrt(st.variance)
-            stats = _class_statistics(scores, y_clean)
-            report.add(v, 0.0, seed, "mean_class1", stats["mean_class1"], -st.m_rho)
-            report.add(v, 0.0, seed, "mean_class2", stats["mean_class2"], st.m_rho)
-            report.add(v, 0.0, seed, "std_class1", stats["std_class1"], sigma)
-            report.add(v, 0.0, seed, "std_class2", stats["std_class2"], sigma)
-            report.add(v, 0.0, seed, "accuracy",
-                       _oriented_accuracy(scores, y_clean, st), st.accuracy)
-            report.add(v, 0.0, seed, "risk",
-                       float(np.mean((scores - y_clean) ** 2)), st.risk)
+            c1, c2 = scores[y == -1], scores[y == +1]
+            for metric, emp, theory in (
+                ("mean_class1", c1.mean(), -st.m_rho), ("mean_class2", c2.mean(), st.m_rho),
+                ("std_class1", c1.std(), sigma), ("std_class2", c2.std(), sigma),
+                ("accuracy", acc, st.accuracy), ("risk", risk, st.risk),
+            ):
+                report.add(v, 0.0, seed, metric, emp, theory)
             if seed == cfg.seeds[0]:
                 first_seed_scores[v] = scores
 
@@ -226,43 +225,32 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     """
     report = RunReport("sweep", cfg)
     eta = cfg.p / cfg.n
-    base_gamma = _gamma_value(cfg)
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
     for g, value in enumerate(cfg.grid):
-        gamma, eps_plus, flip_stream = base_gamma, cfg.eps_plus, 1
+        gamma, eps_plus, flip_stream, custom = _gamma_value(cfg), cfg.eps_plus, 1, None
         if cfg.sweep_param == "eps_plus":
             eps_plus, flip_stream = value, 10 + g
         elif cfg.sweep_param == "gamma":
             gamma = value
-        rhos = {
-            v: RhoParams(value, cfg.custom_rho_minus)
-            if v == "custom" and cfg.sweep_param == "rho_plus"
-            else _variant_rho(v, cfg.pi1, eps_plus, cfg.eps_minus, cfg)
-            for v in cfg.variants
-        }
-        theories = {v: _variant_theory(v, rho, eta, gamma, cfg.snr, cfg.pi1,
-                                       eps_plus, cfg.eps_minus)
-                    for v, rho in rhos.items()}
-        groups.setdefault(gamma, []).append((value, eps_plus, flip_stream, rhos, theories))
+        else:
+            custom = RhoParams(value, cfg.custom_rho_minus)
+        variants = _variants(cfg, cfg.pi1, eps_plus, eta, gamma, cfg.snr, custom)
+        groups.setdefault(gamma, []).append((value, eps_plus, flip_stream, variants))
 
     def one_seed(seed: int):
-        train = generate_gmm(GmmSpec.isotropic(
-            cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 0)))
-        test = generate_gmm(GmmSpec.isotropic(
-            cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
+        train = _draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 0)
+        test = _draw(cfg, cfg.n_test, cfg.pi1, cfg.snr, seed, 2)
         rows = []
         for gamma, points in groups.items():
-            targets, cells = [], []
-            for value, eps_plus, flip_stream, rhos, theories in points:
+            cells, values = [], []
+            for value, eps_plus, flip_stream, variants in points:
                 noisy = flip_labels(train, eps_plus, cfg.eps_minus,
                                     derive_seed(seed, flip_stream))
-                targets += _variant_targets(noisy, rhos)
-                cells += [(v, value, st) for v, st in theories.items()]
-            scores = _block_scores(train.X, gamma, targets, test.X)
-            for (v, value, st), s in zip(cells, scores):
-                acc = _oriented_accuracy(s, test.y_clean, st)
-                risk = float(np.mean((s - test.y_clean) ** 2))
+                cells += [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
+                values += [value] * len(variants)
+            scored = _score(train.X, gamma, cells, test.X, test.y_clean)
+            for (_, v, _, st), value, (_, acc, risk) in zip(cells, values, scored):
                 rows.append((v, value, seed, acc, risk, st))
         return rows
 
@@ -313,9 +301,8 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     def one_seed(seed: int):
         rows = []
         for g, eps_plus in enumerate(cfg.grid):
-            base = generate_gmm(GmmSpec.isotropic(
-                cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 30 + g)))
-            noisy = flip_labels(base, eps_plus, cfg.eps_minus, derive_seed(seed, 60 + g))
+            noisy = flip_labels(_draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 30 + g),
+                                eps_plus, cfg.eps_minus, derive_seed(seed, 60 + g))
             est = estimate_noise_rates(noisy, probe1, probe2, gamma, cfg.snr, cfg.pi1)
             rows.append((eps_plus, seed, est))
         return rows
@@ -340,15 +327,10 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
 def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
                         probe2: RhoParams) -> RunReport:
     report = RunReport("estimate-noise", cfg)
-    raw = load_features_csv(cfg.data_path, _label_col(cfg.label_column),
-                            has_clean_labels=False, has_header=cfg.has_header)
-    std = standardize_and_estimate(raw)  # warns: noisy-label SNR is biased
-    data = std.dataset
+    std = _ingest(cfg, clean=False)  # warns: noisy-label SNR is biased
     snr, pi1 = std.snr_estimate, std.pi1_estimate
-    if snr <= 0 or not 0.0 < pi1 < 1.0:
-        raise ValueError("cannot estimate SNR/class proportion from this dataset")
     gamma = _gamma_value(cfg)
-    est = estimate_noise_rates(data, probe1, probe2, gamma, snr, pi1)
+    est = estimate_noise_rates(std.dataset, probe1, probe2, gamma, snr, pi1)
     seed = cfg.seeds[0]
     report.add("estimator", 0.0, seed, "eps_plus_hat", est.eps_plus)
     report.add("estimator", 0.0, seed, "eps_minus_hat", est.eps_minus)
@@ -372,56 +354,41 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     """Table-style variant comparison with noise injected on clean labels.
 
     With ``data_path`` set, ingests the CSV, standardizes it and splits it
-    per seed; otherwise draws a synthetic stand-in of the same shape.  Uses
-    the estimated SNR and the training split's class proportion; ``gamma =
-    optimal`` resolves to :data:`OPTIMAL_GAMMA` for every seed.
+    per seed into ``n`` training samples and the rest as the test set; the
+    dimension is the CSV's, so ``p`` is ignored.  Otherwise draws a
+    synthetic stand-in of the configured shape.  Theory uses the estimated
+    SNR, the training split's class proportion and ``eta = p / n`` of the
+    training split; ``gamma = optimal`` resolves to :data:`OPTIMAL_GAMMA`.
     """
     report = RunReport("real-data", cfg)
     gamma = _gamma_value(cfg)
-    data = None
+    data, snr = None, cfg.snr
     if cfg.data_path:
-        raw = load_features_csv(cfg.data_path, _label_col(cfg.label_column),
-                                has_clean_labels=True, has_header=cfg.has_header)
-        std = standardize_and_estimate(raw)
-        data = std.dataset
-        snr, pi1 = std.snr_estimate, std.pi1_estimate
-        if not 0.0 < pi1 < 1.0:
-            raise ValueError("ingested data has a single class")
-        n_total = data.n
-        if cfg.n_train >= n_total:
-            raise ValueError(
-                f"n_train={cfg.n_train} needs held-out samples, dataset has {n_total}"
-            )
-    else:
-        snr, pi1 = cfg.snr, cfg.pi1
+        std = _ingest(cfg, clean=True)
+        data, snr = std.dataset, std.snr_estimate
+        if cfg.n >= data.n:
+            raise ValueError(f"n={cfg.n} needs held-out samples, dataset has {data.n}")
 
     def one_seed(seed: int):
         if data is not None:
             order = np.random.Generator(
                 np.random.Philox(key=derive_seed(seed, 3))
             ).permutation(data.n)
-            tr, te = order[: cfg.n_train], order[cfg.n_train:]
+            tr, te = order[: cfg.n], order[cfg.n:]
             train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
                                    y_clean=data.y_clean[tr])
             test_X, test_y = data.X[:, te], data.y_clean[te]
         else:
-            train = generate_gmm(GmmSpec.isotropic(
-                cfg.p, cfg.n_train, pi1, snr, seed=derive_seed(seed, 5)))
-            test = generate_gmm(GmmSpec.isotropic(
-                cfg.p, cfg.n_test, pi1, snr, seed=derive_seed(seed, 6)))
+            train = _draw(cfg, cfg.n, cfg.pi1, snr, seed, 5)
+            test = _draw(cfg, cfg.n_test, cfg.pi1, snr, seed, 6)
             test_X, test_y = test.X, test.y_clean
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
-        pi1_train = noisy.class_counts[0] / noisy.n
-        eta = cfg.p / noisy.n
-        rhos = {v: _variant_rho(v, pi1_train, cfg.eps_plus, cfg.eps_minus, cfg)
-                for v in cfg.variants}
-        scores = _block_scores(noisy.X, gamma, _variant_targets(noisy, rhos), test_X)
-        out = []
-        for (v, rho), s in zip(rhos.items(), scores):
-            st = _variant_theory(v, rho, eta, gamma, snr, pi1_train,
-                                 cfg.eps_plus, cfg.eps_minus)
-            out.append((v, seed, _oriented_accuracy(s, test_y, st), st.accuracy))
-        return out
+        variants = _variants(cfg, noisy.class_counts[0] / noisy.n, cfg.eps_plus,
+                             noisy.p / noisy.n, gamma, snr)
+        cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
+        scored = _score(noisy.X, gamma, cells, test_X, test_y)
+        return [(v, seed, acc, st.accuracy)
+                for (_, v, _, st), (_, acc, _) in zip(cells, scored)]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, seed, acc, theory_acc in rows:
@@ -437,13 +404,6 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
              label="theory", dashed=True)
     report.figure_svg = fig.render()
     return report
-
-
-def _label_col(spec: str) -> int | str:
-    try:
-        return int(spec)
-    except ValueError:
-        return spec
 
 
 def _accuracy_table(cfg: ExperimentConfig, report: RunReport) -> str:
@@ -484,7 +444,8 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     """Monte Carlo (alpha, beta) search and the best/worst mixing path.
 
     Multiclass cells are empirical-only (the binary theory does not apply);
-    their theory column is left empty.
+    their theory column is left empty.  ``naive``, ``best`` and ``worst``
+    have one row per seed, like the path.
     """
     if cfg.gamma == "optimal":
         raise ConfigError("multiclass experiment needs a numeric gamma")
@@ -500,13 +461,13 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
         tau_points=cfg.tau_points,
         search_seed=cfg.search_seed,
     )
-    for i, tau in enumerate(result.tau_grid):
-        for j, seed in enumerate(cfg.seeds):
-            report.add("multi-lpc", float(tau), seed, "accuracy",
-                       float(result.tau_accuracy[i, j]))
-    report.add("naive", 1.0, cfg.seeds[0], "accuracy", result.naive_accuracy)
-    report.add("best", 1.0, cfg.seeds[0], "accuracy", result.best_accuracy)
-    report.add("worst", 0.0, cfg.seeds[0], "accuracy", result.worst_accuracy)
+    for j, seed in enumerate(cfg.seeds):
+        for i, tau in enumerate(result.tau_grid):
+            report.add("multi-lpc", float(tau), seed, "accuracy", result.tau_accuracy[i, j])
+        # the path's ends are the best (tau 1) and the worst (tau 0) candidate
+        report.add("naive", 1.0, seed, "accuracy", result.naive_seed_accuracy[j])
+        report.add("best", 1.0, seed, "accuracy", result.tau_accuracy[-1, j])
+        report.add("worst", 0.0, seed, "accuracy", result.tau_accuracy[0, j])
 
     lines = ["tau,mean,std," + ",".join(f"seed_{s}" for s in cfg.seeds)]
     for row in result.tau_table():
@@ -532,15 +493,11 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
 
 def theory_csv(cfg: ExperimentConfig) -> str:
     """TheoryStats of every variant at the configured model, as CSV text."""
-    eta = cfg.p / cfg.n
-    gamma = _gamma_value(cfg)
+    eta, gamma = cfg.p / cfg.n, _gamma_value(cfg)
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
-    for v in cfg.variants:
-        rho = _variant_rho(v, cfg.pi1, cfg.eps_plus, cfg.eps_minus, cfg)
-        st = _variant_theory(v, rho, eta, gamma, cfg.snr, cfg.pi1,
-                             cfg.eps_plus, cfg.eps_minus)
+    for v, (_, st) in _variants(cfg, cfg.pi1, cfg.eps_plus, eta, gamma, cfg.snr).items():
         vals = (v, eta, gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
                 st.kappa, st.m_oracle, st.nu_oracle, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))

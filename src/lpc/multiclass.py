@@ -180,6 +180,7 @@ class SearchResult:
     tau_grid: np.ndarray
     tau_accuracy: np.ndarray  # len(tau) x len(seeds)
     candidate_accuracy: np.ndarray = field(repr=False)
+    naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed; mean is naive_accuracy
 
     def tau_table(self) -> list[dict]:
         rows = []
@@ -299,4 +300,5 @@ def search_alpha_beta(
         tau_grid=taus,
         tau_accuracy=tail_acc[:-1],
         candidate_accuracy=mean_acc,
+        naive_seed_accuracy=tail_acc[-1],
     )

@@ -383,7 +383,7 @@ def test_criterion_10_bce_variant():
 
 def test_criterion_11_variant_ordering():
     cfg = _cfg(
-        "schema_version = 1\nexperiment = real-data\nn_train = 1600\np = 400\n"
+        "schema_version = 1\nexperiment = real-data\nn = 1600\np = 400\n"
         "pi1 = 0.3\nsnr = 2\ngamma = optimal\neps_plus = 0.5\neps_minus = 0.4\n"
         "variants = naive,unbiased,optimized,oracle\nseeds = 0,1,2,3,4\n"
         "n_test = 10000\n"

@@ -13,10 +13,6 @@ from lpc import (
 
 
 class TestGmmSpecValidation:
-    def test_noise_rates_must_sum_below_one(self):
-        with pytest.raises(ValueError, match="eps_plus"):
-            GmmSpec.isotropic(4, 10, 0.5, 1.0, eps_plus=0.6, eps_minus=0.4)
-
     def test_pi1_bounds(self):
         for pi1 in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
@@ -56,7 +52,7 @@ class TestGenerateGmm:
         assert m2[0] > m1[0]
 
     def test_reproducibility_bit_identical(self):
-        spec = GmmSpec.isotropic(20, 50, 0.4, 2.0, eps_plus=0.1, seed=99)
+        spec = GmmSpec.isotropic(20, 50, 0.4, 2.0, seed=99)
         a, b = generate_gmm(spec), generate_gmm(spec)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y_clean, b.y_clean)
@@ -90,6 +86,14 @@ class TestFlipLabels:
         ds = LabeledDataset(X=np.zeros((2, 4)), y_noisy=np.array([1, -1, 1, -1]))
         with pytest.raises(ValueError, match="cannot flip without ground truth"):
             flip_labels(ds, 0.1, 0.0, seed=0)
+
+    def test_noise_rates_must_sum_below_one(self):
+        ds = generate_gmm(GmmSpec.isotropic(4, 10, 0.5, 1.0))
+        with pytest.raises(ValueError, match="eps_plus"):
+            flip_labels(ds, 0.6, 0.4, seed=0)
+        for rates in ((-0.5, 0.2), (0.1, -0.1), (1.2, -0.5)):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                flip_labels(ds, *rates, seed=0)
 
     def test_features_and_clean_labels_untouched(self):
         ds = generate_gmm(GmmSpec.isotropic(5, 100, 0.5, 1.0, seed=2))

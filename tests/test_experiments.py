@@ -33,6 +33,70 @@ n_test = 2000
 """
 
 
+_PUBLIC_API_GRIDS = {"rho_plus": (-0.3, 0.6, 1.5), "eps_plus": (0.0, 0.3),
+                     "gamma": (0.1, 1.0, 10.0)}
+
+
+def _public_api_cfg(experiment, sweep=None):
+    # pi1 * n is whole, so real-data's training class proportion is pi1
+    sweep_keys = (f"sweep_param = {sweep}\ngrid = {','.join(map(str, _PUBLIC_API_GRIDS[sweep]))}\n"
+                  if sweep else "")
+    return (
+        f"schema_version = 1\nexperiment = {experiment}\n{sweep_keys}n = 120\np = 40\n"
+        "pi1 = 0.3\nsnr = 2\ngamma = optimal\neps_plus = 0.3\neps_minus = 0.2\n"
+        "variants = custom,naive,unbiased,optimized,oracle\n"
+        "custom_rho_plus = 0.2\ncustom_rho_minus = 0\nseeds = 0,1\nn_test = 500\n"
+    )
+
+
+def _replay(cfg, row):
+    """The public-API classifier, test set and theory of one synthetic report
+    cell: the harness's ``derive_seed`` draws, ``lpc.train_lpc`` (on clean
+    labels for ``oracle``) and ``lpc.theory_stats_isotropic``."""
+    from lpc.datasets import LabeledDataset, derive_seed
+
+    value = row.grid_value
+    eps_plus, gamma, custom = cfg.eps_plus, ex.OPTIMAL_GAMMA, cfg.custom_rho_plus
+    streams = (5, 4, 6) if cfg.experiment == "real-data" else (0, 1, 2)  # train, flips, test
+    if cfg.experiment == "sweep" and cfg.sweep_param == "eps_plus":
+        eps_plus, streams = value, (0, 10 + cfg.grid.index(value), 2)
+    elif cfg.experiment == "sweep" and cfg.sweep_param == "gamma":
+        gamma = value
+    elif cfg.experiment == "sweep":
+        custom = value
+    train, test = (lpc.generate_gmm(lpc.GmmSpec.isotropic(
+        cfg.p, n, cfg.pi1, cfg.snr, seed=derive_seed(row.seed, stream)))
+        for n, stream in ((cfg.n, streams[0]), (cfg.n_test, streams[2])))
+    noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(row.seed, streams[1]))
+    rho = {
+        "custom": lpc.RhoParams(custom, cfg.custom_rho_minus),
+        "naive": lpc.RhoParams(),
+        "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
+        "optimized": lpc.RhoParams(lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
+        "oracle": lpc.RhoParams(),
+    }[row.variant]
+    noise = (eps_plus, cfg.eps_minus)
+    if row.variant == "oracle":
+        noisy = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
+        noise = (0.0, 0.0)
+    st = lpc.theory_stats_isotropic(lpc.TheoryConfig(
+        eta=cfg.p / cfg.n, pi1=cfg.pi1, gamma=gamma, eps_plus=noise[0], eps_minus=noise[1],
+        rho=rho, snr=cfg.snr))
+    return lpc.train_lpc(noisy, rho, gamma), test, st
+
+
+def _toy_csv(path, seed, rows, features, shift, p_pos):
+    """A labelled CSV (label first) whose class means are ``-+shift``."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(rows):
+        label = 1 if rng.uniform() < p_pos else -1
+        feats = rng.standard_normal(features) + shift * label
+        lines.append(",".join([str(label)] + [f"{v:.6f}" for v in feats]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestConfigParsing:
     def test_round_trip_of_known_keys(self):
         cfg = ex.parse_config_text(SWEEP_CFG)
@@ -208,17 +272,11 @@ class TestRunners:
             ex.run_real_data(cfg)
 
     def test_real_data_from_csv(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = []
-        for _ in range(120):
-            label = 1 if rng.uniform() < 0.5 else -1
-            feats = rng.standard_normal(10) + 0.9 * label
-            rows.append(",".join([str(label)] + [f"{v:.6f}" for v in feats]))
-        path = tmp_path / "toy.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
+                        p_pos=0.5)
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = real-data\n"
-            f"data_path = {path}\nlabel_column = 0\nn_train = 80\np = 10\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 80\np = 10\n"
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,unbiased,oracle\nseeds = 0,1\n"
         )
@@ -255,41 +313,31 @@ class TestRunners:
     def test_sweep_risk_matches_public_api(self, sweep):
         # every risk cell is the squared risk of lpc.train_lpc on the same
         # draw, scored on the same test set
-        from lpc.datasets import LabeledDataset, derive_seed
-
-        grid = {"rho_plus": (-0.3, 0.6, 1.5), "eps_plus": (0.0, 0.3), "gamma": (0.1, 1.0, 10.0)}
-        cfg = ex.parse_config_text(
-            f"schema_version = 1\nexperiment = sweep\nsweep_param = {sweep}\n"
-            f"grid = {','.join(map(str, grid[sweep]))}\nn = 120\np = 40\npi1 = 0.3\n"
-            "snr = 2\ngamma = optimal\neps_plus = 0.3\neps_minus = 0.2\n"
-            "variants = custom,naive,unbiased,optimized,oracle\n"
-            "custom_rho_plus = 0.2\ncustom_rho_minus = 0\nseeds = 0,1\nn_test = 500\n"
-        )
+        cfg = ex.parse_config_text(_public_api_cfg("sweep", sweep))
         rep = ex.run_sweep(cfg)
         risks = [r for r in rep.rows if r.metric == "risk"]
-        assert len(risks) == 2 * len(grid[sweep]) * 5
+        assert len(risks) == 2 * len(cfg.grid) * 5
         for row in risks:
-            seed, value = row.seed, row.grid_value
-            eps_plus = value if sweep == "eps_plus" else cfg.eps_plus
-            gamma = value if sweep == "gamma" else ex.OPTIMAL_GAMMA
-            stream = 10 + cfg.grid.index(value) if sweep == "eps_plus" else 1
-            train = lpc.generate_gmm(lpc.GmmSpec.isotropic(
-                cfg.p, cfg.n, cfg.pi1, cfg.snr, seed=derive_seed(seed, 0)))
-            test = lpc.generate_gmm(lpc.GmmSpec.isotropic(
-                cfg.p, cfg.n_test, cfg.pi1, cfg.snr, seed=derive_seed(seed, 2)))
-            noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, stream))
-            rho = {
-                "custom": lpc.RhoParams(value if sweep == "rho_plus" else 0.2, 0.0),
-                "naive": lpc.RhoParams(),
-                "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
-                "optimized": lpc.RhoParams(
-                    lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
-                "oracle": lpc.RhoParams(),
-            }[row.variant]
-            if row.variant == "oracle":
-                noisy = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
-            _, risk = lpc.evaluate(lpc.train_lpc(noisy, rho, gamma), test.X, test.y_clean)
+            clf, test, _ = _replay(cfg, row)
+            _, risk = lpc.evaluate(clf, test.X, test.y_clean)
             assert row.empirical == pytest.approx(risk, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("experiment, sweep", [
+        ("sweep", "rho_plus"), ("sweep", "eps_plus"), ("sweep", "gamma"),
+        ("histogram", None), ("real-data", None),
+    ], ids=["sweep-rho_plus", "sweep-eps_plus", "sweep-gamma", "histogram", "real-data"])
+    def test_accuracy_matches_public_api(self, experiment, sweep):
+        # every accuracy cell is the accuracy of lpc.train_lpc + lpc.decision
+        # on the same draws, oriented by the theory's sign(m_rho)
+        cfg = ex.parse_config_text(_public_api_cfg(experiment, sweep))
+        rep = ex.run_experiment(cfg)
+        accs = [r for r in rep.rows if r.metric == "accuracy"]
+        assert len(accs) == 2 * max(len(cfg.grid), 1) * 5
+        for row in accs:
+            clf, test, st = _replay(cfg, row)
+            scores = (1.0 if st.m_rho >= 0 else -1.0) * lpc.decision(clf, test.X)
+            acc = np.mean(np.where(scores >= 0, 1, -1) == test.y_clean)
+            assert abs(row.empirical - acc) <= 1 / cfg.n_test
 
     def test_predicted_accuracy_non_decreasing_in_gamma(self):
         # the property that lets gamma = optimal be a constant: no variant's
@@ -318,17 +366,11 @@ class TestRunners:
     def test_real_data_theory_value_is_seed_mean(self, tmp_path):
         # random splits give each seed its own training class proportion,
         # hence its own theory cell; the plotted theory is their mean
-        rng = np.random.default_rng(1)
-        rows = []
-        for _ in range(90):
-            label = 1 if rng.uniform() < 0.4 else -1
-            feats = rng.standard_normal(8) + 0.8 * label
-            rows.append(",".join([str(label)] + [f"{v:.6f}" for v in feats]))
-        path = tmp_path / "toy.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = _toy_csv(tmp_path / "toy.csv", seed=1, rows=90, features=8, shift=0.8,
+                        p_pos=0.4)
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = real-data\n"
-            f"data_path = {path}\nlabel_column = 0\nn_train = 60\np = 8\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 60\np = 8\n"
             "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,optimized\nseeds = 0,1,2,3\n"
         )
@@ -337,6 +379,66 @@ class TestRunners:
             cells = [r.theory for r in rep.rows if r.variant == v and r.metric == "accuracy"]
             assert len(cells) == 4 and len(set(cells)) > 1
             assert rep.theory_value(v, "accuracy") == pytest.approx(np.mean(cells), rel=1e-12)
+
+
+    def test_real_data_csv_dimension_is_the_data_width(self, tmp_path):
+        # eta is the ingested width over n, so the p key cannot move theory
+        path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
+                        p_pos=0.5)
+        text = (
+            "schema_version = 1\nexperiment = real-data\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 80\n"
+            "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
+            "variants = naive,unbiased,oracle\nseeds = 0,1\n"
+        )
+        cells = [
+            [(r.variant, r.seed, r.theory) for r in
+             ex.run_real_data(ex.parse_config_text(text + extra)).rows if r.metric == "accuracy"]
+            for extra in ("p = 10\n", "", "p = 5000\n")
+        ]
+        assert len(cells[0]) == 6
+        assert cells[0] == cells[1] == cells[2]
+
+    def test_real_data_theory_matches_theory_csv(self):
+        # `lpc theory` and a synthetic real-data run read the same n; pi1 * n
+        # is whole, so the training split's class proportion is exactly pi1
+        cfg = ex.parse_config_file(CONFIG_DIR / "table_synthetic.cfg", overrides={
+            "n": 200, "p": 50, "n_test": 500, "seeds": (0, 1)})
+        header, *lines = ex.theory_csv(cfg).splitlines()
+        theory = {}
+        for line in lines:
+            vals = dict(zip(header.split(","), line.split(",")))
+            theory[vals["variant"]] = float(vals["accuracy"])
+        cells = [r for r in ex.run_real_data(cfg).rows if r.metric == "accuracy"]
+        assert len(cells) == 2 * len(cfg.variants)
+        for r in cells:
+            assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
+
+    def test_multiclass_rows_per_seed(self):
+        # naive, best and worst get one row per seed; best and worst are the
+        # path's ends, and their seed means are SearchResult's means
+        from lpc.experiments.runner import multi_spec_from_config
+        from lpc.multiclass import search_alpha_beta
+
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = multiclass\nk = 3\nn = 150\np = 20\n"
+            "means = -2,0,2\ngamma = 1.0\ngrid_size = 40\nseeds = 0,1,2\n"
+            "n_test = 200\ntau_points = 3\n"
+        )
+        rep = ex.run_multiclass(cfg)
+        res = search_alpha_beta(multi_spec_from_config(cfg), grid_size=cfg.grid_size,
+                                eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
+                                tau_points=cfg.tau_points, search_seed=cfg.search_seed)
+        for v, tau, mean in (("naive", 1.0, res.naive_accuracy),
+                             ("best", 1.0, res.best_accuracy),
+                             ("worst", 0.0, res.worst_accuracy)):
+            rows = [r for r in rep.rows if r.variant == v]
+            assert [(r.seed, r.grid_value) for r in rows] == [(s, tau) for s in cfg.seeds]
+            assert rep.mean_over_seeds(v, "accuracy") == mean
+            if v != "naive":
+                path_end = {r.seed: r.empirical for r in rep.rows
+                            if r.variant == "multi-lpc" and r.grid_value == tau}
+                assert {r.seed: r.empirical for r in rows} == path_end
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
