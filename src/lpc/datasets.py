@@ -29,7 +29,7 @@ __all__ = [
     "standardize_and_estimate",
 ]
 
-_SYM_TOL = 1e-10
+_COV_TOL = 1e-10  # relative tolerance of the covariance symmetry and PSD checks
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -47,14 +47,22 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _check_covariance(name: str, cov: np.ndarray, p: int) -> np.ndarray:
+    """``cov`` as a float array, after checking that it is a finite, symmetric
+    and positive semi-definite ``p x p`` matrix (tolerances relative to its
+    largest entry)."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got shape {cov.shape}")
     if not np.all(np.isfinite(cov)):
         raise ValueError(f"{name} contains non-finite entries")
     scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.max(np.abs(cov - cov.T)) > _SYM_TOL * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance {_SYM_TOL}")
+    if np.max(np.abs(cov - cov.T)) > _COV_TOL * scale:
+        raise ValueError(f"{name} is not symmetric within tolerance {_COV_TOL}")
+    smallest = float(np.linalg.eigvalsh(cov)[0])
+    if smallest < -_COV_TOL * scale:
+        raise ValueError(
+            f"{name} is not positive semi-definite (PSD): smallest eigenvalue {smallest:.3e}"
+        )
     return cov
 
 
@@ -170,8 +178,8 @@ def generate_gmm(spec: GmmSpec) -> LabeledDataset:
     n2 = spec.n - n1
     z = rng.standard_normal((spec.p, spec.n))
     if spec.cov is not None:
-        r1 = _sym_sqrt("C1", spec.cov[0])
-        r2 = _sym_sqrt("C2", spec.cov[1])
+        r1 = _sym_sqrt(spec.cov[0])
+        r2 = _sym_sqrt(spec.cov[1])
         z = np.concatenate([r1 @ z[:, :n1], r2 @ z[:, n1:]], axis=1)
     X = z
     X[:, :n1] -= spec.mu[:, None]
@@ -180,13 +188,10 @@ def generate_gmm(spec: GmmSpec) -> LabeledDataset:
     return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y)
 
 
-def _sym_sqrt(name: str, cov: np.ndarray) -> np.ndarray:
+def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a checked PSD matrix; rounding-level negative
+    eigenvalues are clipped to zero."""
     vals, vecs = np.linalg.eigh(cov)
-    scale = max(1.0, float(vals[-1]))
-    if vals[0] < -1e-10 * scale:
-        raise ValueError(
-            f"{name} is not positive semi-definite: smallest eigenvalue {vals[0]:.3e}"
-        )
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 

@@ -73,8 +73,9 @@ class ExperimentConfig:
     # multiclass
     k: int = 3
     means: tuple[float, ...] = (-2.0, 0.0, 2.0)
-    eps_rows: tuple[tuple[float, ...], ...] = ()
-    pis: tuple[float, ...] = ()
+    # eps_rows[a][b]: probability that true class b+1 is labelled a+1
+    eps_rows: tuple[tuple[float, ...], ...] = ((0.0, 0.3, 0.0), (0.0, 0.0, 0.4), (0.5, 0.0, 0.0))
+    pis: tuple[float, ...] = (0.3, 0.3, 0.4)
     grid_size: int = 5000
     box_low: float = -2.0
     box_high: float = 2.0
@@ -119,10 +120,12 @@ class ExperimentConfig:
         if self.experiment == "multiclass":
             if len(self.means) != self.k:
                 raise ConfigError(f"means needs k={self.k} entries, got {len(self.means)}")
-            if self.eps_rows and len(self.eps_rows) != self.k:
-                raise ConfigError(f"eps matrix needs k={self.k} rows")
-            if self.pis and len(self.pis) != self.k:
-                raise ConfigError(f"pis needs k={self.k} entries")
+            if len(self.eps_rows) != self.k or any(len(r) != self.k for r in self.eps_rows):
+                raise ConfigError(f"eps matrix needs k={self.k} rows of {self.k} entries")
+            if len(self.pis) != self.k:
+                raise ConfigError(f"pis needs k={self.k} entries, got {len(self.pis)}")
+            if self.gamma == "optimal":
+                raise ConfigError("multiclass experiment needs a numeric gamma")
             if self.grid_size < 1:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:

@@ -356,9 +356,10 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     With ``data_path`` set, ingests the CSV, standardizes it and splits it
     per seed into ``n`` training samples and the rest as the test set; the
     dimension is the CSV's, so ``p`` is ignored.  Otherwise draws a
-    synthetic stand-in of the configured shape.  Theory uses the estimated
-    SNR, the training split's class proportion and ``eta = p / n`` of the
-    training split; ``gamma = optimal`` resolves to :data:`OPTIMAL_GAMMA`.
+    synthetic stand-in of the configured shape.  Theory uses ``eta = p / n``
+    of the training split and, for CSV data, the estimated SNR and the
+    split's class proportion (the configured ``snr`` and ``pi1`` otherwise);
+    ``gamma = optimal`` resolves to :data:`OPTIMAL_GAMMA`.
     """
     report = RunReport("real-data", cfg)
     gamma = _gamma_value(cfg)
@@ -383,8 +384,8 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
             test = _draw(cfg, cfg.n_test, cfg.pi1, snr, seed, 6)
             test_X, test_y = test.X, test.y_clean
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
-        variants = _variants(cfg, noisy.class_counts[0] / noisy.n, cfg.eps_plus,
-                             noisy.p / noisy.n, gamma, snr)
+        pi1 = cfg.pi1 if data is None else noisy.class_counts[0] / noisy.n
+        variants = _variants(cfg, pi1, cfg.eps_plus, noisy.p / noisy.n, gamma, snr)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
         scored = _score(noisy.X, gamma, cells, test_X, test_y)
         return [(v, seed, acc, st.accuracy)
@@ -422,22 +423,12 @@ def _accuracy_table(cfg: ExperimentConfig, report: RunReport) -> str:
 # multiclass
 # ---------------------------------------------------------------------------
 
-_DEFAULT_EPS_3 = ((0.0, 0.3, 0.0), (0.0, 0.0, 0.4), (0.5, 0.0, 0.0))
-_DEFAULT_PI_3 = (0.3, 0.3, 0.4)
-
-
-def multi_spec_from_config(cfg: ExperimentConfig, seed: int = 0) -> MultiGmmSpec:
+def multi_spec_from_config(cfg: ExperimentConfig) -> MultiGmmSpec:
     """Collinear-means spec: mean of class j is ``means[j] * e1``."""
     means = np.zeros((cfg.k, cfg.p))
     means[:, 0] = cfg.means
-    eps_rows = cfg.eps_rows or (_DEFAULT_EPS_3 if cfg.k == 3 else None)
-    if eps_rows is None:
-        raise ConfigError(f"eps_row_1..eps_row_{cfg.k} required for k={cfg.k}")
-    pis = cfg.pis or (_DEFAULT_PI_3 if cfg.k == 3 else None)
-    if pis is None:
-        raise ConfigError(f"pis required for k={cfg.k}")
     return MultiGmmSpec(k=cfg.k, p=cfg.p, n=cfg.n, means=means,
-                        pi=np.asarray(pis), eps=np.asarray(eps_rows), seed=seed)
+                        pi=np.asarray(cfg.pis), eps=np.asarray(cfg.eps_rows))
 
 
 def run_multiclass(cfg: ExperimentConfig) -> RunReport:
@@ -447,8 +438,6 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     their theory column is left empty.  ``naive``, ``best`` and ``worst``
     have one row per seed, like the path.
     """
-    if cfg.gamma == "optimal":
-        raise ConfigError("multiclass experiment needs a numeric gamma")
     report = RunReport("multiclass", cfg)
     spec = multi_spec_from_config(cfg)
     result = search_alpha_beta(
@@ -470,11 +459,9 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
         report.add("worst", 0.0, seed, "accuracy", result.tau_accuracy[0, j])
 
     lines = ["tau,mean,std," + ",".join(f"seed_{s}" for s in cfg.seeds)]
-    for row in result.tau_table():
-        lines.append(
-            f"{row['tau']!r},{row['mean']!r},{row['std']!r},"
-            + ",".join(repr(v) for v in row["per_seed"])
-        )
+    for tau, per_seed in zip(result.tau_grid, result.tau_accuracy):
+        vals = (tau, per_seed.mean(), per_seed.std(), *per_seed)
+        lines.append(",".join(repr(float(x)) for x in vals))
     report.extra_files["tau_accuracy.csv"] = "\n".join(lines) + "\n"
 
     fig = Figure(title=f"multiclass (k={cfg.k}, p={cfg.p}, n={cfg.n})",
@@ -492,7 +479,14 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
 
 
 def theory_csv(cfg: ExperimentConfig) -> str:
-    """TheoryStats of every variant at the configured model, as CSV text."""
+    """TheoryStats of every variant at the configured model, as CSV text.
+
+    A ``data_path`` config has no configured model (a run reads its
+    dimension, SNR and class proportion from the CSV), so it raises.
+    """
+    if cfg.data_path:
+        raise ConfigError("theory needs a synthetic model; this config sets data_path, "
+                          "whose p, snr and pi1 come from the CSV at run time")
     eta, gamma = cfg.p / cfg.n, _gamma_value(cfg)
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")

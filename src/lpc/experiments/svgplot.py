@@ -219,7 +219,3 @@ class Figure:
             ly += 16
         out.append("</svg>")
         return "\n".join(out) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.render())

@@ -9,7 +9,7 @@ binary reweighting: column ``j`` of the ``n x k`` target matrix equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,19 +124,12 @@ def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
         y_clean[start:stop] = cls
         start = stop
 
-    # cumulative flip thresholds per true class; one uniform draw per sample,
-    # u past the last edge keeps the clean label
+    # one uniform draw per sample against its true class's column-cumulative
+    # flip edges: t edges passed means noisy label t + 1; past all k, clean
     u = rng.uniform(size=spec.n)
-    y_noisy = y_clean.copy()
-    for cls in range(1, spec.k + 1):
-        idx = np.flatnonzero(y_clean == cls)
-        edges = np.concatenate([[0.0], np.cumsum(spec.eps[:, cls - 1])])
-        for target in range(1, spec.k + 1):
-            if target == cls:
-                continue
-            lo, hi = edges[target - 1], edges[target]
-            hit = idx[(u[idx] >= lo) & (u[idx] < hi)]
-            y_noisy[hit] = target
+    edges = np.cumsum(spec.eps, axis=0)[:, y_clean - 1].T  # n x k
+    t = np.count_nonzero(u[:, None] >= edges, axis=1)
+    y_noisy = np.where(t < spec.k, t + 1, y_clean)
     return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy, k=spec.k)
 
 
@@ -182,20 +175,6 @@ class SearchResult:
     candidate_accuracy: np.ndarray = field(repr=False)
     naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed; mean is naive_accuracy
 
-    def tau_table(self) -> list[dict]:
-        rows = []
-        for i, tau in enumerate(self.tau_grid):
-            per_seed = self.tau_accuracy[i]
-            rows.append(
-                {
-                    "tau": float(tau),
-                    "mean": float(per_seed.mean()),
-                    "std": float(per_seed.std()),
-                    "per_seed": [float(v) for v in per_seed],
-                }
-            )
-        return rows
-
 
 # Candidate rows per block; at k = 3 and 800 test columns its score tables take 1.2 MB.
 _CHUNK_ROWS = 64
@@ -212,18 +191,8 @@ class _SeedEvaluator:
     """
 
     def __init__(self, spec: MultiGmmSpec, gamma: float, seed: int, n_test: int):
-        train = generate_multi_gmm(
-            MultiGmmSpec(
-                k=spec.k, p=spec.p, n=spec.n, means=spec.means, pi=spec.pi,
-                eps=spec.eps, seed=derive_seed(seed, 0),
-            )
-        )
-        test = generate_multi_gmm(
-            MultiGmmSpec(
-                k=spec.k, p=spec.p, n=n_test, means=spec.means, pi=spec.pi,
-                eps=spec.eps, seed=derive_seed(seed, 1),
-            )
-        )
+        train = generate_multi_gmm(replace(spec, seed=derive_seed(seed, 0)))
+        test = generate_multi_gmm(replace(spec, n=n_test, seed=derive_seed(seed, 1)))
         onehot = (train.y_noisy[:, None] == np.arange(1, spec.k + 1)[None, :]).astype(float)
         targets = np.column_stack([onehot, np.ones(spec.n)])
         scores = _Ridge(train.X, gamma).weights(targets).T @ test.X

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .core import SINGULARITY_GUARD, RhoParams
+from .datasets import _check_covariance
 
 __all__ = [
     "TheoryConfig",
@@ -248,17 +249,6 @@ def worst_rho_plus(
     return (1.0 - 2.0 * pi1 * eps_minus - 2.0 * pi2 * eps_plus) / (2.0 * pi1 - 1.0) + rho_minus
 
 
-def _check_sym_psd(name: str, M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    vals = np.linalg.eigvalsh(M)
-    if vals[0] < -1e-10 * scale:
-        raise ValueError(f"{name} is not PSD: smallest eigenvalue {vals[0]:.3e}")
-    return M
-
-
 def _general_fixed_point(
     C1: np.ndarray, C2: np.ndarray, pi1: float, gamma: float, eta: float
 ) -> tuple[float, float]:
@@ -279,8 +269,8 @@ def _general_fixed_point(
     d1 = d2 = 0.0
     for _ in range(_FIXED_POINT_MAX_ITERS):
         Q0 = np.linalg.inv(pi1 * C1 / (1.0 + d1) + pi2 * C2 / (1.0 + d2) + gamma * eye)
-        f1 = eta / p * float(np.trace(C1 @ Q0))
-        f2 = eta / p * float(np.trace(C2 @ Q0))
+        f1 = eta / p * float(np.sum(C1 * Q0))  # tr(C1 Q0), Q0 symmetric
+        f2 = eta / p * float(np.sum(C2 * Q0))
         residual = max(abs(f1 - d1), abs(f2 - d2))
         d1, d2 = f1, f2
         if residual <= _FIXED_POINT_TOL * max(1.0, d1, d2):
@@ -304,26 +294,26 @@ def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
     if test_class not in (1, 2):
         raise ValueError(f"test_class must be 1 or 2, got {test_class}")
     mu = np.asarray(cfg.mu, dtype=float).reshape(-1)
-    C1 = _check_sym_psd("C1", cfg.C1)
-    C2 = _check_sym_psd("C2", cfg.C2)
     p = mu.size
-    if C1.shape != (p, p) or C2.shape != (p, p):
-        raise ValueError("covariance shapes must match len(mu)")
+    C1 = _check_covariance("C1", cfg.C1, p)
+    C2 = _check_covariance("C2", cfg.C2, p)
     pi1, pi2, gamma, eta = cfg.pi1, cfg.pi2, cfg.gamma, cfg.eta
 
     d1, d2 = _general_fixed_point(C1, C2, pi1, gamma, eta)
-    eye = np.eye(p)
-    Q0 = np.linalg.inv(pi1 * C1 / (1.0 + d1) + pi2 * C2 / (1.0 + d2) + gamma * eye)
-    S1 = np.outer(mu, mu) + C1
-    S2 = np.outer(mu, mu) + C2
-    Qbar = np.linalg.inv(pi1 * S1 / (1.0 + d1) + pi2 * S2 / (1.0 + d2) + gamma * eye)
-
-    mu_Q_mu = float(mu @ Qbar @ mu)
-    N = [Qbar @ S1 @ Qbar, Qbar @ S2 @ Qbar]
-    mu_N_mu = [float(mu @ Nb @ mu) for Nb in N]
-    N0 = [Q0 @ C1 @ Q0, Q0 @ C2 @ Q0]
-    # tr[k][b] approximates Tr(Sigma_k Qbar Sigma_b Qbar) by its mean-free part
-    tr = [[float(np.trace(Ck @ Nb)) for Nb in N0] for Ck in (C1, C2)]
+    Q0 = np.linalg.inv(pi1 * C1 / (1.0 + d1) + pi2 * C2 / (1.0 + d2) + gamma * np.eye(p))
+    # the resolvent with the mean term, Qbar = (Q0^-1 + kappa mu mu')^-1, enters
+    # only through v = Qbar mu (Sherman-Morrison)
+    kappa = pi1 / (1.0 + d1) + pi2 / (1.0 + d2)
+    Q0_mu = Q0 @ mu
+    q = float(mu @ Q0_mu)
+    v = Q0_mu / (1.0 + kappa * q)
+    mu_Q_mu = q / (1.0 + kappa * q)
+    # mu' Qbar S_b Qbar mu with S_b = mu mu' + C_b
+    mu_N_mu = [float(v @ Cb @ v) + float(mu @ v) ** 2 for Cb in (C1, C2)]
+    # tr[k][b] approximates Tr(Sigma_k Qbar Sigma_b Qbar) by its mean-free
+    # part Tr(C_k Q0 C_b Q0)
+    CQ = [C1 @ Q0, C2 @ Q0]
+    tr = [[float(np.sum(CQ[k] * CQ[b].T)) for b in (0, 1)] for k in (0, 1)]
     c = [eta / p * pi1 / (1.0 + d1) ** 2, eta / p * pi2 / (1.0 + d2) ** 2]
     G = np.array(
         [[c[0] * tr[0][0], c[1] * tr[1][0]], [c[0] * tr[0][1], c[1] * tr[1][1]]]

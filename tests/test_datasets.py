@@ -35,9 +35,8 @@ class TestGmmSpecValidation:
 
     def test_non_psd_covariance_rejected_with_name(self):
         C = np.diag([1.0, -0.5, 1.0])
-        spec = GmmSpec(p=3, n=10, pi1=0.5, mu=np.zeros(3), cov=(C, np.eye(3)))
         with pytest.raises(ValueError, match="C1 is not positive semi-definite"):
-            generate_gmm(spec)
+            GmmSpec(p=3, n=10, pi1=0.5, mu=np.zeros(3), cov=(C, np.eye(3)))
 
 
 class TestGenerateGmm:

@@ -154,11 +154,24 @@ class TestConfigParsing:
         )
         assert cfg.eps_rows == ((0.0, 0.2), (0.1, 0.0))
 
+    @pytest.mark.parametrize("given", [
+        "", "pis = 0.1,0.2,0.3,0.4\n",
+        "eps_row_1 = 0,0,0,0.1\neps_row_2 = 0,0,0,0\neps_row_3 = 0,0,0,0\neps_row_4 = 0,0,0,0\n",
+    ], ids=["neither", "pis_only", "eps_only"])
+    def test_multiclass_defaults_fit_only_k_3(self, given):
+        # the default pis and eps rows are a k = 3 model: any other k must
+        # spell out both, and is refused at parse, not at run time
+        with pytest.raises(ConfigError, match="k=4"):
+            ex.parse_config_text("schema_version = 1\nexperiment = multiclass\nk = 4\n"
+                                 "means = -3,-1,1,3\n" + given)
+
     @pytest.mark.parametrize("bad, match", [
         ("tau_points = 1", "tau_points"),
         ("grid_size = 0", "grid_size"),
         ("box_low = 1.5\nbox_high = 1.5", "box_low"),
-    ], ids=["tau_points", "grid_size", "box"])
+        ("gamma = optimal", "numeric gamma"),
+        ("eps_row_1 = 0,0.3\neps_row_2 = 0,0\neps_row_3 = 0.5,0", "eps matrix"),
+    ], ids=["tau_points", "grid_size", "box", "gamma", "eps_row_width"])
     def test_multiclass_search_ranges(self, bad, match):
         head = "schema_version = 1\nexperiment = multiclass\n"
         edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\nbox_high = -1.9\n")
@@ -400,19 +413,38 @@ class TestRunners:
         assert cells[0] == cells[1] == cells[2]
 
     def test_real_data_theory_matches_theory_csv(self):
-        # `lpc theory` and a synthetic real-data run read the same n; pi1 * n
-        # is whole, so the training split's class proportion is exactly pi1
-        cfg = ex.parse_config_file(CONFIG_DIR / "table_synthetic.cfg", overrides={
-            "n": 200, "p": 50, "n_test": 500, "seeds": (0, 1)})
-        header, *lines = ex.theory_csv(cfg).splitlines()
-        theory = {}
-        for line in lines:
-            vals = dict(zip(header.split(","), line.split(",")))
-            theory[vals["variant"]] = float(vals["accuracy"])
-        cells = [r for r in ex.run_real_data(cfg).rows if r.metric == "accuracy"]
-        assert len(cells) == 2 * len(cfg.variants)
-        for r in cells:
-            assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
+        # `lpc theory` and a synthetic real-data run read the same n and pi1,
+        # also when the drawn class sizes round a fractional pi1 * n
+        for model in ({"n": 200, "p": 50},
+                      {"n": 100, "p": 50, "pi1": 0.3333333, "gamma": 1.0,
+                       "eps_plus": 0.2, "eps_minus": 0.1}):
+            cfg = ex.parse_config_file(CONFIG_DIR / "table_synthetic.cfg", overrides={
+                **model, "n_test": 500, "seeds": (0, 1)})
+            header, *lines = ex.theory_csv(cfg).splitlines()
+            theory = {}
+            for line in lines:
+                vals = dict(zip(header.split(","), line.split(",")))
+                theory[vals["variant"]] = float(vals["accuracy"])
+            cells = [r for r in ex.run_real_data(cfg).rows if r.metric == "accuracy"]
+            assert len(cells) == 2 * len(cfg.variants)
+            for r in cells:
+                assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
+
+    def test_multiclass_defaults_echo_what_the_run_used(self, tmp_path):
+        # without pis or eps_row_* lines the run uses the config's defaults
+        # and config.echo prints them, so spelling them out changes no byte
+        head = ("schema_version = 1\nexperiment = multiclass\nn = 120\np = 10\n"
+                "grid_size = 20\nseeds = 0,1\nn_test = 150\ntau_points = 3\n")
+        spelled = ("pis = 0.3,0.3,0.4\neps_row_1 = 0,0.3,0\neps_row_2 = 0,0,0.4\n"
+                   "eps_row_3 = 0.5,0,0\n")
+        for name, text in (("default", head), ("spelled", head + spelled)):
+            ex.emit_report(ex.run_multiclass(ex.parse_config_text(text)), tmp_path / name)
+        echo = (tmp_path / "default" / "config.echo").read_text().splitlines()
+        assert "pis = 0.3,0.3,0.4" in echo
+        assert "eps_rows = 0.0,0.3,0.0;0.0,0.0,0.4;0.5,0.0,0.0" in echo
+        for fname in ("report.csv", "tau_accuracy.csv", "config.echo"):
+            assert ((tmp_path / "default" / fname).read_bytes()
+                    == (tmp_path / "spelled" / fname).read_bytes()), fname
 
     def test_multiclass_rows_per_seed(self):
         # naive, best and worst get one row per seed; best and worst are the
@@ -488,6 +520,14 @@ class TestCli:
         assert cli_main(["theory", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith("variant,eta,gamma,delta,h,")
+
+    def test_theory_rejects_data_path(self, tmp_path, capsys):
+        # a CSV run reads p, snr and pi1 from the data, so there is no
+        # configured model to print
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = real-data\n"
+                              "data_path = some.csv\nn = 80\n")
+        assert cli_main(["theory", "--config", cfg]) == 1
+        assert "data_path" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
