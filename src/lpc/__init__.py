@@ -29,7 +29,6 @@ from .theory import (
     delta,
     gaussian_upper_tail,
     optimal_rho_plus,
-    predict_accuracy_risk,
     theory_stats_general,
     theory_stats_isotropic,
     worst_rho_plus,
@@ -59,7 +58,6 @@ __all__ = [
     "load_features_csv",
     "loo_decisions",
     "optimal_rho_plus",
-    "predict_accuracy_risk",
     "save_classifier",
     "standardize_and_estimate",
     "theory_stats_general",

@@ -109,10 +109,6 @@ class GmmSpec:
     def n1(self) -> int:
         return int(round(self.pi1 * self.n))
 
-    @property
-    def snr(self) -> float:
-        return float(np.linalg.norm(self.mu))
-
     @staticmethod
     def isotropic(p: int, n: int, pi1: float, snr: float, seed: int = 0) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
@@ -286,10 +282,12 @@ def load_features_csv(
 
 @dataclass(frozen=True)
 class StandardizeResult:
+    """The standardized dataset and its estimates; the SNR was estimated from
+    the noisy labels when ``dataset.y_clean`` is ``None``."""
+
     dataset: LabeledDataset
     snr_estimate: float
     pi1_estimate: float
-    used_noisy_labels: bool = False
     single_class: bool = False
 
 
@@ -308,32 +306,28 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
     nonzero = std[:, 0] > 0
     X[nonzero] /= std[nonzero]
 
-    used_noisy = ds.y_clean is None
-    if used_noisy:
+    y = ds.y_clean
+    if y is None:
         warnings.warn(
             "estimating SNR from noisy labels; the estimate is biased toward zero",
             stacklevel=2,
         )
-    y = ds.y_noisy if used_noisy else ds.y_clean
+        y = ds.y_noisy
     n1 = int(np.sum(y == -1))
-    n2 = ds.n - n1
-    single_class = n1 == 0 or n2 == 0
+    single_class = n1 == 0 or n1 == ds.n
     if single_class:
         warnings.warn("all samples share one label; SNR estimate is undefined", stacklevel=2)
-        mu_hat = np.zeros(ds.p)
         snr = 0.0
     else:
         m1 = X[:, y == -1].mean(axis=1)
         m2 = X[:, y == +1].mean(axis=1)
         X -= ((m1 + m2) / 2.0)[:, None]
-        mu_hat = (m2 - m1) / 2.0
-        snr = float(np.linalg.norm(mu_hat))
+        snr = float(np.linalg.norm((m2 - m1) / 2.0))
 
     out = LabeledDataset(X=X, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
     return StandardizeResult(
         dataset=out,
         snr_estimate=snr,
         pi1_estimate=n1 / ds.n,
-        used_noisy_labels=used_noisy,
         single_class=single_class,
     )

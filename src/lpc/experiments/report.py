@@ -42,7 +42,6 @@ class ReportRow:
 
 @dataclass
 class RunReport:
-    experiment: str
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
     figure_svg: str = ""
@@ -55,39 +54,47 @@ class RunReport:
                       float(empirical), None if theory is None else float(theory))
         )
 
+    def _cells(self, variant: str, metric: str, grid_value: float | None) -> list[ReportRow]:
+        return [r for r in self.rows if r.variant == variant and r.metric == metric
+                and (grid_value is None or r.grid_value == grid_value)]
+
     def mean_over_seeds(self, variant: str, metric: str, grid_value: float | None = None):
-        vals = [
-            r.empirical
-            for r in self.rows
-            if r.variant == variant
-            and r.metric == metric
-            and (grid_value is None or r.grid_value == grid_value)
-        ]
-        return float(np.mean(vals))
+        return float(np.mean([r.empirical for r in self._cells(variant, metric, grid_value)]))
 
     def theory_value(self, variant: str, metric: str, grid_value: float | None = None):
         """Mean theory cell over seeds (it differs per seed when the theory
         inputs do, e.g. the class proportion of a random real-data split)."""
-        vals = [
-            r.theory
-            for r in self.rows
-            if r.variant == variant
-            and r.metric == metric
-            and r.theory is not None
-            and (grid_value is None or r.grid_value == grid_value)
-        ]
+        vals = [r.theory for r in self._cells(variant, metric, grid_value) if r.theory is not None]
         if not vals:
             raise KeyError(f"no theory cell for ({variant}, {metric}, {grid_value})")
         return float(np.mean(vals))
 
     def provenance_lines(self) -> list[str]:
+        """Package versions and the machine facts ``report.csv`` bytes can
+        depend on: the BLAS builds, the CPUs this process may run on (they
+        bound the default BLAS thread count) and every ``*_NUM_THREADS``
+        variable."""
         import lpc
+        import scipy
 
+        def blas(module) -> str:
+            config = getattr(module.__config__, "CONFIG", None)  # absent in older builds
+            if config is None:
+                return "unknown"
+            dep = config["Build Dependencies"]["blas"]
+            return f"{dep.get('name')} {dep.get('version')}"
+
+        threads_env = ",".join(f"{k}={v}" for k, v in sorted(os.environ.items())
+                               if k.endswith("_NUM_THREADS"))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return [
-            f"config_hash = {self.config.config_hash()}",
-            f"seeds = {','.join(str(s) for s in self.config.seeds)}",
             f"lpc_version = {lpc.__version__}",
             f"numpy_version = {np.__version__}",
+            f"numpy_blas = {blas(np)}",
+            f"scipy_version = {scipy.__version__}",
+            f"scipy_blas = {blas(scipy)}",
+            f"cpus_allowed = {cpus}",
+            f"num_threads_env = {threads_env}",
         ]
 
 
@@ -101,7 +108,7 @@ def _csv_text(report: RunReport) -> str:
     for r in ordered:
         writer.writerow(
             [
-                report.experiment,
+                report.config.experiment,
                 r.variant,
                 repr(r.grid_value),
                 r.seed,

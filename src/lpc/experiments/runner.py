@@ -150,7 +150,7 @@ def _gamma_value(cfg: ExperimentConfig) -> float:
 def run_histogram(cfg: ExperimentConfig) -> RunReport:
     """Decision-value distributions of every variant against the predicted
     Gaussian mixture; bins from the first seed, moment rows from all."""
-    report = RunReport("histogram", cfg)
+    report = RunReport(cfg)
     gamma = _gamma_value(cfg)
     variants = _variants(cfg, cfg.pi1, cfg.eps_plus, cfg.p / cfg.n, gamma, cfg.snr)
     theories = {v: st for v, (_, st) in variants.items()}
@@ -223,7 +223,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     The feature draw and the test set are shared across the grid per seed;
     for the eps_plus sweep only the flips are redrawn per grid point.
     """
-    report = RunReport("sweep", cfg)
+    report = RunReport(cfg)
     eta = cfg.p / cfg.n
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
@@ -295,7 +295,7 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     probe2 = RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus)
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
-    report = RunReport("estimate-noise", cfg)
+    report = RunReport(cfg)
     gamma = _gamma_value(cfg)
 
     def one_seed(seed: int):
@@ -326,7 +326,7 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
 
 def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
                         probe2: RhoParams) -> RunReport:
-    report = RunReport("estimate-noise", cfg)
+    report = RunReport(cfg)
     std = _ingest(cfg, clean=False)  # warns: noisy-label SNR is biased
     snr, pi1 = std.snr_estimate, std.pi1_estimate
     gamma = _gamma_value(cfg)
@@ -361,7 +361,7 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     split's class proportion (the configured ``snr`` and ``pi1`` otherwise);
     ``gamma = optimal`` resolves to :data:`OPTIMAL_GAMMA`.
     """
-    report = RunReport("real-data", cfg)
+    report = RunReport(cfg)
     gamma = _gamma_value(cfg)
     data, snr = None, cfg.snr
     if cfg.data_path:
@@ -438,7 +438,7 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     their theory column is left empty.  ``naive``, ``best`` and ``worst``
     have one row per seed, like the path.
     """
-    report = RunReport("multiclass", cfg)
+    report = RunReport(cfg)
     spec = multi_spec_from_config(cfg)
     result = search_alpha_beta(
         spec,
@@ -468,7 +468,8 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
                  xlabel="tau (worst -> best)", ylabel="accuracy")
     means = result.tau_accuracy.mean(axis=1)
     fig.line(result.tau_grid, means, label="multi-lpc path", markers=True)
-    fig.line([0.0, 1.0], [result.naive_accuracy] * 2, label="naive", dashed=True)
+    naive = float(result.naive_seed_accuracy.mean())
+    fig.line([0.0, 1.0], [naive, naive], label="naive", dashed=True)
     report.figure_svg = fig.render()
     return report
 

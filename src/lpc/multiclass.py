@@ -86,7 +86,6 @@ class MultiLabeledDataset:
     X: np.ndarray  # p x n
     y_clean: np.ndarray  # class indices 1..k
     y_noisy: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
     edges = np.cumsum(spec.eps, axis=0)[:, y_clean - 1].T  # n x k
     t = np.count_nonzero(u[:, None] >= edges, axis=1)
     y_noisy = np.where(t < spec.k, t + 1, y_clean)
-    return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy, k=spec.k)
+    return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
 
 
 def _check_length(ab: AlphaBeta, k: int) -> None:
@@ -165,15 +164,19 @@ def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> flo
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best and worst candidates and their path.
+
+    ``tau_accuracy`` runs from the worst candidate (``tau = 0``, first row)
+    to the best (``tau = 1``, last row), one column per seed; its end rows'
+    seed means are the two candidates' search scores.
+    """
+
     ab_best: AlphaBeta
     ab_worst: AlphaBeta
-    best_accuracy: float
-    worst_accuracy: float
-    naive_accuracy: float
     tau_grid: np.ndarray
     tau_accuracy: np.ndarray  # len(tau) x len(seeds)
-    candidate_accuracy: np.ndarray = field(repr=False)
-    naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed; mean is naive_accuracy
+    candidate_accuracy: np.ndarray = field(repr=False)  # mean over seeds
+    naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed
 
 
 # Candidate rows per block; at k = 3 and 800 test columns its score tables take 1.2 MB.
@@ -263,9 +266,6 @@ def search_alpha_beta(
     return SearchResult(
         ab_best=AlphaBeta(alpha=best[:k], beta=best[k:]),
         ab_worst=AlphaBeta(alpha=worst[:k], beta=worst[k:]),
-        best_accuracy=float(mean_acc[best_i]),
-        worst_accuracy=float(mean_acc[worst_i]),
-        naive_accuracy=float(np.mean(tail_acc[-1])),
         tau_grid=taus,
         tau_accuracy=tail_acc[:-1],
         candidate_accuracy=mean_acc,

@@ -37,7 +37,6 @@ class NoiseEstimate:
     eps_plus: float
     eps_minus: float
     residual: float
-    probes: tuple[RhoParams, RhoParams]
     roots: tuple[tuple[float, float], ...]
     high_residual: bool
 
@@ -157,7 +156,6 @@ def solve_noise_system(nu_hat: np.ndarray, eta: float, gamma: float, snr: float,
         eps_plus=float(points[best, 0]),
         eps_minus=float(points[best, 1]),
         residual=float(residuals[best]),
-        probes=probes,
         roots=tuple(map(tuple, roots.tolist())),
         high_residual=bool(residuals[best] > 0.05 * np.sum(np.abs(nu_hat))),
     )

@@ -3,8 +3,9 @@
 In the proportional regime ``p/n -> eta`` the decision value ``w @ x`` on a
 fresh test point from class ``a`` is asymptotically Gaussian with mean
 ``(-1)^a * m_rho`` and second moment ``nu_rho``.  This module computes those
-limits, the predicted accuracy/risk they imply, the closed-form optimal and
-worst-case ``rho_plus``, and the general-covariance extension.
+limits, from which :class:`TheoryStats` derives the predicted accuracy and
+risk, the closed-form optimal and worst-case ``rho_plus``, and the
+general-covariance extension.
 
 Everything here is a pure function of scalar (or matrix) inputs; these are
 the reference values that the Monte Carlo experiments are validated against.
@@ -28,7 +29,6 @@ __all__ = [
     "gaussian_upper_tail",
     "theory_stats_isotropic",
     "theory_stats_general",
-    "predict_accuracy_risk",
     "optimal_rho_plus",
     "worst_rho_plus",
 ]
@@ -105,10 +105,10 @@ class TheoryStats:
 
     Class 1 decision values center at ``-m_rho``, class 2 at ``+m_rho``
     (``m_rho`` itself can be negative past the singular parameter line);
-    ``nu_rho`` is the common second moment.  ``kappa`` is the
-    mean-direction part of the oracle second moment (isotropic path only).
-    ``delta2`` is set on the general path, where the two covariances have
-    separate trace fixed points.
+    ``nu_rho`` is the common second moment, and a non-positive variance
+    ``nu_rho - m_rho^2`` raises.  ``kappa`` is the mean-direction part of the
+    oracle second moment (isotropic path only).  ``delta2`` is set on the
+    general path, where the two covariances have separate trace fixed points.
     """
 
     delta: float
@@ -118,13 +118,32 @@ class TheoryStats:
     kappa: float | None
     m_oracle: float
     nu_oracle: float
-    accuracy: float
-    risk: float
     delta2: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.variance <= 0:
+            raise ValueError(f"non-positive decision variance {self.variance:.3e}")
 
     @property
     def variance(self) -> float:
         return self.nu_rho - self.m_rho**2
+
+    @property
+    def accuracy(self) -> float:
+        """Asymptotic test accuracy ``1 - Phi(|m_rho| / sqrt(nu_rho - m_rho^2))``,
+        ``Phi`` the upper tail.
+
+        The sign of the asymptotic mean is known in closed form, so the decision
+        rule is taken as ``sign(m_rho) * sign(w @ x)``.  For ``rho`` pairs with
+        ``rho_plus + rho_minus < 1`` the mean is positive at any sub-random-guess
+        noise level, so this reduces to the plain sign rule.
+        """
+        return 1.0 - float(gaussian_upper_tail(abs(self.m_rho) / math.sqrt(self.variance)))
+
+    @property
+    def risk(self) -> float:
+        """Asymptotic squared risk ``1 - 2 m_rho + nu_rho`` of the raw ridge regressor."""
+        return 1.0 - 2.0 * self.m_rho + self.nu_rho
 
 
 def _label_weights(rho: RhoParams, eps_plus, eps_minus):
@@ -183,7 +202,6 @@ def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
     gd = cfg.gamma * (1.0 + d)
     m_oracle = cfg.snr**2 / (cfg.snr**2 + 1.0 + gd)
     nu_oracle = kappa + (1.0 - h) / h
-    accuracy, risk = _accuracy_risk(float(m), float(nu))
     return TheoryStats(
         delta=d,
         h=h,
@@ -192,31 +210,7 @@ def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
         kappa=float(kappa),
         m_oracle=m_oracle,
         nu_oracle=nu_oracle,
-        accuracy=accuracy,
-        risk=risk,
     )
-
-
-def _accuracy_risk(m: float, nu: float) -> tuple[float, float]:
-    var = nu - m * m
-    if var <= 0:
-        raise ValueError(f"non-positive decision variance {var:.3e}")
-    accuracy = 1.0 - float(gaussian_upper_tail(abs(m) / math.sqrt(var)))
-    risk = 1.0 - 2.0 * m + nu
-    return accuracy, risk
-
-
-def predict_accuracy_risk(stats: TheoryStats) -> tuple[float, float]:
-    """Asymptotic test accuracy and risk implied by ``(m_rho, nu_rho)``.
-
-    The sign of the asymptotic mean is known in closed form, so the decision
-    rule is taken as ``sign(m_rho) * sign(w @ x)`` and the accuracy reads
-    ``1 - Phi(|m| / sqrt(nu - m^2))`` with ``Phi`` the upper tail.  For
-    ``rho`` pairs with ``rho_plus + rho_minus < 1`` the mean is positive at
-    any sub-random-guess noise level, so this reduces to the plain sign
-    rule.  The risk ``1 - 2 m + nu`` is that of the raw ridge regressor.
-    """
-    return _accuracy_risk(stats.m_rho, stats.nu_rho)
 
 
 def optimal_rho_plus(
@@ -346,7 +340,6 @@ def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
 
     m, nu = moments(cfg.rho, cfg.eps_plus, cfg.eps_minus)
     m_oracle, nu_oracle = moments(RhoParams(), 0.0, 0.0)
-    accuracy, risk = _accuracy_risk(m, nu)
     return TheoryStats(
         delta=d1,
         h=h_like,
@@ -355,7 +348,5 @@ def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
         kappa=None,
         m_oracle=m_oracle,
         nu_oracle=nu_oracle,
-        accuracy=accuracy,
-        risk=risk,
         delta2=d2,
     )

@@ -359,12 +359,18 @@ def test_criterion_10_bce_variant():
     grid = [-0.4, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.1, 1.3, 1.5667, 1.8]
     seeds = (0, 1, 2)
 
-    def bce_accuracy(rho, seed):
-        train = flip_labels(
+    # one training and one test draw per seed, shared by every rho
+    draws = {
+        seed: (flip_labels(
             generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=derive_seed(seed, 0))),
-            ep, em, derive_seed(seed, 1))
+            ep, em, derive_seed(seed, 1)),
+            generate_gmm(GmmSpec.isotropic(p, 4000, pi1, snr, seed=derive_seed(seed, 2))))
+        for seed in seeds
+    }
+
+    def bce_accuracy(rho, seed):
+        train, tds = draws[seed]
         c = train_lpc_bce(train, rho, lr, iters)
-        tds = generate_gmm(GmmSpec.isotropic(p, 4000, pi1, snr, seed=derive_seed(seed, 2)))
         orient = 1.0 if (1.0 - rho.rho_plus - rho.rho_minus) > 0 else -1.0
         scores = orient * (c.w @ tds.X)
         return float(np.mean(np.where(scores >= 0, 1, -1) == tds.y_clean))

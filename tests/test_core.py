@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,22 +213,27 @@ class TestLooDecisions:
         assert max_gap(80) <= C / 160  # n = 160
 
     def test_degenerate_downdate_falls_back_to_retrain(self):
-        # scaling sample 0 by 1e6 drives its downdate denominator 1 - d_0
-        # below tolerance; that index is retrained on the other n - 1
+        # scaling sample 0 drives its downdate denominator 1 - d_0 toward 0;
+        # once rounding could cost 1e-8, that index is retrained on the other
+        # n - 1 (at 1e6 it always is)
         from lpc.datasets import LabeledDataset
 
         rho, gamma = RhoParams(0.2, 0.1), 1e-3
-        for seed in range(5):
-            base = _noisy_dataset(3, 12, seed=seed)
-            X = base.X.copy()
-            X[:, 0] *= 1e6
-            ds = LabeledDataset(X=X, y_noisy=base.y_noisy, y_clean=base.y_clean)
-            with pytest.warns(UserWarning, match="degenerate"):
-                scores = loo_decisions(ds, rho, gamma)
-            expected = self._brute_force(ds, rho, gamma)
-            np.testing.assert_allclose(
-                scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
-            )
+        for (p, n), seed in itertools.product([(3, 12), (40, 80)], range(5)):
+            base = _noisy_dataset(p, n, seed=seed)
+            for scale in np.logspace(1, 6, 11):
+                X = base.X.copy()
+                X[:, 0] *= scale
+                ds = LabeledDataset(X=X, y_noisy=base.y_noisy, y_clean=base.y_clean)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    scores = loo_decisions(ds, rho, gamma)
+                if scale == 1e6:
+                    assert any("degenerate" in str(w.message) for w in caught)
+                expected = self._brute_force(ds, rho, gamma)
+                np.testing.assert_allclose(
+                    scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
+                )
 
     def test_block_matches_brute_force_per_column(self):
         # the two-probe block of the noise estimator: one factorization for

@@ -208,7 +208,7 @@ class TestStandardize:
         res = standardize_and_estimate(ds)
         assert 1.9 <= res.snr_estimate <= 2.1
         assert res.pi1_estimate == pytest.approx(0.5)
-        assert not res.used_noisy_labels
+        assert res.dataset.y_clean is not None
 
     def test_zero_variance_rows_kept(self):
         X = np.vstack([np.ones(6), np.arange(6.0)])
@@ -232,7 +232,7 @@ class TestStandardize:
         ds = LabeledDataset(X=X, y_noisy=y)
         with pytest.warns(UserWarning, match="noisy labels"):
             res = standardize_and_estimate(ds)
-        assert res.used_noisy_labels
+        assert res.dataset.y_clean is None
 
 
 def test_derive_seed_streams_differ():

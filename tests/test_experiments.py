@@ -203,6 +203,16 @@ class TestEmitReport:
         for fname in ("report.csv", "plot.svg", "config.echo"):
             assert (paths["a"] / fname).read_bytes() == (paths["b"] / fname).read_bytes()
 
+    def test_echo_states_each_line_once_with_machine(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        ex.emit_report(ex.RunReport(ex.parse_config_text(SWEEP_CFG)), tmp_path)
+        lines = (tmp_path / "config.echo").read_text().splitlines()
+        echo = dict(line.split(" = ", 1) for line in lines)
+        assert len(echo) == len(lines)  # no key stated twice
+        for key in ("config_hash", "seeds", "numpy_blas", "scipy_blas", "cpus_allowed"):
+            assert echo[key]
+        assert "OPENBLAS_NUM_THREADS=1" in echo["num_threads_env"].split(",")
+
     def test_csv_self_parse_round_trip(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
         rep = ex.run_sweep(cfg)
@@ -461,9 +471,9 @@ class TestRunners:
         res = search_alpha_beta(multi_spec_from_config(cfg), grid_size=cfg.grid_size,
                                 eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
                                 tau_points=cfg.tau_points, search_seed=cfg.search_seed)
-        for v, tau, mean in (("naive", 1.0, res.naive_accuracy),
-                             ("best", 1.0, res.best_accuracy),
-                             ("worst", 0.0, res.worst_accuracy)):
+        for v, tau, mean in (("naive", 1.0, res.naive_seed_accuracy.mean()),
+                             ("best", 1.0, res.tau_accuracy[-1].mean()),
+                             ("worst", 0.0, res.tau_accuracy[0].mean())):
             rows = [r for r in rep.rows if r.variant == v]
             assert [(r.seed, r.grid_value) for r in rows] == [(s, tau) for s in cfg.seeds]
             assert rep.mean_over_seeds(v, "accuracy") == mean

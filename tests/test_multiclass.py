@@ -180,14 +180,14 @@ class TestAccuracyAndSearch:
         res = search_alpha_beta(_spec3(n=200, p=10), grid_size=1,
                                 eval_seeds=[0], gamma=1.0, n_test=200, tau_points=3)
         np.testing.assert_array_equal(res.ab_best.alpha, res.ab_worst.alpha)
-        assert res.best_accuracy == res.worst_accuracy
+        assert res.tau_accuracy[-1].mean() == res.tau_accuracy[0].mean()
 
     def test_injected_naive_never_beats_best(self):
         res = search_alpha_beta(
             _spec3(n=300, p=10), grid_size=60, eval_seeds=[0, 1], gamma=1.0,
             n_test=300, tau_points=3, extra_candidates=[AlphaBeta.naive(3)],
         )
-        assert res.best_accuracy >= res.naive_accuracy
+        assert res.tau_accuracy[-1].mean() >= res.naive_seed_accuracy.mean()
 
     def test_bit_identical_reruns(self):
         kwargs = dict(grid_size=40, eval_seeds=[0, 1], gamma=1.0,
@@ -272,6 +272,7 @@ class TestBlockScoring:
                 accs.append(multi_accuracy(W, test.X, test.y_clean))
             return np.mean(accs)
 
-        for ab, acc in [(res.ab_best, res.best_accuracy), (res.ab_worst, res.worst_accuracy),
-                        (AlphaBeta.naive(3), res.naive_accuracy)]:
+        for ab, acc in [(res.ab_best, res.tau_accuracy[-1].mean()),
+                        (res.ab_worst, res.tau_accuracy[0].mean()),
+                        (AlphaBeta.naive(3), res.naive_seed_accuracy.mean())]:
             assert abs(public(ab) - acc) <= 1.0 / n_test

@@ -10,7 +10,6 @@ from lpc import (
     delta,
     gaussian_upper_tail,
     optimal_rho_plus,
-    predict_accuracy_risk,
     theory_stats_general,
     theory_stats_isotropic,
     worst_rho_plus,
@@ -158,21 +157,25 @@ class TestAccuracyRisk:
     def test_zero_mean_is_random_guess(self):
         st = theory_stats_isotropic(TheoryConfig(
             eta=0.5, pi1=0.4, gamma=1.0, snr=0.0))
-        acc, _ = predict_accuracy_risk(st)
-        assert acc == pytest.approx(0.5)
+        assert st.accuracy == pytest.approx(0.5)
 
     def test_perfect_regressor_risk(self):
         # m = 1, nu = 1 would give risk 0; check the algebra on a synthetic stats object
         from lpc.theory import TheoryStats
 
         st = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.5, kappa=None,
-                         m_oracle=1.0, nu_oracle=1.5, accuracy=0.0, risk=0.0)
-        _, risk = predict_accuracy_risk(st)
-        assert risk == pytest.approx(0.5)
+                         m_oracle=1.0, nu_oracle=1.5)
+        assert st.risk == pytest.approx(0.5)
         st2 = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0 + 1e-9, kappa=None,
-                          m_oracle=1.0, nu_oracle=1.0, accuracy=0.0, risk=0.0)
-        _, risk2 = predict_accuracy_risk(st2)
-        assert risk2 == pytest.approx(0.0, abs=1e-8)
+                          m_oracle=1.0, nu_oracle=1.0)
+        assert st2.risk == pytest.approx(0.0, abs=1e-8)
+
+    def test_non_positive_variance_raises_when_built(self):
+        from lpc.theory import TheoryStats
+
+        with pytest.raises(ValueError, match="non-positive decision variance"):
+            TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0, kappa=None,
+                        m_oracle=1.0, nu_oracle=1.0)
 
 
 class TestOptimalRho:
