@@ -39,8 +39,8 @@ __all__ = [
 SINGULARITY_GUARD = 1e-8
 _RESIDUAL_TOL = 1e-8
 # The downdate divides by 1 - d_i, formed by subtraction: its rounding error is a
-# few eps plus the solve's, ~eps ||x_i||^2 / (n gamma).  Measured against retrains,
-# the score stays within 1e-8 where 1 - d_i clears 3e-7 + 10 times the latter.
+# few eps plus the solve's, ~eps ||x_i||^2 / (n gamma).  Measured against brute
+# force, the score stays within 1e-8 where 1 - d_i clears 3e-7 + 10 times the latter.
 _LOO_DENOM_TOL = 3e-7
 _LOO_SOLVE_ERR = 10.0
 
@@ -183,14 +183,22 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
 
     with ``c_i`` the regression target of sample ``i``.  One factorization
     serves all ``n`` indices.  An index whose ``1 - d_i`` is too near zero
-    for ``1e-8`` accuracy falls back to an explicit retrain.
+    for ``1e-8`` accuracy is scored by the exact PRESS form on the dual
+    system instead.
     """
     return _loo_block(ds.X, _targets(ds.y_noisy, rho)[:, None], gamma)[:, 0]
 
 
 def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     """:func:`loo_decisions` for an ``n x k`` target block: one factorization
-    serves every column, and a degenerate index retrains the whole row."""
+    serves every column, and a degenerate index is rescored in every column.
+
+    The degenerate rows use the dual system ``K = X^T X / n + gamma I``:
+    ``1 - H = gamma K^{-1}`` for the hat matrix ``H``, so the PRESS identity
+    reads ``s_i = t_i - [K^{-1} T]_i / [K^{-1}]_ii`` with no subtraction in
+    the denominator.  One factor of ``K`` is solved for those rows' unit
+    vectors only.
+    """
     n = X.shape[1]
     if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
@@ -206,16 +214,17 @@ def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     bad = np.flatnonzero(~np.all(np.isfinite(scores), axis=1))
     if bad.size:
         warnings.warn(
-            f"loo downdate denominator degenerate for {bad.size} indices; retraining explicitly",
+            f"loo downdate denominator degenerate for {bad.size} indices; "
+            "scoring them by the dual PRESS form",
             stacklevel=3,
         )
-        # the same system on the n - 1 kept columns: rescaling it by
-        # n / (n - 1) keeps the full-data 1/n scaling of w^{-i}
-        for i in bad:
-            keep = np.arange(n) != i
-            Xi = X[:, keep]
-            Wi = _Ridge(Xi, gamma * n / (n - 1)).solve(Xi @ T[keep] / (n - 1))
-            scores[i] = X[:, i] @ Wi
+        K = X.T @ X / n
+        K[np.diag_indices_from(K)] += gamma
+        cols = np.arange(bad.size)
+        E = np.zeros((n, bad.size))
+        E[bad, cols] = 1.0
+        Z = cho_solve(cho_factor(K, lower=True), E)  # the bad columns of K^{-1}
+        scores[bad] = T[bad] - (Z.T @ T) / Z[bad, cols][:, None]
     return scores
 
 

@@ -77,8 +77,6 @@ class ExperimentConfig:
     eps_rows: tuple[tuple[float, ...], ...] = ((0.0, 0.3, 0.0), (0.0, 0.0, 0.4), (0.5, 0.0, 0.0))
     pis: tuple[float, ...] = (0.3, 0.3, 0.4)
     grid_size: int = 5000
-    box_low: float = -2.0
-    box_high: float = 2.0
     tau_points: int = 11
     search_seed: int = 0
 
@@ -130,10 +128,6 @@ class ExperimentConfig:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:
                 raise ConfigError(f"tau_points must be >= 2, got {self.tau_points}")
-            if not self.box_low < self.box_high:
-                raise ConfigError(
-                    f"box_low must be < box_high, got {self.box_low} >= {self.box_high}"
-                )
 
     def resolved_out(self) -> str:
         return self.out or f"runs/{self.experiment}"

@@ -445,7 +445,6 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
         grid_size=cfg.grid_size,
         eval_seeds=list(cfg.seeds),
         gamma=float(cfg.gamma),
-        box=(cfg.box_low, cfg.box_high),
         n_test=cfg.n_test,
         tau_points=cfg.tau_points,
         search_seed=cfg.search_seed,
@@ -480,21 +479,29 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
 
 
 def theory_csv(cfg: ExperimentConfig) -> str:
-    """TheoryStats of every variant at the configured model, as CSV text.
+    """TheoryStats of every variant at the configured model, as CSV text;
+    ``m_oracle`` and ``nu_oracle`` are the moments at ``rho = (0, 0)`` and
+    zero noise.
 
     A ``data_path`` config has no configured model (a run reads its
-    dimension, SNR and class proportion from the CSV), so it raises.
+    dimension, SNR and class proportion from the CSV), and the binary theory
+    does not describe a ``multiclass`` run, so both raise.
     """
     if cfg.data_path:
         raise ConfigError("theory needs a synthetic model; this config sets data_path, "
                           "whose p, snr and pi1 come from the CSV at run time")
+    if cfg.experiment == "multiclass":
+        raise ConfigError("theory describes the binary model; a multiclass run has "
+                          "no closed form")
     eta, gamma = cfg.p / cfg.n, _gamma_value(cfg)
+    oracle = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=cfg.pi1, gamma=gamma,
+                                                 snr=cfg.snr))
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
     for v, (_, st) in _variants(cfg, cfg.pi1, cfg.eps_plus, eta, gamma, cfg.snr).items():
         vals = (v, eta, gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
-                st.kappa, st.m_oracle, st.nu_oracle, st.accuracy, st.risk)
+                st.kappa, oracle.m_rho, oracle.nu_rho, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))
     return "\n".join(lines) + "\n"
 

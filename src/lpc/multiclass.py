@@ -132,15 +132,11 @@ def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
     return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
 
 
-def _check_length(ab: AlphaBeta, k: int) -> None:
-    if ab.alpha.size != k:
-        raise ValueError(f"alpha/beta length {ab.alpha.size} does not match k={k}")
-
-
 def build_label_matrix(y_noisy: np.ndarray, k: int, ab: AlphaBeta) -> np.ndarray:
     """n x k target matrix: column j is alpha_j where label == j, else beta_j."""
     y_noisy = np.asarray(y_noisy)
-    _check_length(ab, k)
+    if ab.alpha.size != k:
+        raise ValueError(f"alpha/beta length {ab.alpha.size} does not match k={k}")
     if np.any((y_noisy < 1) | (y_noisy > k)):
         bad = y_noisy[(y_noisy < 1) | (y_noisy > k)][0]
         raise ValueError(f"label {bad} out of range 1..{k}")
@@ -222,15 +218,13 @@ def search_alpha_beta(
     grid_size: int,
     eval_seeds: list[int],
     gamma: float,
-    box: tuple[float, float] = (-2.0, 2.0),
     n_test: int = 2000,
     tau_points: int = 11,
     search_seed: int = 0,
-    extra_candidates: list[AlphaBeta] | None = None,
 ) -> SearchResult:
     """Monte Carlo search over (alpha, beta) plus the best/worst mixing path.
 
-    Samples ``grid_size`` candidates uniformly from ``box^(2k)``, scores
+    Samples ``grid_size`` candidates uniformly from ``[-2, 2]^(2k)``, scores
     each by mean held-out accuracy over ``eval_seeds`` replicates, and
     evaluates the interpolation ``tau * best + (1 - tau) * worst`` on a
     ``tau`` grid.  Dataset replicates are keyed by ``eval_seeds`` alone
@@ -243,13 +237,8 @@ def search_alpha_beta(
         raise ValueError("eval_seeds must be nonempty")
     if tau_points < 2:
         raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
-    if not box[0] < box[1]:
-        raise ValueError(f"box must have low < high, got {tuple(box)}")
     k = spec.k
-    for ab in extra_candidates or []:
-        _check_length(ab, k)
-    rows = _rng(search_seed).uniform(box[0], box[1], size=(grid_size, 2 * k))  # alpha | beta
-    rows = np.vstack([rows] + [np.r_[ab.alpha, ab.beta] for ab in extra_candidates or []])
+    rows = _rng(search_seed).uniform(-2.0, 2.0, size=(grid_size, 2 * k))  # alpha | beta
     evaluators = [_SeedEvaluator(spec, gamma, seed, n_test) for seed in eval_seeds]
 
     def accuracy(block: np.ndarray) -> np.ndarray:  # n_rows x n_seeds

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_block, _targets, loo_decisions
 from .datasets import LabeledDataset
-from .theory import isotropic_moments
+from .theory import TheoryConfig, theory_stats_isotropic
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
@@ -119,10 +119,11 @@ def solve_noise_system(nu_hat: np.ndarray, eta: float, gamma: float, snr: float,
     P = np.empty((2, 3))  # coefficients of P_k, highest power first
     a = np.empty(2)
     for k, probe in enumerate(probes):
-        _, nu0, _, h, kappa = isotropic_moments(eta, gamma, snr, pi1, 0.0, 0.0, probe)
+        st = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=pi1, gamma=gamma, rho=probe,
+                                                 snr=snr))
         beta, S0 = probe.beta, pi1 * probe.lambda_minus + pi2 * probe.lambda_plus
-        P[k] = 4.0 * kappa * beta**2, -4.0 * kappa * beta * S0, nu0 - nu_hat[k]
-        a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - h) / h
+        P[k] = 4.0 * st.kappa * beta**2, -4.0 * st.kappa * beta * S0, st.nu_rho - nu_hat[k]
+        a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - st.h) / st.h
 
     def terms(u, v):
         # each probe's moment minus its target, for arrays or polynomials

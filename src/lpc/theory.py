@@ -104,11 +104,14 @@ class TheoryStats:
     """Asymptotic statistics for one configuration.
 
     Class 1 decision values center at ``-m_rho``, class 2 at ``+m_rho``
-    (``m_rho`` itself can be negative past the singular parameter line);
+    (``m_rho`` itself can be negative, see :attr:`accuracy`);
     ``nu_rho`` is the common second moment, and a non-positive variance
     ``nu_rho - m_rho^2`` raises.  ``kappa`` is the mean-direction part of the
-    oracle second moment (isotropic path only).  ``delta2`` is set on the
-    general path, where the two covariances have separate trace fixed points.
+    zero-noise, ``rho = (0, 0)`` second moment (isotropic path only).
+    ``delta2`` is set on the general path, where the two covariances have
+    separate trace fixed points, and ``nu_rho`` is the second moment at the
+    chosen test class's points.  The oracle is the same configuration at
+    ``rho = (0, 0)`` with zero noise.
     """
 
     delta: float
@@ -116,8 +119,6 @@ class TheoryStats:
     m_rho: float
     nu_rho: float
     kappa: float | None
-    m_oracle: float
-    nu_oracle: float
     delta2: float | None = None
 
     def __post_init__(self) -> None:
@@ -134,9 +135,12 @@ class TheoryStats:
         ``Phi`` the upper tail.
 
         The sign of the asymptotic mean is known in closed form, so the decision
-        rule is taken as ``sign(m_rho) * sign(w @ x)``.  For ``rho`` pairs with
-        ``rho_plus + rho_minus < 1`` the mean is positive at any sub-random-guess
-        noise level, so this reduces to the plain sign rule.
+        rule is taken as ``sign(m_rho) * sign(w @ x)``.  On the isotropic path
+        ``m_rho`` has the sign of ``beta * (1 - 2 pi1 eps_minus - 2 pi2 eps_plus
+        + (1 - 2 pi1) (rho_plus - rho_minus))``, so it can be negative below the
+        singular line ``rho_plus + rho_minus = 1`` too: at ``rho = (0, 0)`` once
+        ``2 pi1 eps_minus + 2 pi2 eps_plus > 1``.  There the raw sign rule scores
+        below one half and this rule above.
         """
         return 1.0 - float(gaussian_upper_tail(abs(self.m_rho) / math.sqrt(self.variance)))
 
@@ -146,33 +150,30 @@ class TheoryStats:
         return 1.0 - 2.0 * self.m_rho + self.nu_rho
 
 
-def _label_weights(rho: RhoParams, eps_plus, eps_minus):
+def _label_weights(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[float, float]:
     """Per-class effective label weights after averaging over flips.
 
     Returns ``(A, B)`` with ``A`` the class-1 weight ``lambda_minus -
-    2 beta eps_minus`` and ``B`` the class-2 analogue.  Broadcasts over
-    array-valued noise rates.
+    2 beta eps_minus`` and ``B`` the class-2 analogue.
     """
     beta = rho.beta
-    A = rho.lambda_minus - 2.0 * beta * np.asarray(eps_minus)
-    B = rho.lambda_plus - 2.0 * beta * np.asarray(eps_plus)
-    return A, B
+    return rho.lambda_minus - 2.0 * beta * eps_minus, rho.lambda_plus - 2.0 * beta * eps_plus
 
 
-def _diag_weights(rho: RhoParams, eps_plus, eps_minus):
+def _diag_weights(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[float, float]:
     """Second-moment label weights ``E[target^2]`` per class."""
     beta2 = rho.beta**2
     gap = rho.rho_plus - rho.rho_minus
-    d1 = 4.0 * beta2 * np.asarray(eps_minus) * gap + rho.lambda_minus**2
-    d2 = -4.0 * beta2 * np.asarray(eps_plus) * gap + rho.lambda_plus**2
+    d1 = 4.0 * beta2 * eps_minus * gap + rho.lambda_minus**2
+    d2 = -4.0 * beta2 * eps_plus * gap + rho.lambda_plus**2
     return d1, d2
 
 
-def isotropic_moments(eta, gamma, snr, pi1, eps_plus, eps_minus, rho: RhoParams):
-    """Decision mean and second moment ``(m, nu)`` for the isotropic model.
-
-    Broadcasts over array-valued ``eps_plus``/``eps_minus``.
-    """
+def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
+    """Full asymptotic statistics for an isotropic configuration."""
+    if cfg.snr is None:
+        raise ValueError("theory_stats_isotropic needs cfg.snr")
+    eta, gamma, pi1 = cfg.eta, cfg.gamma, cfg.pi1
     d = delta(eta, gamma)
     gd = gamma * (1.0 + d)
     h = 1.0 - eta / (1.0 + gd) ** 2
@@ -180,36 +181,19 @@ def isotropic_moments(eta, gamma, snr, pi1, eps_plus, eps_minus, rho: RhoParams)
         raise ValueError(
             f"theory outside validity range: h = {h:.3e} <= 0 at (eta, gamma) = ({eta}, {gamma})"
         )
-    s2 = float(snr) ** 2
+    s2 = float(cfg.snr) ** 2
     D = s2 + 1.0 + gd
     pi2 = 1.0 - pi1
-    A, B = _label_weights(rho, eps_plus, eps_minus)
+    A, B = _label_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
     S = pi1 * A + pi2 * B
-    m = S * s2 / D
     kappa = ((s2 + 1.0) / D - 2.0 * (1.0 - h)) * s2 / (h * D)
-    d1, d2 = _diag_weights(rho, eps_plus, eps_minus)
-    nu = S**2 * kappa + (1.0 - h) / h * (pi1 * d1 + pi2 * d2)
-    return m, nu, d, h, kappa
-
-
-def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
-    """Full asymptotic statistics for an isotropic configuration."""
-    if cfg.snr is None:
-        raise ValueError("theory_stats_isotropic needs cfg.snr")
-    m, nu, d, h, kappa = isotropic_moments(
-        cfg.eta, cfg.gamma, cfg.snr, cfg.pi1, cfg.eps_plus, cfg.eps_minus, cfg.rho
-    )
-    gd = cfg.gamma * (1.0 + d)
-    m_oracle = cfg.snr**2 / (cfg.snr**2 + 1.0 + gd)
-    nu_oracle = kappa + (1.0 - h) / h
+    d1, d2 = _diag_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
     return TheoryStats(
         delta=d,
         h=h,
-        m_rho=float(m),
-        nu_rho=float(nu),
-        kappa=float(kappa),
-        m_oracle=m_oracle,
-        nu_oracle=nu_oracle,
+        m_rho=S * s2 / D,
+        nu_rho=S**2 * kappa + (1.0 - h) / h * (pi1 * d1 + pi2 * d2),
+        kappa=kappa,
     )
 
 
@@ -278,10 +262,11 @@ def _general_fixed_point(
 def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
     """Asymptotic statistics under per-class covariances ``C1, C2``.
 
-    ``test_class`` selects the class of the test point (its second moment
-    enters the variance).  All normalized traces are evaluated without the
-    rank-one mean term, so with ``C1 = C2 = I`` the result coincides with
-    :func:`theory_stats_isotropic` to solver tolerance.
+    ``test_class`` selects the class of the test point: its second moment
+    is ``nu_rho``, so ``variance``, ``accuracy`` and ``risk`` are that
+    class's, not a mixture over both.  All normalized traces are evaluated
+    without the rank-one mean term, so with ``C1 = C2 = I`` the result
+    coincides with :func:`theory_stats_isotropic` to solver tolerance.
     """
     if cfg.mu is None or cfg.C1 is None or cfg.C2 is None:
         raise ValueError("theory_stats_general needs cfg.mu, cfg.C1 and cfg.C2")
@@ -323,30 +308,15 @@ def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
     # T_b = (1/n) Tr(Sigma_b E[Q Sigma_a Q]), mean-free
     T = [eta / p * (alpha[0] * tr[b][0] + alpha[1] * tr[b][1]) for b in (0, 1)]
 
-    def moments(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[float, float]:
-        A, B = _label_weights(rho, eps_plus, eps_minus)
-        a1 = pi1 * float(A) / (1.0 + d1)
-        a2 = pi2 * float(B) / (1.0 + d2)
-        S = a1 + a2
-        m = S * mu_Q_mu
-        w1, w2 = _diag_weights(rho, eps_plus, eps_minus)
-        nu = (
-            S**2 * mu_M_mu
-            - 2.0 * S * (T[0] / (1.0 + d1) * a1 + T[1] / (1.0 + d2) * a2) * mu_Q_mu
-            + pi1 * float(w1) * T[0] / (1.0 + d1) ** 2
-            + pi2 * float(w2) * T[1] / (1.0 + d2) ** 2
-        )
-        return m, nu
-
-    m, nu = moments(cfg.rho, cfg.eps_plus, cfg.eps_minus)
-    m_oracle, nu_oracle = moments(RhoParams(), 0.0, 0.0)
-    return TheoryStats(
-        delta=d1,
-        h=h_like,
-        m_rho=m,
-        nu_rho=nu,
-        kappa=None,
-        m_oracle=m_oracle,
-        nu_oracle=nu_oracle,
-        delta2=d2,
+    A, B = _label_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    a1 = pi1 * A / (1.0 + d1)
+    a2 = pi2 * B / (1.0 + d2)
+    S = a1 + a2
+    w1, w2 = _diag_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    nu = (
+        S**2 * mu_M_mu
+        - 2.0 * S * (T[0] / (1.0 + d1) * a1 + T[1] / (1.0 + d2) * a2) * mu_Q_mu
+        + pi1 * w1 * T[0] / (1.0 + d1) ** 2
+        + pi2 * w2 * T[1] / (1.0 + d2) ** 2
     )
+    return TheoryStats(delta=d1, h=h_like, m_rho=S * mu_Q_mu, nu_rho=nu, kappa=None, delta2=d2)

@@ -24,7 +24,6 @@ from lpc import (
 )
 from lpc.core import _targets
 from lpc.noise import solve_noise_system
-from lpc.theory import isotropic_moments
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -165,7 +164,9 @@ def test_criterion_04_optimal_rho_argmax():
 def test_criterion_05_unbiased_variance_inflation():
     base = dict(pi1=1 / 3, gamma=0.1, eps_plus=0.4, eps_minus=0.3, snr=2.0)
     st = theory_stats_isotropic(TheoryConfig(eta=0.2, rho=RhoParams(0.4, 0.3), **base))
-    analytic = st.nu_rho - st.nu_oracle
+    oracle = theory_stats_isotropic(TheoryConfig(
+        eta=0.2, **{**base, "eps_plus": 0.0, "eps_minus": 0.0}))
+    analytic = st.nu_rho - oracle.nu_rho
 
     stds = {}
     for p in (50, 1000):
@@ -208,9 +209,9 @@ def test_criterion_06_noise_rate_estimation():
         ep, em = rng.uniform(0.0, 0.7, 2)
         if ep + em > 0.9:
             continue
-        nu = np.array([
-            float(isotropic_moments(eta, gamma, snr0, pi1, ep, em, pr)[1]) for pr in probes
-        ])
+        nu = np.array([theory_stats_isotropic(TheoryConfig(
+            eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em, rho=pr, snr=snr0)).nu_rho
+            for pr in probes])
         est = solve_noise_system(nu, eta, gamma, snr0, pi1, probes)
         worst_inv = max(worst_inv, abs(est.eps_plus - ep), abs(est.eps_minus - em))
         checked += 1

@@ -184,6 +184,18 @@ class TestLooDecisions:
             out[i] = ds.X[:, i] @ wi
         return out
 
+    def _brute_force_dual(self, ds, rho, gamma):
+        # the same retrains through the (n - 1) x (n - 1) dual system, which
+        # stays well conditioned when p >= n and gamma is tiny
+        t = _targets(ds.y_noisy, rho)
+        out = np.empty(ds.n)
+        for i in range(ds.n):
+            keep = np.arange(ds.n) != i
+            Xi = ds.X[:, keep]
+            K = Xi.T @ Xi / ds.n + gamma * np.eye(ds.n - 1)
+            out[i] = ds.X[:, i] @ Xi @ np.linalg.solve(K, t[keep]) / ds.n
+        return out
+
     def test_matches_brute_force_small(self):
         ds = _noisy_dataset(3, 5, seed=21)
         rho, gamma = RhoParams(0.2, 0.1), 0.8
@@ -214,8 +226,8 @@ class TestLooDecisions:
 
     def test_degenerate_downdate_falls_back_to_retrain(self):
         # scaling sample 0 drives its downdate denominator 1 - d_0 toward 0;
-        # once rounding could cost 1e-8, that index is retrained on the other
-        # n - 1 (at 1e6 it always is)
+        # once rounding could cost 1e-8, that index is scored by the exact
+        # dual PRESS form instead (at 1e6 it always is)
         from lpc.datasets import LabeledDataset
 
         rho, gamma = RhoParams(0.2, 0.1), 1e-3
@@ -234,10 +246,20 @@ class TestLooDecisions:
                 np.testing.assert_allclose(
                     scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
                 )
+        # p >= n with a tiny gamma: every index is degenerate, and the primal
+        # system (condition ~ 1 / gamma) is itself off, so the reference is
+        # the dual brute force
+        ds = _noisy_dataset(200, 100, seed=0)
+        with pytest.warns(UserWarning, match="degenerate for 100 indices"):
+            scores = loo_decisions(ds, rho, 1e-9)
+        expected = self._brute_force_dual(ds, rho, 1e-9)
+        np.testing.assert_allclose(
+            scores, expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
+        )
 
     def test_block_matches_brute_force_per_column(self):
         # the two-probe block of the noise estimator: one factorization for
-        # both columns, and a degenerate index retrains the whole row
+        # both columns, and a degenerate index is rescored in both
         from lpc.datasets import LabeledDataset
 
         rhos, gamma = (RhoParams(0.2, 0.1), RhoParams(0.0, 0.4)), 1e-3

@@ -168,13 +168,12 @@ class TestConfigParsing:
     @pytest.mark.parametrize("bad, match", [
         ("tau_points = 1", "tau_points"),
         ("grid_size = 0", "grid_size"),
-        ("box_low = 1.5\nbox_high = 1.5", "box_low"),
         ("gamma = optimal", "numeric gamma"),
         ("eps_row_1 = 0,0.3\neps_row_2 = 0,0\neps_row_3 = 0.5,0", "eps matrix"),
-    ], ids=["tau_points", "grid_size", "box", "gamma", "eps_row_width"])
+    ], ids=["tau_points", "grid_size", "gamma", "eps_row_width"])
     def test_multiclass_search_ranges(self, bad, match):
         head = "schema_version = 1\nexperiment = multiclass\n"
-        edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\nbox_high = -1.9\n")
+        edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\n")
         assert (edge.tau_points, edge.grid_size) == (2, 1)
         with pytest.raises(ConfigError, match=match):
             ex.parse_config_text(head + bad + "\n")
@@ -381,9 +380,9 @@ class TestRunners:
 
     @pytest.mark.parametrize("eta, snr", [(0.2, 1.0), (1.0, 2.0), (3.0, 0.5), (2.0, 4.0)])
     def test_optimal_gamma_reaches_the_mean_difference_limit(self, eta, snr):
-        st = lpc.theory_stats_isotropic(lpc.TheoryConfig(
+        oracle = lpc.theory_stats_isotropic(lpc.TheoryConfig(
             eta=eta, pi1=0.5, gamma=ex.OPTIMAL_GAMMA, snr=snr))
-        score = st.m_oracle / np.sqrt(st.nu_oracle - st.m_oracle**2)
+        score = oracle.m_rho / np.sqrt(oracle.variance)
         assert score == pytest.approx(snr**2 / np.sqrt(snr**2 + eta), rel=1e-5)
 
     def test_real_data_theory_value_is_seed_mean(self, tmp_path):
@@ -486,6 +485,10 @@ class TestRunners:
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_config_theory_is_finite(path):
     cfg = ex.parse_config_file(path)
+    if cfg.experiment == "multiclass":  # no binary model to print
+        with pytest.raises(ConfigError, match="multiclass"):
+            ex.theory_csv(cfg)
+        return
     header, *rows = ex.theory_csv(cfg).splitlines()
     cols = header.split(",")
     gamma = 1000.0 if path.name in ("sweep_rho.cfg", "table_synthetic.cfg") else float(cfg.gamma)
@@ -494,6 +497,19 @@ def test_shipped_config_theory_is_finite(path):
         vals = dict(zip(cols, row.split(",")))
         assert all(np.isfinite(float(x)) for k, x in vals.items() if k != "variant")
         assert float(vals["gamma"]) == gamma
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(CONFIG_DIR.glob("*.cfg"))
+                                  if "oracle" in ex.parse_config_file(p).variants],
+                         ids=lambda p: p.name)
+def test_shipped_config_oracle_columns_are_the_oracle_row(path):
+    # the oracle is the model at rho = (0, 0) with zero noise: the columns
+    # every row carries equal the oracle variant's own moments, bit for bit
+    header, *lines = ex.theory_csv(ex.parse_config_file(path)).splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    oracle = next(r for r in rows if r["variant"] == "oracle")
+    for r in rows:
+        assert (r["m_oracle"], r["nu_oracle"]) == (oracle["m_rho"], oracle["nu_rho"])
 
 
 class TestSvg:
@@ -538,6 +554,12 @@ class TestCli:
                               "data_path = some.csv\nn = 80\n")
         assert cli_main(["theory", "--config", cfg]) == 1
         assert "data_path" in capsys.readouterr().err
+
+    def test_theory_rejects_multiclass(self, capsys):
+        # the binary theory at the config's pi1 and snr describes no k-class run
+        assert cli_main(["theory", "--config", str(CONFIG_DIR / "multiclass.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "multiclass" in err
 
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1

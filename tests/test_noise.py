@@ -13,7 +13,7 @@ from lpc import (
 )
 from lpc.core import _targets
 from lpc.noise import solve_noise_system
-from lpc.theory import isotropic_moments
+from lpc.theory import TheoryConfig, theory_stats_isotropic
 
 PROBES = (RhoParams(0.0, 0.1), RhoParams(0.0, 0.4))
 
@@ -24,7 +24,21 @@ def _noisy(p, n, pi1, snr, eps, seed):
 
 
 def _exact_moments(eta, gamma, snr, pi1, ep, em, probes):
-    return np.array([isotropic_moments(eta, gamma, snr, pi1, ep, em, pr)[1] for pr in probes])
+    return np.array([theory_stats_isotropic(TheoryConfig(
+        eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em, rho=pr, snr=snr)).nu_rho
+        for pr in probes])
+
+
+def _moment_surface(eta, gamma, snr, pi1, probes):
+    """Both probes' exact moments at array-valued rates: each is a quadratic
+    in (eps_plus, eps_minus), fitted through six exact points."""
+    def basis(ep, em):
+        return np.stack([np.ones_like(ep), ep, em, ep * ep, ep * em, em * em])
+
+    ep, em = np.array([(0, 0), (0.5, 0), (0, 0.5), (0.25, 0), (0, 0.25), (0.25, 0.25)]).T
+    values = [_exact_moments(eta, gamma, snr, pi1, a, b, probes) for a, b in zip(ep, em)]
+    coef = np.linalg.solve(basis(ep, em).T, np.array(values))
+    return lambda ep, em: coef.T @ basis(ep, em)
 
 
 class TestEmpiricalSecondMoment:
@@ -55,8 +69,8 @@ class TestEmpiricalSecondMoment:
         for seed in range(3):
             ds = _noisy(p, n, pi1, snr, (ep, em), seed)
             vals.append(empirical_second_moment(ds, RhoParams(), gamma))
-        _, nu, *_ = isotropic_moments(p / n, gamma, snr, pi1, ep, em, RhoParams())
-        assert np.mean(vals) == pytest.approx(float(nu), rel=0.05)
+        nu = _exact_moments(p / n, gamma, snr, pi1, ep, em, (RhoParams(),))[0]
+        assert np.mean(vals) == pytest.approx(nu, rel=0.05)
 
 
 class TestEstimateNoiseRates:
@@ -128,10 +142,7 @@ class TestForwardInverse:
             ep, em = rng.uniform(0.0, 0.7, 2)
             if ep + em > 0.9:
                 continue
-            nu = np.array([
-                float(isotropic_moments(eta, gamma, snr, pi1, ep, em, pr)[1])
-                for pr in PROBES
-            ])
+            nu = _exact_moments(eta, gamma, snr, pi1, ep, em, PROBES)
             est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
             assert abs(est.eps_plus - ep) <= 1e-8
             assert abs(est.eps_minus - em) <= 1e-8
@@ -215,7 +226,7 @@ class TestForwardInverse:
         axis = np.linspace(0.0, 0.99, 991)
         ep, em = np.meshgrid(axis, axis, indexing="ij")
         inside = ep + em <= 0.99
-        grid = _exact_moments(*setting, ep[inside], em[inside], probes)
+        grid = _moment_surface(*setting, probes)(ep[inside], em[inside])
         best = np.min(np.linalg.norm(grid - np.array(nu)[:, None], axis=0))
         assert est.residual <= best * (1 + 1e-12)
         assert est.residual == pytest.approx(

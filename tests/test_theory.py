@@ -71,23 +71,35 @@ class TestGaussianTail:
         assert gaussian_upper_tail(1.959964) == pytest.approx(0.025, abs=1e-6)
 
 
+def _oracle(cfg_kwargs):
+    """The stats of the same model at rho = (0, 0) with zero noise."""
+    return theory_stats_isotropic(TheoryConfig(
+        **{**cfg_kwargs, "eps_plus": 0.0, "eps_minus": 0.0, "rho": RhoParams()}))
+
+
 class TestIsotropicStats:
     def test_oracle_case(self):
-        st = theory_stats_isotropic(TheoryConfig(
-            eta=0.2, pi1=1 / 3, gamma=0.1, eps_plus=0.0, eps_minus=0.0, snr=2.0))
-        assert st.m_rho == pytest.approx(st.m_oracle, abs=1e-14)
+        # the oracle mean is mu' Qbar mu / (1 + delta) for the built resolvent
+        eta, gamma, snr, p = 0.2, 0.1, 2.0, 400
+        st = _oracle(dict(eta=eta, pi1=1 / 3, gamma=gamma, snr=snr))
+        d = delta(eta, gamma)
+        mu = np.zeros(p)
+        mu[0] = snr
+        Qbar = np.linalg.inv((np.outer(mu, mu) + np.eye(p)) / (1 + d) + gamma * np.eye(p))
+        assert st.m_rho == pytest.approx(mu @ Qbar @ mu / (1 + d), abs=1e-14)
         assert st.nu_rho == pytest.approx(st.kappa + (1 - st.h) / st.h, abs=1e-14)
 
     def test_naive_mean_scaling(self):
         st = theory_stats_isotropic(TheoryConfig(**HIGHDIM))
+        oracle = _oracle(HIGHDIM)
         shrink = 1 - 2 * ((1 / 3) * 0.3 + (2 / 3) * 0.4)
-        assert st.m_rho == pytest.approx(shrink * st.m_oracle, abs=1e-14)
-        assert st.m_oracle == pytest.approx(0.7810, abs=5e-5)
+        assert st.m_rho == pytest.approx(shrink * oracle.m_rho, abs=1e-14)
+        assert oracle.m_rho == pytest.approx(0.7810, abs=5e-5)
         assert st.m_rho == pytest.approx(0.2083, abs=5e-5)
 
     def test_unbiased_mean_equals_oracle(self):
         st = theory_stats_isotropic(TheoryConfig(**HIGHDIM, rho=RhoParams(0.4, 0.3)))
-        assert st.m_rho == pytest.approx(st.m_oracle, abs=1e-14)
+        assert st.m_rho == pytest.approx(_oracle(HIGHDIM).m_rho, abs=1e-14)
 
     def test_unbiased_variance_excess_formula(self):
         cfg = TheoryConfig(**HIGHDIM, rho=RhoParams(0.4, 0.3))
@@ -100,7 +112,7 @@ class TestIsotropicStats:
             + pi2 * (4 * beta**2 * ep * (em - ep) + lp**2)
             - 1.0
         )
-        assert st.nu_rho - st.nu_oracle == pytest.approx(excess, rel=1e-12)
+        assert st.nu_rho - _oracle(HIGHDIM).nu_rho == pytest.approx(excess, rel=1e-12)
         assert excess > 0  # the high-dimensional variance inflation
 
     def test_zero_snr_gives_zero_mean(self):
@@ -163,19 +175,16 @@ class TestAccuracyRisk:
         # m = 1, nu = 1 would give risk 0; check the algebra on a synthetic stats object
         from lpc.theory import TheoryStats
 
-        st = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.5, kappa=None,
-                         m_oracle=1.0, nu_oracle=1.5)
+        st = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.5, kappa=None)
         assert st.risk == pytest.approx(0.5)
-        st2 = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0 + 1e-9, kappa=None,
-                          m_oracle=1.0, nu_oracle=1.0)
+        st2 = TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0 + 1e-9, kappa=None)
         assert st2.risk == pytest.approx(0.0, abs=1e-8)
 
     def test_non_positive_variance_raises_when_built(self):
         from lpc.theory import TheoryStats
 
         with pytest.raises(ValueError, match="non-positive decision variance"):
-            TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0, kappa=None,
-                        m_oracle=1.0, nu_oracle=1.0)
+            TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0, kappa=None)
 
 
 class TestOptimalRho:
