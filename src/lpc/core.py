@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 from .datasets import LabeledDataset
 
@@ -103,7 +101,7 @@ def _targets(y_noisy: np.ndarray, rho: RhoParams) -> np.ndarray:
 
 class _Ridge:
     """The regularized system ``(X X^T / n + gamma I) W = X T / n`` of one
-    training draw, factored once; every target block shares the factor."""
+    training draw; ``A`` is SPD since ``gamma > 0``."""
 
     def __init__(self, X: np.ndarray, gamma: float):
         _check_inputs(X, gamma)
@@ -111,17 +109,13 @@ class _Ridge:
         self.n = X.shape[1]
         self.A = (X @ X.T) / self.n
         self.A[np.diag_indices_from(self.A)] += gamma
-        self._factor = cho_factor(self.A, lower=True)
-
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, B)
 
     def weights(self, T: np.ndarray) -> np.ndarray:
         """``p x k`` weights for an ``n x k`` target block (``p`` for a
         vector), each column's normal-equation residual verified to
         ``1e-8 * ||w||``."""
         rhs = self.X @ T / self.n
-        W = self.solve(rhs)
+        W = np.linalg.solve(self.A, rhs)
         res = np.linalg.norm(self.A @ W - rhs, axis=0)
         if np.any(res > _RESIDUAL_TOL * np.linalg.norm(W, axis=0)):
             raise FloatingPointError(
@@ -140,8 +134,8 @@ def _check_inputs(X: np.ndarray, gamma: float) -> None:
 def train_lpc(ds: LabeledDataset, rho: RhoParams, gamma: float) -> Classifier:
     """Solve the reweighted ridge system for the training labels in ``ds``.
 
-    Uses a Cholesky factorization of the (SPD) regularized Gram matrix;
-    the normal-equation residual is verified to ``1e-8`` relative.
+    One dense solve of the (SPD) regularized Gram system; the
+    normal-equation residual is verified to ``1e-8`` relative.
     """
     w = _Ridge(ds.X, gamma).weights(_targets(ds.y_noisy, rho))
     return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="squared")
@@ -181,7 +175,7 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
 
         s_i = (x_i @ w - c_i * d_i) / (1 - d_i),   d_i = x_i Q x_i / n,
 
-    with ``c_i`` the regression target of sample ``i``.  One factorization
+    with ``c_i`` the regression target of sample ``i``.  One dense solve
     serves all ``n`` indices.  An index whose ``1 - d_i`` is too near zero
     for ``1e-8`` accuracy is scored by the exact PRESS form on the dual
     system instead.
@@ -190,21 +184,20 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
 
 
 def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
-    """:func:`loo_decisions` for an ``n x k`` target block: one factorization
-    serves every column, and a degenerate index is rescored in every column.
+    """:func:`loo_decisions` for an ``n x k`` target block: one dense solve,
+    of ``X T / n`` and ``X`` stacked, serves every column, and a degenerate
+    index is rescored in every column.
 
     The degenerate rows use the dual system ``K = X^T X / n + gamma I``:
     ``1 - H = gamma K^{-1}`` for the hat matrix ``H``, so the PRESS identity
     reads ``s_i = t_i - [K^{-1} T]_i / [K^{-1}]_ii`` with no subtraction in
-    the denominator.  One factor of ``K`` is solved for those rows' unit
-    vectors only.
+    the denominator.  ``K`` is solved for those rows' unit vectors only.
     """
     n = X.shape[1]
     if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
-    ridge = _Ridge(X, gamma)
-    W = ridge.solve(X @ T / n)
-    QX = ridge.solve(X)
+    rhs = np.hstack([X @ T / n, X])  # W and Q X from one solve
+    W, QX = np.hsplit(np.linalg.solve(_Ridge(X, gamma).A, rhs), [T.shape[1]])
     d = np.einsum("ij,ij->j", X, QX)[:, None] / n
     denom = 1.0 - d
     tol = _LOO_DENOM_TOL + _LOO_SOLVE_ERR * np.finfo(float).eps * np.einsum(
@@ -223,7 +216,7 @@ def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
         cols = np.arange(bad.size)
         E = np.zeros((n, bad.size))
         E[bad, cols] = 1.0
-        Z = cho_solve(cho_factor(K, lower=True), E)  # the bad columns of K^{-1}
+        Z = np.linalg.solve(K, E)  # the bad columns of K^{-1}
         scores[bad] = T[bad] - (Z.T @ T) / Z[bad, cols][:, None]
     return scores
 
@@ -255,7 +248,7 @@ def perturbed_bce_loss(
         opp = np.where(pos, loss_neg, loss_pos)
         value = float(np.mean(w_own * own - w_opp * opp)) + gamma * float(w @ w)
 
-        s = expit(logits)
+        s = np.exp(-loss_pos)  # sigmoid(t); stays nonzero far into the negative tail
         # d/dt of loss_pos is s - 1, of loss_neg is s
         g_own = np.where(pos, s - 1.0, s)
         g_opp = np.where(pos, s, s - 1.0)

@@ -71,28 +71,23 @@ class RunReport:
 
     def provenance_lines(self) -> list[str]:
         """Package versions and the machine facts ``report.csv`` bytes can
-        depend on: the BLAS builds, the CPUs this process may run on (they
+        depend on: the BLAS build, the CPUs this process may run on (they
         bound the default BLAS thread count) and every ``*_NUM_THREADS``
         variable."""
         import lpc
-        import scipy
 
-        def blas(module) -> str:
-            config = getattr(module.__config__, "CONFIG", None)  # absent in older builds
-            if config is None:
-                return "unknown"
+        config = getattr(np.__config__, "CONFIG", None)  # absent in older builds
+        blas = "unknown"
+        if config is not None:
             dep = config["Build Dependencies"]["blas"]
-            return f"{dep.get('name')} {dep.get('version')}"
-
+            blas = f"{dep.get('name')} {dep.get('version')}"
         threads_env = ",".join(f"{k}={v}" for k, v in sorted(os.environ.items())
                                if k.endswith("_NUM_THREADS"))
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return [
             f"lpc_version = {lpc.__version__}",
             f"numpy_version = {np.__version__}",
-            f"numpy_blas = {blas(np)}",
-            f"scipy_version = {scipy.__version__}",
-            f"scipy_blas = {blas(scipy)}",
+            f"numpy_blas = {blas}",
             f"cpus_allowed = {cpus}",
             f"num_threads_env = {threads_env}",
         ]

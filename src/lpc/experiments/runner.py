@@ -97,9 +97,9 @@ def _variants(cfg: ExperimentConfig, pi1: float, eps_plus: float, eta: float,
 def _score(X: np.ndarray, gamma: float, cells: list, X_test: np.ndarray,
            y_test: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
     """``(test scores, accuracy, squared risk)`` of every cell ``(noisy,
-    variant, rho, theory)``, from one factorization of the features ``X``
-    and one block solve.  ``oracle`` trains on the clean labels; predictions
-    are oriented by the theory's ``sign(m_rho)``."""
+    variant, rho, theory)``, from one block solve on the features ``X``.
+    ``oracle`` trains on the clean labels; predictions are oriented by the
+    theory's ``sign(m_rho)``."""
     targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
                for ds, v, rho, _ in cells]
     scores = _Ridge(X, gamma).weights(np.column_stack(targets)).T @ X_test

@@ -81,7 +81,7 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     """Estimate ``(eps_plus, eps_minus)`` from one noisy dataset.
 
     ``snr`` and ``pi1`` are assumed known (or pre-estimated).  One
-    factorization gives both probes' leave-one-out moments, and
+    dense solve gives both probes' leave-one-out moments, and
     :func:`solve_noise_system` inverts them over the capped simplex
     ``{eps >= 0, eps_plus + eps_minus <= 0.99}``.  A residual above ``5%``
     of the measured moments sets ``high_residual`` rather than raising.

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import SINGULARITY_GUARD, RhoParams
 from .datasets import _check_covariance
@@ -55,9 +54,9 @@ def delta(eta: float, gamma: float) -> float:
     return 2.0 * eta / (disc - b)
 
 
-def gaussian_upper_tail(x):
-    """Standard normal upper-tail probability ``P(Z > x)``."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+def gaussian_upper_tail(x: float) -> float:
+    """Standard normal upper-tail probability ``P(Z > x)`` of a scalar ``x``."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ class TheoryStats:
         ``2 pi1 eps_minus + 2 pi2 eps_plus > 1``.  There the raw sign rule scores
         below one half and this rule above.
         """
-        return 1.0 - float(gaussian_upper_tail(abs(self.m_rho) / math.sqrt(self.variance)))
+        return 1.0 - gaussian_upper_tail(abs(self.m_rho) / math.sqrt(self.variance))
 
     @property
     def risk(self) -> float:

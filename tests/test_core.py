@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -324,6 +325,23 @@ class TestBce:
         a = train_lpc_bce(ds, RhoParams(0.2, 0.0), 0.1, 50)
         b = train_lpc_bce(ds, RhoParams(0.2, 0.0), 0.1, 50)
         assert np.array_equal(a.w, b.w)
+
+    def test_gradient_coefficients_in_the_sigmoid_tails(self):
+        # Samples (label, logit) with w = e_0: row 0 of X holds the logits and
+        # rows 1..4 are the identity, so grad[1:] * n is each sample's
+        # coefficient dloss/dlogit exactly.  At rho = (0, 0) that is s for
+        # label 0 and s - 1 for label 1, with s = sigmoid(logit).
+        samples = [(0, -40.0), (0, 40.0), (1, -40.0), (1, 40.0)]
+        n = len(samples)
+        X = np.vstack([[t for _, t in samples], np.eye(n)])
+        y01 = np.array([y for y, _ in samples], dtype=float)
+        w = np.zeros(n + 1)
+        w[0] = 1.0
+        _, grad = perturbed_bce_loss(w, X, y01, RhoParams(), 0.01)
+        sigmoid = [1.0 / (1.0 + math.exp(-t)) for _, t in samples]
+        expected = [s - y for (y, _), s in zip(samples, sigmoid)]
+        np.testing.assert_allclose(grad[1:] * n, expected, rtol=1e-15, atol=0)
+        assert grad[1] > 0  # label 0 at logit -40: about 4.2e-18, not rounded to 0
 
     def test_halts_on_divergence(self):
         ds = _noisy_dataset(5, 40, seed=18)

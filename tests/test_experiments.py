@@ -1,6 +1,8 @@
 import itertools
 import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -208,9 +210,28 @@ class TestEmitReport:
         lines = (tmp_path / "config.echo").read_text().splitlines()
         echo = dict(line.split(" = ", 1) for line in lines)
         assert len(echo) == len(lines)  # no key stated twice
-        for key in ("config_hash", "seeds", "numpy_blas", "scipy_blas", "cpus_allowed"):
+        for key in ("config_hash", "seeds", "numpy_blas", "cpus_allowed"):
             assert echo[key]
         assert "OPENBLAS_NUM_THREADS=1" in echo["num_threads_env"].split(",")
+
+    def test_a_run_loads_numpy_only(self, tmp_path):
+        # A second BLAS (scipy's) would load with scipy; a fresh interpreter
+        # sees every import the library and a full run make.
+        code = (
+            "import sys\n"
+            "import lpc.experiments as ex\n"
+            f"cfg = ex.parse_config_text({SWEEP_CFG!r}, {{'out': {str(tmp_path)!r}}})\n"
+            "ex.emit_report(ex.run_experiment(cfg), cfg.resolved_out())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(pathlib.Path(lpc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.csv").is_file()
+        assert proc.stdout.strip() == "[]"
 
     def test_csv_self_parse_round_trip(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
