@@ -1,9 +1,14 @@
 """Config-driven experiment harness: figure reproduction, reports, CLI."""
 
-from .config import ConfigError, ExperimentConfig, parse_config_file, parse_config_text
+from .config import (
+    OPTIMAL_GAMMA,
+    ConfigError,
+    ExperimentConfig,
+    parse_config_file,
+    parse_config_text,
+)
 from .report import RunReport, emit_report, read_report_csv
 from .runner import (
-    OPTIMAL_GAMMA,
     run_experiment,
     run_histogram,
     run_multiclass,

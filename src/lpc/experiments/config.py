@@ -1,15 +1,18 @@
 """Flat key-value experiment configuration.
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a
-comment.  Lists are comma-separated.  ``schema_version = 1`` is required.
-See README for the per-experiment key schema.
+comment.  Lists are comma-separated, and the rows of a matrix are separated
+by ``;``.  ``schema_version = 1`` is required.  Every value has the one
+spelling :meth:`ExperimentConfig.echo_lines` prints, so a run's
+``config.echo`` parses back to its config.  See README for the
+per-experiment key schema.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,6 +33,12 @@ KNOWN_VARIANTS = ("naive", "unbiased", "optimized", "oracle", "custom")
 
 SWEEP_PARAMS = ("eps_plus", "rho_plus", "gamma")
 
+# ``gamma = optimal``: the isotropic oracle score m / sqrt(nu - m^2) is
+# non-decreasing in gamma and tends to snr^2 / sqrt(snr^2 + eta), the
+# mean-difference classifier, as gamma -> infinity; at 1e3 it is within 1e-5
+# of that limit.
+OPTIMAL_GAMMA = 1e3
+
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent configuration input."""
@@ -48,7 +57,7 @@ class ExperimentConfig:
     snr: float = 2.0
     eps_plus: float = 0.0
     eps_minus: float = 0.0
-    gamma: float | str = 1.0  # positive float or "optimal"
+    gamma: float | str = 1.0  # positive float; "optimal" resolves to OPTIMAL_GAMMA
     # variants and sweeps
     variants: tuple[str, ...] = ("naive", "unbiased", "optimized", "oracle")
     custom_rho_plus: float = 0.0
@@ -91,6 +100,10 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
+        if self.bins < 1:
+            raise ConfigError(f"bins must be >= 1, got {self.bins}")
         if not self.variants:
             raise ConfigError("variants must be nonempty")
         for v in self.variants:
@@ -108,11 +121,12 @@ class ExperimentConfig:
             self.experiment == "estimate-noise" and not self.data_path
         ):
             raise ConfigError(f"experiment {self.experiment!r} needs a nonempty grid")
-        if isinstance(self.gamma, str):
-            if self.gamma != "optimal":
-                raise ConfigError(f"gamma must be a positive number or 'optimal', got {self.gamma!r}")
-        elif self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if self.gamma == "optimal":
+            if self.experiment == "multiclass":
+                raise ConfigError("multiclass experiment needs a numeric gamma")
+            object.__setattr__(self, "gamma", OPTIMAL_GAMMA)
+        if isinstance(self.gamma, str) or self.gamma <= 0:
+            raise ConfigError(f"gamma must be a positive number or 'optimal', got {self.gamma!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "multiclass":
@@ -122,8 +136,6 @@ class ExperimentConfig:
                 raise ConfigError(f"eps matrix needs k={self.k} rows of {self.k} entries")
             if len(self.pis) != self.k:
                 raise ConfigError(f"pis needs k={self.k} entries, got {len(self.pis)}")
-            if self.gamma == "optimal":
-                raise ConfigError("multiclass experiment needs a numeric gamma")
             if self.grid_size < 1:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:
@@ -144,7 +156,9 @@ class ExperimentConfig:
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
     def echo_lines(self) -> list[str]:
-        lines = [f"config_hash = {self.config_hash()}"]
+        """Every key in the spelling :func:`parse_config_text` reads back,
+        sorted, after the hash as a comment."""
+        lines = [f"# config_hash = {self.config_hash()}"]
         for f in sorted(fields(self), key=lambda f: f.name):
             lines.append(f"{f.name} = {_echo_value(getattr(self, f.name))}")
         return lines
@@ -152,9 +166,8 @@ class ExperimentConfig:
 
 def _echo_value(v) -> str:
     if isinstance(v, tuple):
-        if v and isinstance(v[0], tuple):
-            return ";".join(",".join(repr(x) for x in row) for row in v)
-        return ",".join(repr(x) for x in v)
+        sep = ";" if v and isinstance(v[0], tuple) else ","
+        return sep.join(_echo_value(x) for x in v)
     return repr(v) if isinstance(v, float) else str(v)
 
 
@@ -168,30 +181,27 @@ def _parse_bool(value: str) -> bool:
 
 def _parser(hint):
     """Value parser of a field annotation: a scalar type, ``float | str``
-    (``gamma``: a number or ``optimal``) or ``tuple[item, ...]``."""
+    (``gamma``: a number or ``optimal``) or ``tuple[item, ...]``, whose
+    items are split at ``,`` (rows of a ``tuple`` of tuples at ``;``); an
+    empty value is the empty tuple."""
     if hint is bool:
         return _parse_bool
     if hint in (int, float, str):
         return hint
     if hint == float | str:
         return lambda v: v if v == "optimal" else float(v)
-    item = _parser(get_args(hint)[0])
-    return lambda v: tuple(item(x.strip()) for x in v.split(","))
+    item_hint = get_args(hint)[0]
+    item, sep = _parser(item_hint), ";" if get_origin(item_hint) is tuple else ","
+    return lambda v: tuple(item(x.strip()) for x in v.split(sep)) if v else ()
 
 
-# One parser per config key, read from the field annotations; ``eps_rows``
-# is set only through ``eps_row_<j>`` lines.
-_KEY_PARSERS = {
-    name: _parser(hint)
-    for name, hint in get_type_hints(ExperimentConfig).items()
-    if name != "eps_rows"
-}
+# One parser per config key, read from the field annotations.
+_KEY_PARSERS = {name: _parser(hint) for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse flat ``key = value`` text into an :class:`ExperimentConfig`."""
     raw: dict[str, str] = {}
-    eps_rows: dict[int, tuple[float, ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -199,13 +209,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key.startswith("eps_row_"):
-            try:
-                idx = int(key.removeprefix("eps_row_"))
-                eps_rows[idx] = tuple(float(v) for v in value.split(","))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad eps row {line!r}") from None
-            continue
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key not in _KEY_PARSERS:
@@ -218,11 +221,6 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
             kwargs[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from None
-    if eps_rows:
-        expected = sorted(eps_rows)
-        if expected != list(range(1, len(expected) + 1)):
-            raise ConfigError(f"eps rows must be numbered 1..k, got {expected}")
-        kwargs["eps_rows"] = tuple(eps_rows[i] for i in expected)
     if "experiment" not in kwargs:
         raise ConfigError("missing required key 'experiment'")
     if "schema_version" not in kwargs:

@@ -73,7 +73,7 @@ class RunReport:
         """Package versions and the machine facts ``report.csv`` bytes can
         depend on: the BLAS build, the CPUs this process may run on (they
         bound the default BLAS thread count) and every ``*_NUM_THREADS``
-        variable."""
+        variable.  They are comment lines, so ``config.echo`` stays a config."""
         import lpc
 
         config = getattr(np.__config__, "CONFIG", None)  # absent in older builds
@@ -85,11 +85,11 @@ class RunReport:
                                if k.endswith("_NUM_THREADS"))
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return [
-            f"lpc_version = {lpc.__version__}",
-            f"numpy_version = {np.__version__}",
-            f"numpy_blas = {blas}",
-            f"cpus_allowed = {cpus}",
-            f"num_threads_env = {threads_env}",
+            f"# lpc_version = {lpc.__version__}",
+            f"# numpy_version = {np.__version__}",
+            f"# numpy_blas = {blas}",
+            f"# cpus_allowed = {cpus}",
+            f"# num_threads_env = {threads_env}",
         ]
 
 

@@ -36,6 +36,7 @@ from ..datasets import (
     GmmSpec,
     LabeledDataset,
     StandardizeResult,
+    _rng,
     derive_seed,
     flip_labels,
     generate_gmm,
@@ -55,7 +56,6 @@ from .report import RunReport
 from .svgplot import Figure
 
 __all__ = [
-    "OPTIMAL_GAMMA",
     "run_experiment",
     "run_histogram",
     "run_multiclass",
@@ -64,12 +64,6 @@ __all__ = [
     "run_sweep",
     "theory_csv",
 ]
-
-
-# The isotropic oracle score m / sqrt(nu - m^2) is non-decreasing in gamma
-# and tends to snr^2 / sqrt(snr^2 + eta), the mean-difference classifier, as
-# gamma -> infinity; at 1e3 it is within 1e-5 of that limit.
-OPTIMAL_GAMMA = 1e3
 
 
 def _variants(cfg: ExperimentConfig, pi1: float, eps_plus: float, eta: float,
@@ -138,10 +132,6 @@ def _pool_map(fn, args, threads: int):
         return list(pool.map(fn, args))
 
 
-def _gamma_value(cfg: ExperimentConfig) -> float:
-    return OPTIMAL_GAMMA if cfg.gamma == "optimal" else float(cfg.gamma)
-
-
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
@@ -151,8 +141,7 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     """Decision-value distributions of every variant against the predicted
     Gaussian mixture; bins from the first seed, moment rows from all."""
     report = RunReport(cfg)
-    gamma = _gamma_value(cfg)
-    variants = _variants(cfg, cfg.pi1, cfg.eps_plus, cfg.p / cfg.n, gamma, cfg.snr)
+    variants = _variants(cfg, cfg.pi1, cfg.eps_plus, cfg.p / cfg.n, cfg.gamma, cfg.snr)
     theories = {v: st for v, (_, st) in variants.items()}
 
     def one_seed(seed: int):
@@ -160,7 +149,7 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
                             cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
         test = _draw(cfg, cfg.n_test, cfg.pi1, cfg.snr, seed, 2)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
-        return seed, _score(noisy.X, gamma, cells, test.X, test.y_clean), test.y_clean
+        return seed, _score(noisy.X, cfg.gamma, cells, test.X, test.y_clean), test.y_clean
 
     first_seed_scores: dict[str, np.ndarray] = {}
     for seed, scored, y in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
@@ -228,7 +217,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
     for g, value in enumerate(cfg.grid):
-        gamma, eps_plus, flip_stream, custom = _gamma_value(cfg), cfg.eps_plus, 1, None
+        gamma, eps_plus, flip_stream, custom = cfg.gamma, cfg.eps_plus, 1, None
         if cfg.sweep_param == "eps_plus":
             eps_plus, flip_stream = value, 10 + g
         elif cfg.sweep_param == "gamma":
@@ -296,14 +285,13 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
     report = RunReport(cfg)
-    gamma = _gamma_value(cfg)
 
     def one_seed(seed: int):
         rows = []
         for g, eps_plus in enumerate(cfg.grid):
             noisy = flip_labels(_draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 30 + g),
                                 eps_plus, cfg.eps_minus, derive_seed(seed, 60 + g))
-            est = estimate_noise_rates(noisy, probe1, probe2, gamma, cfg.snr, cfg.pi1)
+            est = estimate_noise_rates(noisy, probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1)
             rows.append((eps_plus, seed, est))
         return rows
 
@@ -329,8 +317,7 @@ def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
     report = RunReport(cfg)
     std = _ingest(cfg, clean=False)  # warns: noisy-label SNR is biased
     snr, pi1 = std.snr_estimate, std.pi1_estimate
-    gamma = _gamma_value(cfg)
-    est = estimate_noise_rates(std.dataset, probe1, probe2, gamma, snr, pi1)
+    est = estimate_noise_rates(std.dataset, probe1, probe2, cfg.gamma, snr, pi1)
     seed = cfg.seeds[0]
     report.add("estimator", 0.0, seed, "eps_plus_hat", est.eps_plus)
     report.add("estimator", 0.0, seed, "eps_minus_hat", est.eps_minus)
@@ -358,11 +345,9 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     dimension is the CSV's, so ``p`` is ignored.  Otherwise draws a
     synthetic stand-in of the configured shape.  Theory uses ``eta = p / n``
     of the training split and, for CSV data, the estimated SNR and the
-    split's class proportion (the configured ``snr`` and ``pi1`` otherwise);
-    ``gamma = optimal`` resolves to :data:`OPTIMAL_GAMMA`.
+    split's class proportion (the configured ``snr`` and ``pi1`` otherwise).
     """
     report = RunReport(cfg)
-    gamma = _gamma_value(cfg)
     data, snr = None, cfg.snr
     if cfg.data_path:
         std = _ingest(cfg, clean=True)
@@ -372,9 +357,7 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
 
     def one_seed(seed: int):
         if data is not None:
-            order = np.random.Generator(
-                np.random.Philox(key=derive_seed(seed, 3))
-            ).permutation(data.n)
+            order = _rng(derive_seed(seed, 3)).permutation(data.n)
             tr, te = order[: cfg.n], order[cfg.n:]
             train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
                                    y_clean=data.y_clean[tr])
@@ -385,16 +368,16 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
             test_X, test_y = test.X, test.y_clean
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
         pi1 = cfg.pi1 if data is None else noisy.class_counts[0] / noisy.n
-        variants = _variants(cfg, pi1, cfg.eps_plus, noisy.p / noisy.n, gamma, snr)
+        variants = _variants(cfg, pi1, cfg.eps_plus, noisy.p / noisy.n, cfg.gamma, snr)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
-        scored = _score(noisy.X, gamma, cells, test_X, test_y)
+        scored = _score(noisy.X, cfg.gamma, cells, test_X, test_y)
         return [(v, seed, acc, st.accuracy)
                 for (_, v, _, st), (_, acc, _) in zip(cells, scored)]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, seed, acc, theory_acc in rows:
             report.add(v, 0.0, seed, "accuracy", acc, theory_acc)
-            report.add(v, 0.0, seed, "gamma", gamma)
+            report.add(v, 0.0, seed, "gamma", cfg.gamma)
 
     report.extra_files["table.txt"] = _accuracy_table(cfg, report)
     fig = Figure(title="accuracy by variant", xlabel="variant index", ylabel="accuracy")
@@ -444,7 +427,7 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
         spec,
         grid_size=cfg.grid_size,
         eval_seeds=list(cfg.seeds),
-        gamma=float(cfg.gamma),
+        gamma=cfg.gamma,
         n_test=cfg.n_test,
         tau_points=cfg.tau_points,
         search_seed=cfg.search_seed,
@@ -493,14 +476,14 @@ def theory_csv(cfg: ExperimentConfig) -> str:
     if cfg.experiment == "multiclass":
         raise ConfigError("theory describes the binary model; a multiclass run has "
                           "no closed form")
-    eta, gamma = cfg.p / cfg.n, _gamma_value(cfg)
-    oracle = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=cfg.pi1, gamma=gamma,
+    eta = cfg.p / cfg.n
+    oracle = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=cfg.pi1, gamma=cfg.gamma,
                                                  snr=cfg.snr))
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
-    for v, (_, st) in _variants(cfg, cfg.pi1, cfg.eps_plus, eta, gamma, cfg.snr).items():
-        vals = (v, eta, gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
+    for v, (_, st) in _variants(cfg, cfg.pi1, cfg.eps_plus, eta, cfg.gamma, cfg.snr).items():
+        vals = (v, eta, cfg.gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
                 st.kappa, oracle.m_rho, oracle.nu_rho, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))
     return "\n".join(lines) + "\n"

@@ -130,6 +130,32 @@ class TestTrainLpc:
         res = np.linalg.norm(A @ c.w - rhs)
         assert res <= 1e-8 * np.linalg.norm(c.w)
 
+    @staticmethod
+    def _scaled_draws():
+        # a standard draw at gamma = 1e8, and its features x1e4 at small and
+        # unit gamma: the residual grows with ||A||, past 1e-8 * ||w||
+        from lpc.datasets import LabeledDataset
+
+        ds = flip_labels(generate_gmm(GmmSpec.isotropic(200, 400, 0.4, 2.0)), 0.2, 0.1, 1)
+        big = LabeledDataset(X=ds.X * 1e4, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
+        return [(ds, 1e8), (big, 1e-3), (big, 1.0), (ds, 1.0)]
+
+    def test_residual_check_scales_with_the_system(self):
+        for ds, gamma in self._scaled_draws():
+            c = train_lpc(ds, RhoParams(), gamma)
+            A = ds.X @ ds.X.T / ds.n + gamma * np.eye(ds.p)
+            rhs = ds.X @ _targets(ds.y_noisy, c.rho) / ds.n
+            backward = np.linalg.norm(A @ c.w - rhs) / (
+                np.linalg.norm(A) * np.linalg.norm(c.w) + np.linalg.norm(rhs))
+            assert backward <= 1e-14
+
+    def test_residual_check_catches_a_perturbed_solve(self, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) * (1 + 1e-6))
+        for ds, gamma in self._scaled_draws():
+            with pytest.raises(FloatingPointError, match="residual"):
+                train_lpc(ds, RhoParams(), gamma)
+
 
 class TestDecisionEvaluate:
     def test_zero_weights_zero_scores(self):
@@ -164,6 +190,14 @@ class TestDecisionEvaluate:
         c = Classifier(w=np.zeros(2), gamma=1.0, rho=RhoParams())
         with pytest.raises(ValueError, match="empty"):
             evaluate(c, np.zeros((2, 0)), np.array([]))
+
+    @pytest.mark.parametrize("y", [[1], [[1], [-1], [1], [-1]]], ids=["short", "column"])
+    def test_labels_must_match_the_test_columns(self, y):
+        # neither broadcasts against the 4 scores
+        c = Classifier(w=np.ones(2), gamma=1.0, rho=RhoParams())
+        X = np.array([[1.0, -1.0, 2.0, -3.0], [0.5, 0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"y_test must have shape \(4,\)"):
+            evaluate(c, X, np.array(y))
 
     def test_sign_invariance_under_positive_scaling(self):
         ds = _noisy_dataset(5, 30, seed=9)
@@ -225,7 +259,7 @@ class TestLooDecisions:
         C = gap_small * 40 * 3.0
         assert max_gap(80) <= C / 160  # n = 160
 
-    def test_degenerate_downdate_falls_back_to_retrain(self):
+    def test_degenerate_downdate_falls_back_to_dual_press(self):
         # scaling sample 0 drives its downdate denominator 1 - d_0 toward 0;
         # once rounding could cost 1e-8, that index is scored by the exact
         # dual PRESS form instead (at 1e6 it always is)

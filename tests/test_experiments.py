@@ -145,20 +145,20 @@ class TestConfigParsing:
 
     def test_gamma_optimal_literal(self):
         cfg = ex.parse_config_text("schema_version = 1\nexperiment = theory\ngamma = optimal\n")
-        assert cfg.gamma == "optimal"
+        assert cfg.gamma == ex.OPTIMAL_GAMMA
         with pytest.raises(ConfigError, match="gamma"):
             ex.parse_config_text("schema_version = 1\nexperiment = theory\ngamma = -3\n")
 
     def test_eps_rows(self):
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = multiclass\nk = 2\nmeans = -1,1\n"
-            "pis = 0.5,0.5\neps_row_1 = 0,0.2\neps_row_2 = 0.1,0\ngrid_size = 5\n"
+            "pis = 0.5,0.5\neps_rows = 0,0.2; 0.1,0\ngrid_size = 5\n"
         )
         assert cfg.eps_rows == ((0.0, 0.2), (0.1, 0.0))
 
     @pytest.mark.parametrize("given", [
         "", "pis = 0.1,0.2,0.3,0.4\n",
-        "eps_row_1 = 0,0,0,0.1\neps_row_2 = 0,0,0,0\neps_row_3 = 0,0,0,0\neps_row_4 = 0,0,0,0\n",
+        "eps_rows = 0,0,0,0.1; 0,0,0,0; 0,0,0,0; 0,0,0,0\n",
     ], ids=["neither", "pis_only", "eps_only"])
     def test_multiclass_defaults_fit_only_k_3(self, given):
         # the default pis and eps rows are a k = 3 model: any other k must
@@ -171,7 +171,7 @@ class TestConfigParsing:
         ("tau_points = 1", "tau_points"),
         ("grid_size = 0", "grid_size"),
         ("gamma = optimal", "numeric gamma"),
-        ("eps_row_1 = 0,0.3\neps_row_2 = 0,0\neps_row_3 = 0.5,0", "eps matrix"),
+        ("eps_rows = 0,0.3; 0,0; 0.5,0", "eps matrix"),
     ], ids=["tau_points", "grid_size", "gamma", "eps_row_width"])
     def test_multiclass_search_ranges(self, bad, match):
         head = "schema_version = 1\nexperiment = multiclass\n"
@@ -193,6 +193,47 @@ class TestConfigHash:
         assert base.config_hash() == moved.config_hash()
 
 
+class TestConfigEcho:
+    """``config.echo`` spells every value as the parser reads it, so a run's
+    echo is a config that re-runs the run."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_echo_parses_back_to_the_config(self, path, tmp_path):
+        cfg = ex.parse_config_file(path)
+        ex.emit_report(ex.RunReport(cfg), tmp_path)
+        assert ex.parse_config_text((tmp_path / "config.echo").read_text()) == cfg
+
+    def test_rerun_from_echo_is_byte_identical(self, tmp_path):
+        src = tmp_path / "run.cfg"
+        src.write_text(SWEEP_CFG)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli_main(["sweep", "--config", str(src), "--out", str(first)]) == 0
+        assert cli_main(["sweep", "--config", str(first / "config.echo"),
+                         "--out", str(second)]) == 0
+        for fname in ("report.csv", "plot.svg"):
+            assert (first / fname).read_bytes() == (second / fname).read_bytes(), fname
+
+        def echo(d):
+            return [line for line in (d / "config.echo").read_text().splitlines()
+                    if not line.startswith("out = ")]
+        assert echo(first) == echo(second)
+
+    def test_gamma_spellings_are_one_config(self):
+        head = "schema_version = 1\nexperiment = theory\n"
+        named = ex.parse_config_text(head + "gamma = optimal\n")
+        number = ex.parse_config_text(head + "gamma = 1000\n")
+        assert named == number and named.config_hash() == number.config_hash()
+
+    def test_empty_list_value(self):
+        cfg = ex.parse_config_text("schema_version = 1\nexperiment = theory\ngrid =\n")
+        assert cfg.grid == ()
+
+    def test_numbered_eps_row_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'eps_row_1'"):
+            ex.parse_config_text("schema_version = 1\nexperiment = multiclass\n"
+                                 "eps_row_1 = 0,0.3,0\n")
+
+
 class TestEmitReport:
     def test_deterministic_bytes(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
@@ -208,7 +249,7 @@ class TestEmitReport:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         ex.emit_report(ex.RunReport(ex.parse_config_text(SWEEP_CFG)), tmp_path)
         lines = (tmp_path / "config.echo").read_text().splitlines()
-        echo = dict(line.split(" = ", 1) for line in lines)
+        echo = dict(line.removeprefix("# ").split(" = ", 1) for line in lines)
         assert len(echo) == len(lines)  # no key stated twice
         for key in ("config_hash", "seeds", "numpy_blas", "cpus_allowed"):
             assert echo[key]
@@ -461,12 +502,11 @@ class TestRunners:
                 assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
 
     def test_multiclass_defaults_echo_what_the_run_used(self, tmp_path):
-        # without pis or eps_row_* lines the run uses the config's defaults
+        # without pis or eps_rows lines the run uses the config's defaults
         # and config.echo prints them, so spelling them out changes no byte
         head = ("schema_version = 1\nexperiment = multiclass\nn = 120\np = 10\n"
                 "grid_size = 20\nseeds = 0,1\nn_test = 150\ntau_points = 3\n")
-        spelled = ("pis = 0.3,0.3,0.4\neps_row_1 = 0,0.3,0\neps_row_2 = 0,0,0.4\n"
-                   "eps_row_3 = 0.5,0,0\n")
+        spelled = "pis = 0.3,0.3,0.4\neps_rows = 0,0.3,0; 0,0,0.4; 0.5,0,0\n"
         for name, text in (("default", head), ("spelled", head + spelled)):
             ex.emit_report(ex.run_multiclass(ex.parse_config_text(text)), tmp_path / name)
         echo = (tmp_path / "default" / "config.echo").read_text().splitlines()
@@ -598,6 +638,22 @@ class TestCli:
             "variants = naive\nseeds = 0\n",
         )
         assert cli_main(["real-data", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("line, args, key", [
+        ("seeds = -1\n", [], "seeds"), ("seeds = 3,3\n", [], "seeds"),
+        ("bins = 0\n", [], "bins"), ("", ["--seeds=-1"], "seeds"),
+        ("", ["--seeds=3,3"], "seeds"),
+    ], ids=["negative_seed", "repeated_seed", "zero_bins", "negative_seed_flag",
+            "repeated_seed_flag"])
+    def test_seeds_and_bins_refused_at_parse(self, tmp_path, capsys, line, args, key):
+        # a negative seed failed inside numpy, a repeated one wrote every
+        # row twice and zero bins failed in the histogram binning
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = histogram\n"
+                              "n = 40\np = 10\nn_test = 50\n" + line)
+        assert cli_main(["histogram", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override(self, tmp_path):
         cfg = self._write_cfg(tmp_path, SWEEP_CFG)
