@@ -128,7 +128,7 @@ class _Ridge:
 
 
 def _check_inputs(X: np.ndarray, gamma: float) -> None:
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise ValueError(f"gamma must be > 0 (got {gamma}); the system may be singular")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite values")

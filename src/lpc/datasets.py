@@ -93,6 +93,8 @@ class GmmSpec:
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
         if mu.size != self.p:
             raise ValueError(f"mu must have length p={self.p}, got {mu.size}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mu contains non-finite entries")
         object.__setattr__(self, "mu", mu)
         n1 = self.n1
         if n1 == 0 or n1 == self.n:

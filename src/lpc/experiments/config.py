@@ -11,6 +11,7 @@ per-experiment key schema.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,7 +27,6 @@ EXPERIMENT_KINDS = (
     "estimate-noise",
     "multiclass",
     "real-data",
-    "theory",
 )
 
 KNOWN_VARIANTS = ("naive", "unbiased", "optimized", "oracle", "custom")
@@ -79,8 +79,7 @@ class ExperimentConfig:
     data_path: str = ""
     label_column: str = "0"
     has_header: bool = False
-    # multiclass
-    k: int = 3
+    # multiclass: one class per mean
     means: tuple[float, ...] = (-2.0, 0.0, 2.0)
     # eps_rows[a][b]: probability that true class b+1 is labelled a+1
     eps_rows: tuple[tuple[float, ...], ...] = ((0.0, 0.3, 0.0), (0.0, 0.0, 0.4), (0.5, 0.0, 0.0))
@@ -125,17 +124,28 @@ class ExperimentConfig:
             if self.experiment == "multiclass":
                 raise ConfigError("multiclass experiment needs a numeric gamma")
             object.__setattr__(self, "gamma", OPTIMAL_GAMMA)
-        if isinstance(self.gamma, str) or self.gamma <= 0:
+        # written as `not x > 0` so that NaN fails too
+        if isinstance(self.gamma, str) or not self.gamma > 0:
             raise ConfigError(f"gamma must be a positive number or 'optimal', got {self.gamma!r}")
+        for key, least in (("n", 2), ("n_test", 2), ("p", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not 0.0 < self.pi1 < 1.0:
+            raise ConfigError(f"pi1 must lie in (0, 1), got {self.pi1}")
+        if not math.isfinite(self.snr):
+            raise ConfigError(f"snr must be finite, got {self.snr}")
+        if not (self.eps_plus >= 0 and self.eps_minus >= 0
+                and self.eps_plus + self.eps_minus < 1):
+            raise ConfigError(f"eps_plus and eps_minus must be >= 0 with eps_plus + eps_minus "
+                              f"< 1, got ({self.eps_plus}, {self.eps_minus})")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "multiclass":
-            if len(self.means) != self.k:
-                raise ConfigError(f"means needs k={self.k} entries, got {len(self.means)}")
-            if len(self.eps_rows) != self.k or any(len(r) != self.k for r in self.eps_rows):
-                raise ConfigError(f"eps matrix needs k={self.k} rows of {self.k} entries")
-            if len(self.pis) != self.k:
-                raise ConfigError(f"pis needs k={self.k} entries, got {len(self.pis)}")
+            k = len(self.means)
+            if len(self.eps_rows) != k or any(len(r) != k for r in self.eps_rows):
+                raise ConfigError(f"eps matrix needs k={k} rows of {k} entries, one per mean")
+            if len(self.pis) != k:
+                raise ConfigError(f"pis needs k={k} entries, one per mean, got {len(self.pis)}")
             if self.grid_size < 1:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:

@@ -268,6 +268,11 @@ def _sweep_figure(cfg: ExperimentConfig, report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Grid point g draws its features from stream 30 + g and its flips from
+# 60 + g of the seed, so the grid has at most 30 points.
+_NOISE_FEATURE_STREAMS, _NOISE_FLIP_STREAMS = 30, 60
+
+
 def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
@@ -284,13 +289,20 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     probe2 = RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus)
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
+    if len(cfg.grid) > _NOISE_FLIP_STREAMS - _NOISE_FEATURE_STREAMS:
+        raise ConfigError(
+            f"estimate-noise takes at most {_NOISE_FLIP_STREAMS - _NOISE_FEATURE_STREAMS} "
+            f"grid points, got {len(cfg.grid)}: more would draw features and flips "
+            "from one random stream"
+        )
     report = RunReport(cfg)
 
     def one_seed(seed: int):
         rows = []
         for g, eps_plus in enumerate(cfg.grid):
-            noisy = flip_labels(_draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 30 + g),
-                                eps_plus, cfg.eps_minus, derive_seed(seed, 60 + g))
+            noisy = flip_labels(
+                _draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, _NOISE_FEATURE_STREAMS + g),
+                eps_plus, cfg.eps_minus, derive_seed(seed, _NOISE_FLIP_STREAMS + g))
             est = estimate_noise_rates(noisy, probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1)
             rows.append((eps_plus, seed, est))
         return rows
@@ -377,7 +389,6 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, seed, acc, theory_acc in rows:
             report.add(v, 0.0, seed, "accuracy", acc, theory_acc)
-            report.add(v, 0.0, seed, "gamma", cfg.gamma)
 
     report.extra_files["table.txt"] = _accuracy_table(cfg, report)
     fig = Figure(title="accuracy by variant", xlabel="variant index", ylabel="accuracy")
@@ -408,9 +419,9 @@ def _accuracy_table(cfg: ExperimentConfig, report: RunReport) -> str:
 
 def multi_spec_from_config(cfg: ExperimentConfig) -> MultiGmmSpec:
     """Collinear-means spec: mean of class j is ``means[j] * e1``."""
-    means = np.zeros((cfg.k, cfg.p))
+    means = np.zeros((len(cfg.means), cfg.p))
     means[:, 0] = cfg.means
-    return MultiGmmSpec(k=cfg.k, p=cfg.p, n=cfg.n, means=means,
+    return MultiGmmSpec(k=len(cfg.means), p=cfg.p, n=cfg.n, means=means,
                         pi=np.asarray(cfg.pis), eps=np.asarray(cfg.eps_rows))
 
 
@@ -446,7 +457,7 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
         lines.append(",".join(repr(float(x)) for x in vals))
     report.extra_files["tau_accuracy.csv"] = "\n".join(lines) + "\n"
 
-    fig = Figure(title=f"multiclass (k={cfg.k}, p={cfg.p}, n={cfg.n})",
+    fig = Figure(title=f"multiclass (k={len(cfg.means)}, p={cfg.p}, n={cfg.n})",
                  xlabel="tau (worst -> best)", ylabel="accuracy")
     means = result.tau_accuracy.mean(axis=1)
     fig.line(result.tau_grid, means, label="multi-lpc path", markers=True)
@@ -499,6 +510,5 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    if cfg.experiment == "theory":
-        raise ConfigError("the theory experiment prints to stdout; use theory_csv")
+    """Run the experiment ``cfg`` declares."""
     return _RUNNERS[cfg.experiment](cfg)

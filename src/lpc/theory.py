@@ -44,7 +44,7 @@ def delta(eta: float, gamma: float) -> float:
     ridge resolvent; it captures the high-dimensional bias (``delta -> 0``
     as ``eta -> 0``).
     """
-    if eta <= 0 or gamma <= 0:
+    if not (eta > 0 and gamma > 0):  # NaN fails too
         raise ValueError(f"delta needs eta > 0 and gamma > 0, got ({eta}, {gamma})")
     b = eta - gamma - 1.0
     disc = math.sqrt(b * b + 4.0 * eta * gamma)
@@ -79,10 +79,13 @@ class TheoryConfig:
     C2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
+        # `not x > 0` so that NaN fails too
+        if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.snr is not None and not math.isfinite(self.snr):
+            raise ValueError(f"snr must be finite, got {self.snr}")
         if not 0.0 < self.pi1 < 1.0:
             raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
         if self.eps_plus + self.eps_minus >= 1.0:
@@ -121,7 +124,7 @@ class TheoryStats:
     delta2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variance <= 0:
+        if not self.variance > 0:
             raise ValueError(f"non-positive decision variance {self.variance:.3e}")
 
     @property
@@ -176,7 +179,7 @@ def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
     d = delta(eta, gamma)
     gd = gamma * (1.0 + d)
     h = 1.0 - eta / (1.0 + gd) ** 2
-    if h <= _H_GUARD:
+    if not h > _H_GUARD:
         raise ValueError(
             f"theory outside validity range: h = {h:.3e} <= 0 at (eta, gamma) = ({eta}, {gamma})"
         )

@@ -318,7 +318,7 @@ def test_criterion_08_general_covariance():
 
 def test_criterion_09_multi_lpc():
     cfg = _cfg(
-        "schema_version = 1\nexperiment = multiclass\nk = 3\nn = 2000\np = 200\n"
+        "schema_version = 1\nexperiment = multiclass\nn = 2000\np = 200\n"
         "means = -2,0,2\ngamma = 1.0\ngrid_size = 5000\nvariants = custom\n"
         "seeds = 0,1,2\nn_test = 2000\ntau_points = 11\n"
     )

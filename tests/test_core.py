@@ -75,6 +75,9 @@ class TestTrainLpc:
         ds = _noisy_dataset(4, 12)
         with pytest.raises(ValueError, match="gamma"):
             train_lpc(ds, RhoParams(), gamma=0.0)
+        # a NaN gamma failed the residual check with FloatingPointError
+        with pytest.raises(ValueError, match="gamma"):
+            train_lpc(ds, RhoParams(), gamma=math.nan)
 
     def test_nonfinite_features_rejected(self):
         from lpc.datasets import LabeledDataset

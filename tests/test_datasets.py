@@ -27,6 +27,10 @@ class TestGmmSpecValidation:
         with pytest.raises(ValueError, match="mu"):
             GmmSpec(p=3, n=10, pi1=0.5, mu=np.ones(2))
 
+    def test_mu_must_be_finite(self):
+        with pytest.raises(ValueError, match="mu"):
+            GmmSpec.isotropic(4, 10, 0.5, snr=np.nan)
+
     def test_asymmetric_covariance_rejected(self):
         C = np.eye(3)
         C[0, 1] = 0.5

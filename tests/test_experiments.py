@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import os
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 
 import lpc
 import lpc.experiments as ex
+from lpc.experiments import cli
 from lpc.experiments.cli import main as cli_main
 from lpc.experiments.config import ConfigError
 from lpc.experiments.svgplot import Figure
@@ -119,17 +121,17 @@ class TestConfigParsing:
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            ex.parse_config_text("schema_version = 1\nschema_version = 1\nexperiment = theory\n")
+            ex.parse_config_text("schema_version = 1\nschema_version = 1\nexperiment = histogram\n")
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="experiment"):
             ex.parse_config_text("schema_version = 1\n")
         with pytest.raises(ConfigError, match="schema_version"):
-            ex.parse_config_text("experiment = theory\n")
+            ex.parse_config_text("experiment = histogram\n")
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
-            ex.parse_config_text("schema_version = 2\nexperiment = theory\n")
+            ex.parse_config_text("schema_version = 2\nexperiment = histogram\n")
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
@@ -140,18 +142,18 @@ class TestConfigParsing:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError, match="variant"):
             ex.parse_config_text(
-                "schema_version = 1\nexperiment = theory\nvariants = bogus\n"
+                "schema_version = 1\nexperiment = histogram\nvariants = bogus\n"
             )
 
     def test_gamma_optimal_literal(self):
-        cfg = ex.parse_config_text("schema_version = 1\nexperiment = theory\ngamma = optimal\n")
+        cfg = ex.parse_config_text("schema_version = 1\nexperiment = histogram\ngamma = optimal\n")
         assert cfg.gamma == ex.OPTIMAL_GAMMA
         with pytest.raises(ConfigError, match="gamma"):
-            ex.parse_config_text("schema_version = 1\nexperiment = theory\ngamma = -3\n")
+            ex.parse_config_text("schema_version = 1\nexperiment = histogram\ngamma = -3\n")
 
     def test_eps_rows(self):
         cfg = ex.parse_config_text(
-            "schema_version = 1\nexperiment = multiclass\nk = 2\nmeans = -1,1\n"
+            "schema_version = 1\nexperiment = multiclass\nmeans = -1,1\n"
             "pis = 0.5,0.5\neps_rows = 0,0.2; 0.1,0\ngrid_size = 5\n"
         )
         assert cfg.eps_rows == ((0.0, 0.2), (0.1, 0.0))
@@ -161,10 +163,10 @@ class TestConfigParsing:
         "eps_rows = 0,0,0,0.1; 0,0,0,0; 0,0,0,0; 0,0,0,0\n",
     ], ids=["neither", "pis_only", "eps_only"])
     def test_multiclass_defaults_fit_only_k_3(self, given):
-        # the default pis and eps rows are a k = 3 model: any other k must
-        # spell out both, and is refused at parse, not at run time
+        # the default pis and eps rows are a k = 3 model: any other count of
+        # means must spell out both, and is refused at parse, not at run time
         with pytest.raises(ConfigError, match="k=4"):
-            ex.parse_config_text("schema_version = 1\nexperiment = multiclass\nk = 4\n"
+            ex.parse_config_text("schema_version = 1\nexperiment = multiclass\n"
                                  "means = -3,-1,1,3\n" + given)
 
     @pytest.mark.parametrize("bad, match", [
@@ -207,8 +209,8 @@ class TestConfigEcho:
         src = tmp_path / "run.cfg"
         src.write_text(SWEEP_CFG)
         first, second = tmp_path / "first", tmp_path / "second"
-        assert cli_main(["sweep", "--config", str(src), "--out", str(first)]) == 0
-        assert cli_main(["sweep", "--config", str(first / "config.echo"),
+        assert cli_main(["run", "--config", str(src), "--out", str(first)]) == 0
+        assert cli_main(["run", "--config", str(first / "config.echo"),
                          "--out", str(second)]) == 0
         for fname in ("report.csv", "plot.svg"):
             assert (first / fname).read_bytes() == (second / fname).read_bytes(), fname
@@ -219,14 +221,19 @@ class TestConfigEcho:
         assert echo(first) == echo(second)
 
     def test_gamma_spellings_are_one_config(self):
-        head = "schema_version = 1\nexperiment = theory\n"
+        head = "schema_version = 1\nexperiment = histogram\n"
         named = ex.parse_config_text(head + "gamma = optimal\n")
         number = ex.parse_config_text(head + "gamma = 1000\n")
         assert named == number and named.config_hash() == number.config_hash()
 
     def test_empty_list_value(self):
-        cfg = ex.parse_config_text("schema_version = 1\nexperiment = theory\ngrid =\n")
+        cfg = ex.parse_config_text("schema_version = 1\nexperiment = histogram\ngrid =\n")
         assert cfg.grid == ()
+
+    def test_k_key_rejected(self):
+        # the class count is len(means)
+        with pytest.raises(ConfigError, match="unknown config key 'k'"):
+            ex.parse_config_text("schema_version = 1\nexperiment = multiclass\nk = 3\n")
 
     def test_numbered_eps_row_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'eps_row_1'"):
@@ -332,6 +339,21 @@ class TestRunners:
         assert set(metrics) >= {"eps_plus_hat", "eps_minus_hat", "residual", "roots",
                                 "snr_estimate", "pi1_estimate"}
         assert 0.0 <= metrics["eps_plus_hat"] < 1.0
+
+    def test_noise_estimation_grid_fits_between_its_streams(self):
+        # grid point g draws features from stream 30 + g and flips from
+        # 60 + g, so a 31st point would draw features from point 0's flips
+        head = ("schema_version = 1\nexperiment = estimate-noise\nn = 40\np = 4\n"
+                "gamma = 0.1\neps_minus = 0.1\nvariants = custom\nseeds = 0\n")
+
+        def grid(points):
+            return ex.parse_config_text(
+                head + "grid = " + ",".join(str(g / 100) for g in range(points)) + "\n")
+
+        with pytest.raises(ConfigError, match="at most 30 grid points"):
+            ex.run_noise_estimation(grid(31))
+        rep = ex.run_noise_estimation(grid(30))
+        assert len({r.grid_value for r in rep.rows}) == 30
 
     def test_noise_estimation_rows_finite(self):
         cfg = ex.parse_config_text(
@@ -523,7 +545,7 @@ class TestRunners:
         from lpc.multiclass import search_alpha_beta
 
         cfg = ex.parse_config_text(
-            "schema_version = 1\nexperiment = multiclass\nk = 3\nn = 150\np = 20\n"
+            "schema_version = 1\nexperiment = multiclass\nn = 150\np = 20\n"
             "means = -2,0,2\ngamma = 1.0\ngrid_size = 40\nseeds = 0,1,2\n"
             "n_test = 200\ntau_points = 3\n"
         )
@@ -558,6 +580,14 @@ def test_shipped_config_theory_is_finite(path):
         vals = dict(zip(cols, row.split(",")))
         assert all(np.isfinite(float(x)) for k, x in vals.items() if k != "variant")
         assert float(vals["gamma"]) == gamma
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_runs_through_the_cli(path, tmp_path):
+    assert cli_main(["run", "--config", str(path), "--seeds", "0", "--out", str(tmp_path)]) == 0
+    experiment = ex.parse_config_file(path).experiment
+    rows = ex.read_report_csv(tmp_path / "report.csv")
+    assert rows and all(r["experiment"] == experiment for r in rows)
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(CONFIG_DIR.glob("*.cfg"))
@@ -597,7 +627,7 @@ class TestCli:
     def test_success_path(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, SWEEP_CFG)
         out_dir = str(tmp_path / "out")
-        assert cli_main(["sweep", "--config", cfg, "--out", out_dir]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", out_dir]) == 0
         assert os.path.exists(os.path.join(out_dir, "report.csv"))
         listed = capsys.readouterr().out.strip().splitlines()
         assert any(p.endswith("plot.svg") for p in listed)
@@ -623,13 +653,9 @@ class TestCli:
         assert err.startswith("config error:") and "multiclass" in err
 
     def test_config_error_exit_code(self, tmp_path):
-        assert cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
+        assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         bad = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = sweep\ngrid = 3,1\n")
-        assert cli_main(["sweep", "--config", bad]) == 1
-
-    def test_command_config_mismatch(self, tmp_path):
-        cfg = self._write_cfg(tmp_path, SWEEP_CFG)
-        assert cli_main(["histogram", "--config", cfg]) == 1
+        assert cli_main(["run", "--config", bad]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = self._write_cfg(
@@ -637,7 +663,7 @@ class TestCli:
             "schema_version = 1\nexperiment = real-data\ndata_path = missing.csv\n"
             "variants = naive\nseeds = 0\n",
         )
-        assert cli_main(["real-data", "--config", cfg]) == 2
+        assert cli_main(["run", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("line, args, key", [
         ("seeds = -1\n", [], "seeds"), ("seeds = 3,3\n", [], "seeds"),
@@ -650,14 +676,46 @@ class TestCli:
         # row twice and zero bins failed in the histogram binning
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = histogram\n"
                               "n = 40\np = 10\nn_test = 50\n" + line)
-        assert cli_main(["histogram", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "nan"), ("n_test", "0"), ("pi1", "1.5"), ("snr", "nan"),
+        ("eps_plus", "1.2"), ("n", "1"),
+    ])
+    def test_model_values_refused_at_parse(self, tmp_path, capsys, key, value):
+        # each failed inside the run with exit 2, a NaN gamma as a residual
+        # check and a NaN snr as non-finite features
+        keys = {"schema_version": "1", "experiment": "histogram", "n": "40", "p": "10",
+                "n_test": "50", key: value}
+        cfg = self._write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not (tmp_path / "o").exists()
+
+    def test_theory_refuses_nan_gamma(self, tmp_path, capsys):
+        # printed a table of nan with exit 0
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = histogram\n"
+                              "gamma = nan\n")
+        assert cli_main(["theory", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: gamma ")
+
+    def test_experiment_kinds_are_not_verbs(self, tmp_path):
+        # the config names the experiment; `run` and `theory` are the verbs
+        parser = cli.build_parser()
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(verbs.choices) == {"run", "theory"}
+        cfg = self._write_cfg(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", cfg])
+        assert exc.value.code == 2
+
     def test_seed_override(self, tmp_path):
         cfg = self._write_cfg(tmp_path, SWEEP_CFG)
         out_dir = str(tmp_path / "seeded")
-        assert cli_main(["sweep", "--config", cfg, "--out", out_dir, "--seeds", "5"]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", out_dir, "--seeds", "5"]) == 0
         rows = ex.read_report_csv(os.path.join(out_dir, "report.csv"))
         assert {r["seed"] for r in rows} == {5}

@@ -13,3 +13,15 @@ def test_quick_start_oriented_accuracy():
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert abs(namespace["accuracy"] - namespace["stats"].accuracy) <= 0.02
+
+
+def test_shell_commands_parse_and_name_shipped_configs():
+    from lpc.experiments import cli
+
+    text = README.read_text(encoding="utf-8")
+    commands = [line.split() for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                for line in block.splitlines() if line.startswith("lpc ")]
+    assert commands
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[1:])
+        assert (README.parent / args.config).is_file(), args.config

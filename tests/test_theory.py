@@ -42,6 +42,11 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta(1.0, -0.1)
 
+    def test_nan_rejected(self):
+        for eta, gamma in ((0.2, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="delta needs"):
+                delta(eta, gamma)
+
     def test_matches_trace_of_built_resolvent(self):
         # consistency check: the closed form equals the normalized
         # trace of the matrix it describes, up to the O(1/p) rank-one term
@@ -185,6 +190,12 @@ class TestAccuracyRisk:
 
         with pytest.raises(ValueError, match="non-positive decision variance"):
             TheoryStats(delta=0.0, h=1.0, m_rho=1.0, nu_rho=1.0, kappa=None)
+
+    def test_nan_variance_raises_when_built(self):
+        from lpc.theory import TheoryStats
+
+        with pytest.raises(ValueError, match="non-positive decision variance"):
+            TheoryStats(delta=0.0, h=1.0, m_rho=math.nan, nu_rho=1.0, kappa=None)
 
 
 class TestOptimalRho:
@@ -355,3 +366,10 @@ def test_theory_config_validation():
         TheoryConfig(eta=1.0, pi1=0.5, gamma=1.0)
     with pytest.raises(ValueError, match="together"):
         TheoryConfig(eta=1.0, pi1=0.5, gamma=1.0, mu=np.ones(3))
+
+
+@pytest.mark.parametrize("key", ["gamma", "eta", "snr"])
+def test_nan_model_input_raises(key):
+    # each came out as accuracy = nan
+    with pytest.raises(ValueError, match=key):
+        theory_stats_isotropic(TheoryConfig(**{**HIGHDIM, key: math.nan}))
