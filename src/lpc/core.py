@@ -15,7 +15,7 @@ same on clean labels is the oracle variant.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +84,16 @@ class Classifier:
     gamma: float
     rho: RhoParams
     loss_kind: str = "squared"
-    p: int = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float).reshape(-1)
         if not np.all(np.isfinite(w)):
             raise ValueError("classifier weights must be finite")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "p", w.size)
+
+    @property
+    def p(self) -> int:
+        return self.w.size
 
 
 def _targets(y_noisy: np.ndarray, rho: RhoParams) -> np.ndarray:

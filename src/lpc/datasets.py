@@ -76,47 +76,40 @@ class GmmSpec:
     injected afterwards, with :func:`flip_labels`.
     """
 
-    p: int
-    n: int
     pi1: float
     mu: np.ndarray
     cov: tuple[np.ndarray, np.ndarray] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.pi1 < 1.0:
             raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        if mu.size != self.p:
-            raise ValueError(f"mu must have length p={self.p}, got {mu.size}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu contains non-finite entries")
         object.__setattr__(self, "mu", mu)
-        n1 = self.n1
-        if n1 == 0 or n1 == self.n:
-            raise ValueError(
-                f"pi1={self.pi1} with n={self.n} leaves class sizes ({n1}, {self.n - n1}); "
-                "both classes need at least one sample"
-            )
         if self.cov is not None:
             c1 = _check_covariance("C1", self.cov[0], self.p)
             c2 = _check_covariance("C2", self.cov[1], self.p)
             object.__setattr__(self, "cov", (c1, c2))
 
     @property
-    def n1(self) -> int:
-        return int(round(self.pi1 * self.n))
+    def p(self) -> int:
+        return self.mu.size
+
+    def class_sizes(self, n: int) -> tuple[int, int]:
+        """``(n1, n2)`` of ``n`` samples, ``n1 = round(pi1 * n)``; both nonzero."""
+        n1 = int(round(self.pi1 * n))
+        if not 0 < n1 < n:
+            raise ValueError(f"pi1={self.pi1} with n={n} leaves class sizes ({n1}, {n - n1}); "
+                             "both classes need at least one sample")
+        return n1, n - n1
 
     @staticmethod
-    def isotropic(p: int, n: int, pi1: float, snr: float, seed: int = 0) -> "GmmSpec":
+    def isotropic(p: int, pi1: float, snr: float) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
         mu = np.zeros(p)
         mu[0] = snr
-        return GmmSpec(p=p, n=n, pi1=pi1, mu=mu, seed=seed)
+        return GmmSpec(pi1=pi1, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -165,21 +158,17 @@ def _check_labels(name: str, y, n: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def generate_gmm(spec: GmmSpec) -> LabeledDataset:
-    """Draw a dataset from ``spec``: ``n1`` columns at ``-mu``, the rest at ``+mu``.
+def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
+    """Draw ``n`` samples of ``spec``: ``n1`` columns at ``-mu``, the rest at ``+mu``.
 
     ``y_noisy`` initially equals ``y_clean``; apply :func:`flip_labels` to
-    inject noise.  Deterministic given ``spec.seed``.
+    inject noise.  Deterministic given ``seed``.
     """
-    rng = _rng(spec.seed)
-    n1 = spec.n1
-    n2 = spec.n - n1
-    z = rng.standard_normal((spec.p, spec.n))
+    n1, n2 = spec.class_sizes(n)
+    X = _rng(seed).standard_normal((spec.p, n))
     if spec.cov is not None:
-        r1 = _sym_sqrt(spec.cov[0])
-        r2 = _sym_sqrt(spec.cov[1])
-        z = np.concatenate([r1 @ z[:, :n1], r2 @ z[:, n1:]], axis=1)
-    X = z
+        r1, r2 = (_sym_sqrt(c) for c in spec.cov)
+        X = np.concatenate([r1 @ X[:, :n1], r2 @ X[:, n1:]], axis=1)
     X[:, :n1] -= spec.mu[:, None]
     X[:, n1:] += spec.mu[:, None]
     y = np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
@@ -290,7 +279,10 @@ class StandardizeResult:
     dataset: LabeledDataset
     snr_estimate: float
     pi1_estimate: float
-    single_class: bool = False
+
+    @property
+    def single_class(self) -> bool:
+        return not 0 < self.pi1_estimate < 1
 
 
 def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
@@ -316,8 +308,7 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
         )
         y = ds.y_noisy
     n1 = int(np.sum(y == -1))
-    single_class = n1 == 0 or n1 == ds.n
-    if single_class:
+    if n1 == 0 or n1 == ds.n:
         warnings.warn("all samples share one label; SNR estimate is undefined", stacklevel=2)
         snr = 0.0
     else:
@@ -327,9 +318,4 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
         snr = float(np.linalg.norm((m2 - m1) / 2.0))
 
     out = LabeledDataset(X=X, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
-    return StandardizeResult(
-        dataset=out,
-        snr_estimate=snr,
-        pi1_estimate=n1 / ds.n,
-        single_class=single_class,
-    )
+    return StandardizeResult(dataset=out, snr_estimate=snr, pi1_estimate=n1 / ds.n)

@@ -21,30 +21,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labels-Perturbed Classifier experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "run the experiment the config declares"),
-                            ("theory", "print the theory statistics of the config's model")):
-        p = sub.add_parser(name, help=help_text)
+    run = sub.add_parser("run", help="run the experiment the config declares")
+    theory = sub.add_parser("theory", help="print the theory statistics of the config's model")
+    for p in (run, theory):
         p.add_argument("--config", required=True, help="flat key-value config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seeds", default=None,
-                       help="comma-separated seed list overriding the config")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--seeds", default=None,
+                     help="comma-separated seed list overriding the config")
+    run.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.seeds is not None:
+        # `theory` takes no overrides
+        overrides = {k: v for k, v in vars(args).items()
+                     if k in ("out", "seeds", "threads") and v is not None}
+        if "seeds" in overrides:
             try:
                 overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
             except ValueError:
                 raise ConfigError(f"bad --seeds value {args.seeds!r}") from None
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         cfg = parse_config_file(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+from ..core import RhoParams
+from ..datasets import GmmSpec
+from ..multiclass import MultiGmmSpec
+from ..noise import _check_probes
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "parse_config_text"]
 
@@ -39,9 +45,22 @@ SWEEP_PARAMS = ("eps_plus", "rho_plus", "gamma")
 # of that limit.
 OPTIMAL_GAMMA = 1e3
 
+# estimate-noise grid point g draws its features from stream 30 + g and its
+# flips from stream 60 + g of the seed, so the grid has at most 30 points.
+NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS = 30, 60
+
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent configuration input."""
+
+
+@contextmanager
+def _naming(keys: str):
+    """A ``ValueError`` or ``ConfigError`` becomes a ``ConfigError`` that names ``keys``."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -112,14 +131,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown sweep_param {self.sweep_param!r}; expected one of {SWEEP_PARAMS}"
             )
+        noise_grid = self.experiment == "estimate-noise" and not self.data_path
         if self.grid:
             diffs = np.diff(np.asarray(self.grid))
             if np.any(diffs <= 0):
                 raise ConfigError("grid values must be strictly increasing")
-        elif self.experiment == "sweep" or (
-            self.experiment == "estimate-noise" and not self.data_path
-        ):
+        elif self.experiment == "sweep" or noise_grid:
             raise ConfigError(f"experiment {self.experiment!r} needs a nonempty grid")
+        if noise_grid and len(self.grid) > NOISE_FLIP_STREAMS - NOISE_FEATURE_STREAMS:
+            raise ConfigError(
+                f"estimate-noise takes at most {NOISE_FLIP_STREAMS - NOISE_FEATURE_STREAMS} "
+                f"grid points, got {len(self.grid)}: more would draw features and flips "
+                "from one random stream")
         if self.gamma == "optimal":
             if self.experiment == "multiclass":
                 raise ConfigError("multiclass experiment needs a numeric gamma")
@@ -141,15 +164,38 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "multiclass":
-            k = len(self.means)
-            if len(self.eps_rows) != k or any(len(r) != k for r in self.eps_rows):
-                raise ConfigError(f"eps matrix needs k={k} rows of {k} entries, one per mean")
-            if len(self.pis) != k:
-                raise ConfigError(f"pis needs k={k} entries, one per mean, got {len(self.pis)}")
             if self.grid_size < 1:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:
                 raise ConfigError(f"tau_points must be >= 2, got {self.tau_points}")
+        # the model the run draws from, asked for the class sizes of its draws
+        if not (self.data_path and self.experiment in ("estimate-noise", "real-data")):
+            multi = self.experiment == "multiclass"
+            with _naming(f"{'means, pis, eps_rows' if multi else 'pi1'} with n, n_test"):
+                model = (multi_spec_from_config(self) if multi
+                         else GmmSpec.isotropic(self.p, self.pi1, self.snr))
+                for n in (self.n, self.n_test):
+                    model.class_sizes(n)
+        if "custom" in self.variants and not (
+                self.experiment == "sweep" and self.sweep_param == "rho_plus"):
+            with _naming("custom_rho_plus, custom_rho_minus"):
+                RhoParams(self.custom_rho_plus, self.custom_rho_minus)
+        if self.experiment == "estimate-noise":
+            with _naming("probe1_rho_plus/minus, probe2_rho_plus/minus"):
+                _check_probes(RhoParams(self.probe1_rho_plus, self.probe1_rho_minus),
+                              RhoParams(self.probe2_rho_plus, self.probe2_rho_minus))
+        if self.experiment == "sweep" or noise_grid:  # each point as the run uses it
+            for value in self.grid:
+                with _naming(f"grid point {value}"):
+                    self.at_grid_point(value)
+
+    def at_grid_point(self, value: float) -> ExperimentConfig:
+        """One grid point as a one-point ``histogram`` config: the value the grid
+        sweeps (``custom_rho_plus`` for ``sweep_param = rho_plus``; ``eps_plus``
+        for the estimate-noise grid) replaced by ``value``."""
+        sweep = self.sweep_param if self.experiment == "sweep" else "eps_plus"
+        key = "custom_rho_plus" if sweep == "rho_plus" else sweep
+        return replace(self, experiment="histogram", grid=(), **{key: value})
 
     def resolved_out(self) -> str:
         return self.out or f"runs/{self.experiment}"
@@ -172,6 +218,13 @@ class ExperimentConfig:
         for f in sorted(fields(self), key=lambda f: f.name):
             lines.append(f"{f.name} = {_echo_value(getattr(self, f.name))}")
         return lines
+
+
+def multi_spec_from_config(cfg: ExperimentConfig) -> MultiGmmSpec:
+    """Collinear-means spec: mean of class j is ``means[j] * e1``."""
+    means = np.zeros((len(cfg.means), cfg.p))
+    means[:, 0] = cfg.means
+    return MultiGmmSpec(means, cfg.pis, cfg.eps_rows)
 
 
 def _echo_value(v) -> str:

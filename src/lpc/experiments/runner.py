@@ -43,7 +43,7 @@ from ..datasets import (
     load_features_csv,
     standardize_and_estimate,
 )
-from ..multiclass import MultiGmmSpec, search_alpha_beta
+from ..multiclass import search_alpha_beta
 from ..noise import estimate_noise_rates
 from ..theory import (
     TheoryConfig,
@@ -51,7 +51,8 @@ from ..theory import (
     optimal_rho_plus,
     theory_stats_isotropic,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import (NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, ExperimentConfig,
+                     multi_spec_from_config)
 from .report import RunReport
 from .svgplot import Figure
 
@@ -66,24 +67,24 @@ __all__ = [
 ]
 
 
-def _variants(cfg: ExperimentConfig, pi1: float, eps_plus: float, eta: float,
-              gamma: float, snr: float,
-              custom: RhoParams | None = None) -> dict[str, tuple[RhoParams, TheoryStats]]:
-    """``{variant: (rho, theory)}`` of every configured variant at one model
-    point; ``custom`` replaces the configured custom pair (rho_plus sweep)."""
+def _variants(cfg: ExperimentConfig, pi1: float, eta: float,
+              snr: float) -> dict[str, tuple[RhoParams, TheoryStats]]:
+    """``{variant: (rho, theory)}`` of every configured variant at the
+    config's flip rates and gamma (a grid point's: :meth:`~ExperimentConfig.at_grid_point`),
+    with the run's ``pi1``, ``eta`` and ``snr``."""
     out = {}
     for v in cfg.variants:
         if v == "unbiased":
-            rho = RhoParams(eps_plus, cfg.eps_minus)
+            rho = RhoParams(cfg.eps_plus, cfg.eps_minus)
         elif v == "optimized":
-            rho = RhoParams(optimal_rho_plus(pi1, eps_plus, cfg.eps_minus, 0.0), 0.0)
+            rho = RhoParams(optimal_rho_plus(pi1, cfg.eps_plus, cfg.eps_minus, 0.0), 0.0)
         elif v == "custom":
-            rho = custom or RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
+            rho = RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
         else:  # naive, oracle
             rho = RhoParams()
-        noise = (0.0, 0.0) if v == "oracle" else (eps_plus, cfg.eps_minus)
+        noise = (0.0, 0.0) if v == "oracle" else (cfg.eps_plus, cfg.eps_minus)
         out[v] = rho, theory_stats_isotropic(TheoryConfig(
-            eta=eta, pi1=pi1, gamma=gamma, eps_plus=noise[0], eps_minus=noise[1],
+            eta=eta, pi1=pi1, gamma=cfg.gamma, eps_plus=noise[0], eps_minus=noise[1],
             rho=rho, snr=snr))
     return out
 
@@ -104,11 +105,9 @@ def _score(X: np.ndarray, gamma: float, cells: list, X_test: np.ndarray,
     return out
 
 
-def _draw(cfg: ExperimentConfig, n: int, pi1: float, snr: float, seed: int,
-          stream: int) -> LabeledDataset:
-    """``n`` isotropic samples in dimension ``cfg.p``, from stream ``stream``
-    of ``seed``."""
-    return generate_gmm(GmmSpec.isotropic(cfg.p, n, pi1, snr, seed=derive_seed(seed, stream)))
+def _draw(cfg: ExperimentConfig, n: int, seed: int, stream: int) -> LabeledDataset:
+    """``n`` samples of the config's model, from stream ``stream`` of ``seed``."""
+    return generate_gmm(GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr), n, derive_seed(seed, stream))
 
 
 def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
@@ -141,13 +140,13 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     """Decision-value distributions of every variant against the predicted
     Gaussian mixture; bins from the first seed, moment rows from all."""
     report = RunReport(cfg)
-    variants = _variants(cfg, cfg.pi1, cfg.eps_plus, cfg.p / cfg.n, cfg.gamma, cfg.snr)
+    variants = _variants(cfg, cfg.pi1, cfg.p / cfg.n, cfg.snr)
     theories = {v: st for v, (_, st) in variants.items()}
 
     def one_seed(seed: int):
-        noisy = flip_labels(_draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 0),
+        noisy = flip_labels(_draw(cfg, cfg.n, seed, 0),
                             cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
-        test = _draw(cfg, cfg.n_test, cfg.pi1, cfg.snr, seed, 2)
+        test = _draw(cfg, cfg.n_test, seed, 2)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
         return seed, _score(noisy.X, cfg.gamma, cells, test.X, test.y_clean), test.y_clean
 
@@ -217,19 +216,14 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
     for g, value in enumerate(cfg.grid):
-        gamma, eps_plus, flip_stream, custom = cfg.gamma, cfg.eps_plus, 1, None
-        if cfg.sweep_param == "eps_plus":
-            eps_plus, flip_stream = value, 10 + g
-        elif cfg.sweep_param == "gamma":
-            gamma = value
-        else:
-            custom = RhoParams(value, cfg.custom_rho_minus)
-        variants = _variants(cfg, cfg.pi1, eps_plus, eta, gamma, cfg.snr, custom)
-        groups.setdefault(gamma, []).append((value, eps_plus, flip_stream, variants))
+        point = cfg.at_grid_point(value)
+        flip_stream = 10 + g if cfg.sweep_param == "eps_plus" else 1
+        groups.setdefault(point.gamma, []).append(
+            (value, point.eps_plus, flip_stream, _variants(point, cfg.pi1, eta, cfg.snr)))
 
     def one_seed(seed: int):
-        train = _draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, 0)
-        test = _draw(cfg, cfg.n_test, cfg.pi1, cfg.snr, seed, 2)
+        train = _draw(cfg, cfg.n, seed, 0)
+        test = _draw(cfg, cfg.n_test, seed, 2)
         rows = []
         for gamma, points in groups.items():
             cells, values = [], []
@@ -268,11 +262,6 @@ def _sweep_figure(cfg: ExperimentConfig, report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Grid point g draws its features from stream 30 + g and its flips from
-# 60 + g of the seed, so the grid has at most 30 points.
-_NOISE_FEATURE_STREAMS, _NOISE_FLIP_STREAMS = 30, 60
-
-
 def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
@@ -281,28 +270,22 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     point was taken; 2: the estimate is ambiguous).
 
     With ``data_path`` set the sweep is skipped: the rates of the ingested
-    noisy dataset are estimated once per seed, with SNR and class
+    noisy dataset are estimated once (single-shot), with SNR and class
     proportion taken from :func:`standardize_and_estimate` (approximate,
-    noisy-label based) unless theory inputs are configured.
+    noisy-label based), and reported as one row set at the first seed.
     """
     probe1 = RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus)
     probe2 = RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus)
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
-    if len(cfg.grid) > _NOISE_FLIP_STREAMS - _NOISE_FEATURE_STREAMS:
-        raise ConfigError(
-            f"estimate-noise takes at most {_NOISE_FLIP_STREAMS - _NOISE_FEATURE_STREAMS} "
-            f"grid points, got {len(cfg.grid)}: more would draw features and flips "
-            "from one random stream"
-        )
     report = RunReport(cfg)
 
     def one_seed(seed: int):
         rows = []
         for g, eps_plus in enumerate(cfg.grid):
             noisy = flip_labels(
-                _draw(cfg, cfg.n, cfg.pi1, cfg.snr, seed, _NOISE_FEATURE_STREAMS + g),
-                eps_plus, cfg.eps_minus, derive_seed(seed, _NOISE_FLIP_STREAMS + g))
+                _draw(cfg, cfg.n, seed, NOISE_FEATURE_STREAMS + g),
+                eps_plus, cfg.eps_minus, derive_seed(seed, NOISE_FLIP_STREAMS + g))
             est = estimate_noise_rates(noisy, probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1)
             rows.append((eps_plus, seed, est))
         return rows
@@ -375,12 +358,12 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
                                    y_clean=data.y_clean[tr])
             test_X, test_y = data.X[:, te], data.y_clean[te]
         else:
-            train = _draw(cfg, cfg.n, cfg.pi1, snr, seed, 5)
-            test = _draw(cfg, cfg.n_test, cfg.pi1, snr, seed, 6)
+            train = _draw(cfg, cfg.n, seed, 5)
+            test = _draw(cfg, cfg.n_test, seed, 6)
             test_X, test_y = test.X, test.y_clean
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
         pi1 = cfg.pi1 if data is None else noisy.class_counts[0] / noisy.n
-        variants = _variants(cfg, pi1, cfg.eps_plus, noisy.p / noisy.n, cfg.gamma, snr)
+        variants = _variants(cfg, pi1, noisy.p / noisy.n, snr)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
         scored = _score(noisy.X, cfg.gamma, cells, test_X, test_y)
         return [(v, seed, acc, st.accuracy)
@@ -417,14 +400,6 @@ def _accuracy_table(cfg: ExperimentConfig, report: RunReport) -> str:
 # multiclass
 # ---------------------------------------------------------------------------
 
-def multi_spec_from_config(cfg: ExperimentConfig) -> MultiGmmSpec:
-    """Collinear-means spec: mean of class j is ``means[j] * e1``."""
-    means = np.zeros((len(cfg.means), cfg.p))
-    means[:, 0] = cfg.means
-    return MultiGmmSpec(k=len(cfg.means), p=cfg.p, n=cfg.n, means=means,
-                        pi=np.asarray(cfg.pis), eps=np.asarray(cfg.eps_rows))
-
-
 def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     """Monte Carlo (alpha, beta) search and the best/worst mixing path.
 
@@ -433,16 +408,9 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     have one row per seed, like the path.
     """
     report = RunReport(cfg)
-    spec = multi_spec_from_config(cfg)
-    result = search_alpha_beta(
-        spec,
-        grid_size=cfg.grid_size,
-        eval_seeds=list(cfg.seeds),
-        gamma=cfg.gamma,
-        n_test=cfg.n_test,
-        tau_points=cfg.tau_points,
-        search_seed=cfg.search_seed,
-    )
+    result = search_alpha_beta(multi_spec_from_config(cfg), cfg.n, grid_size=cfg.grid_size,
+                               eval_seeds=list(cfg.seeds), gamma=cfg.gamma, n_test=cfg.n_test,
+                               tau_points=cfg.tau_points, search_seed=cfg.search_seed)
     for j, seed in enumerate(cfg.seeds):
         for i, tau in enumerate(result.tau_grid):
             report.add("multi-lpc", float(tau), seed, "accuracy", result.tau_accuracy[i, j])
@@ -493,7 +461,7 @@ def theory_csv(cfg: ExperimentConfig) -> str:
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
-    for v, (_, st) in _variants(cfg, cfg.pi1, cfg.eps_plus, eta, cfg.gamma, cfg.snr).items():
+    for v, (_, st) in _variants(cfg, cfg.pi1, eta, cfg.snr).items():
         vals = (v, eta, cfg.gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
                 st.kappa, oracle.m_rho, oracle.nu_rho, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))

@@ -9,7 +9,7 @@ binary reweighting: column ``j`` of the ``n x k`` target matrix equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,46 +38,47 @@ class MultiGmmSpec:
     implied no-flip mass and must be supplied as zeros.
     """
 
-    k: int
-    p: int
-    n: int
     means: np.ndarray  # k x p
     pi: np.ndarray
     eps: np.ndarray  # k x k, zero diagonal
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
         means = np.asarray(self.means, dtype=float)
-        if means.shape != (self.k, self.p):
-            raise ValueError(f"means must be {self.k} x {self.p}, got {means.shape}")
+        if means.ndim != 2 or len(means) < 2:
+            raise ValueError(f"means must be k x p with k >= 2, got shape {means.shape}")
+        object.__setattr__(self, "means", means)
+        k = self.k
         pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (self.k,) or np.any(pi <= 0):
-            raise ValueError("pi must hold k positive proportions")
+        if pi.shape != (k,) or not np.all(pi > 0):
+            raise ValueError(f"pi must hold k={k} positive proportions, one per mean")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
+        if len(self.eps) != k or any(np.shape(row) != (k,) for row in self.eps):
+            raise ValueError(f"eps matrix must be k={k} rows of {k} entries, one per mean")
         eps = np.asarray(self.eps, dtype=float)
-        if eps.shape != (self.k, self.k):
-            raise ValueError(f"eps must be {self.k} x {self.k}")
         if np.any(np.diag(eps) != 0):
             raise ValueError("eps diagonal must be zero (it is the implied no-flip mass)")
-        if np.any(eps < 0):
+        if not np.all(eps >= 0):  # NaN fails too
             raise ValueError("eps entries must be >= 0")
         col_mass = eps.sum(axis=0)
-        if np.any(col_mass >= 1.0):
-            raise ValueError(
-                f"per-class flip mass (eps column sums) must be < 1, got {col_mass}"
-            )
-        object.__setattr__(self, "means", means)
+        if not np.all(col_mass < 1.0):
+            raise ValueError(f"per-class flip mass (eps column sums) must be < 1, got {col_mass}")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "eps", eps)
 
-    def class_sizes(self) -> np.ndarray:
-        sizes = np.round(self.pi * self.n).astype(int)
-        sizes[-1] = self.n - sizes[:-1].sum()
+    @property
+    def k(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.means.shape[1]
+
+    def class_sizes(self, n: int) -> np.ndarray:
+        sizes = np.round(self.pi * n).astype(int)
+        sizes[-1] = n - sizes[:-1].sum()
         if np.any(sizes < 1):
-            raise ValueError(f"class sizes {sizes} leave an empty class")
+            raise ValueError(f"class sizes {sizes} at n={n} leave an empty class")
         return sizes
 
 
@@ -110,12 +111,13 @@ class AlphaBeta:
         return AlphaBeta(alpha=np.ones(k), beta=np.zeros(k))
 
 
-def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
-    """Draw the mixture and flip labels per the eps column of the true class."""
-    rng = _rng(spec.seed)
-    sizes = spec.class_sizes()
-    X = rng.standard_normal((spec.p, spec.n))
-    y_clean = np.empty(spec.n, dtype=np.int64)
+def generate_multi_gmm(spec: MultiGmmSpec, n: int, seed: int) -> MultiLabeledDataset:
+    """Draw ``n`` samples of the mixture and flip labels per the eps column of
+    the true class; deterministic given ``seed``."""
+    rng = _rng(seed)
+    sizes = spec.class_sizes(n)
+    X = rng.standard_normal((spec.p, n))
+    y_clean = np.empty(n, dtype=np.int64)
     start = 0
     for cls, size in enumerate(sizes, start=1):
         stop = start + size
@@ -125,18 +127,16 @@ def generate_multi_gmm(spec: MultiGmmSpec) -> MultiLabeledDataset:
 
     # one uniform draw per sample against its true class's column-cumulative
     # flip edges: t edges passed means noisy label t + 1; past all k, clean
-    u = rng.uniform(size=spec.n)
+    u = rng.uniform(size=n)
     edges = np.cumsum(spec.eps, axis=0)[:, y_clean - 1].T  # n x k
     t = np.count_nonzero(u[:, None] >= edges, axis=1)
     y_noisy = np.where(t < spec.k, t + 1, y_clean)
     return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
 
 
-def build_label_matrix(y_noisy: np.ndarray, k: int, ab: AlphaBeta) -> np.ndarray:
-    """n x k target matrix: column j is alpha_j where label == j, else beta_j."""
-    y_noisy = np.asarray(y_noisy)
-    if ab.alpha.size != k:
-        raise ValueError(f"alpha/beta length {ab.alpha.size} does not match k={k}")
+def build_label_matrix(y_noisy: np.ndarray, ab: AlphaBeta) -> np.ndarray:
+    """n x k target matrix (k = alpha size): column j is alpha_j where label == j, else beta_j."""
+    y_noisy, k = np.asarray(y_noisy), ab.alpha.size
     if np.any((y_noisy < 1) | (y_noisy > k)):
         bad = y_noisy[(y_noisy < 1) | (y_noisy > k)][0]
         raise ValueError(f"label {bad} out of range 1..{k}")
@@ -189,11 +189,11 @@ class _SeedEvaluator:
     ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule).
     """
 
-    def __init__(self, spec: MultiGmmSpec, gamma: float, seed: int, n_test: int):
-        train = generate_multi_gmm(replace(spec, seed=derive_seed(seed, 0)))
-        test = generate_multi_gmm(replace(spec, n=n_test, seed=derive_seed(seed, 1)))
-        onehot = (train.y_noisy[:, None] == np.arange(1, spec.k + 1)[None, :]).astype(float)
-        targets = np.column_stack([onehot, np.ones(spec.n)])
+    def __init__(self, spec: MultiGmmSpec, n: int, gamma: float, seed: int, n_test: int):
+        train = generate_multi_gmm(spec, n, derive_seed(seed, 0))
+        test = generate_multi_gmm(spec, n_test, derive_seed(seed, 1))
+        onehot = build_label_matrix(train.y_noisy, AlphaBeta.naive(spec.k))
+        targets = np.column_stack([onehot, np.ones(n)])
         scores = _Ridge(train.X, gamma).weights(targets).T @ test.X
         on, y = scores[:-1], test.y_clean  # k x m one-hot part, m true classes
         off = scores[-1] - on  # k x m, all-ones minus one-hot part
@@ -215,6 +215,7 @@ class _SeedEvaluator:
 
 def search_alpha_beta(
     spec: MultiGmmSpec,
+    n: int,
     grid_size: int,
     eval_seeds: list[int],
     gamma: float,
@@ -225,11 +226,10 @@ def search_alpha_beta(
     """Monte Carlo search over (alpha, beta) plus the best/worst mixing path.
 
     Samples ``grid_size`` candidates uniformly from ``[-2, 2]^(2k)``, scores
-    each by mean held-out accuracy over ``eval_seeds`` replicates, and
-    evaluates the interpolation ``tau * best + (1 - tau) * worst`` on a
-    ``tau`` grid.  Dataset replicates are keyed by ``eval_seeds`` alone
-    (the spec's own seed is bypassed); fully deterministic given
-    ``eval_seeds`` and ``search_seed``.
+    each by mean held-out accuracy over ``eval_seeds`` replicates (``n``
+    training and ``n_test`` test samples each), and evaluates the
+    interpolation ``tau * best + (1 - tau) * worst`` on a ``tau`` grid.
+    Fully deterministic given ``eval_seeds`` and ``search_seed``.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
@@ -239,7 +239,7 @@ def search_alpha_beta(
         raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
     k = spec.k
     rows = _rng(search_seed).uniform(-2.0, 2.0, size=(grid_size, 2 * k))  # alpha | beta
-    evaluators = [_SeedEvaluator(spec, gamma, seed, n_test) for seed in eval_seeds]
+    evaluators = [_SeedEvaluator(spec, n, gamma, seed, n_test) for seed in eval_seeds]
 
     def accuracy(block: np.ndarray) -> np.ndarray:  # n_rows x n_seeds
         return np.column_stack([ev.accuracies(block[:, :k], block[:, k:]) for ev in evaluators])

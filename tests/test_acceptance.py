@@ -141,9 +141,9 @@ def test_criterion_04_optimal_rho_argmax():
     gamma = ex.OPTIMAL_GAMMA
     margins = []
     for s in range(10):
-        ds = generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=derive_seed(s, 0)))
+        ds = generate_gmm(GmmSpec.isotropic(p, pi1, snr), n, derive_seed(s, 0))
         dsn = flip_labels(ds, ep, em, derive_seed(s, 1))
-        tds = generate_gmm(GmmSpec.isotropic(p, 10000, pi1, snr, seed=derive_seed(s, 2)))
+        tds = generate_gmm(GmmSpec.isotropic(p, pi1, snr), 10000, derive_seed(s, 2))
         accs = {}
         for name, rho in (("optimized", RhoParams(target, 0.0)),
                           ("unbiased", RhoParams(ep, em))):
@@ -233,7 +233,7 @@ def test_criterion_07_loo_oracle_equivalence():
             continue
         seed = int(rng.integers(0, 2**31))
         ds = flip_labels(
-            generate_gmm(GmmSpec.isotropic(p, n, pi1, 1.5, seed=seed)),
+            generate_gmm(GmmSpec.isotropic(p, pi1, 1.5), n, seed),
             0.2, 0.1, seed + 1)
         rho = RhoParams(float(rng.uniform(-0.3, 0.6)), float(rng.uniform(-0.2, 0.3)))
         gamma = float(rng.uniform(0.05, 5.0))
@@ -290,12 +290,10 @@ def test_criterion_08_general_covariance():
     }
     sums = {a: {"mean": [], "var": []} for a in (1, 2)}
     for s in range(16):
-        ds = generate_gmm(GmmSpec(p=p, n=n, pi1=pi1, mu=mu, cov=(C1, C2),
-                                  seed=derive_seed(s, 0)))
+        ds = generate_gmm(GmmSpec(pi1=pi1, mu=mu, cov=(C1, C2)), n, derive_seed(s, 0))
         dsn = flip_labels(ds, ep, em, derive_seed(s, 1))
         c = train_lpc(dsn, rho, gamma)
-        tds = generate_gmm(GmmSpec(p=p, n=8000, pi1=pi1, mu=mu, cov=(C1, C2),
-                                   seed=derive_seed(s, 2)))
+        tds = generate_gmm(GmmSpec(pi1=pi1, mu=mu, cov=(C1, C2)), 8000, derive_seed(s, 2))
         scores = c.w @ tds.X
         for a, lab in ((1, -1), (2, 1)):
             v = scores[tds.y_clean == lab]
@@ -336,7 +334,7 @@ def test_criterion_09_multi_lpc():
 def test_criterion_10_bce_variant():
     # gradient check
     ds = flip_labels(
-        generate_gmm(GmmSpec.isotropic(8, 60, 0.4, 1.5, seed=2)), 0.3, 0.2, 3)
+        generate_gmm(GmmSpec.isotropic(8, 0.4, 1.5), 60, 2), 0.3, 0.2, 3)
     from lpc.core import perturbed_bce_loss
 
     y01 = (ds.y_noisy == 1).astype(float)
@@ -363,9 +361,9 @@ def test_criterion_10_bce_variant():
     # one training and one test draw per seed, shared by every rho
     draws = {
         seed: (flip_labels(
-            generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=derive_seed(seed, 0))),
+            generate_gmm(GmmSpec.isotropic(p, pi1, snr), n, derive_seed(seed, 0)),
             ep, em, derive_seed(seed, 1)),
-            generate_gmm(GmmSpec.isotropic(p, 4000, pi1, snr, seed=derive_seed(seed, 2))))
+            generate_gmm(GmmSpec.isotropic(p, pi1, snr), 4000, derive_seed(seed, 2)))
         for seed in seeds
     }
 

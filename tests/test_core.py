@@ -23,7 +23,7 @@ from lpc.core import _loo_block, _targets, perturbed_bce_loss
 
 
 def _noisy_dataset(p, n, pi1=0.4, snr=1.5, eps=(0.2, 0.1), seed=0):
-    ds = generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=seed))
+    ds = generate_gmm(GmmSpec.isotropic(p, pi1, snr), n, seed)
     return flip_labels(ds, eps[0], eps[1], seed=seed + 1000)
 
 
@@ -139,7 +139,7 @@ class TestTrainLpc:
         # unit gamma: the residual grows with ||A||, past 1e-8 * ||w||
         from lpc.datasets import LabeledDataset
 
-        ds = flip_labels(generate_gmm(GmmSpec.isotropic(200, 400, 0.4, 2.0)), 0.2, 0.1, 1)
+        ds = flip_labels(generate_gmm(GmmSpec.isotropic(200, 0.4, 2.0), 400, 0), 0.2, 0.1, 1)
         big = LabeledDataset(X=ds.X * 1e4, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
         return [(ds, 1e8), (big, 1e-3), (big, 1.0), (ds, 1.0)]
 

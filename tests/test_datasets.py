@@ -16,37 +16,33 @@ class TestGmmSpecValidation:
     def test_pi1_bounds(self):
         for pi1 in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                GmmSpec.isotropic(4, 10, pi1, 1.0)
+                GmmSpec.isotropic(4, pi1, 1.0)
 
     def test_empty_class_rejected(self):
         # round(0.01 * 10) = 0 samples in class 1
         with pytest.raises(ValueError, match="class"):
-            GmmSpec.isotropic(4, 10, 0.01, 1.0)
-
-    def test_mu_length_must_match_p(self):
-        with pytest.raises(ValueError, match="mu"):
-            GmmSpec(p=3, n=10, pi1=0.5, mu=np.ones(2))
+            GmmSpec.isotropic(4, 0.01, 1.0).class_sizes(10)
 
     def test_mu_must_be_finite(self):
         with pytest.raises(ValueError, match="mu"):
-            GmmSpec.isotropic(4, 10, 0.5, snr=np.nan)
+            GmmSpec.isotropic(4, 0.5, snr=np.nan)
 
     def test_asymmetric_covariance_rejected(self):
         C = np.eye(3)
         C[0, 1] = 0.5
         with pytest.raises(ValueError, match="C2 is not symmetric"):
-            GmmSpec(p=3, n=10, pi1=0.5, mu=np.zeros(3), cov=(np.eye(3), C))
+            GmmSpec(pi1=0.5, mu=np.zeros(3), cov=(np.eye(3), C))
 
     def test_non_psd_covariance_rejected_with_name(self):
         C = np.diag([1.0, -0.5, 1.0])
         with pytest.raises(ValueError, match="C1 is not positive semi-definite"):
-            GmmSpec(p=3, n=10, pi1=0.5, mu=np.zeros(3), cov=(C, np.eye(3)))
+            GmmSpec(pi1=0.5, mu=np.zeros(3), cov=(C, np.eye(3)))
 
 
 class TestGenerateGmm:
     def test_small_construction(self):
-        spec = GmmSpec(p=2, n=4, pi1=0.5, mu=np.array([1.0, 0.0]), seed=7)
-        ds = generate_gmm(spec)
+        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0]))
+        ds = generate_gmm(spec, 4, 7)
         assert ds.class_counts == (2, 2)
         assert np.array_equal(np.sort(ds.y_clean), [-1, -1, 1, 1])
         m1 = ds.X[:, ds.y_clean == -1].mean(axis=1)
@@ -55,24 +51,24 @@ class TestGenerateGmm:
         assert m2[0] > m1[0]
 
     def test_reproducibility_bit_identical(self):
-        spec = GmmSpec.isotropic(20, 50, 0.4, 2.0, seed=99)
-        a, b = generate_gmm(spec), generate_gmm(spec)
+        spec = GmmSpec.isotropic(20, 0.4, 2.0)
+        a, b = generate_gmm(spec, 50, 99), generate_gmm(spec, 50, 99)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y_clean, b.y_clean)
 
     def test_class_mean_concentration(self):
         # law of large numbers at the stated scale: ||mean of class 2|| is
         # within 3 * sqrt(p / n2) of the true norm 2
-        spec = GmmSpec.isotropic(1000, 5000, 1 / 3, 2.0, seed=3)
-        ds = generate_gmm(spec)
+        spec = GmmSpec.isotropic(1000, 1 / 3, 2.0)
+        ds = generate_gmm(spec, 5000, 3)
         n2 = ds.class_counts[1]
         mean2 = ds.X[:, ds.y_clean == +1].mean(axis=1)
         assert abs(np.linalg.norm(mean2) - 2.0) < 3.0 * np.sqrt(spec.p / n2)
 
     def test_general_covariance_scales_variance(self):
         C = 4.0 * np.eye(5)
-        spec = GmmSpec(p=5, n=4000, pi1=0.5, mu=np.zeros(5), cov=(C, np.eye(5)), seed=1)
-        ds = generate_gmm(spec)
+        spec = GmmSpec(pi1=0.5, mu=np.zeros(5), cov=(C, np.eye(5)))
+        ds = generate_gmm(spec, 4000, 1)
         v1 = ds.X[:, ds.y_clean == -1].var(axis=1).mean()
         v2 = ds.X[:, ds.y_clean == +1].var(axis=1).mean()
         assert v1 == pytest.approx(4.0, rel=0.15)
@@ -81,7 +77,7 @@ class TestGenerateGmm:
 
 class TestFlipLabels:
     def test_zero_rates_are_identity(self):
-        ds = generate_gmm(GmmSpec.isotropic(5, 40, 0.5, 1.0, seed=0))
+        ds = generate_gmm(GmmSpec.isotropic(5, 0.5, 1.0), 40, 0)
         out = flip_labels(ds, 0.0, 0.0, seed=5)
         assert np.array_equal(out.y_noisy, ds.y_clean)
 
@@ -91,7 +87,7 @@ class TestFlipLabels:
             flip_labels(ds, 0.1, 0.0, seed=0)
 
     def test_noise_rates_must_sum_below_one(self):
-        ds = generate_gmm(GmmSpec.isotropic(4, 10, 0.5, 1.0))
+        ds = generate_gmm(GmmSpec.isotropic(4, 0.5, 1.0), 10, 0)
         with pytest.raises(ValueError, match="eps_plus"):
             flip_labels(ds, 0.6, 0.4, seed=0)
         for rates in ((-0.5, 0.2), (0.1, -0.1), (1.2, -0.5)):
@@ -99,7 +95,7 @@ class TestFlipLabels:
                 flip_labels(ds, *rates, seed=0)
 
     def test_features_and_clean_labels_untouched(self):
-        ds = generate_gmm(GmmSpec.isotropic(5, 100, 0.5, 1.0, seed=2))
+        ds = generate_gmm(GmmSpec.isotropic(5, 0.5, 1.0), 100, 2)
         out = flip_labels(ds, 0.4, 0.3, seed=11)
         assert out.X is ds.X
         assert np.array_equal(out.y_clean, ds.y_clean)
@@ -107,14 +103,14 @@ class TestFlipLabels:
 
     def test_binomial_concentration_per_class(self):
         # n1 = 10000 negatives flipped at 0.3: count within 3 binomial sigmas
-        ds = generate_gmm(GmmSpec.isotropic(2, 20000, 0.5, 1.0, seed=4))
+        ds = generate_gmm(GmmSpec.isotropic(2, 0.5, 1.0), 20000, 4)
         out = flip_labels(ds, 0.0, 0.3, seed=21)
         flipped = np.sum((ds.y_clean == -1) & (out.y_noisy == +1))
         assert abs(flipped - 3000) < 3.0 * np.sqrt(10000 * 0.3 * 0.7)
 
     def test_mixture_flip_fraction(self):
         n = 30000
-        ds = generate_gmm(GmmSpec.isotropic(2, n, 1 / 3, 1.0, seed=8))
+        ds = generate_gmm(GmmSpec.isotropic(2, 1 / 3, 1.0), n, 8)
         out = flip_labels(ds, 0.4, 0.3, seed=13)
         frac = np.mean(out.y_noisy != ds.y_clean)
         expected = (1 / 3) * 0.3 + (2 / 3) * 0.4
@@ -122,7 +118,7 @@ class TestFlipLabels:
 
     def test_marginal_flip_law_many_seeds(self):
         # class-1 flip fraction averaged over many independent flips
-        ds = generate_gmm(GmmSpec.isotropic(2, 100, 0.5, 1.0, seed=6))
+        ds = generate_gmm(GmmSpec.isotropic(2, 0.5, 1.0), 100, 6)
         n1 = ds.class_counts[0]
         eps_minus = 0.3
         reps = 1000
@@ -191,13 +187,13 @@ class TestCsvIngestion:
 
 class TestStandardize:
     def test_idempotent_on_standardized_data(self):
-        ds = generate_gmm(GmmSpec.isotropic(10, 400, 0.5, 1.5, seed=14))
+        ds = generate_gmm(GmmSpec.isotropic(10, 0.5, 1.5), 400, 14)
         first = standardize_and_estimate(ds)
         second = standardize_and_estimate(first.dataset)
         np.testing.assert_allclose(second.dataset.X, first.dataset.X, atol=1e-10)
 
     def test_class_means_centered(self):
-        ds = generate_gmm(GmmSpec.isotropic(20, 300, 0.3, 2.0, seed=15))
+        ds = generate_gmm(GmmSpec.isotropic(20, 0.3, 2.0), 300, 15)
         res = standardize_and_estimate(ds)
         X, y = res.dataset.X, res.dataset.y_clean
         m1 = X[:, y == -1].mean(axis=1)
@@ -208,7 +204,7 @@ class TestStandardize:
         # signal spread over the coordinates, as for standardized real data
         p = 100
         mu = np.full(p, 2.0 / np.sqrt(p))
-        ds = generate_gmm(GmmSpec(p=p, n=5000, pi1=0.5, mu=mu, seed=16))
+        ds = generate_gmm(GmmSpec(pi1=0.5, mu=mu), 5000, 16)
         res = standardize_and_estimate(ds)
         assert 1.9 <= res.snr_estimate <= 2.1
         assert res.pi1_estimate == pytest.approx(0.5)

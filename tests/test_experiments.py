@@ -2,6 +2,7 @@ import argparse
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -68,8 +69,8 @@ def _replay(cfg, row):
         gamma = value
     elif cfg.experiment == "sweep":
         custom = value
-    train, test = (lpc.generate_gmm(lpc.GmmSpec.isotropic(
-        cfg.p, n, cfg.pi1, cfg.snr, seed=derive_seed(row.seed, stream)))
+    model = lpc.GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr)
+    train, test = (lpc.generate_gmm(model, n, derive_seed(row.seed, stream))
         for n, stream in ((cfg.n, streams[0]), (cfg.n_test, streams[2])))
     noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(row.seed, streams[1]))
     rho = {
@@ -319,8 +320,7 @@ class TestRunners:
         assert "bins.csv" in rep.extra_files
 
     def test_noise_estimation_from_file(self, tmp_path):
-        ds = lpc.generate_gmm(lpc.GmmSpec(
-            p=30, n=800, pi1=0.4, mu=np.full(30, 1.5 / np.sqrt(30)), seed=2))
+        ds = lpc.generate_gmm(lpc.GmmSpec(pi1=0.4, mu=np.full(30, 1.5 / np.sqrt(30))), 800, 2)
         noisy = lpc.flip_labels(ds, 0.3, 0.1, seed=3)
         lines = [
             ",".join([str(int(noisy.y_noisy[i]))] + [f"{v:.6f}" for v in ds.X[:, i]])
@@ -541,7 +541,7 @@ class TestRunners:
     def test_multiclass_rows_per_seed(self):
         # naive, best and worst get one row per seed; best and worst are the
         # path's ends, and their seed means are SearchResult's means
-        from lpc.experiments.runner import multi_spec_from_config
+        from lpc.experiments.config import multi_spec_from_config
         from lpc.multiclass import search_alpha_beta
 
         cfg = ex.parse_config_text(
@@ -550,7 +550,7 @@ class TestRunners:
             "n_test = 200\ntau_points = 3\n"
         )
         rep = ex.run_multiclass(cfg)
-        res = search_alpha_beta(multi_spec_from_config(cfg), grid_size=cfg.grid_size,
+        res = search_alpha_beta(multi_spec_from_config(cfg), cfg.n, grid_size=cfg.grid_size,
                                 eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
                                 tau_points=cfg.tau_points, search_seed=cfg.search_seed)
         for v, tau, mean in (("naive", 1.0, res.naive_seed_accuracy.mean()),
@@ -694,6 +694,45 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {key} ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines, match", [
+        # the config builds the model its run draws from
+        ("experiment = multiclass\nmeans = 1\npis = 1\neps_rows = 0\n", "k >= 2"),
+        ("experiment = multiclass\npis = 0.5,0.5,0.5\n", "sum to 1"),
+        ("experiment = histogram\npi1 = 0.01\n", r"class sizes \(0, 40\)"),
+        # each grid point is checked as the run uses it
+        ("experiment = sweep\nsweep_param = eps_plus\neps_minus = 0.3\ngrid = 0.1,0.8\n",
+         "grid point 0.8"),
+        ("experiment = estimate-noise\neps_minus = 0.3\ngrid = 0.1,0.8\n", "grid point 0.8"),
+        ("experiment = sweep\nsweep_param = gamma\ngrid = -1,1\n", "grid point -1"),
+        ("experiment = sweep\nsweep_param = rho_plus\nvariants = custom\ngrid = 0,1\n",
+         "grid point 1"),
+        # label-weight pairs
+        ("experiment = histogram\nvariants = custom\ncustom_rho_plus = 0.5\n"
+         "custom_rho_minus = 0.5\n", "custom_rho_plus.*singular"),
+        ("experiment = estimate-noise\ngrid = 0.1\nprobe1_rho_plus = 0.5\n"
+         "probe1_rho_minus = 0.5\n", "probe1.*singular"),
+        ("experiment = estimate-noise\ngrid = 0.1\nprobe2_rho_minus = 0.1\n",
+         "probe1.*distinct gaps"),
+    ], ids=["one_mean", "pis_sum", "empty_class", "eps_plus_grid", "estimate_noise_grid",
+            "gamma_grid", "rho_plus_grid", "custom_pair", "singular_probe", "equal_gaps"])
+    def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
+        # each failed inside the run with exit 2 ("runtime error")
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"
+                              "gamma = 1\n" + lines)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and re.search(match, err), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--seeds", "5"], ["--out", "elsewhere"],
+                                      ["--threads", "9"]])
+    def test_theory_takes_config_only(self, tmp_path, flag):
+        # these flags were accepted and ignored
+        cfg = self._write_cfg(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["theory", "--config", cfg, *flag])
+        assert exc.value.code == 2
 
     def test_theory_refuses_nan_gamma(self, tmp_path, capsys):
         # printed a table of nan with exit 0

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -20,30 +18,27 @@ EPS3 = np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.4], [0.5, 0.0, 0.0]])
 PI3 = np.array([0.3, 0.3, 0.4])
 
 
-def _spec3(n=600, p=20, seed=0):
+def _spec3(p=20):
     means = np.zeros((3, p))
     means[0, 0], means[2, 0] = -2.0, 2.0
-    return MultiGmmSpec(k=3, p=p, n=n, means=means, pi=PI3, eps=EPS3, seed=seed)
+    return MultiGmmSpec(means=means, pi=PI3, eps=EPS3)
 
 
 class TestSpecValidation:
     def test_pi_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            MultiGmmSpec(k=2, p=3, n=10, means=np.zeros((2, 3)),
-                         pi=np.array([0.5, 0.6]), eps=np.zeros((2, 2)))
+            MultiGmmSpec(means=np.zeros((2, 3)), pi=np.array([0.5, 0.6]), eps=np.zeros((2, 2)))
 
     def test_eps_diagonal_must_be_zero(self):
         eps = np.array([[0.1, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            MultiGmmSpec(k=2, p=3, n=10, means=np.zeros((2, 3)),
-                         pi=np.array([0.5, 0.5]), eps=eps)
+            MultiGmmSpec(means=np.zeros((2, 3)), pi=np.array([0.5, 0.5]), eps=eps)
 
     def test_eps_column_mass_below_one(self):
         eps = np.array([[0.0, 0.6], [0.5, 0.0]])
         eps[0, 1] = 1.0
         with pytest.raises(ValueError, match="flip mass"):
-            MultiGmmSpec(k=2, p=3, n=10, means=np.zeros((2, 3)),
-                         pi=np.array([0.5, 0.5]), eps=eps)
+            MultiGmmSpec(means=np.zeros((2, 3)), pi=np.array([0.5, 0.5]), eps=eps)
 
 
 class TestGenerate:
@@ -51,23 +46,20 @@ class TestGenerate:
         means = np.zeros((2, 4))
         means[0, 0], means[1, 0] = -1.5, 1.5
         eps = np.array([[0.0, 0.2], [0.1, 0.0]])
-        spec = MultiGmmSpec(k=2, p=4, n=1000, means=means,
-                            pi=np.array([0.5, 0.5]), eps=eps, seed=3)
-        ds = generate_multi_gmm(spec)
+        spec = MultiGmmSpec(means=means, pi=np.array([0.5, 0.5]), eps=eps)
+        ds = generate_multi_gmm(spec, 1000, 3)
         assert set(np.unique(ds.y_clean)) == {1, 2}
         m1 = ds.X[0, ds.y_clean == 1].mean()
         m2 = ds.X[0, ds.y_clean == 2].mean()
         assert m1 < 0 < m2
 
     def test_no_flip_mass_keeps_labels(self):
-        spec = MultiGmmSpec(k=3, p=5, n=200, means=np.zeros((3, 5)),
-                            pi=PI3, eps=np.zeros((3, 3)), seed=1)
-        ds = generate_multi_gmm(spec)
+        spec = MultiGmmSpec(means=np.zeros((3, 5)), pi=PI3, eps=np.zeros((3, 3)))
+        ds = generate_multi_gmm(spec, 200, 1)
         assert np.array_equal(ds.y_noisy, ds.y_clean)
 
     def test_flip_fractions_match_matrix(self):
-        spec = _spec3(n=20000, seed=5)
-        ds = generate_multi_gmm(spec)
+        ds = generate_multi_gmm(_spec3(), 20000, 5)
         for true_cls in range(1, 4):
             idx = ds.y_clean == true_cls
             n_cls = int(np.sum(idx))
@@ -80,8 +72,8 @@ class TestGenerate:
                 assert abs(count - rate * n_cls) <= tol
 
     def test_deterministic(self):
-        a = generate_multi_gmm(_spec3(seed=9))
-        b = generate_multi_gmm(_spec3(seed=9))
+        a = generate_multi_gmm(_spec3(), 600, 9)
+        b = generate_multi_gmm(_spec3(), 600, 9)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y_noisy, b.y_noisy)
 
@@ -89,19 +81,19 @@ class TestGenerate:
 class TestLabelMatrix:
     def test_one_hot_at_naive_point(self):
         y = np.array([1, 3, 2, 1])
-        Y = build_label_matrix(y, 3, AlphaBeta.naive(3))
+        Y = build_label_matrix(y, AlphaBeta.naive(3))
         expected = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float)
         np.testing.assert_array_equal(Y, expected)
 
     def test_constant_when_alpha_equals_beta(self):
-        Y = build_label_matrix(np.array([1, 2]), 2,
+        Y = build_label_matrix(np.array([1, 2]),
                                AlphaBeta(alpha=np.full(2, 0.7), beta=np.full(2, 0.7)))
         np.testing.assert_array_equal(Y, np.full((2, 2), 0.7))
 
     def test_hand_built_example(self):
         y = np.array([1, 3, 2, 1])
         ab = AlphaBeta(alpha=np.array([2.0, 0.0, 1.0]), beta=np.array([0.0, 1.0, -1.0]))
-        Y = build_label_matrix(y, 3, ab)
+        Y = build_label_matrix(y, ab)
         expected = np.array([
             [2.0, 1.0, -1.0],
             [0.0, 1.0, 1.0],
@@ -112,11 +104,7 @@ class TestLabelMatrix:
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="out of range"):
-            build_label_matrix(np.array([1, 4]), 3, AlphaBeta.naive(3))
-
-    def test_length_must_match_k(self):
-        with pytest.raises(ValueError, match="length 1 does not match k=3"):
-            build_label_matrix(np.array([1, 2]), 3, AlphaBeta(alpha=[5.0], beta=[0.0]))
+            build_label_matrix(np.array([1, 4]), AlphaBeta.naive(3))
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(0)
@@ -124,7 +112,7 @@ class TestLabelMatrix:
         ab = AlphaBeta(alpha=rng.standard_normal(3), beta=rng.standard_normal(3))
         perm = rng.permutation(12)
         np.testing.assert_array_equal(
-            build_label_matrix(y, 3, ab)[perm], build_label_matrix(y[perm], 3, ab)
+            build_label_matrix(y, ab)[perm], build_label_matrix(y[perm], ab)
         )
 
 
@@ -155,12 +143,11 @@ class TestTrainMulti:
     def test_binary_recoding(self):
         # one-hot two-class training: the column difference is the +-1 ridge
         ds = generate_multi_gmm(MultiGmmSpec(
-            k=2, p=5, n=40,
             means=np.vstack([-np.ones(5), np.ones(5)]),
             pi=np.array([0.5, 0.5]),
-            eps=np.array([[0.0, 0.1], [0.2, 0.0]]), seed=4))
+            eps=np.array([[0.0, 0.1], [0.2, 0.0]])), 40, 4)
         gamma = 0.9
-        W = train_multi_lpc(ds.X, build_label_matrix(ds.y_noisy, 2, AlphaBeta.naive(2)), gamma)
+        W = train_multi_lpc(ds.X, build_label_matrix(ds.y_noisy, AlphaBeta.naive(2)), gamma)
         y_pm = np.where(ds.y_noisy == 2, 1.0, -1.0)
         w_binary = np.linalg.solve(
             ds.X @ ds.X.T / ds.X.shape[1] + gamma * np.eye(5),
@@ -181,7 +168,7 @@ class TestAccuracyAndSearch:
         assert acc == 1.0  # everything ties to class 1
 
     def test_single_candidate(self):
-        res = search_alpha_beta(_spec3(n=200, p=10), grid_size=1,
+        res = search_alpha_beta(_spec3(p=10), 200, grid_size=1,
                                 eval_seeds=[0], gamma=1.0, n_test=200, tau_points=3)
         np.testing.assert_array_equal(res.ab_best.alpha, res.ab_worst.alpha)
         assert res.tau_accuracy[-1].mean() == res.tau_accuracy[0].mean()
@@ -189,16 +176,16 @@ class TestAccuracyAndSearch:
     def test_bit_identical_reruns(self):
         kwargs = dict(grid_size=40, eval_seeds=[0, 1], gamma=1.0,
                       n_test=250, tau_points=5, search_seed=7)
-        a = search_alpha_beta(_spec3(n=250, p=8), **kwargs)
-        b = search_alpha_beta(_spec3(n=250, p=8), **kwargs)
+        a = search_alpha_beta(_spec3(p=8), 250, **kwargs)
+        b = search_alpha_beta(_spec3(p=8), 250, **kwargs)
         np.testing.assert_array_equal(a.tau_accuracy, b.tau_accuracy)
         np.testing.assert_array_equal(a.ab_best.alpha, b.ab_best.alpha)
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError, match="grid_size"):
-            search_alpha_beta(_spec3(), grid_size=0, eval_seeds=[0], gamma=1.0)
+            search_alpha_beta(_spec3(), 600, grid_size=0, eval_seeds=[0], gamma=1.0)
         with pytest.raises(ValueError, match="eval_seeds"):
-            search_alpha_beta(_spec3(), grid_size=1, eval_seeds=[], gamma=1.0)
+            search_alpha_beta(_spec3(), 600, grid_size=1, eval_seeds=[], gamma=1.0)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(tau_points=0), "tau_points"),
@@ -206,7 +193,7 @@ class TestAccuracyAndSearch:
     ])
     def test_search_range_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            search_alpha_beta(_spec3(n=60, p=4), grid_size=2, eval_seeds=[0],
+            search_alpha_beta(_spec3(p=4), 60, grid_size=2, eval_seeds=[0],
                               gamma=1.0, n_test=30, **kwargs)
 
 
@@ -224,7 +211,7 @@ def _scalar_accuracies(ev, A, B):
 
 class TestBlockScoring:
     def test_matches_scalar_rule_with_ties(self):
-        ev = _SeedEvaluator(_spec3(n=300, p=10), gamma=1.0, seed=4, n_test=250)
+        ev = _SeedEvaluator(_spec3(p=10), 300, gamma=1.0, seed=4, n_test=250)
         rng = np.random.default_rng(0)
         A, B = rng.uniform(-2, 2, (40, 3)), rng.uniform(-2, 2, (40, 3))
         A[0], B[0] = 0.0, 0.0  # every class ties at zero
@@ -244,7 +231,7 @@ class TestBlockScoring:
         np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
 
     def test_chunk_boundary(self):
-        ev = _SeedEvaluator(_spec3(n=200, p=6), gamma=0.5, seed=2, n_test=120)
+        ev = _SeedEvaluator(_spec3(p=6), 200, gamma=0.5, seed=2, n_test=120)
         rng = np.random.default_rng(3)
         A, B = rng.uniform(-2, 2, (2, _CHUNK_ROWS + 1, 3))
         row_by_row = np.concatenate([ev.accuracies(A[i:i + 1], B[i:i + 1])
@@ -252,16 +239,16 @@ class TestBlockScoring:
         np.testing.assert_array_equal(ev.accuracies(A, B), row_by_row)
 
     def test_search_matches_public_api(self):
-        spec, seeds, gamma, n_test = _spec3(n=300, p=10), [0, 1], 0.8, 250
-        res = search_alpha_beta(spec, grid_size=50, eval_seeds=seeds, gamma=gamma,
+        spec, n, seeds, gamma, n_test = _spec3(p=10), 300, [0, 1], 0.8, 250
+        res = search_alpha_beta(spec, n, grid_size=50, eval_seeds=seeds, gamma=gamma,
                                 n_test=n_test, tau_points=3, search_seed=5)
 
         def public(ab):
             accs = []
             for seed in seeds:
-                train = generate_multi_gmm(replace(spec, seed=derive_seed(seed, 0)))
-                test = generate_multi_gmm(replace(spec, n=n_test, seed=derive_seed(seed, 1)))
-                W = train_multi_lpc(train.X, build_label_matrix(train.y_noisy, 3, ab), gamma)
+                train = generate_multi_gmm(spec, n, derive_seed(seed, 0))
+                test = generate_multi_gmm(spec, n_test, derive_seed(seed, 1))
+                W = train_multi_lpc(train.X, build_label_matrix(train.y_noisy, ab), gamma)
                 accs.append(multi_accuracy(W, test.X, test.y_clean))
             return np.mean(accs)
 

@@ -19,7 +19,7 @@ PROBES = (RhoParams(0.0, 0.1), RhoParams(0.0, 0.4))
 
 
 def _noisy(p, n, pi1, snr, eps, seed):
-    ds = generate_gmm(GmmSpec.isotropic(p, n, pi1, snr, seed=derive_seed(seed, 0)))
+    ds = generate_gmm(GmmSpec.isotropic(p, pi1, snr), n, derive_seed(seed, 0))
     return flip_labels(ds, eps[0], eps[1], derive_seed(seed, 1))
 
 
