@@ -24,13 +24,11 @@ from .datasets import (
 )
 from .noise import NoiseEstimate, empirical_second_moment, estimate_noise_rates
 from .theory import (
-    TheoryConfig,
     TheoryStats,
     delta,
     gaussian_upper_tail,
     optimal_rho_plus,
-    theory_stats_general,
-    theory_stats_isotropic,
+    theory_stats,
     worst_rho_plus,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "NoiseEstimate",
     "RhoParams",
     "StandardizeResult",
-    "TheoryConfig",
     "TheoryStats",
     "decision",
     "delta",
@@ -60,8 +57,7 @@ __all__ = [
     "optimal_rho_plus",
     "save_classifier",
     "standardize_and_estimate",
-    "theory_stats_general",
-    "theory_stats_isotropic",
+    "theory_stats",
     "train_lpc",
     "train_lpc_bce",
     "worst_rho_plus",

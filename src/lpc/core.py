@@ -89,6 +89,10 @@ class Classifier:
         w = np.asarray(self.w, dtype=float).reshape(-1)
         if not np.all(np.isfinite(w)):
             raise ValueError("classifier weights must be finite")
+        if not self.gamma > 0:  # NaN fails too
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.loss_kind not in ("squared", "bce"):
+            raise ValueError(f"loss_kind must be 'squared' or 'bce', got {self.loss_kind!r}")
         object.__setattr__(self, "w", w)
 
     @property
@@ -316,9 +320,10 @@ def save_classifier(c: Classifier, path) -> None:
 def load_classifier(path) -> Classifier:
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if not header or header[0] != _FORMAT_TAG:
-            raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
-        loss_kind = header[1] if len(header) > 1 else "squared"
+        if len(header) != 2 or header[0] != _FORMAT_TAG:
+            raise ValueError(f"{path}: not a {_FORMAT_TAG} file: the first line must be "
+                             f"'{_FORMAT_TAG} <loss_kind>'")
+        loss_kind = header[1]
         values = [float(line) for line in f if line.strip()]
     if len(values) < 4:
         raise ValueError(f"{path}: truncated classifier file")

@@ -83,7 +83,9 @@ class GmmSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.pi1 < 1.0:
             raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim != 1 or not mu.size:
+            raise ValueError(f"mu must be a nonempty 1-d vector, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu contains non-finite entries")
         object.__setattr__(self, "mu", mu)
@@ -108,7 +110,7 @@ class GmmSpec:
     def isotropic(p: int, pi1: float, snr: float) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
         mu = np.zeros(p)
-        mu[0] = snr
+        mu[:1] = snr
         return GmmSpec(pi1=pi1, mu=mu)
 
 

@@ -14,6 +14,7 @@ import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -172,14 +173,13 @@ class ExperimentConfig:
         if not (self.data_path and self.experiment in ("estimate-noise", "real-data")):
             multi = self.experiment == "multiclass"
             with _naming(f"{'means, pis, eps_rows' if multi else 'pi1'} with n, n_test"):
-                model = (multi_spec_from_config(self) if multi
-                         else GmmSpec.isotropic(self.p, self.pi1, self.snr))
                 for n in (self.n, self.n_test):
-                    model.class_sizes(n)
-        if "custom" in self.variants and not (
-                self.experiment == "sweep" and self.sweep_param == "rho_plus"):
+                    self.model.class_sizes(n)
+        if "custom" in self.variants:
             with _naming("custom_rho_plus, custom_rho_minus"):
                 RhoParams(self.custom_rho_plus, self.custom_rho_minus)
+        if noise_grid and not self.snr > 0:
+            raise ConfigError(f"estimate-noise needs snr > 0, got {self.snr}")
         if self.experiment == "estimate-noise":
             with _naming("probe1_rho_plus/minus, probe2_rho_plus/minus"):
                 _check_probes(RhoParams(self.probe1_rho_plus, self.probe1_rho_minus),
@@ -188,6 +188,19 @@ class ExperimentConfig:
             for value in self.grid:
                 with _naming(f"grid point {value}"):
                     self.at_grid_point(value)
+
+    @cached_property
+    def model(self) -> GmmSpec | MultiGmmSpec:
+        """The model a synthetic run draws from and predicts with: for
+        ``multiclass`` the collinear-means spec (the mean of class ``j`` is
+        ``means[j] * e1``), otherwise ``GmmSpec.isotropic(p, pi1, snr)``.
+        Parse builds it, except for a ``data_path`` run, whose model comes
+        from the CSV."""
+        if self.experiment == "multiclass":
+            means = np.zeros((len(self.means), self.p))
+            means[:, 0] = self.means
+            return MultiGmmSpec(means, self.pis, self.eps_rows)
+        return GmmSpec.isotropic(self.p, self.pi1, self.snr)
 
     def at_grid_point(self, value: float) -> ExperimentConfig:
         """One grid point as a one-point ``histogram`` config: the value the grid
@@ -218,13 +231,6 @@ class ExperimentConfig:
         for f in sorted(fields(self), key=lambda f: f.name):
             lines.append(f"{f.name} = {_echo_value(getattr(self, f.name))}")
         return lines
-
-
-def multi_spec_from_config(cfg: ExperimentConfig) -> MultiGmmSpec:
-    """Collinear-means spec: mean of class j is ``means[j] * e1``."""
-    means = np.zeros((len(cfg.means), cfg.p))
-    means[:, 0] = cfg.means
-    return MultiGmmSpec(means, cfg.pis, cfg.eps_rows)
 
 
 def _echo_value(v) -> str:

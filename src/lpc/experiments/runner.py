@@ -45,14 +45,8 @@ from ..datasets import (
 )
 from ..multiclass import search_alpha_beta
 from ..noise import estimate_noise_rates
-from ..theory import (
-    TheoryConfig,
-    TheoryStats,
-    optimal_rho_plus,
-    theory_stats_isotropic,
-)
-from .config import (NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, ExperimentConfig,
-                     multi_spec_from_config)
+from ..theory import TheoryStats, optimal_rho_plus, theory_stats
+from .config import NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, ExperimentConfig
 from .report import RunReport
 from .svgplot import Figure
 
@@ -67,25 +61,23 @@ __all__ = [
 ]
 
 
-def _variants(cfg: ExperimentConfig, pi1: float, eta: float,
-              snr: float) -> dict[str, tuple[RhoParams, TheoryStats]]:
+def _variants(cfg: ExperimentConfig, model: GmmSpec,
+              n: int) -> dict[str, tuple[RhoParams, TheoryStats]]:
     """``{variant: (rho, theory)}`` of every configured variant at the
     config's flip rates and gamma (a grid point's: :meth:`~ExperimentConfig.at_grid_point`),
-    with the run's ``pi1``, ``eta`` and ``snr``."""
+    trained on ``n`` draws of ``model``."""
     out = {}
     for v in cfg.variants:
         if v == "unbiased":
             rho = RhoParams(cfg.eps_plus, cfg.eps_minus)
         elif v == "optimized":
-            rho = RhoParams(optimal_rho_plus(pi1, cfg.eps_plus, cfg.eps_minus, 0.0), 0.0)
+            rho = RhoParams(optimal_rho_plus(model.pi1, cfg.eps_plus, cfg.eps_minus, 0.0), 0.0)
         elif v == "custom":
             rho = RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
         else:  # naive, oracle
             rho = RhoParams()
         noise = (0.0, 0.0) if v == "oracle" else (cfg.eps_plus, cfg.eps_minus)
-        out[v] = rho, theory_stats_isotropic(TheoryConfig(
-            eta=eta, pi1=pi1, gamma=cfg.gamma, eps_plus=noise[0], eps_minus=noise[1],
-            rho=rho, snr=snr))
+        out[v] = rho, theory_stats(model, n, cfg.gamma, *noise, rho=rho)
     return out
 
 
@@ -106,8 +98,8 @@ def _score(X: np.ndarray, gamma: float, cells: list, X_test: np.ndarray,
 
 
 def _draw(cfg: ExperimentConfig, n: int, seed: int, stream: int) -> LabeledDataset:
-    """``n`` samples of the config's model, from stream ``stream`` of ``seed``."""
-    return generate_gmm(GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr), n, derive_seed(seed, stream))
+    """``n`` samples of ``cfg.model``, from stream ``stream`` of ``seed``."""
+    return generate_gmm(cfg.model, n, derive_seed(seed, stream))
 
 
 def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
@@ -140,7 +132,7 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     """Decision-value distributions of every variant against the predicted
     Gaussian mixture; bins from the first seed, moment rows from all."""
     report = RunReport(cfg)
-    variants = _variants(cfg, cfg.pi1, cfg.p / cfg.n, cfg.snr)
+    variants = _variants(cfg, cfg.model, cfg.n)
     theories = {v: st for v, (_, st) in variants.items()}
 
     def one_seed(seed: int):
@@ -212,14 +204,13 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     for the eps_plus sweep only the flips are redrawn per grid point.
     """
     report = RunReport(cfg)
-    eta = cfg.p / cfg.n
     # grid points by gamma: each group shares one factored draw per seed
     groups: dict[float, list] = {}
     for g, value in enumerate(cfg.grid):
         point = cfg.at_grid_point(value)
         flip_stream = 10 + g if cfg.sweep_param == "eps_plus" else 1
         groups.setdefault(point.gamma, []).append(
-            (value, point.eps_plus, flip_stream, _variants(point, cfg.pi1, eta, cfg.snr)))
+            (value, point.eps_plus, flip_stream, _variants(point, cfg.model, cfg.n)))
 
     def one_seed(seed: int):
         train = _draw(cfg, cfg.n, seed, 0)
@@ -338,12 +329,12 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
     With ``data_path`` set, ingests the CSV, standardizes it and splits it
     per seed into ``n`` training samples and the rest as the test set; the
     dimension is the CSV's, so ``p`` is ignored.  Otherwise draws a
-    synthetic stand-in of the configured shape.  Theory uses ``eta = p / n``
-    of the training split and, for CSV data, the estimated SNR and the
-    split's class proportion (the configured ``snr`` and ``pi1`` otherwise).
+    synthetic stand-in from ``cfg.model``.  For CSV data the theory's model
+    is isotropic with the CSV's dimension, the estimated SNR and the
+    split's class proportion, trained on the ``n`` split samples.
     """
     report = RunReport(cfg)
-    data, snr = None, cfg.snr
+    data = None
     if cfg.data_path:
         std = _ingest(cfg, clean=True)
         data, snr = std.dataset, std.snr_estimate
@@ -362,8 +353,9 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
             test = _draw(cfg, cfg.n_test, seed, 6)
             test_X, test_y = test.X, test.y_clean
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
-        pi1 = cfg.pi1 if data is None else noisy.class_counts[0] / noisy.n
-        variants = _variants(cfg, pi1, noisy.p / noisy.n, snr)
+        model = cfg.model if data is None else GmmSpec.isotropic(
+            noisy.p, noisy.class_counts[0] / noisy.n, snr)
+        variants = _variants(cfg, model, noisy.n)
         cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
         scored = _score(noisy.X, cfg.gamma, cells, test_X, test_y)
         return [(v, seed, acc, st.accuracy)
@@ -408,7 +400,7 @@ def run_multiclass(cfg: ExperimentConfig) -> RunReport:
     have one row per seed, like the path.
     """
     report = RunReport(cfg)
-    result = search_alpha_beta(multi_spec_from_config(cfg), cfg.n, grid_size=cfg.grid_size,
+    result = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
                                eval_seeds=list(cfg.seeds), gamma=cfg.gamma, n_test=cfg.n_test,
                                tau_points=cfg.tau_points, search_seed=cfg.search_seed)
     for j, seed in enumerate(cfg.seeds):
@@ -456,12 +448,11 @@ def theory_csv(cfg: ExperimentConfig) -> str:
         raise ConfigError("theory describes the binary model; a multiclass run has "
                           "no closed form")
     eta = cfg.p / cfg.n
-    oracle = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=cfg.pi1, gamma=cfg.gamma,
-                                                 snr=cfg.snr))
+    oracle = theory_stats(cfg.model, cfg.n, cfg.gamma)
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
-    for v, (_, st) in _variants(cfg, cfg.pi1, eta, cfg.snr).items():
+    for v, (_, st) in _variants(cfg, cfg.model, cfg.n).items():
         vals = (v, eta, cfg.gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
                 st.kappa, oracle.m_rho, oracle.nu_rho, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))

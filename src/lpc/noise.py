@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_block, _targets, loo_decisions
-from .datasets import LabeledDataset
-from .theory import TheoryConfig, theory_stats_isotropic
+from .datasets import GmmSpec, LabeledDataset
+from .theory import theory_stats
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
@@ -80,7 +80,8 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
                          gamma: float, snr: float, pi1: float) -> NoiseEstimate:
     """Estimate ``(eps_plus, eps_minus)`` from one noisy dataset.
 
-    ``snr`` and ``pi1`` are assumed known (or pre-estimated).  One
+    ``snr`` and ``pi1`` are assumed known (or pre-estimated); they and
+    ``ds.p`` make the isotropic model the moments are matched to.  One
     dense solve gives both probes' leave-one-out moments, and
     :func:`solve_noise_system` inverts them over the capped simplex
     ``{eps >= 0, eps_plus + eps_minus <= 0.99}``.  A residual above ``5%``
@@ -89,16 +90,16 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     _check_probes(probe1, probe2)
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
-    if not 0.0 < pi1 < 1.0:
-        raise ValueError(f"pi1 must lie in (0, 1), got {pi1}")
+    model = GmmSpec.isotropic(ds.p, pi1, snr)
     T = np.column_stack([_targets(ds.y_noisy, probe) for probe in (probe1, probe2)])
     nu_hat = np.mean(_loo_block(ds.X, T, gamma) ** 2, axis=0)
-    return solve_noise_system(nu_hat, ds.p / ds.n, gamma, snr, pi1, (probe1, probe2))
+    return solve_noise_system(nu_hat, model, ds.n, gamma, (probe1, probe2))
 
 
-def solve_noise_system(nu_hat: np.ndarray, eta: float, gamma: float, snr: float, pi1: float,
+def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: float,
                        probes: tuple[RhoParams, RhoParams]) -> NoiseEstimate:
-    """Invert the two-probe moment map for given target moments ``nu_hat``.
+    """Invert the two-probe moment map for given target moments ``nu_hat``
+    of the probes trained on ``n`` draws of the isotropic ``model``.
 
     In ``u = pi1*eps_minus + pi2*eps_plus`` and ``v = pi1*eps_minus -
     pi2*eps_plus``, probe ``k``'s moment minus its target is ``P_k(u) + a_k v``
@@ -112,15 +113,16 @@ def solve_noise_system(nu_hat: np.ndarray, eta: float, gamma: float, snr: float,
     stationary points along each edge (roots of a cubic) and the corners.
     """
     _check_probes(*probes)
+    if model.cov is not None:
+        raise ValueError("the moment inversion needs an isotropic model (cov = None)")
     nu_hat = np.asarray(nu_hat, dtype=float)
     if not np.all(np.isfinite(nu_hat)):
         raise ValueError("non-finite empirical second moments")
-    pi2 = 1.0 - pi1
+    pi1, pi2 = model.pi1, 1.0 - model.pi1
     P = np.empty((2, 3))  # coefficients of P_k, highest power first
     a = np.empty(2)
     for k, probe in enumerate(probes):
-        st = theory_stats_isotropic(TheoryConfig(eta=eta, pi1=pi1, gamma=gamma, rho=probe,
-                                                 snr=snr))
+        st = theory_stats(model, n, gamma, rho=probe)
         beta, S0 = probe.beta, pi1 * probe.lambda_minus + pi2 * probe.lambda_plus
         P[k] = 4.0 * st.kappa * beta**2, -4.0 * st.kappa * beta * S0, st.nu_rho - nu_hat[k]
         a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - st.h) / st.h

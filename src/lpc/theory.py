@@ -7,7 +7,8 @@ limits, from which :class:`TheoryStats` derives the predicted accuracy and
 risk, the closed-form optimal and worst-case ``rho_plus``, and the
 general-covariance extension.
 
-Everything here is a pure function of scalar (or matrix) inputs; these are
+Everything here is a pure function of the model (a
+:class:`~lpc.datasets.GmmSpec`), the sample count and scalar inputs; these are
 the reference values that the Monte Carlo experiments are validated against.
 """
 
@@ -19,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams
-from .datasets import _check_covariance
+from .datasets import GmmSpec
 
 __all__ = [
-    "TheoryConfig",
     "TheoryStats",
     "delta",
     "gaussian_upper_tail",
-    "theory_stats_isotropic",
-    "theory_stats_general",
+    "theory_stats",
     "optimal_rho_plus",
     "worst_rho_plus",
 ]
@@ -57,48 +56,6 @@ def delta(eta: float, gamma: float) -> float:
 def gaussian_upper_tail(x: float) -> float:
     """Standard normal upper-tail probability ``P(Z > x)`` of a scalar ``x``."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class TheoryConfig:
-    """Inputs of the asymptotic formulas.
-
-    For the isotropic path give ``snr = ||mu||``.  For the general path give
-    the mean direction ``mu`` and the two covariance matrices instead.
-    """
-
-    eta: float
-    pi1: float
-    gamma: float
-    eps_plus: float = 0.0
-    eps_minus: float = 0.0
-    rho: RhoParams = RhoParams()
-    snr: float | None = None
-    mu: np.ndarray | None = None
-    C1: np.ndarray | None = None
-    C2: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        # `not x > 0` so that NaN fails too
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.snr is not None and not math.isfinite(self.snr):
-            raise ValueError(f"snr must be finite, got {self.snr}")
-        if not 0.0 < self.pi1 < 1.0:
-            raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
-        if self.eps_plus + self.eps_minus >= 1.0:
-            raise ValueError("eps_plus + eps_minus must be < 1")
-        general = self.mu is not None or self.C1 is not None or self.C2 is not None
-        if general and (self.mu is None or self.C1 is None or self.C2 is None):
-            raise ValueError("general-covariance config needs mu, C1 and C2 together")
-        if not general and self.snr is None:
-            raise ValueError("config needs either snr or (mu, C1, C2)")
-
-    @property
-    def pi2(self) -> float:
-        return 1.0 - self.pi1
 
 
 @dataclass(frozen=True)
@@ -171,11 +128,37 @@ def _diag_weights(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[fl
     return d1, d2
 
 
-def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
-    """Full asymptotic statistics for an isotropic configuration."""
-    if cfg.snr is None:
-        raise ValueError("theory_stats_isotropic needs cfg.snr")
-    eta, gamma, pi1 = cfg.eta, cfg.gamma, cfg.pi1
+def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
+                 eps_minus: float = 0.0, rho: RhoParams = RhoParams(),
+                 test_class: int = 2) -> TheoryStats:
+    """Asymptotic statistics of the LPC with parameters ``rho`` and ridge
+    ``gamma``, trained on ``n`` draws of ``model`` whose labels flip at
+    rates ``(eps_plus, eps_minus)``; ``n`` enters only through
+    ``eta = model.p / n``.
+
+    An isotropic model (``model.cov is None``) takes the closed form.  Per-class
+    covariances take the trace fixed point, where ``test_class`` selects the
+    class of the test point: its second moment is ``nu_rho``, so
+    ``variance``, ``accuracy`` and ``risk`` are that class's, not a mixture
+    over both.
+    """
+    if not (n > 0 and gamma > 0):  # NaN fails too
+        raise ValueError(f"theory_stats needs n > 0 and gamma > 0, got ({n}, {gamma})")
+    if eps_plus + eps_minus >= 1.0:
+        raise ValueError("eps_plus + eps_minus must be < 1")
+    if test_class not in (1, 2):
+        raise ValueError(f"test_class must be 1 or 2, got {test_class}")
+    eta = model.p / n
+    if model.cov is None:
+        return _isotropic_stats(model, eta, gamma, eps_plus, eps_minus, rho)
+    return _general_stats(model, eta, gamma, eps_plus, eps_minus, rho, test_class)
+
+
+def _isotropic_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
+                     eps_minus: float, rho: RhoParams) -> TheoryStats:
+    """The closed form for identity covariances; the mean enters only
+    through ``||mu||^2``."""
+    pi1 = model.pi1
     d = delta(eta, gamma)
     gd = gamma * (1.0 + d)
     h = 1.0 - eta / (1.0 + gd) ** 2
@@ -183,13 +166,13 @@ def theory_stats_isotropic(cfg: TheoryConfig) -> TheoryStats:
         raise ValueError(
             f"theory outside validity range: h = {h:.3e} <= 0 at (eta, gamma) = ({eta}, {gamma})"
         )
-    s2 = float(cfg.snr) ** 2
+    s2 = float(model.mu @ model.mu)
     D = s2 + 1.0 + gd
     pi2 = 1.0 - pi1
-    A, B = _label_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    A, B = _label_weights(rho, eps_plus, eps_minus)
     S = pi1 * A + pi2 * B
     kappa = ((s2 + 1.0) / D - 2.0 * (1.0 - h)) * s2 / (h * D)
-    d1, d2 = _diag_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    d1, d2 = _diag_weights(rho, eps_plus, eps_minus)
     return TheoryStats(
         delta=d,
         h=h,
@@ -261,24 +244,13 @@ def _general_fixed_point(
     )
 
 
-def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
-    """Asymptotic statistics under per-class covariances ``C1, C2``.
-
-    ``test_class`` selects the class of the test point: its second moment
-    is ``nu_rho``, so ``variance``, ``accuracy`` and ``risk`` are that
-    class's, not a mixture over both.  All normalized traces are evaluated
-    without the rank-one mean term, so with ``C1 = C2 = I`` the result
-    coincides with :func:`theory_stats_isotropic` to solver tolerance.
-    """
-    if cfg.mu is None or cfg.C1 is None or cfg.C2 is None:
-        raise ValueError("theory_stats_general needs cfg.mu, cfg.C1 and cfg.C2")
-    if test_class not in (1, 2):
-        raise ValueError(f"test_class must be 1 or 2, got {test_class}")
-    mu = np.asarray(cfg.mu, dtype=float).reshape(-1)
-    p = mu.size
-    C1 = _check_covariance("C1", cfg.C1, p)
-    C2 = _check_covariance("C2", cfg.C2, p)
-    pi1, pi2, gamma, eta = cfg.pi1, cfg.pi2, cfg.gamma, cfg.eta
+def _general_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
+                   eps_minus: float, rho: RhoParams, test_class: int) -> TheoryStats:
+    """Per-class covariances ``(C1, C2) = model.cov``.  All normalized traces
+    are evaluated without the rank-one mean term, so with ``C1 = C2 = I`` the
+    result coincides with the isotropic closed form to solver tolerance."""
+    mu, (C1, C2), p = model.mu, model.cov, model.p
+    pi1, pi2 = model.pi1, 1.0 - model.pi1
 
     d1, d2 = _general_fixed_point(C1, C2, pi1, gamma, eta)
     Q0 = np.linalg.inv(pi1 * C1 / (1.0 + d1) + pi2 * C2 / (1.0 + d2) + gamma * np.eye(p))
@@ -310,11 +282,11 @@ def theory_stats_general(cfg: TheoryConfig, test_class: int = 2) -> TheoryStats:
     # T_b = (1/n) Tr(Sigma_b E[Q Sigma_a Q]), mean-free
     T = [eta / p * (alpha[0] * tr[b][0] + alpha[1] * tr[b][1]) for b in (0, 1)]
 
-    A, B = _label_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    A, B = _label_weights(rho, eps_plus, eps_minus)
     a1 = pi1 * A / (1.0 + d1)
     a2 = pi2 * B / (1.0 + d2)
     S = a1 + a2
-    w1, w2 = _diag_weights(cfg.rho, cfg.eps_plus, cfg.eps_minus)
+    w1, w2 = _diag_weights(rho, eps_plus, eps_minus)
     nu = (
         S**2 * mu_M_mu
         - 2.0 * S * (T[0] / (1.0 + d1) * a1 + T[1] / (1.0 + d2) * a2) * mu_Q_mu

@@ -10,15 +10,13 @@ import lpc.experiments as ex
 from lpc import (
     GmmSpec,
     RhoParams,
-    TheoryConfig,
     delta,
     derive_seed,
     flip_labels,
     generate_gmm,
     loo_decisions,
     optimal_rho_plus,
-    theory_stats_general,
-    theory_stats_isotropic,
+    theory_stats,
     train_lpc,
     train_lpc_bce,
 )
@@ -121,16 +119,15 @@ def test_criterion_04_optimal_rho_argmax():
     grid = np.arange(-1.0, 3.0 + 1e-9, step)
     argmax_ok = True
     details = []
-    for eta in (0.5, 1.0, 2.0):
+    model = GmmSpec.isotropic(1000, pi1, snr)
+    for eta, n in ((0.5, 2000), (1.0, 1000), (2.0, 500)):  # eta = 1000 / n
         gamma = ex.OPTIMAL_GAMMA
         accs = []
         for rp in grid:
             if abs(1.0 - rp) <= step:
                 accs.append(-np.inf)
                 continue
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
-                rho=RhoParams(rp, 0.0), snr=snr))
+            st = theory_stats(model, n, gamma, ep, em, rho=RhoParams(rp, 0.0))
             accs.append(st.accuracy)
         best = grid[int(np.argmax(accs))]
         argmax_ok &= abs(best - target) <= step + 1e-9
@@ -148,9 +145,7 @@ def test_criterion_04_optimal_rho_argmax():
         for name, rho in (("optimized", RhoParams(target, 0.0)),
                           ("unbiased", RhoParams(ep, em))):
             c = train_lpc(dsn, rho, gamma)
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=1.0, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
-                rho=rho, snr=snr))
+            st = theory_stats(GmmSpec.isotropic(p, pi1, snr), n, gamma, ep, em, rho=rho)
             orient = 1.0 if st.m_rho >= 0 else -1.0
             scores = c.w @ tds.X
             accs[name] = float(np.mean(np.where(orient * scores >= 0, 1, -1) == tds.y_clean))
@@ -162,10 +157,9 @@ def test_criterion_04_optimal_rho_argmax():
 
 
 def test_criterion_05_unbiased_variance_inflation():
-    base = dict(pi1=1 / 3, gamma=0.1, eps_plus=0.4, eps_minus=0.3, snr=2.0)
-    st = theory_stats_isotropic(TheoryConfig(eta=0.2, rho=RhoParams(0.4, 0.3), **base))
-    oracle = theory_stats_isotropic(TheoryConfig(
-        eta=0.2, **{**base, "eps_plus": 0.0, "eps_minus": 0.0}))
+    model, n = GmmSpec.isotropic(1000, 1 / 3, 2.0), 5000  # eta = 0.2
+    st = theory_stats(model, n, 0.1, 0.4, 0.3, rho=RhoParams(0.4, 0.3))
+    oracle = theory_stats(model, n, 0.1)
     analytic = st.nu_rho - oracle.nu_rho
 
     stds = {}
@@ -201,7 +195,7 @@ def test_criterion_06_noise_rate_estimation():
 
     # forward-map self-inversion on exact moments
     probes = (RhoParams(0.0, 0.1), RhoParams(0.0, 0.4))
-    eta, gamma, snr0, pi1 = 0.1, 0.1, 2.0, 1 / 3
+    setting = (GmmSpec.isotropic(100, 1 / 3, 2.0), 1000, 0.1)  # eta = 0.1, gamma = 0.1
     rng = np.random.default_rng(0)
     worst_inv = 0.0
     checked = 0
@@ -209,10 +203,8 @@ def test_criterion_06_noise_rate_estimation():
         ep, em = rng.uniform(0.0, 0.7, 2)
         if ep + em > 0.9:
             continue
-        nu = np.array([theory_stats_isotropic(TheoryConfig(
-            eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em, rho=pr, snr=snr0)).nu_rho
-            for pr in probes])
-        est = solve_noise_system(nu, eta, gamma, snr0, pi1, probes)
+        nu = np.array([theory_stats(*setting, ep, em, rho=pr).nu_rho for pr in probes])
+        est = solve_noise_system(nu, *setting, probes)
         worst_inv = max(worst_inv, abs(est.eps_plus - ep), abs(est.eps_minus - em))
         checked += 1
 
@@ -259,14 +251,15 @@ def test_criterion_08_general_covariance():
         ep, em = rng.uniform(0.0, 0.45, 2)
         if ep + em > 0.9:
             ep, em = 0.3, 0.2
+        eta, pi1 = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 0.8))
         kwargs = dict(
-            eta=float(rng.uniform(0.1, 3.0)), pi1=float(rng.uniform(0.2, 0.8)),
+            n=p / eta,
             gamma=float(rng.uniform(0.05, 5.0)), eps_plus=float(ep), eps_minus=float(em),
             rho=RhoParams(float(rng.uniform(-0.4, 0.6)), float(rng.uniform(-0.2, 0.2))),
         )
-        iso = theory_stats_isotropic(TheoryConfig(**kwargs, snr=snr))
-        gen = theory_stats_general(
-            TheoryConfig(**kwargs, mu=mu, C1=np.eye(p), C2=np.eye(p)), test_class=2)
+        iso = theory_stats(GmmSpec(pi1, mu), **kwargs)
+        gen = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), **kwargs,
+                           test_class=2)
         worst_red = max(
             worst_red,
             abs(gen.m_rho - iso.m_rho) / max(abs(iso.m_rho), 1e-10),
@@ -283,9 +276,8 @@ def test_criterion_08_general_covariance():
     C1 = np.diag(np.linspace(0.5, 2.5, p))
     C2 = np.eye(p)
     stats = {
-        a: theory_stats_general(
-            TheoryConfig(eta=p / n, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
-                         rho=rho, mu=mu, C1=C1, C2=C2), test_class=a)
+        a: theory_stats(GmmSpec(pi1, mu, cov=(C1, C2)), n, gamma, ep, em, rho=rho,
+                        test_class=a)
         for a in (1, 2)
     }
     sums = {a: {"mean": [], "var": []} for a in (1, 2)}

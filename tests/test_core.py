@@ -404,3 +404,22 @@ class TestSerialization:
         path.write_text("something-else\n1.0\n")
         with pytest.raises(ValueError, match="not a lpc-classifier"):
             load_classifier(path)
+
+    @pytest.mark.parametrize("header, match", [
+        ("lpc-classifier-v1 garbage", "loss_kind"),
+        ("lpc-classifier-v1", "not a lpc-classifier"),
+    ], ids=["unknown_kind", "no_kind"])
+    def test_rejects_header_no_writer_writes(self, tmp_path, header, match):
+        # the first loaded as loss_kind 'garbage', the second as 'squared'
+        path = tmp_path / "clf.txt"
+        path.write_text(f"{header}\n1.0\n0.0\n0.0\n1.0\n")
+        with pytest.raises(ValueError, match=match):
+            load_classifier(path)
+
+    @pytest.mark.parametrize("gamma, loss_kind, match", [
+        (-1.0, "squared", "gamma"), (float("nan"), "squared", "gamma"),
+        (1.0, "x", "loss_kind"),
+    ])
+    def test_classifier_rejects_values_no_trainer_writes(self, gamma, loss_kind, match):
+        with pytest.raises(ValueError, match=match):
+            Classifier(w=[1.0], gamma=gamma, rho=RhoParams(), loss_kind=loss_kind)

@@ -27,6 +27,16 @@ class TestGmmSpecValidation:
         with pytest.raises(ValueError, match="mu"):
             GmmSpec.isotropic(4, 0.5, snr=np.nan)
 
+    @pytest.mark.parametrize("make", [
+        lambda: GmmSpec.isotropic(0, 0.5, 2.0),
+        lambda: GmmSpec(0.5, np.zeros(0)),
+        lambda: GmmSpec(0.5, np.zeros((2, 2))),
+    ], ids=["isotropic_p0", "empty_mu", "matrix_mu"])
+    def test_mu_must_be_a_nonempty_vector(self, make):
+        # an IndexError, a p = 0 model and a mean flattened to p = 4
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            make()
+
     def test_asymmetric_covariance_rejected(self):
         C = np.eye(3)
         C[0, 1] = 0.5

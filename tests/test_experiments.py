@@ -57,7 +57,7 @@ def _public_api_cfg(experiment, sweep=None):
 def _replay(cfg, row):
     """The public-API classifier, test set and theory of one synthetic report
     cell: the harness's ``derive_seed`` draws, ``lpc.train_lpc`` (on clean
-    labels for ``oracle``) and ``lpc.theory_stats_isotropic``."""
+    labels for ``oracle``) and ``lpc.theory_stats``."""
     from lpc.datasets import LabeledDataset, derive_seed
 
     value = row.grid_value
@@ -84,9 +84,7 @@ def _replay(cfg, row):
     if row.variant == "oracle":
         noisy = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
         noise = (0.0, 0.0)
-    st = lpc.theory_stats_isotropic(lpc.TheoryConfig(
-        eta=cfg.p / cfg.n, pi1=cfg.pi1, gamma=gamma, eps_plus=noise[0], eps_minus=noise[1],
-        rho=rho, snr=cfg.snr))
+    st = lpc.theory_stats(model, cfg.n, gamma, *noise, rho=rho)
     return lpc.train_lpc(noisy, rho, gamma), test, st
 
 
@@ -449,23 +447,23 @@ class TestRunners:
         # the property that lets gamma = optimal be a constant: no variant's
         # predicted accuracy dips anywhere on [1e-3, 1e3]
         gammas = np.logspace(-3, 3, 61)
-        for eta, snr, pi1, (ep, em) in itertools.product(
-                (0.2, 1.0, 3.0), (1.0, 2.0), (0.3, 0.5), ((0.2, 0.1), (0.4, 0.3))):
+        for n, snr, pi1, (ep, em) in itertools.product(  # eta = 300 / n = 0.2, 1, 3
+                (1500, 300, 100), (1.0, 2.0), (0.3, 0.5), ((0.2, 0.1), (0.4, 0.3))):
+            model = lpc.GmmSpec.isotropic(300, pi1, snr)
             for rho, noise in (
                 (lpc.RhoParams(), (ep, em)),
                 (lpc.RhoParams(ep, em), (ep, em)),
                 (lpc.RhoParams(lpc.optimal_rho_plus(pi1, ep, em), 0.0), (ep, em)),
                 (lpc.RhoParams(), (0.0, 0.0)),
             ):
-                accs = [lpc.theory_stats_isotropic(lpc.TheoryConfig(
-                    eta=eta, pi1=pi1, gamma=g, eps_plus=noise[0], eps_minus=noise[1],
-                    rho=rho, snr=snr)).accuracy for g in gammas]
+                accs = [lpc.theory_stats(model, n, g, *noise, rho=rho).accuracy
+                        for g in gammas]
                 assert all(b >= a * (1 - 1e-9) for a, b in zip(accs, accs[1:]))
 
     @pytest.mark.parametrize("eta, snr", [(0.2, 1.0), (1.0, 2.0), (3.0, 0.5), (2.0, 4.0)])
     def test_optimal_gamma_reaches_the_mean_difference_limit(self, eta, snr):
-        oracle = lpc.theory_stats_isotropic(lpc.TheoryConfig(
-            eta=eta, pi1=0.5, gamma=ex.OPTIMAL_GAMMA, snr=snr))
+        p, n = 30, round(30 / eta)  # p / n == eta
+        oracle = lpc.theory_stats(lpc.GmmSpec.isotropic(p, 0.5, snr), n, ex.OPTIMAL_GAMMA)
         score = oracle.m_rho / np.sqrt(oracle.variance)
         assert score == pytest.approx(snr**2 / np.sqrt(snr**2 + eta), rel=1e-5)
 
@@ -541,7 +539,6 @@ class TestRunners:
     def test_multiclass_rows_per_seed(self):
         # naive, best and worst get one row per seed; best and worst are the
         # path's ends, and their seed means are SearchResult's means
-        from lpc.experiments.config import multi_spec_from_config
         from lpc.multiclass import search_alpha_beta
 
         cfg = ex.parse_config_text(
@@ -550,7 +547,7 @@ class TestRunners:
             "n_test = 200\ntau_points = 3\n"
         )
         rep = ex.run_multiclass(cfg)
-        res = search_alpha_beta(multi_spec_from_config(cfg), cfg.n, grid_size=cfg.grid_size,
+        res = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
                                 eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
                                 tau_points=cfg.tau_points, search_seed=cfg.search_seed)
         for v, tau, mean in (("naive", 1.0, res.naive_seed_accuracy.mean()),
@@ -714,8 +711,12 @@ class TestCli:
          "probe1_rho_minus = 0.5\n", "probe1.*singular"),
         ("experiment = estimate-noise\ngrid = 0.1\nprobe2_rho_minus = 0.1\n",
          "probe1.*distinct gaps"),
+        # the moment inversion's model
+        ("experiment = estimate-noise\ngrid = 0.1\nsnr = 0\n", "needs snr > 0, got 0.0"),
+        ("experiment = estimate-noise\ngrid = 0.1\nsnr = -1\n", "needs snr > 0, got -1.0"),
     ], ids=["one_mean", "pis_sum", "empty_class", "eps_plus_grid", "estimate_noise_grid",
-            "gamma_grid", "rho_plus_grid", "custom_pair", "singular_probe", "equal_gaps"])
+            "gamma_grid", "rho_plus_grid", "custom_pair", "singular_probe", "equal_gaps",
+            "noise_snr_zero", "noise_snr_negative"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
         # each failed inside the run with exit 2 ("runtime error")
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"
@@ -723,6 +724,20 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and re.search(match, err), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "theory"])
+    def test_rho_plus_sweep_custom_pair_refused_by_both_verbs(self, tmp_path, capsys, verb):
+        # `run` exited 0 (the sweep replaces custom_rho_plus) while `theory`,
+        # which prints the configured pair, exited 2
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = sweep\n"
+                              "sweep_param = rho_plus\ngrid = 0,0.2\nn = 40\np = 4\n"
+                              "n_test = 50\nvariants = custom\ncustom_rho_plus = 0.5\n"
+                              "custom_rho_minus = 0.5\n")
+        assert cli_main([verb, "--config", cfg, *(["--out", str(tmp_path / "o")]
+                                                  if verb == "run" else [])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: custom_rho_plus, custom_rho_minus: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [["--seeds", "5"], ["--out", "elsewhere"],

@@ -13,9 +13,11 @@ from lpc import (
 )
 from lpc.core import _targets
 from lpc.noise import solve_noise_system
-from lpc.theory import TheoryConfig, theory_stats_isotropic
+from lpc.theory import theory_stats
 
 PROBES = (RhoParams(0.0, 0.1), RhoParams(0.0, 0.4))
+# (model, n, gamma) at eta = 0.1, gamma = 0.1, snr = 2, pi1 = 1/3
+SETTING = (GmmSpec.isotropic(100, 1 / 3, 2.0), 1000, 0.1)
 
 
 def _noisy(p, n, pi1, snr, eps, seed):
@@ -23,20 +25,18 @@ def _noisy(p, n, pi1, snr, eps, seed):
     return flip_labels(ds, eps[0], eps[1], derive_seed(seed, 1))
 
 
-def _exact_moments(eta, gamma, snr, pi1, ep, em, probes):
-    return np.array([theory_stats_isotropic(TheoryConfig(
-        eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em, rho=pr, snr=snr)).nu_rho
-        for pr in probes])
+def _exact_moments(model, n, gamma, ep, em, probes):
+    return np.array([theory_stats(model, n, gamma, ep, em, rho=pr).nu_rho for pr in probes])
 
 
-def _moment_surface(eta, gamma, snr, pi1, probes):
+def _moment_surface(model, n, gamma, probes):
     """Both probes' exact moments at array-valued rates: each is a quadratic
     in (eps_plus, eps_minus), fitted through six exact points."""
     def basis(ep, em):
         return np.stack([np.ones_like(ep), ep, em, ep * ep, ep * em, em * em])
 
     ep, em = np.array([(0, 0), (0.5, 0), (0, 0.5), (0.25, 0), (0, 0.25), (0.25, 0.25)]).T
-    values = [_exact_moments(eta, gamma, snr, pi1, a, b, probes) for a, b in zip(ep, em)]
+    values = [_exact_moments(model, n, gamma, a, b, probes) for a, b in zip(ep, em)]
     coef = np.linalg.solve(basis(ep, em).T, np.array(values))
     return lambda ep, em: coef.T @ basis(ep, em)
 
@@ -69,7 +69,7 @@ class TestEmpiricalSecondMoment:
         for seed in range(3):
             ds = _noisy(p, n, pi1, snr, (ep, em), seed)
             vals.append(empirical_second_moment(ds, RhoParams(), gamma))
-        nu = _exact_moments(p / n, gamma, snr, pi1, ep, em, (RhoParams(),))[0]
+        nu = _exact_moments(GmmSpec.isotropic(p, pi1, snr), n, gamma, ep, em, (RhoParams(),))[0]
         assert np.mean(vals) == pytest.approx(nu, rel=0.05)
 
 
@@ -87,9 +87,9 @@ class TestEstimateNoiseRates:
         tiny = LabeledDataset(X=np.ones((2, 1)), y_noisy=np.array([1]))
         with pytest.raises(ValueError, match="distinct"):
             estimate_noise_rates(tiny, *probes, 0.1, 2.0, 1 / 3)
-        nu = _exact_moments(0.1, 0.1, 2.0, 1 / 3, 0.3337, 0.2011, probes)
+        nu = _exact_moments(*SETTING, 0.3337, 0.2011, probes)
         with pytest.raises(ValueError, match="distinct"):
-            solve_noise_system(nu, 0.1, 0.1, 2.0, 1 / 3, probes)
+            solve_noise_system(nu, *SETTING, probes)
 
     def test_input_validation(self):
         ds = _noisy(10, 40, 0.5, 1.0, (0.1, 0.1), seed=0)
@@ -98,7 +98,10 @@ class TestEstimateNoiseRates:
         with pytest.raises(ValueError, match="pi1"):
             estimate_noise_rates(ds, PROBES[0], PROBES[1], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            solve_noise_system(np.array([np.nan, 0.5]), 0.1, 0.1, 2.0, 1 / 3, PROBES)
+            solve_noise_system(np.array([np.nan, 0.5]), *SETTING, PROBES)
+        general = GmmSpec(1 / 3, SETTING[0].mu, cov=(np.eye(100), np.eye(100)))
+        with pytest.raises(ValueError, match="isotropic"):
+            solve_noise_system(np.array([0.2, 0.5]), general, 1000, 0.1, PROBES)
 
     def test_noiseless_recovery(self):
         hats = []
@@ -135,15 +138,14 @@ class TestEstimateNoiseRates:
 class TestForwardInverse:
     def test_exact_moment_inversion(self):
         # feeding exact theoretical moments must reproduce the noise rates
-        eta, gamma, snr, pi1 = 0.1, 0.1, 2.0, 1 / 3
         rng = np.random.default_rng(0)
         checked = 0
         while checked < 50:
             ep, em = rng.uniform(0.0, 0.7, 2)
             if ep + em > 0.9:
                 continue
-            nu = _exact_moments(eta, gamma, snr, pi1, ep, em, PROBES)
-            est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+            nu = _exact_moments(*SETTING, ep, em, PROBES)
+            est = solve_noise_system(nu, *SETTING, PROBES)
             assert abs(est.eps_plus - ep) <= 1e-8
             assert abs(est.eps_minus - em) <= 1e-8
             assert est.residual <= 1e-10
@@ -151,10 +153,10 @@ class TestForwardInverse:
 
     @pytest.mark.parametrize("snr", [1.0, 2.0, 3.0])
     def test_exact_moments_on_criterion_06_grid(self, snr):
-        eta, gamma, pi1, em = 0.1, 0.1, 1 / 3, 0.2
+        setting, em = (GmmSpec.isotropic(100, 1 / 3, snr), 1000, 0.1), 0.2  # eta = 0.1
         for ep in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-            nu = _exact_moments(eta, gamma, snr, pi1, ep, em, PROBES)
-            est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+            nu = _exact_moments(*setting, ep, em, PROBES)
+            est = solve_noise_system(nu, *setting, PROBES)
             assert est.roots and not est.ambiguous
             assert abs(est.eps_plus - ep) <= 1e-12
             assert abs(est.eps_minus - em) <= 1e-12
@@ -171,11 +173,12 @@ class TestForwardInverse:
             ep, em = rng.uniform(0.0, 0.9, 2)
             if ep + em > 0.95:
                 continue
+            setting = (GmmSpec.isotropic(100, pi1, snr), 100 / eta, gamma)
             try:
-                nu = _exact_moments(eta, gamma, snr, pi1, ep, em, probes)
+                nu = _exact_moments(*setting, ep, em, probes)
             except ValueError:  # h <= 0: outside the theory's validity range
                 continue
-            est = solve_noise_system(nu, eta, gamma, snr, pi1, probes)
+            est = solve_noise_system(nu, *setting, probes)
             assert min(max(abs(r[0] - ep), abs(r[1] - em)) for r in est.roots) <= 1e-9
             assert (est.eps_plus, est.eps_minus) == est.roots[0]
             checked += 1
@@ -184,20 +187,21 @@ class TestForwardInverse:
     def test_roots_on_the_boundary_are_kept(self, eps):
         # rounding puts such a root just outside the capped simplex; it is
         # snapped onto it instead of being dropped
-        nu = _exact_moments(0.1, 0.1, 1.0, 1 / 3, *eps, PROBES)
-        est = solve_noise_system(nu, 0.1, 0.1, 1.0, 1 / 3, PROBES)
+        setting = (GmmSpec.isotropic(100, 1 / 3, 1.0), 1000, 0.1)  # eta = 0.1
+        nu = _exact_moments(*setting, *eps, PROBES)
+        est = solve_noise_system(nu, *setting, PROBES)
         root = min(est.roots, key=lambda r: max(abs(r[0] - eps[0]), abs(r[1] - eps[1])))
         assert np.allclose(root, eps, rtol=0, atol=1e-12)
         assert min(root) >= 0.0 and sum(root) <= 0.99
 
     def test_two_roots_reported(self):
-        eta, gamma, snr, pi1 = 0.1, 0.1, 1.0, 0.7
-        nu = _exact_moments(eta, gamma, snr, pi1, 0.3, 0.6, PROBES)
-        est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+        setting = (GmmSpec.isotropic(100, 0.7, 1.0), 1000, 0.1)  # eta = 0.1
+        nu = _exact_moments(*setting, 0.3, 0.6, PROBES)
+        est = solve_noise_system(nu, *setting, PROBES)
         assert est.ambiguous and len(est.roots) == 2
         for root in est.roots:
             np.testing.assert_allclose(
-                _exact_moments(eta, gamma, snr, pi1, *root, PROBES), nu, rtol=1e-12)
+                _exact_moments(*setting, *root, PROBES), nu, rtol=1e-12)
         assert np.allclose(est.roots[1], (0.3, 0.6), atol=1e-12)
         assert sum(est.roots[0]) < sum(est.roots[1])
         assert (est.eps_plus, est.eps_minus) == est.roots[0]
@@ -205,19 +209,20 @@ class TestForwardInverse:
     def test_double_root_is_one_root(self):
         # the true rates sit where the two roots of q meet: rounding leaves
         # a discriminant of ~1e-16 * c1^2, which must not split the root
-        eta, gamma, snr, pi1, eps = 0.1, 0.1, 0.5, 1 / 3, (0.65, 0.2)
-        nu = _exact_moments(eta, gamma, snr, pi1, *eps, PROBES)
-        est = solve_noise_system(nu, eta, gamma, snr, pi1, PROBES)
+        setting, eps = (GmmSpec.isotropic(100, 1 / 3, 0.5), 1000, 0.1), (0.65, 0.2)
+        nu = _exact_moments(*setting, *eps, PROBES)
+        est = solve_noise_system(nu, *setting, PROBES)
         assert len(est.roots) == 1 and not est.ambiguous
         assert np.allclose(est.roots[0], eps, rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("nu, setting, probes", [
         # least-squares point on an edge
-        ((0.2429, 0.5348), (0.1, 0.1, 2.0, 1 / 3), PROBES),
-        # at the vertex of q, inside the simplex
-        ((1.0, 0.1), (0.9, 0.35, 1.3, 0.64), (RhoParams(0.3, -0.1), RhoParams(-0.3, -0.15))),
+        ((0.2429, 0.5348), SETTING, PROBES),
+        # at the vertex of q, inside the simplex (eta = 0.9)
+        ((1.0, 0.1), (GmmSpec.isotropic(90, 0.64, 1.3), 100, 0.35),
+         (RhoParams(0.3, -0.1), RhoParams(-0.3, -0.15))),
         # far from any attainable moment pair
-        ((50.0, 0.01), (0.1, 0.1, 2.0, 1 / 3), PROBES),
+        ((50.0, 0.01), SETTING, PROBES),
     ])
     def test_no_root_is_least_squares(self, nu, setting, probes):
         est = solve_noise_system(np.array(nu), *setting, probes)
@@ -235,7 +240,5 @@ class TestForwardInverse:
 
     def test_high_residual_flag(self):
         # moments that no simplex point can produce leave a large residual
-        est = solve_noise_system(
-            np.array([50.0, 0.01]), 0.1, 0.1, 2.0, 1 / 3, PROBES
-        )
+        est = solve_noise_system(np.array([50.0, 0.01]), *SETTING, PROBES)
         assert est.high_residual

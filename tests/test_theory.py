@@ -5,18 +5,22 @@ import pytest
 from scipy.integrate import quad
 
 from lpc import (
+    GmmSpec,
     RhoParams,
-    TheoryConfig,
     delta,
     gaussian_upper_tail,
     optimal_rho_plus,
-    theory_stats_general,
-    theory_stats_isotropic,
+    theory_stats,
     worst_rho_plus,
 )
 
-# heavy-noise high-dimensional reference configuration used across tests
-HIGHDIM = dict(eta=0.2, pi1=1 / 3, gamma=0.1, eps_plus=0.4, eps_minus=0.3, snr=2.0)
+# heavy-noise high-dimensional reference configuration used across tests (eta = 0.2)
+HIGHDIM = dict(p=1000, n=5000, pi1=1 / 3, gamma=0.1, eps_plus=0.4, eps_minus=0.3, snr=2.0)
+
+
+def _iso(p, n, pi1, snr, gamma, **kwargs):
+    """Theory of the isotropic model ``GmmSpec.isotropic(p, pi1, snr)`` at ``n``."""
+    return theory_stats(GmmSpec.isotropic(p, pi1, snr), n, gamma, **kwargs)
 
 
 class TestDelta:
@@ -78,15 +82,14 @@ class TestGaussianTail:
 
 def _oracle(cfg_kwargs):
     """The stats of the same model at rho = (0, 0) with zero noise."""
-    return theory_stats_isotropic(TheoryConfig(
-        **{**cfg_kwargs, "eps_plus": 0.0, "eps_minus": 0.0, "rho": RhoParams()}))
+    return _iso(**{**cfg_kwargs, "eps_plus": 0.0, "eps_minus": 0.0, "rho": RhoParams()})
 
 
 class TestIsotropicStats:
     def test_oracle_case(self):
         # the oracle mean is mu' Qbar mu / (1 + delta) for the built resolvent
         eta, gamma, snr, p = 0.2, 0.1, 2.0, 400
-        st = _oracle(dict(eta=eta, pi1=1 / 3, gamma=gamma, snr=snr))
+        st = _oracle(dict(p=p, n=2000, pi1=1 / 3, gamma=gamma, snr=snr))
         d = delta(eta, gamma)
         mu = np.zeros(p)
         mu[0] = snr
@@ -95,7 +98,7 @@ class TestIsotropicStats:
         assert st.nu_rho == pytest.approx(st.kappa + (1 - st.h) / st.h, abs=1e-14)
 
     def test_naive_mean_scaling(self):
-        st = theory_stats_isotropic(TheoryConfig(**HIGHDIM))
+        st = _iso(**HIGHDIM)
         oracle = _oracle(HIGHDIM)
         shrink = 1 - 2 * ((1 / 3) * 0.3 + (2 / 3) * 0.4)
         assert st.m_rho == pytest.approx(shrink * oracle.m_rho, abs=1e-14)
@@ -103,15 +106,15 @@ class TestIsotropicStats:
         assert st.m_rho == pytest.approx(0.2083, abs=5e-5)
 
     def test_unbiased_mean_equals_oracle(self):
-        st = theory_stats_isotropic(TheoryConfig(**HIGHDIM, rho=RhoParams(0.4, 0.3)))
+        st = _iso(**HIGHDIM, rho=RhoParams(0.4, 0.3))
         assert st.m_rho == pytest.approx(_oracle(HIGHDIM).m_rho, abs=1e-14)
 
     def test_unbiased_variance_excess_formula(self):
-        cfg = TheoryConfig(**HIGHDIM, rho=RhoParams(0.4, 0.3))
-        st = theory_stats_isotropic(cfg)
-        rho = cfg.rho
+        rho = RhoParams(0.4, 0.3)
+        st = _iso(**HIGHDIM, rho=rho)
         beta, lm, lp = rho.beta, rho.lambda_minus, rho.lambda_plus
-        pi1, pi2, ep, em = cfg.pi1, cfg.pi2, cfg.eps_plus, cfg.eps_minus
+        pi1, ep, em = HIGHDIM["pi1"], HIGHDIM["eps_plus"], HIGHDIM["eps_minus"]
+        pi2 = 1.0 - pi1
         excess = (1 - st.h) / st.h * (
             pi1 * (4 * beta**2 * em * (ep - em) + lm**2)
             + pi2 * (4 * beta**2 * ep * (em - ep) + lp**2)
@@ -121,8 +124,7 @@ class TestIsotropicStats:
         assert excess > 0  # the high-dimensional variance inflation
 
     def test_zero_snr_gives_zero_mean(self):
-        st = theory_stats_isotropic(TheoryConfig(
-            eta=0.5, pi1=0.4, gamma=1.0, eps_plus=0.1, eps_minus=0.2, snr=0.0))
+        st = _iso(p=500, n=1000, pi1=0.4, gamma=1.0, eps_plus=0.1, eps_minus=0.2, snr=0.0)
         assert st.m_rho == 0.0
         assert st.accuracy == pytest.approx(0.5)
 
@@ -134,17 +136,15 @@ class TestIsotropicStats:
             pi1 = rng.uniform(0.1, 0.9)
             ep, em = rng.uniform(0.0, 0.45, 2)
             rho = RhoParams(rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3))
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
-                rho=rho, snr=snr))
+            st = _iso(p=100, n=100 / eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
+                      rho=rho, snr=snr)
             assert st.variance > 0
             assert 0 < st.h <= 1
 
     def test_naive_accuracy_decreasing_in_noise_mix(self):
         accs = []
         for ep in np.linspace(0.0, 0.45, 10):
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=0.5, pi1=0.5, gamma=1.0, eps_plus=ep, eps_minus=ep, snr=2.0))
+            st = _iso(p=500, n=1000, pi1=0.5, gamma=1.0, eps_plus=ep, eps_minus=ep, snr=2.0)
             accs.append(st.accuracy)
         assert np.all(np.diff(accs) < 0)
 
@@ -152,10 +152,9 @@ class TestIsotropicStats:
         # fixed p with n -> infinity (eta -> 0): the unbiased discriminant
         # ratio approaches the SNR.  (Large gamma alone does not get there:
         # the label-noise variance term stays comparable along that route.)
-        for eta, gamma in ((1e-9, 1.0), (1e-7, 0.1)):
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=eta, pi1=0.3, gamma=gamma, eps_plus=0.4, eps_minus=0.3,
-                rho=RhoParams(0.4, 0.3), snr=2.0))
+        for n, gamma in ((10**9, 1.0), (10**7, 0.1)):  # eta = 1e-9, 1e-7 at p = 1
+            st = _iso(p=1, n=n, pi1=0.3, gamma=gamma, eps_plus=0.4, eps_minus=0.3,
+                      rho=RhoParams(0.4, 0.3), snr=2.0)
             ratio = st.m_rho / math.sqrt(st.variance)
             assert ratio == pytest.approx(2.0, rel=0.01)
 
@@ -172,8 +171,7 @@ class TestIsotropicStats:
 
 class TestAccuracyRisk:
     def test_zero_mean_is_random_guess(self):
-        st = theory_stats_isotropic(TheoryConfig(
-            eta=0.5, pi1=0.4, gamma=1.0, snr=0.0))
+        st = _iso(p=500, n=1000, pi1=0.4, gamma=1.0, snr=0.0)
         assert st.accuracy == pytest.approx(0.5)
 
     def test_perfect_regressor_risk(self):
@@ -222,9 +220,8 @@ class TestOptimalRho:
             if abs(1.0 - rp) <= 0.02:
                 accs.append(-np.inf)
                 continue
-            st = theory_stats_isotropic(TheoryConfig(
-                eta=0.5, pi1=0.3, gamma=1.0, eps_plus=0.4, eps_minus=0.3,
-                rho=RhoParams(rp, 0.0), snr=2.0))
+            st = _iso(p=500, n=1000, pi1=0.3, gamma=1.0, eps_plus=0.4, eps_minus=0.3,
+                      rho=RhoParams(rp, 0.0), snr=2.0)
             accs.append(st.accuracy)
         best = grid[int(np.argmax(accs))]
         assert abs(best - target) <= 0.02 + 1e-9
@@ -251,9 +248,8 @@ class TestOptimalRho:
                 if abs(1.0 - rp - rm) <= 0.05:
                     accs.append(-np.inf)
                     continue
-                st = theory_stats_isotropic(TheoryConfig(
-                    eta=eta, pi1=pi1, gamma=gamma, eps_plus=ep, eps_minus=em,
-                    rho=RhoParams(rp, rm), snr=snr))
+                st = _iso(p=100, n=100 / eta, pi1=pi1, gamma=gamma, eps_plus=ep,
+                          eps_minus=em, rho=RhoParams(rp, rm), snr=snr)
                 accs.append(st.accuracy)
             best = grid[int(np.argmax(accs))]
             assert abs(best - target) <= 0.05 + 1e-9, (
@@ -267,9 +263,8 @@ class TestWorstRho:
     def test_mean_vanishes(self):
         rho_bar = worst_rho_plus(0.3, 0.4, 0.3, 0.0)
         assert rho_bar == pytest.approx(-0.65, abs=1e-12)
-        st = theory_stats_isotropic(TheoryConfig(
-            eta=0.5, pi1=0.3, gamma=1.0, eps_plus=0.4, eps_minus=0.3,
-            rho=RhoParams(rho_bar, 0.0), snr=2.0))
+        st = _iso(p=500, n=1000, pi1=0.3, gamma=1.0, eps_plus=0.4, eps_minus=0.3,
+                  rho=RhoParams(rho_bar, 0.0), snr=2.0)
         assert abs(st.m_rho) <= 1e-12
         assert st.accuracy == pytest.approx(0.5, abs=1e-12)
 
@@ -286,16 +281,15 @@ class TestGeneralCovariance:
             snr = rng.uniform(0.5, 3.0)
             mu = rng.standard_normal(p)
             mu *= snr / np.linalg.norm(mu)
+            eta, pi1 = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.2, 0.8))
             cfg_kwargs = dict(
-                eta=float(rng.uniform(0.1, 3.0)), pi1=float(rng.uniform(0.2, 0.8)),
+                n=p / eta,
                 gamma=float(rng.uniform(0.1, 5.0)), eps_plus=0.2, eps_minus=0.1,
                 rho=RhoParams(float(rng.uniform(-0.3, 0.5)), 0.0),
             )
-            iso = theory_stats_isotropic(TheoryConfig(**cfg_kwargs, snr=snr))
-            gen = theory_stats_general(
-                TheoryConfig(**cfg_kwargs, mu=mu, C1=np.eye(p), C2=np.eye(p)),
-                test_class=2,
-            )
+            iso = theory_stats(GmmSpec(pi1, mu), **cfg_kwargs)
+            gen = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), **cfg_kwargs,
+                               test_class=2)
             assert gen.m_rho == pytest.approx(iso.m_rho, rel=1e-8)
             assert gen.nu_rho == pytest.approx(iso.nu_rho, rel=1e-8)
             assert gen.delta == pytest.approx(iso.delta, rel=1e-9)
@@ -304,12 +298,11 @@ class TestGeneralCovariance:
     def test_scaled_identity_matches_scalar_fixed_point(self):
         # C = c * I: the per-class trace solves a scalar fixed point that a
         # plain 1-d iteration reproduces
-        p, c_scale, eta, gamma = 60, 2.5, 0.7, 0.9
+        p, n, c_scale, eta, gamma = 70, 100, 2.5, 0.7, 0.9
         mu = np.zeros(p)
         mu[0] = 1.5
-        gen = theory_stats_general(TheoryConfig(
-            eta=eta, pi1=0.4, gamma=gamma, snr=None,
-            mu=mu, C1=c_scale * np.eye(p), C2=c_scale * np.eye(p)))
+        gen = theory_stats(GmmSpec(0.4, mu, cov=(c_scale * np.eye(p), c_scale * np.eye(p))),
+                           n, gamma)
         d = 0.0
         for _ in range(100000):
             nxt = eta * c_scale * (1 + d) / (c_scale + gamma * (1 + d))
@@ -321,19 +314,17 @@ class TestGeneralCovariance:
     def test_fixed_point_converges_at_large_delta(self):
         # delta ~ 1e4 here, so an absolute 1e-12 stop test would sit below
         # one ulp of delta and never be met
-        p, pi1, gamma, eta = 200, 0.3, 1e-3, 5.0
+        p, n, pi1, gamma, eta = 200, 40, 0.3, 1e-3, 5.0
         c1, c2 = np.linspace(0.01, 5.0, p), np.full(p, 3.0)
         mu = np.zeros(p)
         mu[0] = 1.0
-        gen = theory_stats_general(TheoryConfig(
-            eta=eta, pi1=pi1, gamma=gamma, mu=mu, C1=np.diag(c1), C2=np.diag(c2)))
+        gen = theory_stats(GmmSpec(pi1, mu, cov=(np.diag(c1), np.diag(c2))), n, gamma)
         d1, d2 = gen.delta, gen.delta2
         assert min(d1, d2) > 5e3
         q0 = 1.0 / (pi1 * c1 / (1.0 + d1) + (1.0 - pi1) * c2 / (1.0 + d2) + gamma)
         np.testing.assert_allclose(eta / p * np.array([c1 @ q0, c2 @ q0]), [d1, d2],
                                    rtol=1e-11)
-        iso = theory_stats_general(TheoryConfig(
-            eta=eta, pi1=pi1, gamma=gamma, mu=mu, C1=np.eye(p), C2=np.eye(p)))
+        iso = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), n, gamma)
         assert iso.delta == pytest.approx(delta(eta, gamma), rel=1e-9)
         assert iso.delta2 == pytest.approx(delta(eta, gamma), rel=1e-9)
 
@@ -342,8 +333,7 @@ class TestGeneralCovariance:
         mu = np.zeros(p)
         bad = -np.eye(p)
         with pytest.raises(ValueError, match="PSD"):
-            theory_stats_general(TheoryConfig(
-                eta=0.5, pi1=0.5, gamma=1.0, mu=mu, C1=bad, C2=np.eye(p)))
+            GmmSpec(0.5, mu, cov=(bad, np.eye(p)))
 
     def test_test_class_changes_variance_only(self):
         rng = np.random.default_rng(3)
@@ -351,25 +341,23 @@ class TestGeneralCovariance:
         mu = rng.standard_normal(p)
         mu *= 2.0 / np.linalg.norm(mu)
         C1 = np.diag(np.linspace(0.5, 2.0, p))
-        cfg = TheoryConfig(eta=0.4, pi1=0.4, gamma=0.8, eps_plus=0.2,
-                           eps_minus=0.1, mu=mu, C1=C1, C2=np.eye(p))
-        s1 = theory_stats_general(cfg, test_class=1)
-        s2 = theory_stats_general(cfg, test_class=2)
+        model = GmmSpec(0.4, mu, cov=(C1, np.eye(p)))
+        kwargs = dict(n=100, gamma=0.8, eps_plus=0.2, eps_minus=0.1)  # eta = 0.4
+        s1 = theory_stats(model, **kwargs, test_class=1)
+        s2 = theory_stats(model, **kwargs, test_class=2)
         assert s1.m_rho == pytest.approx(s2.m_rho, rel=1e-12)
         assert s1.nu_rho != pytest.approx(s2.nu_rho, rel=1e-6)
 
 
 def test_theory_config_validation():
-    with pytest.raises(ValueError, match="eta"):
-        TheoryConfig(eta=0.0, pi1=0.5, gamma=1.0, snr=1.0)
-    with pytest.raises(ValueError, match="snr or"):
-        TheoryConfig(eta=1.0, pi1=0.5, gamma=1.0)
-    with pytest.raises(ValueError, match="together"):
-        TheoryConfig(eta=1.0, pi1=0.5, gamma=1.0, mu=np.ones(3))
+    with pytest.raises(ValueError, match="n > 0"):
+        _iso(p=3, n=0, pi1=0.5, gamma=1.0, snr=1.0)
 
 
-@pytest.mark.parametrize("key", ["gamma", "eta", "snr"])
-def test_nan_model_input_raises(key):
-    # each came out as accuracy = nan
-    with pytest.raises(ValueError, match=key):
-        theory_stats_isotropic(TheoryConfig(**{**HIGHDIM, key: math.nan}))
+@pytest.mark.parametrize("key, match", [
+    ("gamma", "gamma"), ("eta", "n > 0"), ("snr", "mu contains non-finite entries")],
+    ids=["gamma", "eta", "snr"])
+def test_nan_model_input_raises(key, match):
+    # each came out as accuracy = nan; the eta case is a NaN sample count n
+    with pytest.raises(ValueError, match=match):
+        _iso(**{**HIGHDIM, "n" if key == "eta" else key: math.nan})
