@@ -134,8 +134,9 @@ class _Ridge:
 
 
 def _check_inputs(X: np.ndarray, gamma: float) -> None:
-    if not gamma > 0:  # NaN fails too
-        raise ValueError(f"gamma must be > 0 (got {gamma}); the system may be singular")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and > 0 (got {gamma}); the system may be "
+                         "singular or its solve not finite")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite values")
 

@@ -148,9 +148,10 @@ class ExperimentConfig:
             if self.experiment == "multiclass":
                 raise ConfigError("multiclass experiment needs a numeric gamma")
             object.__setattr__(self, "gamma", OPTIMAL_GAMMA)
-        # written as `not x > 0` so that NaN fails too
-        if isinstance(self.gamma, str) or not self.gamma > 0:
-            raise ConfigError(f"gamma must be a positive number or 'optimal', got {self.gamma!r}")
+        # written as `not 0 < x < inf` so that NaN fails too
+        if isinstance(self.gamma, str) or not 0 < self.gamma < math.inf:
+            raise ConfigError(
+                f"gamma must be a finite positive number or 'optimal', got {self.gamma!r}")
         for key, least in (("n", 2), ("n_test", 2), ("p", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")

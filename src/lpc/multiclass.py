@@ -46,6 +46,8 @@ class MultiGmmSpec:
         means = np.asarray(self.means, dtype=float)
         if means.ndim != 2 or len(means) < 2:
             raise ValueError(f"means must be k x p with k >= 2, got shape {means.shape}")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means contains non-finite entries")
         object.__setattr__(self, "means", means)
         k = self.k
         pi = np.asarray(self.pi, dtype=float)
@@ -175,7 +177,10 @@ class SearchResult:
     naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed
 
 
-# Candidate rows per block; at k = 3 and 800 test columns its score tables take 1.2 MB.
+# Candidate rows per block; at 800 test columns of one class a block's running
+# minimum margin and the product that updates it take 0.8 MB.  A product of
+# 128 rows x 6 x 800 columns crosses OpenBLAS's threading threshold, which
+# doubled the CPU time of the search without shortening it (2-core VM).
 _CHUNK_ROWS = 64
 
 
@@ -186,7 +191,8 @@ class _SeedEvaluator:
     solve of the one-hot and all-ones targets gives per-class test score tables
     ``on_j`` and ``off_j = all - on_j``; a candidate scores class j as ``s_j =
     alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
-    ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule).
+    ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule),
+    with each ``s_j`` rounded as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
     """
 
     def __init__(self, spec: MultiGmmSpec, n: int, gamma: float, seed: int, n_test: int):
@@ -201,16 +207,67 @@ class _SeedEvaluator:
         self.m = y.size
 
     def accuracies(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``."""
+        """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``.
+
+        For true class c, the margins ``s_c - s_j`` of a block of candidates
+        against one class j are one BLAS product: coefficient rows ``(+alpha_c,
+        +beta_c, -alpha_j, -beta_j)``, each scaled to max |entry| 1, times ``F =
+        [on; off]``, its columns scaled to unit l1 norm; positive scales keep
+        every sign.  A test column whose smallest margin over j is above ``tau``
+        is a certain hit, below ``-tau`` a certain miss.  A candidate with a
+        column in between is recounted by the rounded rule of the class
+        docstring, which stays the definition.
+
+        ``tau`` bounds, in these units, the rounding of the product plus that of
+        the two rounded scores.  With u = eps / 2 and the 4 nonzero terms of a
+        margin summing to at most 1 in absolute value (the rows' max |entry| times
+        the columns' l1 norm; the computed norm can fall short by a relative
+        gamma_2k, a second-order term):
+        - the product, a 2k-term dot product in any summation order, errs by at
+          most gamma_2k = 2k u / (1 - 2k u), about k eps (Higham 2002, 3.1);
+        - the two scalings round each factor once: 2 u = eps;
+        - ``s_c`` and ``s_j`` each err by at most gamma_2 times the sum of their
+          two terms' magnitudes, about eps over all four terms.
+        That is (k + 2) eps plus second-order terms, and ``tau = (k + 3) eps``
+        keeps one eps for those and for underflow in the product.  Outside
+        ``[-tau, tau]`` the true margin exceeds both scores' errors, so the
+        rounded scores differ with its sign and ``>`` and ``>=`` agree with it;
+        this holds while no product ``alpha_j * on_j`` or ``beta_j * off_j`` of
+        the rounded rule underflows (a magnitude below 2**-1022, not zero).
+        """
+        k = A.shape[1]
+        tau = (k + 3) * np.finfo(float).eps
         hits = np.zeros(A.shape[0], dtype=np.int64)
-        for lo in range(0, A.shape[0], _CHUNK_ROWS):
-            a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
-            for c, (on, off) in enumerate(self.by_class):
-                s = [a[:, j, None] * on[j] + b[:, j, None] * off[j] for j in range(len(on))]
-                hit = np.logical_and.reduce([s[c] > sj for sj in s[:c]]
-                                            + [s[c] >= sj for sj in s[c + 1:]])
-                hits[lo:lo + _CHUNK_ROWS] += np.count_nonzero(hit, axis=1)
+        for c, (on, off) in enumerate(self.by_class):
+            F = np.vstack([on, off])  # 2k x m_c
+            l1 = np.abs(F).sum(axis=0)
+            F /= np.where(l1 > 0, l1, 1.0)
+            others, t = np.delete(np.arange(k), c), np.arange(k - 1)
+            for lo in range(0, A.shape[0], _CHUNK_ROWS):
+                a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
+                coef = np.zeros((k - 1, len(a), 2 * k))
+                coef[:, :, c], coef[:, :, k + c] = a[:, c], b[:, c]
+                coef[t, :, others], coef[t, :, k + others] = -a[:, others].T, -b[:, others].T
+                top = np.abs(coef).max(axis=2, keepdims=True)
+                coef /= np.where(top > 0, top, 1.0)  # a zero row keeps zero margins
+                least = coef[0] @ F
+                for coef_j in coef[1:]:
+                    np.minimum(least, coef_j @ F, out=least)
+                n = np.count_nonzero(least > tau, axis=1)
+                if np.count_nonzero(least >= -tau) > n.sum():  # a column within tau
+                    unsure = np.count_nonzero(least >= -tau, axis=1) > n
+                    n[unsure] = _rule_hits(a[unsure], b[unsure], on, off, c)
+                hits[lo:lo + _CHUNK_ROWS] += n
         return hits / self.m
+
+
+def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
+               c: int) -> np.ndarray:
+    """Hits of each candidate row on the columns ``on``, ``off`` of true class
+    ``c`` (0-based) by the rounded rule of :class:`_SeedEvaluator`."""
+    s = [a[:, j, None] * on[j] + b[:, j, None] * off[j] for j in range(len(on))]
+    hit = np.logical_and.reduce([s[c] > sj for sj in s[:c]] + [s[c] >= sj for sj in s[c + 1:]])
+    return np.count_nonzero(hit, axis=1)
 
 
 def search_alpha_beta(

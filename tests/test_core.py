@@ -79,6 +79,11 @@ class TestTrainLpc:
         with pytest.raises(ValueError, match="gamma"):
             train_lpc(ds, RhoParams(), gamma=math.nan)
 
+    def test_gamma_must_be_finite(self):
+        # an infinite gamma failed the residual check as "residual nan"
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            train_lpc(_noisy_dataset(4, 12), RhoParams(), gamma=math.inf)
+
     def test_nonfinite_features_rejected(self):
         from lpc.datasets import LabeledDataset
 

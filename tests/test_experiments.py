@@ -680,7 +680,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("gamma", "nan"), ("n_test", "0"), ("pi1", "1.5"), ("snr", "nan"),
-        ("eps_plus", "1.2"), ("n", "1"),
+        ("eps_plus", "1.2"), ("n", "1"), ("gamma", "inf"),
     ])
     def test_model_values_refused_at_parse(self, tmp_path, capsys, key, value):
         # each failed inside the run with exit 2, a NaN gamma as a residual
@@ -696,12 +696,14 @@ class TestCli:
         # the config builds the model its run draws from
         ("experiment = multiclass\nmeans = 1\npis = 1\neps_rows = 0\n", "k >= 2"),
         ("experiment = multiclass\npis = 0.5,0.5,0.5\n", "sum to 1"),
+        ("experiment = multiclass\nmeans = -2,nan,2\n", "means contains non-finite"),
         ("experiment = histogram\npi1 = 0.01\n", r"class sizes \(0, 40\)"),
         # each grid point is checked as the run uses it
         ("experiment = sweep\nsweep_param = eps_plus\neps_minus = 0.3\ngrid = 0.1,0.8\n",
          "grid point 0.8"),
         ("experiment = estimate-noise\neps_minus = 0.3\ngrid = 0.1,0.8\n", "grid point 0.8"),
         ("experiment = sweep\nsweep_param = gamma\ngrid = -1,1\n", "grid point -1"),
+        ("experiment = sweep\nsweep_param = gamma\ngrid = 1,inf\n", "grid point inf.*finite"),
         ("experiment = sweep\nsweep_param = rho_plus\nvariants = custom\ngrid = 0,1\n",
          "grid point 1"),
         # label-weight pairs
@@ -714,9 +716,10 @@ class TestCli:
         # the moment inversion's model
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = 0\n", "needs snr > 0, got 0.0"),
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = -1\n", "needs snr > 0, got -1.0"),
-    ], ids=["one_mean", "pis_sum", "empty_class", "eps_plus_grid", "estimate_noise_grid",
-            "gamma_grid", "rho_plus_grid", "custom_pair", "singular_probe", "equal_gaps",
-            "noise_snr_zero", "noise_snr_negative"])
+    ], ids=["one_mean", "pis_sum", "nan_mean", "empty_class", "eps_plus_grid",
+            "estimate_noise_grid", "gamma_grid", "inf_gamma_grid", "rho_plus_grid",
+            "custom_pair", "singular_probe", "equal_gaps", "noise_snr_zero",
+            "noise_snr_negative"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
         # each failed inside the run with exit 2 ("runtime error")
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"

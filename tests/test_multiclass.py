@@ -34,6 +34,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="diagonal"):
             MultiGmmSpec(means=np.zeros((2, 3)), pi=np.array([0.5, 0.5]), eps=eps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_means_must_be_finite(self, bad):
+        # a NaN mean drew non-finite features, refused only by the ridge solve
+        means = np.zeros((3, 2))
+        means[1, 0] = bad
+        with pytest.raises(ValueError, match="means contains non-finite"):
+            MultiGmmSpec(means=means, pi=PI3, eps=EPS3)
+
     def test_eps_column_mass_below_one(self):
         eps = np.array([[0.0, 0.6], [0.5, 0.0]])
         eps[0, 1] = 1.0
@@ -218,6 +226,47 @@ class TestBlockScoring:
         A[1], B[1] = 1.0, 1.0  # s_j = on_j + off_j: near-ties within rounding
         A[2:6] = 0.7  # equal alphas
         np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_matches_scalar_rule_at_other_class_counts(self, k):
+        # the filter's threshold grows with k
+        means = np.zeros((k, 8))
+        means[:, 0] = np.linspace(-2.0, 2.0, k)
+        eps = np.full((k, k), 0.1)
+        np.fill_diagonal(eps, 0.0)
+        ev = _SeedEvaluator(MultiGmmSpec(means=means, pi=np.full(k, 1.0 / k), eps=eps),
+                            200, gamma=1.0, seed=k, n_test=240)
+        A, B = np.random.default_rng(k).uniform(-2, 2, (2, 60, k))
+        A[0], B[0] = 0.0, 0.0
+        A[1], B[1] = 1.0, 1.0
+        A[2:6, 1:] = A[2:6, :1]  # equal alphas
+        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+
+    @pytest.mark.parametrize("power", [0, -500, 500])
+    def test_rounding_level_margins_at_any_scale(self, power):
+        # each candidate has its own columns where its two classes' scores agree
+        # up to rounding, so the product's sign alone gets some of them wrong.
+        # Row 1 is the A = B = 1 near-tie and row 0 becomes the zero candidate.
+        # Scaling (A, B) by 2**power and the score tables by 2**-power moves no
+        # count: the threshold is relative to each coefficient row and each
+        # test column, with no absolute floor
+        rng = np.random.default_rng(1)
+        k, rows, per = 2, 20, 10
+        A, B = rng.uniform(0.5, 2, (2, rows, k))
+        A[1], B[1] = 1.0, 1.0
+        a, b = np.repeat(A, per, axis=0).T, np.repeat(B, per, axis=0).T  # k x columns
+        tables = []
+        for c, j in [(0, 1), (1, 0)]:
+            on, off = rng.uniform(-1, 1, (2, k, rows * per))
+            on[j] = (a[c] * on[c] + b[c] * off[c] - b[j] * off[j]) / a[j]
+            tables.append((on, off))
+        A[0], B[0] = 0.0, 0.0
+        ev, scaled = _SeedEvaluator.__new__(_SeedEvaluator), _SeedEvaluator.__new__(_SeedEvaluator)
+        ev.by_class, ev.m = tables, k * rows * per
+        scaled.by_class = [(on * 2.0 ** -power, off * 2.0 ** -power) for on, off in tables]
+        scaled.m = ev.m
+        np.testing.assert_array_equal(scaled.accuracies(A * 2.0 ** power, B * 2.0 ** power),
+                                      _scalar_accuracies(ev, A, B))
 
     def test_exact_integer_ties(self):
         # small integer tables make most columns tie across classes
