@@ -19,6 +19,7 @@ from .datasets import (
     derive_seed,
     flip_labels,
     generate_gmm,
+    generate_scores,
     load_features_csv,
     standardize_and_estimate,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "flip_labels",
     "gaussian_upper_tail",
     "generate_gmm",
+    "generate_scores",
     "load_classifier",
     "load_features_csv",
     "loo_decisions",

@@ -89,8 +89,8 @@ class Classifier:
         w = np.asarray(self.w, dtype=float).reshape(-1)
         if not np.all(np.isfinite(w)):
             raise ValueError("classifier weights must be finite")
-        if not self.gamma > 0:  # NaN fails too
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:  # NaN fails too
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.loss_kind not in ("squared", "bce"):
             raise ValueError(f"loss_kind must be 'squared' or 'bce', got {self.loss_kind!r}")
         object.__setattr__(self, "w", w)

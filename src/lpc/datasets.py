@@ -24,6 +24,7 @@ __all__ = [
     "StandardizeResult",
     "derive_seed",
     "generate_gmm",
+    "generate_scores",
     "flip_labels",
     "load_features_csv",
     "standardize_and_estimate",
@@ -171,10 +172,78 @@ def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     if spec.cov is not None:
         r1, r2 = (_sym_sqrt(c) for c in spec.cov)
         X = np.concatenate([r1 @ X[:, :n1], r2 @ X[:, n1:]], axis=1)
-    X[:, :n1] -= spec.mu[:, None]
-    X[:, n1:] += spec.mu[:, None]
-    y = np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
+    # only the rows where mu is nonzero move (x -+ 0.0 == x)
+    nz = np.flatnonzero(spec.mu)
+    X[nz, :n1] -= spec.mu[nz, None]
+    X[nz, n1:] += spec.mu[nz, None]
+    y = _class_labels(n1, n2)
     return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y)
+
+
+def generate_scores(spec: GmmSpec, W: np.ndarray, n: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k x n`` scores ``W.T @ X`` of ``n`` samples of ``spec`` and their
+    labels, drawn without the ``p x n`` features ``X``.
+
+    Class ``a``'s scores are ``N(-+W.T mu, W.T C_a W)``.  With ``R`` the
+    ``r x k`` factor of ``W`` (of ``sqrt(C_a) W`` with ``cov``) from
+    :func:`_span_factor`, so that ``R.T R = W.T C_a W``, they are
+    ``R.T Z -+ W.T mu`` for ``r x n`` standard normals ``Z``, where ``r`` is
+    the rank (at most ``min(p, k)``).  This is :func:`generate_gmm`
+    restricted to the span of ``W``: equal in law to
+    ``W.T @ generate_gmm(spec, n, seed).X``, with the same class layout and
+    labels, and bit-identical to it for ``W = I`` on an isotropic spec.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != spec.p:
+        raise ValueError(f"W must be p x k with p={spec.p}, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W contains non-finite entries")
+    n1, n2 = spec.class_sizes(n)
+    if spec.cov is None:
+        R = _span_factor(W)
+        S = R.T @ _rng(seed).standard_normal((R.shape[0], n))
+    else:
+        r1, r2 = (_span_factor(_sym_sqrt(c) @ W) for c in spec.cov)
+        Z = _rng(seed).standard_normal((max(r1.shape[0], r2.shape[0]), n))
+        S = np.concatenate([r1.T @ Z[:r1.shape[0], :n1], r2.T @ Z[:r2.shape[0], n1:]], axis=1)
+    shift = W.T @ spec.mu
+    S[:, :n1] -= shift[:, None]
+    S[:, n1:] += shift[:, None]
+    return S, _class_labels(n1, n2)
+
+
+_SPAN_TOL = 1e-8  # relative residual below which a column adds no direction
+
+
+def _span_factor(W: np.ndarray) -> np.ndarray:
+    """``R = Q.T W`` (``r x k``, so ``R.T R = W.T W`` to rounding), with ``Q``
+    an orthonormal basis of the span of ``W``'s columns built in column order
+    by Gram-Schmidt, orthogonalized twice.
+
+    A column whose residual against the basis so far is within ``_SPAN_TOL``
+    of its norm adds no direction.  Without that skip (as in Householder QR)
+    a dependent column's rounding residual becomes a basis direction of
+    arbitrary orientation, and every later column's scores then change
+    wholesale, not by rounding, when ``W`` moves by rounding.  With it,
+    repeated columns get bit-identical columns of ``R``, and ``W = I`` gives
+    ``R = I`` exactly.
+    """
+    Q = np.empty((W.shape[0], min(W.shape)))
+    r = 0
+    for w in W.T:
+        v = w.copy()
+        for _ in range(2):
+            v -= Q[:, :r] @ (Q[:, :r].T @ v)
+        norm = np.linalg.norm(v)
+        if norm > _SPAN_TOL * np.linalg.norm(w):
+            Q[:, r] = v / norm
+            r += 1
+    return Q[:, :r].T @ W
+
+
+def _class_labels(n1: int, n2: int) -> np.ndarray:
+    return np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
 
 
 def _sym_sqrt(cov: np.ndarray) -> np.ndarray:

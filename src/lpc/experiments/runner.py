@@ -13,10 +13,20 @@ targets:
 
 Each harness decision is made in one function: :func:`_variants` resolves
 every variant's ``(rho, theory)`` at a model point, :func:`_draw` draws a
-synthetic set, :func:`_ingest` loads and standardizes a CSV, and
-:func:`_score` trains and scores cells.  Every variant and grid point that
-shares a training draw (and ``gamma``) is one target column of a single
-block solve on that draw's factored ridge system.
+synthetic training set, :func:`_test_scores` a synthetic test set,
+:func:`_ingest` loads and standardizes a CSV, and :func:`_score` trains and
+scores cells.  Every variant and grid point that shares a training draw
+(and ``gamma``) is one target column of a single block solve on that
+draw's ridge system.
+
+A synthetic test set is drawn as scores, not as features: given the ``p x
+k`` weights ``W`` of all the cells that share it, a class-``a`` test point's
+scores ``W.T @ x`` are exactly ``N(-+W.T mu, W.T C_a W)``, and
+:func:`~lpc.datasets.generate_scores` draws ``k x n_test`` of them instead
+of a ``p x n_test`` feature matrix.  The empirical cells are still a sample
+of ``n_test`` test points, with the same law as scoring a feature draw, and
+all the cells of a seed (every grid point of a sweep) share one test set.
+A CSV run scores its held-out split's features.
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
@@ -40,6 +50,7 @@ from ..datasets import (
     derive_seed,
     flip_labels,
     generate_gmm,
+    generate_scores,
     load_features_csv,
     standardize_and_estimate,
 )
@@ -81,25 +92,38 @@ def _variants(cfg: ExperimentConfig, model: GmmSpec,
     return out
 
 
-def _score(X: np.ndarray, gamma: float, cells: list, X_test: np.ndarray,
-           y_test: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
+def _score(X: np.ndarray, cells: list, test) -> tuple[list[tuple[np.ndarray, float, float]],
+                                                      np.ndarray]:
     """``(test scores, accuracy, squared risk)`` of every cell ``(noisy,
-    variant, rho, theory)``, from one block solve on the features ``X``.
-    ``oracle`` trains on the clean labels; predictions are oriented by the
-    theory's ``sign(m_rho)``."""
-    targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
-               for ds, v, rho, _ in cells]
-    scores = _Ridge(X, gamma).weights(np.column_stack(targets)).T @ X_test
+    variant, rho, gamma, theory)`` trained on the features ``X``, one block
+    solve per ``gamma``, and the test labels.  ``test(W) -> (scores, labels)``
+    scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on one
+    test set.  ``oracle`` trains on the clean labels; predictions are
+    oriented by the theory's ``sign(m_rho)``."""
+    W = np.empty((X.shape[0], len(cells)))
+    for gamma in dict.fromkeys(c[3] for c in cells):
+        cols = [j for j, c in enumerate(cells) if c[3] == gamma]
+        targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
+                   for ds, v, rho, *_ in (cells[j] for j in cols)]
+        W[:, cols] = _Ridge(X, gamma).weights(np.column_stack(targets))
+    scores, y_test = test(W)
     out = []
     for s, (*_, st) in zip(scores, cells):
         pred = np.where((1.0 if st.m_rho >= 0 else -1.0) * s >= 0, 1, -1)
         out.append((s, float(np.mean(pred == y_test)), float(np.mean((s - y_test) ** 2))))
-    return out
+    return out, y_test
 
 
 def _draw(cfg: ExperimentConfig, n: int, seed: int, stream: int) -> LabeledDataset:
     """``n`` samples of ``cfg.model``, from stream ``stream`` of ``seed``."""
     return generate_gmm(cfg.model, n, derive_seed(seed, stream))
+
+
+def _test_scores(cfg: ExperimentConfig, seed: int, stream: int):
+    """The test set of a synthetic run, ``cfg.n_test`` samples of
+    ``cfg.model`` from stream ``stream`` of ``seed``, as the :func:`_score`
+    callable ``W -> (scores, labels)``."""
+    return lambda W: generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, stream))
 
 
 def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
@@ -138,9 +162,8 @@ def run_histogram(cfg: ExperimentConfig) -> RunReport:
     def one_seed(seed: int):
         noisy = flip_labels(_draw(cfg, cfg.n, seed, 0),
                             cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
-        test = _draw(cfg, cfg.n_test, seed, 2)
-        cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
-        return seed, _score(noisy.X, cfg.gamma, cells, test.X, test.y_clean), test.y_clean
+        cells = [(noisy, v, rho, cfg.gamma, st) for v, (rho, st) in variants.items()]
+        return (seed, *_score(noisy.X, cells, _test_scores(cfg, seed, 2)))
 
     first_seed_scores: dict[str, np.ndarray] = {}
     for seed, scored, y in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
@@ -204,29 +227,23 @@ def run_sweep(cfg: ExperimentConfig) -> RunReport:
     for the eps_plus sweep only the flips are redrawn per grid point.
     """
     report = RunReport(cfg)
-    # grid points by gamma: each group shares one factored draw per seed
-    groups: dict[float, list] = {}
+    points = []
     for g, value in enumerate(cfg.grid):
         point = cfg.at_grid_point(value)
         flip_stream = 10 + g if cfg.sweep_param == "eps_plus" else 1
-        groups.setdefault(point.gamma, []).append(
-            (value, point.eps_plus, flip_stream, _variants(point, cfg.model, cfg.n)))
+        points.append((value, point.eps_plus, flip_stream, point.gamma,
+                       _variants(point, cfg.model, cfg.n)))
 
     def one_seed(seed: int):
         train = _draw(cfg, cfg.n, seed, 0)
-        test = _draw(cfg, cfg.n_test, seed, 2)
-        rows = []
-        for gamma, points in groups.items():
-            cells, values = [], []
-            for value, eps_plus, flip_stream, variants in points:
-                noisy = flip_labels(train, eps_plus, cfg.eps_minus,
-                                    derive_seed(seed, flip_stream))
-                cells += [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
-                values += [value] * len(variants)
-            scored = _score(train.X, gamma, cells, test.X, test.y_clean)
-            for (_, v, _, st), value, (_, acc, risk) in zip(cells, values, scored):
-                rows.append((v, value, seed, acc, risk, st))
-        return rows
+        cells, values = [], []
+        for value, eps_plus, flip_stream, gamma, variants in points:
+            noisy = flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, flip_stream))
+            cells += [(noisy, v, rho, gamma, st) for v, (rho, st) in variants.items()]
+            values += [value] * len(variants)
+        scored, _ = _score(train.X, cells, _test_scores(cfg, seed, 2))
+        return [(v, value, seed, acc, risk, st)
+                for (_, v, *_, st), value, (_, acc, risk) in zip(cells, values, scored)]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, value, seed, acc, risk, st in rows:
@@ -348,18 +365,20 @@ def run_real_data(cfg: ExperimentConfig) -> RunReport:
             train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
                                    y_clean=data.y_clean[tr])
             test_X, test_y = data.X[:, te], data.y_clean[te]
+
+            def test(W):
+                return W.T @ test_X, test_y
         else:
             train = _draw(cfg, cfg.n, seed, 5)
-            test = _draw(cfg, cfg.n_test, seed, 6)
-            test_X, test_y = test.X, test.y_clean
+            test = _test_scores(cfg, seed, 6)
         noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
         model = cfg.model if data is None else GmmSpec.isotropic(
             noisy.p, noisy.class_counts[0] / noisy.n, snr)
         variants = _variants(cfg, model, noisy.n)
-        cells = [(noisy, v, rho, st) for v, (rho, st) in variants.items()]
-        scored = _score(noisy.X, cfg.gamma, cells, test_X, test_y)
+        cells = [(noisy, v, rho, cfg.gamma, st) for v, (rho, st) in variants.items()]
+        scored, _ = _score(noisy.X, cells, test)
         return [(v, seed, acc, st.accuracy)
-                for (_, v, _, st), (_, acc, _) in zip(cells, scored)]
+                for (_, v, *_, st), (_, acc, _) in zip(cells, scored)]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for v, seed, acc, theory_acc in rows:

@@ -423,8 +423,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize("gamma, loss_kind, match", [
         (-1.0, "squared", "gamma"), (float("nan"), "squared", "gamma"),
-        (1.0, "x", "loss_kind"),
+        (1.0, "x", "loss_kind"), (float("inf"), "squared", "finite"),
     ])
     def test_classifier_rejects_values_no_trainer_writes(self, gamma, loss_kind, match):
         with pytest.raises(ValueError, match=match):
             Classifier(w=[1.0], gamma=gamma, rho=RhoParams(), loss_kind=loss_kind)
+
+    def test_load_rejects_infinite_gamma(self, tmp_path):
+        # train_lpc refuses gamma = inf, so no saved classifier holds one
+        path = tmp_path / "clf.txt"
+        path.write_text("lpc-classifier-v1 squared\ninf\n0.0\n0.0\n1.0\n")
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            load_classifier(path)

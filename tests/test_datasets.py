@@ -7,6 +7,7 @@ from lpc import (
     derive_seed,
     flip_labels,
     generate_gmm,
+    generate_scores,
     load_features_csv,
     standardize_and_estimate,
 )
@@ -83,6 +84,97 @@ class TestGenerateGmm:
         v2 = ds.X[:, ds.y_clean == +1].var(axis=1).mean()
         assert v1 == pytest.approx(4.0, rel=0.15)
         assert v2 == pytest.approx(1.0, rel=0.15)
+
+    @pytest.mark.parametrize("mu", [np.linspace(-1.0, 2.0, 12), 2.0 * np.eye(12)[0]],
+                             ids=["dense", "snr_e1"])
+    def test_shift_matches_full_shift(self, mu):
+        # only the rows where mu is nonzero are shifted, bit-identical to
+        # shifting every row
+        from lpc.datasets import _rng
+
+        spec = GmmSpec(pi1=0.3, mu=mu)
+        n1, _ = spec.class_sizes(50)
+        X = _rng(5).standard_normal((12, 50))
+        X[:, :n1] -= mu[:, None]
+        X[:, n1:] += mu[:, None]
+        assert np.array_equal(generate_gmm(spec, 50, 5).X, X)
+
+
+def _ramp_cov(p, lo, hi, seed):
+    """A symmetric positive-definite ``p x p`` matrix with eigenvalues
+    ``linspace(lo, hi, p)`` in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    return (q * np.linspace(lo, hi, p)) @ q.T
+
+
+class TestGenerateScores:
+    @pytest.mark.parametrize("mu", [np.linspace(-1.0, 2.0, 30), 2.0 * np.eye(30)[0]],
+                             ids=["dense", "snr_e1"])
+    def test_identity_weights_reproduce_generate_gmm(self, mu):
+        spec = GmmSpec(pi1=0.4, mu=mu)
+        ds = generate_gmm(spec, 200, 11)
+        S, y = generate_scores(spec, np.eye(30), 200, 11)
+        assert np.array_equal(S, ds.X)
+        assert np.array_equal(y, ds.y_clean)
+
+    @pytest.mark.parametrize("p, k, cov", [(6, 3, False), (6, 3, True), (3, 5, False),
+                                           (3, 5, True)],
+                             ids=["tall", "tall_cov", "wide", "wide_cov"])
+    def test_class_moments(self, p, k, cov):
+        # per class, the sample mean and covariance are within 5 standard
+        # errors of -+W.T mu and W.T C_a W (C1 != C2 with cov)
+        mu = np.linspace(0.5, -1.0, p)
+        covs = (_ramp_cov(p, 0.5, 3.0, 1), _ramp_cov(p, 0.2, 1.0, 2)) if cov else None
+        spec = GmmSpec(pi1=0.4, mu=mu, cov=covs)
+        W = np.random.default_rng(3).standard_normal((p, k))
+        S, y = generate_scores(spec, W, 20000, 4)
+        assert S.shape == (k, 20000)
+        for a, sign in ((0, -1.0), (1, 1.0)):
+            C = covs[a] if cov else np.eye(p)
+            sigma = W.T @ C @ W
+            Sa = S[:, y == sign]
+            m, d = Sa.shape[1], np.diag(sigma)
+            assert np.all(np.abs(Sa.mean(axis=1) - sign * W.T @ mu) <= 5 * np.sqrt(d / m))
+            cov_se = np.sqrt((np.outer(d, d) + sigma**2) / m)
+            assert np.all(np.abs(np.cov(Sa) - sigma) <= 5 * cov_se)
+
+    def test_wide_weights_stay_in_the_row_space(self):
+        # k > p: the k scores of a sample are W.T x for one x in R^p
+        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, -0.5, 0.0]))
+        W = np.random.default_rng(6).standard_normal((3, 7))
+        S, _ = generate_scores(spec, W, 300, 2)
+        X, *_ = np.linalg.lstsq(W.T, S, rcond=None)
+        assert np.allclose(W.T @ X, S, rtol=0, atol=1e-12 * np.abs(S).max())
+
+    @pytest.mark.parametrize("cov", [False, True], ids=["isotropic", "cov"])
+    def test_repeated_and_dependent_columns(self, cov):
+        p = 40
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal(p), rng.standard_normal(p)
+        c = rng.standard_normal(p)
+        # a dependent column before an independent one: c's scores do not
+        # hinge on the rounding residual of 2a + b
+        W = np.column_stack([a, b, a, 2 * a + b, c, b])
+        covs = (_ramp_cov(p, 0.5, 2.0, 9), np.eye(p)) if cov else None
+        spec = GmmSpec(pi1=0.3, mu=np.full(p, 0.2), cov=covs)
+        S, _ = generate_scores(spec, W, 500, 1)
+        scale = np.abs(S).max()
+        assert np.abs(S[2] - S[0]).max() <= 1e-12 * scale
+        assert np.abs(S[5] - S[1]).max() <= 1e-12 * scale
+        assert np.abs(S[3] - (2 * S[0] + S[1])).max() <= 1e-12 * scale
+        # rounding-level changes to W move every score by rounding only
+        S2, _ = generate_scores(spec, W * (1 + 1e-15 * rng.standard_normal(W.shape)), 500, 1)
+        assert np.abs(S2 - S).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("W, match", [
+        (np.ones((4, 2)), "p x k with p=5"),
+        (np.ones(5), "p x k with p=5"),
+        (np.array([[1.0], [np.nan], [0.0], [0.0], [0.0]]), "non-finite"),
+        (np.array([[1.0], [np.inf], [0.0], [0.0], [0.0]]), "non-finite"),
+    ], ids=["rows", "vector", "nan", "inf"])
+    def test_invalid_weights_raise(self, W, match):
+        with pytest.raises(ValueError, match=match):
+            generate_scores(GmmSpec.isotropic(5, 0.5, 1.0), W, 20, 0)
 
 
 class TestFlipLabels:

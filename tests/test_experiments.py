@@ -54,38 +54,48 @@ def _public_api_cfg(experiment, sweep=None):
     )
 
 
-def _replay(cfg, row):
-    """The public-API classifier, test set and theory of one synthetic report
-    cell: the harness's ``derive_seed`` draws, ``lpc.train_lpc`` (on clean
-    labels for ``oracle``) and ``lpc.theory_stats``."""
+def _replay(cfg, seed):
+    """``{(variant, grid value): (test scores, test labels, theory)}`` of one
+    seed of a synthetic run, by the public API: ``lpc.train_lpc`` (on clean
+    labels for ``oracle``) on the harness's ``derive_seed`` draws, the
+    weights stacked in the harness's cell order (grid point, then variant)
+    and scored by ``lpc.generate_scores`` on the harness's test stream, and
+    ``lpc.theory_stats``."""
     from lpc.datasets import LabeledDataset, derive_seed
 
-    value = row.grid_value
-    eps_plus, gamma, custom = cfg.eps_plus, ex.OPTIMAL_GAMMA, cfg.custom_rho_plus
     streams = (5, 4, 6) if cfg.experiment == "real-data" else (0, 1, 2)  # train, flips, test
-    if cfg.experiment == "sweep" and cfg.sweep_param == "eps_plus":
-        eps_plus, streams = value, (0, 10 + cfg.grid.index(value), 2)
-    elif cfg.experiment == "sweep" and cfg.sweep_param == "gamma":
-        gamma = value
-    elif cfg.experiment == "sweep":
-        custom = value
     model = lpc.GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr)
-    train, test = (lpc.generate_gmm(model, n, derive_seed(row.seed, stream))
-        for n, stream in ((cfg.n, streams[0]), (cfg.n_test, streams[2])))
-    noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(row.seed, streams[1]))
-    rho = {
-        "custom": lpc.RhoParams(custom, cfg.custom_rho_minus),
-        "naive": lpc.RhoParams(),
-        "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
-        "optimized": lpc.RhoParams(lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
-        "oracle": lpc.RhoParams(),
-    }[row.variant]
-    noise = (eps_plus, cfg.eps_minus)
-    if row.variant == "oracle":
-        noisy = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
-        noise = (0.0, 0.0)
-    st = lpc.theory_stats(model, cfg.n, gamma, *noise, rho=rho)
-    return lpc.train_lpc(noisy, rho, gamma), test, st
+    train = lpc.generate_gmm(model, cfg.n, derive_seed(seed, streams[0]))
+    keys, weights, stats = [], [], []
+    for g, value in enumerate(cfg.grid or (0.0,)):
+        eps_plus, gamma, custom = cfg.eps_plus, ex.OPTIMAL_GAMMA, cfg.custom_rho_plus
+        flips = streams[1]
+        if cfg.experiment == "sweep" and cfg.sweep_param == "eps_plus":
+            eps_plus, flips = value, 10 + g
+        elif cfg.experiment == "sweep" and cfg.sweep_param == "gamma":
+            gamma = value
+        elif cfg.experiment == "sweep":
+            custom = value
+        noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, flips))
+        for variant in cfg.variants:
+            rho = {
+                "custom": lpc.RhoParams(custom, cfg.custom_rho_minus),
+                "naive": lpc.RhoParams(),
+                "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
+                "optimized": lpc.RhoParams(
+                    lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
+                "oracle": lpc.RhoParams(),
+            }[variant]
+            ds, noise = noisy, (eps_plus, cfg.eps_minus)
+            if variant == "oracle":
+                ds = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
+                noise = (0.0, 0.0)
+            keys.append((variant, value))
+            weights.append(lpc.train_lpc(ds, rho, gamma).w)
+            stats.append(lpc.theory_stats(model, cfg.n, gamma, *noise, rho=rho))
+    S, y = lpc.generate_scores(model, np.column_stack(weights), cfg.n_test,
+                               derive_seed(seed, streams[2]))
+    return {key: (s, y, st) for key, s, st in zip(keys, S, stats)}
 
 
 def _toy_csv(path, seed, rows, features, shift, p_pos):
@@ -421,9 +431,10 @@ class TestRunners:
         rep = ex.run_sweep(cfg)
         risks = [r for r in rep.rows if r.metric == "risk"]
         assert len(risks) == 2 * len(cfg.grid) * 5
+        replays = {seed: _replay(cfg, seed) for seed in cfg.seeds}
         for row in risks:
-            clf, test, _ = _replay(cfg, row)
-            _, risk = lpc.evaluate(clf, test.X, test.y_clean)
+            scores, y, _ = replays[row.seed][row.variant, row.grid_value]
+            risk = np.mean((scores - y) ** 2)
             assert row.empirical == pytest.approx(risk, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("experiment, sweep", [
@@ -437,10 +448,11 @@ class TestRunners:
         rep = ex.run_experiment(cfg)
         accs = [r for r in rep.rows if r.metric == "accuracy"]
         assert len(accs) == 2 * max(len(cfg.grid), 1) * 5
+        replays = {seed: _replay(cfg, seed) for seed in cfg.seeds}
         for row in accs:
-            clf, test, st = _replay(cfg, row)
-            scores = (1.0 if st.m_rho >= 0 else -1.0) * lpc.decision(clf, test.X)
-            acc = np.mean(np.where(scores >= 0, 1, -1) == test.y_clean)
+            scores, y, st = replays[row.seed][row.variant, row.grid_value]
+            scores = (1.0 if st.m_rho >= 0 else -1.0) * scores
+            acc = np.mean(np.where(scores >= 0, 1, -1) == y)
             assert abs(row.empirical - acc) <= 1 / cfg.n_test
 
     def test_predicted_accuracy_non_decreasing_in_gamma(self):
