@@ -28,9 +28,9 @@ from .theory import (
     TheoryStats,
     delta,
     gaussian_upper_tail,
-    optimal_rho_plus,
+    optimal_rho,
     theory_stats,
-    worst_rho_plus,
+    worst_rho,
 )
 
 __version__ = "0.1.0"
@@ -56,11 +56,11 @@ __all__ = [
     "load_classifier",
     "load_features_csv",
     "loo_decisions",
-    "optimal_rho_plus",
+    "optimal_rho",
     "save_classifier",
     "standardize_and_estimate",
     "theory_stats",
     "train_lpc",
     "train_lpc_bce",
-    "worst_rho_plus",
+    "worst_rho",
 ]

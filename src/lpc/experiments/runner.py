@@ -7,7 +7,7 @@ targets:
 
 - ``naive``      noisy labels, rho = (0, 0)
 - ``unbiased``   noisy labels, rho = (eps_plus, eps_minus)
-- ``optimized``  noisy labels, rho = (optimal rho_plus, 0)
+- ``optimized``  noisy labels, rho = :func:`~lpc.theory.optimal_rho` of the model
 - ``oracle``     clean labels, rho = (0, 0); its theory is at zero noise
 - ``custom``     noisy labels, configured rho
 
@@ -30,8 +30,8 @@ A CSV run scores its held-out split's features.
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
-(the optimal ``rho_plus`` can sit past the singular line, where the raw
-ridge solution points away from the positive class).
+(heavy label noise turns the mean negative, as for ``naive`` at
+``sweep_noise.cfg``'s ``eps_plus = 0.7``: the raw solution points away).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ..datasets import (
 )
 from ..multiclass import search_alpha_beta
 from ..noise import estimate_noise_rates
-from ..theory import TheoryStats, optimal_rho_plus, theory_stats
+from ..theory import TheoryStats, optimal_rho, theory_stats
 from .config import NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, ExperimentConfig
 from .report import RunReport
 from .svgplot import Figure
@@ -82,7 +82,7 @@ def _variants(cfg: ExperimentConfig, model: GmmSpec,
         if v == "unbiased":
             rho = RhoParams(cfg.eps_plus, cfg.eps_minus)
         elif v == "optimized":
-            rho = RhoParams(optimal_rho_plus(model.pi1, cfg.eps_plus, cfg.eps_minus, 0.0), 0.0)
+            rho = optimal_rho(model, n, cfg.gamma, cfg.eps_plus, cfg.eps_minus)
         elif v == "custom":
             rho = RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
         else:  # naive, oracle

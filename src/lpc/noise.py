@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_block, _targets, loo_decisions
 from .datasets import GmmSpec, LabeledDataset
-from .theory import theory_stats
+from .theory import _model_part
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
@@ -103,9 +103,10 @@ def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: floa
 
     In ``u = pi1*eps_minus + pi2*eps_plus`` and ``v = pi1*eps_minus -
     pi2*eps_plus``, probe ``k``'s moment minus its target is ``P_k(u) + a_k v``
-    with ``P_k(u) = kappa (S0_k - 2 beta_k u)^2 - kappa S0_k^2 + nu_k(0) -
-    nu_hat_k`` and ``a_k = 4 beta_k^2 (rho_plus - rho_minus) (1 - h) / h``
-    (``S0_k``: mean label weight, ``nu_k(0)``: moment at ``eps = 0``).
+    with ``P_k(u) = kappa (S0_k - 2 beta_k u)^2 + (1 - h) / h (pi1
+    lambda_minus^2 + pi2 lambda_plus^2) - nu_hat_k`` and ``a_k = 4 beta_k^2
+    (rho_plus - rho_minus) (1 - h) / h`` (``S0_k``: mean label weight;
+    ``kappa``, ``h``: the isotropic model part of :mod:`lpc.theory`).
     Eliminating ``v`` leaves the quadratic ``q(u) = a_2 P_1(u) - a_1 P_2(u)``,
     whose roots in the capped simplex are the exact solutions.  Without one,
     the least-squares point is the best of: the vertex of ``q`` with its best
@@ -116,16 +117,20 @@ def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: floa
     if model.cov is not None:
         raise ValueError("the moment inversion needs an isotropic model (cov = None)")
     nu_hat = np.asarray(nu_hat, dtype=float)
+    if nu_hat.shape != (2,):
+        raise ValueError(f"nu_hat must hold one moment per probe, shape (2,), got {nu_hat.shape}")
     if not np.all(np.isfinite(nu_hat)):
         raise ValueError("non-finite empirical second moments")
     pi1, pi2 = model.pi1, 1.0 - model.pi1
+    part = _model_part(model, n, gamma)
     P = np.empty((2, 3))  # coefficients of P_k, highest power first
     a = np.empty(2)
     for k, probe in enumerate(probes):
-        st = theory_stats(model, n, gamma, rho=probe)
-        beta, S0 = probe.beta, pi1 * probe.lambda_minus + pi2 * probe.lambda_plus
-        P[k] = 4.0 * st.kappa * beta**2, -4.0 * st.kappa * beta * S0, st.nu_rho - nu_hat[k]
-        a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - st.h) / st.h
+        beta, lm, lp = probe.beta, probe.lambda_minus, probe.lambda_plus
+        S0 = pi1 * lm + pi2 * lp
+        nu0 = S0**2 * part.kappa + (1.0 - part.h) / part.h * (pi1 * lm**2 + pi2 * lp**2)
+        P[k] = 4.0 * part.kappa * beta**2, -4.0 * part.kappa * beta * S0, nu0 - nu_hat[k]
+        a[k] = 4.0 * beta**2 * (probe.rho_plus - probe.rho_minus) * (1.0 - part.h) / part.h
 
     def terms(u, v):
         # each probe's moment minus its target, for arrays or polynomials

@@ -2,14 +2,15 @@
 
 In the proportional regime ``p/n -> eta`` the decision value ``w @ x`` on a
 fresh test point from class ``a`` is asymptotically Gaussian with mean
-``(-1)^a * m_rho`` and second moment ``nu_rho``.  This module computes those
-limits, from which :class:`TheoryStats` derives the predicted accuracy and
-risk, the closed-form optimal and worst-case ``rho_plus``, and the
-general-covariance extension.
-
-Everything here is a pure function of the model (a
-:class:`~lpc.datasets.GmmSpec`), the sample count and scalar inputs; these are
-the reference values that the Monte Carlo experiments are validated against.
+``(-1)^a * m_rho`` and second moment ``nu_rho``.  The model part (the
+isotropic closed form or the general-covariance trace fixed point) gives
+``m_rho = c @ ab`` and ``nu_rho = ab @ Q @ ab + e @ dd`` in the label
+weights ``ab`` and their second moments ``dd``; in ``x = (beta, beta (rho_plus
+- rho_minus))`` that is ``m_rho = c_x @ x`` and ``nu_rho = x @ V @ x``.  So
+:func:`optimal_rho` is the solve ``x* = V^-1 c_x``, :func:`worst_rho` the
+root of ``c_x @ x``, and :mod:`lpc.noise` reads the isotropic model part.
+All are pure functions of the model (a :class:`~lpc.datasets.GmmSpec`), the
+sample count and scalars: the reference values of the Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, RhoParams
+from .core import RhoParams
 from .datasets import GmmSpec
 
-__all__ = [
-    "TheoryStats",
-    "delta",
-    "gaussian_upper_tail",
-    "theory_stats",
-    "optimal_rho_plus",
-    "worst_rho_plus",
-]
+__all__ = ["TheoryStats", "delta", "gaussian_upper_tail", "theory_stats", "optimal_rho",
+           "worst_rho"]
 
 _H_GUARD = 1e-6
 _FIXED_POINT_TOL = 1e-12
@@ -96,10 +91,9 @@ class TheoryStats:
         The sign of the asymptotic mean is known in closed form, so the decision
         rule is taken as ``sign(m_rho) * sign(w @ x)``.  On the isotropic path
         ``m_rho`` has the sign of ``beta * (1 - 2 pi1 eps_minus - 2 pi2 eps_plus
-        + (1 - 2 pi1) (rho_plus - rho_minus))``, so it can be negative below the
-        singular line ``rho_plus + rho_minus = 1`` too: at ``rho = (0, 0)`` once
-        ``2 pi1 eps_minus + 2 pi2 eps_plus > 1``.  There the raw sign rule scores
-        below one half and this rule above.
+        + (1 - 2 pi1) (rho_plus - rho_minus))``: negative at ``rho = (0, 0)``
+        once ``2 pi1 eps_minus + 2 pi2 eps_plus > 1``, positive at
+        :func:`optimal_rho`.
         """
         return 1.0 - gaussian_upper_tail(abs(self.m_rho) / math.sqrt(self.variance))
 
@@ -109,23 +103,35 @@ class TheoryStats:
         return 1.0 - 2.0 * self.m_rho + self.nu_rho
 
 
-def _label_weights(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[float, float]:
-    """Per-class effective label weights after averaging over flips.
+@dataclass(frozen=True)
+class _ModelPart:
+    """The coefficients of ``m_rho = c @ ab`` and ``nu_rho = ab @ Q @ ab + e @ dd``
+    and the label-free :class:`TheoryStats` fields."""
 
-    Returns ``(A, B)`` with ``A`` the class-1 weight ``lambda_minus -
-    2 beta eps_minus`` and ``B`` the class-2 analogue.
-    """
-    beta = rho.beta
-    return rho.lambda_minus - 2.0 * beta * eps_minus, rho.lambda_plus - 2.0 * beta * eps_plus
+    c: np.ndarray
+    Q: np.ndarray
+    e: np.ndarray
+    delta: float
+    h: float
+    kappa: float | None = None
+    delta2: float | None = None
 
 
-def _diag_weights(rho: RhoParams, eps_plus: float, eps_minus: float) -> tuple[float, float]:
-    """Second-moment label weights ``E[target^2]`` per class."""
-    beta2 = rho.beta**2
-    gap = rho.rho_plus - rho.rho_minus
-    d1 = 4.0 * beta2 * eps_minus * gap + rho.lambda_minus**2
-    d2 = -4.0 * beta2 * eps_plus * gap + rho.lambda_plus**2
-    return d1, d2
+def _model_part(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
+                eps_minus: float = 0.0, test_class: int = 2) -> _ModelPart:
+    """The model part of ``n`` draws of ``model`` at ``gamma``; the flip rates are only checked."""
+    if not (n > 0 and gamma > 0):  # NaN fails too
+        raise ValueError(f"theory_stats needs n > 0 and gamma > 0, got ({n}, {gamma})")
+    if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):  # NaN fails too
+        raise ValueError(f"flip probabilities must lie in [0, 1), got ({eps_plus}, {eps_minus})")
+    if eps_plus + eps_minus >= 1.0:
+        raise ValueError("eps_plus + eps_minus must be < 1")
+    if test_class not in (1, 2):
+        raise ValueError(f"test_class must be 1 or 2, got {test_class}")
+    eta = model.p / n
+    if model.cov is None:
+        return _isotropic_part(model, eta, gamma)
+    return _general_part(model, eta, gamma, test_class)
 
 
 def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
@@ -133,7 +139,7 @@ def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
                  test_class: int = 2) -> TheoryStats:
     """Asymptotic statistics of the LPC with parameters ``rho`` and ridge
     ``gamma``, trained on ``n`` draws of ``model`` whose labels flip at
-    rates ``(eps_plus, eps_minus)``; ``n`` enters only through
+    rates ``0 <= eps_plus, eps_minus < 1``; ``n`` enters only through
     ``eta = model.p / n``.
 
     An isotropic model (``model.cov is None``) takes the closed form.  Per-class
@@ -142,23 +148,61 @@ def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
     ``variance``, ``accuracy`` and ``risk`` are that class's, not a mixture
     over both.
     """
-    if not (n > 0 and gamma > 0):  # NaN fails too
-        raise ValueError(f"theory_stats needs n > 0 and gamma > 0, got ({n}, {gamma})")
-    if eps_plus + eps_minus >= 1.0:
-        raise ValueError("eps_plus + eps_minus must be < 1")
-    if test_class not in (1, 2):
-        raise ValueError(f"test_class must be 1 or 2, got {test_class}")
-    eta = model.p / n
-    if model.cov is None:
-        return _isotropic_stats(model, eta, gamma, eps_plus, eps_minus, rho)
-    return _general_stats(model, eta, gamma, eps_plus, eps_minus, rho, test_class)
+    part = _model_part(model, n, gamma, eps_plus, eps_minus, test_class)
+    b, gap, lm, lp = rho.beta, rho.rho_plus - rho.rho_minus, rho.lambda_minus, rho.lambda_plus
+    # the label weights averaged over flips, and their second moments
+    ab = np.array([lm - 2.0 * b * eps_minus, lp - 2.0 * b * eps_plus])
+    dd = np.array([4.0 * b**2 * eps_minus * gap + lm**2, -4.0 * b**2 * eps_plus * gap + lp**2])
+    m_rho, nu_rho = float(part.c @ ab), float(ab @ part.Q @ ab + part.e @ dd)
+    return TheoryStats(part.delta, part.h, m_rho, nu_rho, part.kappa, part.delta2)
 
 
-def _isotropic_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
-                     eps_minus: float, rho: RhoParams) -> TheoryStats:
+def _label_form(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
+                test_class: int) -> tuple[list[float], list[list[float]]]:
+    """``(c_x, V)`` with ``m_rho = c_x @ x`` and ``nu_rho = x @ V @ x`` in
+    ``x = (beta, beta (rho_plus - rho_minus))``: :func:`theory_stats`'s
+    ``ab`` is ``L @ x`` and its ``dd_a`` is ``x @ D_a @ x``."""
+    part = _model_part(model, n, gamma, eps_plus, eps_minus, test_class)
+    L = np.array([[1.0 - 2.0 * eps_minus, -1.0], [1.0 - 2.0 * eps_plus, 1.0]])
+    D = [np.array([[1.0, s], [s, 1.0]]) for s in (2.0 * eps_minus - 1.0, 1.0 - 2.0 * eps_plus)]
+    V = L.T @ part.Q @ L + part.e[0] * D[0] + part.e[1] * D[1]
+    return (L.T @ part.c).tolist(), V.tolist()
+
+
+def optimal_rho(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
+                test_class: int = 2) -> RhoParams:
+    """The ``rho`` maximizing :func:`theory_stats`'s accuracy (of ``test_class``).
+
+    The accuracy depends on the gap ``g = rho_plus - rho_minus`` alone (on an
+    isotropic model, so does the optimal gap on the class proportions and
+    noise rates alone); of the optimal pairs this is the least-risk one,
+    ``x* = V^-1 c_x``, where ``m_rho = nu_rho > 0``, off the singular line.
+    """
+    (c0, c1), ((v00, v01), (_, v11)) = _label_form(model, n, gamma, eps_plus, eps_minus,
+                                                   test_class)
+    det = v00 * v11 - v01 * v01  # V is positive definite where the theory is valid
+    beta, beta_g = (v11 * c0 - v01 * c1) / det, (v00 * c1 - v01 * c0) / det
+    if beta == 0.0:
+        raise ValueError("the optimal label weights have beta = 0: no rho reaches them")
+    g = beta_g / beta
+    return RhoParams((g + 1.0 - 1.0 / beta) / 2.0, (1.0 - 1.0 / beta - g) / 2.0)
+
+
+def worst_rho(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
+              test_class: int = 2) -> RhoParams:
+    """The ``rho`` at which the decision mean vanishes (random-guess point),
+    ``g = -c_x[0] / c_x[1]``, returned at ``beta = 1`` as ``(g/2, -g/2)``."""
+    c0, c1 = _label_form(model, n, gamma, eps_plus, eps_minus, test_class)[0]
+    if abs(c1) <= 1e-12 * abs(c0):
+        raise ValueError(
+            "the decision mean has no root in rho_plus - rho_minus (balanced classes)")
+    g = -c0 / c1
+    return RhoParams(g / 2.0, -g / 2.0)
+
+
+def _isotropic_part(model: GmmSpec, eta: float, gamma: float) -> _ModelPart:
     """The closed form for identity covariances; the mean enters only
     through ``||mu||^2``."""
-    pi1 = model.pi1
     d = delta(eta, gamma)
     gd = gamma * (1.0 + d)
     h = 1.0 - eta / (1.0 + gd) ** 2
@@ -168,48 +212,10 @@ def _isotropic_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
         )
     s2 = float(model.mu @ model.mu)
     D = s2 + 1.0 + gd
-    pi2 = 1.0 - pi1
-    A, B = _label_weights(rho, eps_plus, eps_minus)
-    S = pi1 * A + pi2 * B
+    pi = np.array([model.pi1, 1.0 - model.pi1])
     kappa = ((s2 + 1.0) / D - 2.0 * (1.0 - h)) * s2 / (h * D)
-    d1, d2 = _diag_weights(rho, eps_plus, eps_minus)
-    return TheoryStats(
-        delta=d,
-        h=h,
-        m_rho=S * s2 / D,
-        nu_rho=S**2 * kappa + (1.0 - h) / h * (pi1 * d1 + pi2 * d2),
-        kappa=kappa,
-    )
-
-
-def optimal_rho_plus(
-    pi1: float, eps_plus: float, eps_minus: float, rho_minus: float = 0.0
-) -> float:
-    """``rho_plus`` maximizing the asymptotic accuracy at fixed ``rho_minus``.
-
-    Depends only on the class proportions and the noise rates, not on the
-    SNR, the regularization or the dimension ratio.
-    """
-    if not 0.0 < pi1 < 1.0:
-        raise ValueError(f"pi1 must lie in (0, 1), got {pi1}")
-    denom = 1.0 - eps_plus - eps_minus
-    if abs(denom) <= SINGULARITY_GUARD:
-        raise ValueError("eps_plus + eps_minus = 1 makes the optimum singular")
-    pi2 = 1.0 - pi1
-    num = pi1**2 * eps_minus * (eps_minus - 1.0) + pi2**2 * eps_plus * (1.0 - eps_plus)
-    return num / (pi1 * pi2 * denom) + rho_minus
-
-
-def worst_rho_plus(
-    pi1: float, eps_plus: float, eps_minus: float, rho_minus: float = 0.0
-) -> float:
-    """``rho_plus`` at which the decision mean vanishes (random-guess point)."""
-    if abs(pi1 - 0.5) <= 1e-12:
-        raise ValueError(
-            "pi1 = 1/2: the decision mean has no root in rho_plus (balanced classes)"
-        )
-    pi2 = 1.0 - pi1
-    return (1.0 - 2.0 * pi1 * eps_minus - 2.0 * pi2 * eps_plus) / (2.0 * pi1 - 1.0) + rho_minus
+    return _ModelPart(c=s2 / D * pi, Q=kappa * np.outer(pi, pi), e=(1.0 - h) / h * pi,
+                      delta=d, h=h, kappa=kappa)
 
 
 def _general_fixed_point(
@@ -244,8 +250,7 @@ def _general_fixed_point(
     )
 
 
-def _general_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
-                   eps_minus: float, rho: RhoParams, test_class: int) -> TheoryStats:
+def _general_part(model: GmmSpec, eta: float, gamma: float, test_class: int) -> _ModelPart:
     """Per-class covariances ``(C1, C2) = model.cov``.  All normalized traces
     are evaluated without the rank-one mean term, so with ``C1 = C2 = I`` the
     result coincides with the isotropic closed form to solver tolerance."""
@@ -267,10 +272,8 @@ def _general_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
     # part Tr(C_k Q0 C_b Q0)
     CQ = [C1 @ Q0, C2 @ Q0]
     tr = [[float(np.sum(CQ[k] * CQ[b].T)) for b in (0, 1)] for k in (0, 1)]
-    c = [eta / p * pi1 / (1.0 + d1) ** 2, eta / p * pi2 / (1.0 + d2) ** 2]
-    G = np.array(
-        [[c[0] * tr[0][0], c[1] * tr[1][0]], [c[0] * tr[0][1], c[1] * tr[1][1]]]
-    )
+    w = [eta / p * pi1 / (1.0 + d1) ** 2, eta / p * pi2 / (1.0 + d2) ** 2]
+    G = np.array([[w[0] * tr[0][0], w[1] * tr[1][0]], [w[0] * tr[0][1], w[1] * tr[1][1]]])
     h_like = float(np.linalg.det(np.eye(2) - G))
     if h_like <= _H_GUARD:
         raise ValueError(
@@ -280,17 +283,9 @@ def _general_stats(model: GmmSpec, eta: float, gamma: float, eps_plus: float,
     alpha = np.linalg.inv(np.eye(2) - G)[test_class - 1]
     mu_M_mu = alpha[0] * mu_N_mu[0] + alpha[1] * mu_N_mu[1]
     # T_b = (1/n) Tr(Sigma_b E[Q Sigma_a Q]), mean-free
-    T = [eta / p * (alpha[0] * tr[b][0] + alpha[1] * tr[b][1]) for b in (0, 1)]
-
-    A, B = _label_weights(rho, eps_plus, eps_minus)
-    a1 = pi1 * A / (1.0 + d1)
-    a2 = pi2 * B / (1.0 + d2)
-    S = a1 + a2
-    w1, w2 = _diag_weights(rho, eps_plus, eps_minus)
-    nu = (
-        S**2 * mu_M_mu
-        - 2.0 * S * (T[0] / (1.0 + d1) * a1 + T[1] / (1.0 + d2) * a2) * mu_Q_mu
-        + pi1 * w1 * T[0] / (1.0 + d1) ** 2
-        + pi2 * w2 * T[1] / (1.0 + d2) ** 2
-    )
-    return TheoryStats(delta=d1, h=h_like, m_rho=S * mu_Q_mu, nu_rho=nu, kappa=None, delta2=d2)
+    T = np.array([eta / p * (alpha[0] * tr[b][0] + alpha[1] * tr[b][1]) for b in (0, 1)])
+    # class a's label weight enters the mean as s_a, the label variance as r_a
+    s = np.array([pi1 / (1.0 + d1), pi2 / (1.0 + d2)])
+    r = T * s / (1.0 + np.array([d1, d2]))
+    Q = mu_M_mu * np.outer(s, s) - mu_Q_mu * (np.outer(s, r) + np.outer(r, s))
+    return _ModelPart(c=mu_Q_mu * s, Q=Q, e=r, delta=d1, h=h_like, delta2=d2)

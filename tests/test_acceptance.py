@@ -15,13 +15,13 @@ from lpc import (
     flip_labels,
     generate_gmm,
     loo_decisions,
-    optimal_rho_plus,
     theory_stats,
     train_lpc,
     train_lpc_bce,
 )
 from lpc.core import _targets
 from lpc.noise import solve_noise_system
+from test_theory import paper_optimal_gap
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -114,7 +114,7 @@ def test_criterion_03_accuracy_risk_prediction():
 
 def test_criterion_04_optimal_rho_argmax():
     pi1, ep, em, snr = 0.3, 0.4, 0.3, 2.0
-    target = optimal_rho_plus(pi1, ep, em, 0.0)
+    target = paper_optimal_gap(pi1, ep, em)  # rho_plus at rho_minus = 0
     step = 0.02
     grid = np.arange(-1.0, 3.0 + 1e-9, step)
     argmax_ok = True

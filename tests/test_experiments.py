@@ -82,8 +82,7 @@ def _replay(cfg, seed):
                 "custom": lpc.RhoParams(custom, cfg.custom_rho_minus),
                 "naive": lpc.RhoParams(),
                 "unbiased": lpc.RhoParams(eps_plus, cfg.eps_minus),
-                "optimized": lpc.RhoParams(
-                    lpc.optimal_rho_plus(cfg.pi1, eps_plus, cfg.eps_minus), 0.0),
+                "optimized": lpc.optimal_rho(model, cfg.n, gamma, eps_plus, cfg.eps_minus),
                 "oracle": lpc.RhoParams(),
             }[variant]
             ds, noise = noisy, (eps_plus, cfg.eps_minus)
@@ -322,9 +321,12 @@ class TestRunners:
         )
         rep = ex.run_histogram(cfg)
         means = {v: rep.mean_over_seeds(v, "mean_class2") for v in cfg.variants}
-        # with zero noise all four variants train on identical labels
-        for v in ("naive", "unbiased", "optimized"):
-            assert means[v] == pytest.approx(means["oracle"], abs=1e-12)
+        # with zero noise all four variants train on the same labels; the
+        # optimum's gap is 0 and its least-risk scale beta multiplies them
+        rho = lpc.optimal_rho(cfg.model, cfg.n, cfg.gamma, 0.0, 0.0)
+        assert rho.rho_plus - rho.rho_minus == pytest.approx(0.0, abs=1e-15)
+        for v, scale in (("naive", 1.0), ("unbiased", 1.0), ("optimized", rho.beta)):
+            assert means[v] == pytest.approx(scale * means["oracle"], abs=1e-12)
         assert "bins.csv" in rep.extra_files
 
     def test_noise_estimation_from_file(self, tmp_path):
@@ -465,7 +467,7 @@ class TestRunners:
             for rho, noise in (
                 (lpc.RhoParams(), (ep, em)),
                 (lpc.RhoParams(ep, em), (ep, em)),
-                (lpc.RhoParams(lpc.optimal_rho_plus(pi1, ep, em), 0.0), (ep, em)),
+                (lpc.optimal_rho(model, n, 1.0, ep, em), (ep, em)),
                 (lpc.RhoParams(), (0.0, 0.0)),
             ):
                 accs = [lpc.theory_stats(model, n, g, *noise, rho=rho).accuracy
@@ -665,6 +667,22 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         bad = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = sweep\ngrid = 3,1\n")
         assert cli_main(["run", "--config", bad]) == 1
+
+    def test_optimum_on_the_old_singular_line_runs(self, tmp_path):
+        # the paper's optimal gap is exactly 1 at these rates, so its
+        # rho_minus = 0 pair (1, 0) sat on the singular line and the run
+        # exited 2; the least-risk pair is off it, with a positive mean
+        cfg = self._write_cfg(
+            tmp_path,
+            "schema_version = 1\nexperiment = histogram\nn = 200\np = 40\npi1 = 0.2\n"
+            "snr = 2\ngamma = 1\neps_plus = 0.1\neps_minus = 0.6\n"
+            "variants = naive,optimized\nseeds = 0\nn_test = 500\n",
+        )
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = ex.read_report_csv(tmp_path / "o" / "report.csv")
+        m_rho = [r["theory"] for r in rows
+                 if r["variant"] == "optimized" and r["metric"] == "mean_class2"]
+        assert len(m_rho) == 1 and m_rho[0] > 0
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = self._write_cfg(

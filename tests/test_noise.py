@@ -242,3 +242,13 @@ class TestForwardInverse:
         # moments that no simplex point can produce leave a large residual
         est = solve_noise_system(np.array([50.0, 0.01]), *SETTING, PROBES)
         assert est.high_residual
+
+    @pytest.mark.parametrize("nu_hat", [(0.5, 0.6, 100.0), (0.5,), ((0.5,), (0.6,))],
+                             ids=["three", "one", "column"])
+    def test_nu_hat_shape_checked(self, nu_hat):
+        # one moment per probe: a third entry would only enter the
+        # high_residual scale, and (0.5, 0.6, 100) clears a flag that
+        # (0.5, 0.6) sets
+        assert solve_noise_system(np.array([0.5, 0.6]), *SETTING, PROBES).high_residual
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            solve_noise_system(np.array(nu_hat), *SETTING, PROBES)

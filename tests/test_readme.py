@@ -1,5 +1,6 @@
 """The README's library quick start runs as written, and the held-out
-accuracy of its oriented rule matches the theory it prints."""
+accuracy `lpc.evaluate` reads at the optimal rho (where the raw sign rule is
+the oriented one) matches the theory it prints."""
 
 import pathlib
 import re

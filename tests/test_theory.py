@@ -9,9 +9,9 @@ from lpc import (
     RhoParams,
     delta,
     gaussian_upper_tail,
-    optimal_rho_plus,
+    optimal_rho,
     theory_stats,
-    worst_rho_plus,
+    worst_rho,
 )
 
 # heavy-noise high-dimensional reference configuration used across tests (eta = 0.2)
@@ -196,24 +196,111 @@ class TestAccuracyRisk:
             TheoryStats(delta=0.0, h=1.0, m_rho=math.nan, nu_rho=1.0, kappa=None)
 
 
+def paper_optimal_gap(pi1, eps_plus, eps_minus):
+    """The paper's closed-form accuracy-optimal gap ``rho_plus - rho_minus``
+    of an isotropic model: a function of the class proportions and the
+    noise rates alone."""
+    pi2 = 1.0 - pi1
+    num = pi1**2 * eps_minus * (eps_minus - 1.0) + pi2**2 * eps_plus * (1.0 - eps_plus)
+    return num / (pi1 * pi2 * (1.0 - eps_plus - eps_minus))
+
+
+def _gap(rho):
+    return rho.rho_plus - rho.rho_minus
+
+
+# the README quick start: model, n, gamma, eps_plus, eps_minus
+QUICK_START = (GmmSpec.isotropic(1000, 1 / 3, 2.0), 5000, 0.1, 0.4, 0.3)
+
+
+def _unequal_covariances(c2):
+    """The ``C1 = I``, ``C2 = c2 I`` model at ``p = 40``, ``mu = 2 e1``,
+    ``pi1 = 0.3``, and its ``n``, ``gamma`` and flip rates."""
+    p = 40
+    mu = np.zeros(p)
+    mu[0] = 2.0
+    return GmmSpec(0.3, mu, cov=(np.eye(p), c2 * np.eye(p))), 80, 0.5, 0.4, 0.3
+
+
+def _diagonal_ramp():
+    """A diagonal-ramp ``C1`` against ``C2 = I`` at ``p = 40``."""
+    p = 40
+    mu = np.random.default_rng(7).standard_normal(p)
+    mu *= 2.0 / np.linalg.norm(mu)
+    cov = (np.diag(np.linspace(0.5, 2.5, p)), np.eye(p))
+    return GmmSpec(0.4, mu, cov=cov), 100, 0.5, 0.3, 0.2
+
+
+GENERAL_CASES = {"C2=2I": (_unequal_covariances(2.0), 2),
+                 "C2=4I": (_unequal_covariances(4.0), 2),
+                 "ramp-class1": (_diagonal_ramp(), 1),
+                 "ramp-class2": (_diagonal_ramp(), 2)}
+
+
+def _stats_at(setting, rho, test_class=2):
+    model, n, gamma, ep, em = setting
+    return theory_stats(model, n, gamma, ep, em, rho=rho, test_class=test_class)
+
+
 class TestOptimalRho:
     def test_symmetric_noise_balanced_classes(self):
-        assert optimal_rho_plus(0.5, 0.2, 0.2, 0.7) == pytest.approx(0.7, abs=1e-14)
+        rho = optimal_rho(GmmSpec.isotropic(100, 0.5, 2.0), 200, 1.0, 0.2, 0.2)
+        assert _gap(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_no_noise(self):
-        assert optimal_rho_plus(0.3, 0.0, 0.0, 0.1) == pytest.approx(0.1, abs=1e-14)
+        rho = optimal_rho(GmmSpec.isotropic(100, 0.3, 2.0), 200, 1.0, 0.0, 0.0)
+        assert _gap(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_reference_value(self):
-        assert optimal_rho_plus(0.3, 0.4, 0.3, 0.0) == pytest.approx(1.5667, abs=1e-4)
+        rho = optimal_rho(GmmSpec.isotropic(500, 0.3, 2.0), 1000, 1.0, 0.4, 0.3)
+        assert _gap(rho) == pytest.approx(1.5667, abs=1e-4)
+
+    def test_quick_start_point(self):
+        # the optimum in the least-risk gauge: risk 0.630 where the old
+        # rho_minus = 0 gauge, rho = (1.25, 0), reads 17.59 at the same accuracy
+        rho = optimal_rho(*QUICK_START)
+        st = _stats_at(QUICK_START, rho)
+        assert (rho.rho_plus, rho.rho_minus) == pytest.approx((0.4038, -0.8462), abs=1e-4)
+        assert rho.beta == pytest.approx(0.6933, abs=1e-4)
+        assert st.accuracy == pytest.approx(0.778267448345939, abs=1e-12)
+        assert st.risk == pytest.approx(0.630, abs=1e-3)
+        assert _stats_at(QUICK_START, RhoParams(1.25, 0.0)).risk == pytest.approx(17.59, abs=1e-2)
 
     def test_singular_total_noise(self):
-        with pytest.raises(ValueError, match="singular"):
-            optimal_rho_plus(0.3, 0.6, 0.4, 0.0)
+        with pytest.raises(ValueError, match="must be < 1"):
+            optimal_rho(GmmSpec.isotropic(100, 0.3, 2.0), 200, 1.0, 0.6, 0.4)
+
+    def test_zero_snr_rejected(self):
+        # no signal: the optimal label weights are zero, beta = 0
+        with pytest.raises(ValueError, match="beta = 0"):
+            optimal_rho(GmmSpec.isotropic(100, 0.3, 0.0), 200, 1.0, 0.2, 0.1)
+
+    def test_gap_matches_paper_closed_form(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            pi1 = rng.uniform(0.05, 0.95)
+            ep, em = rng.uniform(0.0, 0.6, 2)
+            if ep + em > 0.95:
+                continue
+            p, eta = int(rng.integers(1, 500)), rng.uniform(0.05, 3.0)
+            model = GmmSpec.isotropic(p, pi1, rng.uniform(0.3, 4.0))
+            rho = optimal_rho(model, p / eta, 10 ** rng.uniform(-2, 2), ep, em)
+            target = paper_optimal_gap(pi1, ep, em)
+            assert _gap(rho) == pytest.approx(target, rel=1e-12, abs=1e-14)
+
+    def test_off_the_old_singular_line(self):
+        # the paper's gap is exactly 1 here, so its rho_minus = 0 pair
+        # (1, 0) is singular; the least-risk pair is not
+        model = GmmSpec.isotropic(100, 0.2, 2.0)
+        assert paper_optimal_gap(0.2, 0.1, 0.6) == pytest.approx(1.0, abs=1e-15)
+        rho = optimal_rho(model, 200, 0.1, 0.1, 0.6)
+        assert _gap(rho) == pytest.approx(1.0, abs=1e-12)
+        assert theory_stats(model, 200, 0.1, 0.1, 0.6, rho=rho).m_rho > 0
 
     def test_grid_search_oracle(self):
         # independent oracle: brute-force maximization of the predicted
-        # accuracy over rho_plus must land on the closed form
-        target = optimal_rho_plus(0.3, 0.4, 0.3, 0.0)
+        # accuracy over rho_plus must land on the optimal gap
+        target = _gap(optimal_rho(GmmSpec.isotropic(500, 0.3, 2.0), 1000, 1.0, 0.4, 0.3))
         grid = np.arange(-1.0, 3.0 + 1e-9, 0.02)
         accs = []
         for rp in grid:
@@ -227,7 +314,8 @@ class TestOptimalRho:
         assert abs(best - target) <= 0.02 + 1e-9
 
     def test_argmax_invariance_across_model_parameters(self):
-        # the argmax location never moves when snr, gamma or eta change
+        # on the isotropic path the argmax gap never moves when snr, gamma
+        # or eta change
         rng = np.random.default_rng(11)
         grid = np.arange(-1.0, 3.0 + 1e-9, 0.05)
         done = 0
@@ -240,7 +328,8 @@ class TestOptimalRho:
                 continue
             snr, gamma, eta = rng.uniform(1.0, 3.0), rng.uniform(0.1, 10.0), rng.uniform(0.3, 3.0)
             rm = rng.uniform(-0.2, 0.2)
-            target = optimal_rho_plus(pi1, ep, em, rm)
+            model = GmmSpec.isotropic(100, pi1, snr)
+            target = _gap(optimal_rho(model, 100 / eta, gamma, ep, em)) + rm
             if not grid[2] < target < grid[-3]:
                 continue
             accs = []
@@ -248,29 +337,79 @@ class TestOptimalRho:
                 if abs(1.0 - rp - rm) <= 0.05:
                     accs.append(-np.inf)
                     continue
-                st = _iso(p=100, n=100 / eta, pi1=pi1, gamma=gamma, eps_plus=ep,
-                          eps_minus=em, rho=RhoParams(rp, rm), snr=snr)
+                st = theory_stats(model, 100 / eta, gamma, ep, em, rho=RhoParams(rp, rm))
                 accs.append(st.accuracy)
             best = grid[int(np.argmax(accs))]
             assert abs(best - target) <= 0.05 + 1e-9, (
-                f"argmax {best} vs closed form {target} at "
+                f"argmax {best} vs optimum {target} at "
                 f"(pi1={pi1}, ep={ep}, em={em}, snr={snr}, gamma={gamma}, eta={eta})"
             )
             done += 1
 
+    @pytest.mark.parametrize("case", GENERAL_CASES)
+    def test_general_path_matches_grid_argmax(self, case):
+        # a coarse grid over the gap at beta = 1, (g/2, -g/2), which never
+        # meets the singular line, then a fine one around its argmax
+        setting, test_class = GENERAL_CASES[case]
+        target = _gap(optimal_rho(*setting, test_class=test_class))
+
+        def argmax(grid):
+            accs = [_stats_at(setting, RhoParams(g / 2, -g / 2), test_class).accuracy
+                    for g in grid]
+            return grid[int(np.argmax(accs))]
+
+        coarse = argmax(np.linspace(-2.0, 4.0, 241))
+        best = argmax(np.linspace(coarse - 0.025, coarse + 0.025, 51))
+        assert abs(best - target) <= 1e-3 + 1e-12
+
+    def test_unequal_covariances_move_the_optimum(self):
+        # the paper's gap holds for C1 = C2 only
+        gaps = [_gap(optimal_rho(*_unequal_covariances(c2))) for c2 in (2.0, 4.0)]
+        assert gaps == pytest.approx([1.2476, 0.7800], abs=1e-4)
+        assert paper_optimal_gap(0.3, 0.4, 0.3) == pytest.approx(1.5667, abs=1e-4)
+
+    @pytest.mark.parametrize("case", ["isotropic", *GENERAL_CASES])
+    def test_mean_equals_second_moment_at_optimum(self, case):
+        setting, test_class = (QUICK_START, 2) if case == "isotropic" else GENERAL_CASES[case]
+        st = _stats_at(setting, optimal_rho(*setting, test_class=test_class), test_class)
+        assert st.m_rho > 0
+        assert st.m_rho == pytest.approx(st.nu_rho, rel=1e-12)
+
+    def test_accuracy_depends_on_gap_alone(self):
+        # g = 1.25 is the quick start's optimal gap; beta runs from -1.18 to 0.87
+        for rm in (0.0, -0.7, 0.3, 2.0):
+            st = _stats_at(QUICK_START, RhoParams(1.25 + rm, rm))
+            assert st.accuracy == pytest.approx(0.778267448345939, abs=1e-12)
+
+
+@pytest.mark.parametrize("entry", [theory_stats, optimal_rho, worst_rho],
+                         ids=["theory_stats", "optimal_rho", "worst_rho"])
+@pytest.mark.parametrize("rates", [(-0.2, 0.1), (0.1, -0.1), (0.1, math.nan), (1.0, 0.0)],
+                         ids=["negative-plus", "negative-minus", "nan", "one"])
+def test_out_of_range_rates_rejected(entry, rates):
+    with pytest.raises(ValueError, match=r"flip probabilities must lie in \[0, 1\)"):
+        entry(GmmSpec.isotropic(100, 1 / 3, 2.0), 200, 1.0, *rates)
+
 
 class TestWorstRho:
     def test_mean_vanishes(self):
-        rho_bar = worst_rho_plus(0.3, 0.4, 0.3, 0.0)
-        assert rho_bar == pytest.approx(-0.65, abs=1e-12)
+        rho_bar = worst_rho(GmmSpec.isotropic(500, 0.3, 2.0), 1000, 1.0, 0.4, 0.3)
+        assert rho_bar.beta == pytest.approx(1.0, abs=1e-15)
+        assert _gap(rho_bar) == pytest.approx(-0.65, abs=1e-12)
         st = _iso(p=500, n=1000, pi1=0.3, gamma=1.0, eps_plus=0.4, eps_minus=0.3,
-                  rho=RhoParams(rho_bar, 0.0), snr=2.0)
+                  rho=rho_bar, snr=2.0)
         assert abs(st.m_rho) <= 1e-12
         assert st.accuracy == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("case", GENERAL_CASES)
+    def test_mean_vanishes_on_general_path(self, case):
+        setting, test_class = GENERAL_CASES[case]
+        rho_bar = worst_rho(*setting, test_class=test_class)
+        assert abs(_stats_at(setting, rho_bar, test_class).m_rho) <= 1e-12
+
     def test_balanced_classes_rejected(self):
         with pytest.raises(ValueError, match="no root"):
-            worst_rho_plus(0.5, 0.4, 0.3)
+            worst_rho(GmmSpec.isotropic(100, 0.5, 2.0), 200, 1.0, 0.4, 0.3)
 
 
 class TestGeneralCovariance:
