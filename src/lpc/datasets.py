@@ -351,10 +351,6 @@ class StandardizeResult:
     snr_estimate: float
     pi1_estimate: float
 
-    @property
-    def single_class(self) -> bool:
-        return not 0 < self.pi1_estimate < 1
-
 
 def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
     """Standardize features row-wise, center class means at ``+-mu_hat`` and
@@ -362,7 +358,8 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
 
     Rows with zero variance are centered but not rescaled (keeps ``p``
     stable).  The SNR is estimated from ``y_clean`` when present; falling
-    back to ``y_noisy`` biases the estimate and is flagged.
+    back to ``y_noisy`` biases the estimate and is flagged.  Labels of one
+    class leave the SNR undefined and raise ``ValueError``.
     """
     if ds.n < 2:
         raise ValueError("standardize_and_estimate needs n >= 2")
@@ -380,13 +377,11 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
         y = ds.y_noisy
     n1 = int(np.sum(y == -1))
     if n1 == 0 or n1 == ds.n:
-        warnings.warn("all samples share one label; SNR estimate is undefined", stacklevel=2)
-        snr = 0.0
-    else:
-        m1 = X[:, y == -1].mean(axis=1)
-        m2 = X[:, y == +1].mean(axis=1)
-        X -= ((m1 + m2) / 2.0)[:, None]
-        snr = float(np.linalg.norm((m2 - m1) / 2.0))
+        raise ValueError("all samples share one label; the SNR estimate is undefined")
+    m1 = X[:, y == -1].mean(axis=1)
+    m2 = X[:, y == +1].mean(axis=1)
+    X -= ((m1 + m2) / 2.0)[:, None]
+    snr = float(np.linalg.norm((m2 - m1) / 2.0))
 
     out = LabeledDataset(X=X, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
     return StandardizeResult(dataset=out, snr_estimate=snr, pi1_estimate=n1 / ds.n)

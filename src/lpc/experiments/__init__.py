@@ -8,15 +8,7 @@ from .config import (
     parse_config_text,
 )
 from .report import RunReport, emit_report, read_report_csv
-from .runner import (
-    run_experiment,
-    run_histogram,
-    run_multiclass,
-    run_noise_estimation,
-    run_real_data,
-    run_sweep,
-    theory_csv,
-)
+from .runner import run_experiment, theory_csv
 
 __all__ = [
     "OPTIMAL_GAMMA",
@@ -28,10 +20,5 @@ __all__ = [
     "parse_config_text",
     "read_report_csv",
     "run_experiment",
-    "run_histogram",
-    "run_multiclass",
-    "run_noise_estimation",
-    "run_real_data",
-    "run_sweep",
     "theory_csv",
 ]

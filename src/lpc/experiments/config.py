@@ -176,6 +176,12 @@ class ExperimentConfig:
             with _naming(f"{'means, pis, eps_rows' if multi else 'pi1'} with n, n_test"):
                 for n in (self.n, self.n_test):
                     self.model.class_sizes(n)
+        if self.data_path and not self.has_header:
+            try:
+                int(self.label_column)
+            except ValueError:
+                raise ConfigError(f"label_column {self.label_column!r} is a column name, "
+                                  "which needs has_header = true") from None
         if "custom" in self.variants:
             with _naming("custom_rho_plus, custom_rho_minus"):
                 RhoParams(self.custom_rho_plus, self.custom_rho_minus)

@@ -1,9 +1,9 @@
 """Experiment drivers reproducing the validation figures and tables.
 
-Each ``run_*`` function consumes an :class:`ExperimentConfig` and returns a
-:class:`RunReport` pairing every empirical cell with its theoretical
-counterpart where one exists.  Variants differ only in their regression
-targets:
+:func:`run_experiment` runs the experiment an :class:`ExperimentConfig`
+declares and returns a :class:`RunReport` pairing every empirical cell with
+its theoretical counterpart where one exists.  Variants differ only in their
+regression targets:
 
 - ``naive``      noisy labels, rho = (0, 0)
 - ``unbiased``   noisy labels, rho = (eps_plus, eps_minus)
@@ -11,13 +11,28 @@ targets:
 - ``oracle``     clean labels, rho = (0, 0); its theory is at zero noise
 - ``custom``     noisy labels, configured rho
 
-Each harness decision is made in one function: :func:`_variants` resolves
-every variant's ``(rho, theory)`` at a model point, :func:`_draw` draws a
-synthetic training set, :func:`_test_scores` a synthetic test set,
-:func:`_ingest` loads and standardizes a CSV, and :func:`_score` trains and
-scores cells.  Every variant and grid point that shares a training draw
-(and ``gamma``) is one target column of a single block solve on that
-draw's ridge system.
+``histogram``, ``sweep`` and ``real-data`` make one measurement, each
+variant's Monte Carlo cell next to its closed-form prediction at a model
+point, and :func:`_run_paired` is their one driver.  A sweep has a point per
+grid value (:meth:`~ExperimentConfig.at_grid_point`); a histogram or
+real-data run has one, at grid value 0.  Per seed the driver makes one
+draw, flips its labels per point, trains every cell (point, then variant)
+with :func:`_score` and reduces the test scores to the experiment's report
+rows (:data:`_ROWS`).  :func:`_variants` resolves every variant's ``(rho,
+theory)`` at a model point and :func:`_ingest` loads and standardizes a CSV.
+Every cell that shares a training draw (and ``gamma``) is one target column
+of a single block solve on that draw's ridge system.
+
+Seed ``s`` draws from the streams ``derive_seed(s, stream)``:
+
+======================  ===========  ========  ====
+run                     train        flips     test
+======================  ===========  ========  ====
+histogram, sweep        0            1         2
+``eps_plus`` sweep      0            10 + g    2     (grid point ``g``)
+real-data, synthetic    5            4         6
+real-data, CSV          3 (a split)  4         the split's rest
+======================  ===========  ========  ====
 
 A synthetic test set is drawn as scores, not as features: given the ``p x
 k`` weights ``W`` of all the cells that share it, a class-``a`` test point's
@@ -61,15 +76,7 @@ from .config import NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, Expe
 from .report import RunReport
 from .svgplot import Figure
 
-__all__ = [
-    "run_experiment",
-    "run_histogram",
-    "run_multiclass",
-    "run_noise_estimation",
-    "run_real_data",
-    "run_sweep",
-    "theory_csv",
-]
+__all__ = ["run_experiment", "theory_csv"]
 
 
 def _variants(cfg: ExperimentConfig, model: GmmSpec,
@@ -92,38 +99,19 @@ def _variants(cfg: ExperimentConfig, model: GmmSpec,
     return out
 
 
-def _score(X: np.ndarray, cells: list, test) -> tuple[list[tuple[np.ndarray, float, float]],
-                                                      np.ndarray]:
-    """``(test scores, accuracy, squared risk)`` of every cell ``(noisy,
-    variant, rho, gamma, theory)`` trained on the features ``X``, one block
-    solve per ``gamma``, and the test labels.  ``test(W) -> (scores, labels)``
-    scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on one
-    test set.  ``oracle`` trains on the clean labels; predictions are
-    oriented by the theory's ``sign(m_rho)``."""
+def _score(X: np.ndarray, cells: list, test) -> tuple[np.ndarray, np.ndarray]:
+    """The test scores (row ``j`` of cell ``j``) and test labels of every
+    cell ``(noisy, variant, rho, gamma, ...)`` trained on the features
+    ``X``, one block solve per ``gamma``.  ``test(W) -> (scores, labels)``
+    scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on
+    one test set.  ``oracle`` trains on the clean labels."""
     W = np.empty((X.shape[0], len(cells)))
     for gamma in dict.fromkeys(c[3] for c in cells):
         cols = [j for j, c in enumerate(cells) if c[3] == gamma]
         targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
                    for ds, v, rho, *_ in (cells[j] for j in cols)]
         W[:, cols] = _Ridge(X, gamma).weights(np.column_stack(targets))
-    scores, y_test = test(W)
-    out = []
-    for s, (*_, st) in zip(scores, cells):
-        pred = np.where((1.0 if st.m_rho >= 0 else -1.0) * s >= 0, 1, -1)
-        out.append((s, float(np.mean(pred == y_test)), float(np.mean((s - y_test) ** 2))))
-    return out, y_test
-
-
-def _draw(cfg: ExperimentConfig, n: int, seed: int, stream: int) -> LabeledDataset:
-    """``n`` samples of ``cfg.model``, from stream ``stream`` of ``seed``."""
-    return generate_gmm(cfg.model, n, derive_seed(seed, stream))
-
-
-def _test_scores(cfg: ExperimentConfig, seed: int, stream: int):
-    """The test set of a synthetic run, ``cfg.n_test`` samples of
-    ``cfg.model`` from stream ``stream`` of ``seed``, as the :func:`_score`
-    callable ``W -> (scores, labels)``."""
-    return lambda W: generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, stream))
+    return test(W)
 
 
 def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
@@ -133,11 +121,8 @@ def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
         label = int(cfg.label_column)
     except ValueError:
         label = cfg.label_column
-    std = standardize_and_estimate(load_features_csv(
+    return standardize_and_estimate(load_features_csv(
         cfg.data_path, label, has_clean_labels=clean, has_header=cfg.has_header))
-    if std.single_class:
-        raise ValueError("ingested data has a single class")
-    return std
 
 
 def _pool_map(fn, args, threads: int):
@@ -148,40 +133,101 @@ def _pool_map(fn, args, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# histogram
+# paired cells: histogram, sweep, real data
 # ---------------------------------------------------------------------------
 
 
-def run_histogram(cfg: ExperimentConfig) -> RunReport:
-    """Decision-value distributions of every variant against the predicted
-    Gaussian mixture; bins from the first seed, moment rows from all."""
-    report = RunReport(cfg)
-    variants = _variants(cfg, cfg.model, cfg.n)
-    theories = {v: st for v, (_, st) in variants.items()}
+def _oriented_accuracy(s: np.ndarray, y: np.ndarray, st: TheoryStats) -> float:
+    pred = np.where((1.0 if st.m_rho >= 0 else -1.0) * s >= 0, 1, -1)
+    return float(np.mean(pred == y))
+
+
+# metric -> (empirical, theory) of one cell's test scores s, test labels y
+# and theory st
+_METRICS = {
+    "mean_class1": lambda s, y, st: (s[y == -1].mean(), -st.m_rho),
+    "mean_class2": lambda s, y, st: (s[y == +1].mean(), st.m_rho),
+    "std_class1": lambda s, y, st: (s[y == -1].std(), math.sqrt(st.variance)),
+    "std_class2": lambda s, y, st: (s[y == +1].std(), math.sqrt(st.variance)),
+    "accuracy": lambda s, y, st: (_oriented_accuracy(s, y, st), st.accuracy),
+    "risk": lambda s, y, st: (np.mean((s - y) ** 2), st.risk),
+}
+
+# the rows a paired experiment reports per cell and seed
+_ROWS = {
+    "histogram": tuple(_METRICS),
+    "sweep": ("accuracy", "risk"),
+    "real-data": ("accuracy",),
+}
+
+
+def _run_paired(cfg: ExperimentConfig) -> RunReport:
+    """Every variant's Monte Carlo cells next to its theory, at every grid
+    point, as the rows ``_ROWS[cfg.experiment]`` in seed, grid point,
+    variant and metric order.
+
+    A synthetic run draws from ``cfg.model`` and reads the theory of that
+    model.  With ``data_path`` set, a ``real-data`` run ingests the CSV,
+    standardizes it and splits it per seed into ``n`` training samples and
+    the rest as the test set; the dimension is the CSV's, so ``p`` is
+    ignored.  Its theory's model is isotropic with the CSV's dimension, the
+    estimated SNR and the split's class proportion.
+    """
+    kind = cfg.experiment
+    sweep = kind == "sweep"
+    points = [(value, cfg.at_grid_point(value)) for value in cfg.grid] if sweep else [(0.0, cfg)]
+    train_stream, flip_stream, test_stream = (5, 4, 6) if kind == "real-data" else (0, 1, 2)
+    flip_streams = [10 + g if sweep and cfg.sweep_param == "eps_plus" else flip_stream
+                    for g in range(len(points))]
+    data = None
+    if kind == "real-data" and cfg.data_path:
+        std = _ingest(cfg, clean=True)
+        data, snr = std.dataset, std.snr_estimate
+        if cfg.n >= data.n:
+            raise ValueError(f"n={cfg.n} needs held-out samples, dataset has {data.n}")
+        fixed = [None] * len(points)  # each split's theory reads its class proportion
+    else:
+        fixed = [_variants(point, cfg.model, cfg.n) for _, point in points]
 
     def one_seed(seed: int):
-        noisy = flip_labels(_draw(cfg, cfg.n, seed, 0),
-                            cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
-        cells = [(noisy, v, rho, cfg.gamma, st) for v, (rho, st) in variants.items()]
-        return (seed, *_score(noisy.X, cells, _test_scores(cfg, seed, 2)))
+        if data is None:
+            train = generate_gmm(cfg.model, cfg.n, derive_seed(seed, train_stream))
 
-    first_seed_scores: dict[str, np.ndarray] = {}
-    for seed, scored, y in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for (v, st), (scores, acc, risk) in zip(theories.items(), scored):
-            sigma = math.sqrt(st.variance)
-            c1, c2 = scores[y == -1], scores[y == +1]
-            for metric, emp, theory in (
-                ("mean_class1", c1.mean(), -st.m_rho), ("mean_class2", c2.mean(), st.m_rho),
-                ("std_class1", c1.std(), sigma), ("std_class2", c2.std(), sigma),
-                ("accuracy", acc, st.accuracy), ("risk", risk, st.risk),
-            ):
-                report.add(v, 0.0, seed, metric, emp, theory)
-            if seed == cfg.seeds[0]:
-                first_seed_scores[v] = scores
+            def test(W):
+                return generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, test_stream))
+        else:
+            order = _rng(derive_seed(seed, 3)).permutation(data.n)
+            tr, te = order[: cfg.n], order[cfg.n:]
+            train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
+                                   y_clean=data.y_clean[tr])
 
-    report.figure_svg, report.extra_files["bins.csv"] = _histogram_outputs(
-        cfg, first_seed_scores, theories
-    )
+            def test(W):
+                return W.T @ data.X[:, te], data.y_clean[te]
+        cells = []
+        for (value, point), stream, variants in zip(points, flip_streams, fixed):
+            noisy = flip_labels(train, point.eps_plus, cfg.eps_minus, derive_seed(seed, stream))
+            if variants is None:
+                variants = _variants(point, GmmSpec.isotropic(
+                    noisy.p, noisy.class_counts[0] / noisy.n, snr), cfg.n)
+            cells += [(noisy, v, rho, point.gamma, st, value) for v, (rho, st) in variants.items()]
+        scores, y = _score(train.X, cells, test)
+        rows = [(v, value, seed, m, *_METRICS[m](s, y, st))
+                for (_, v, _, _, st, value), s in zip(cells, scores) for m in _ROWS[kind]]
+        return rows, scores if kind == "histogram" and seed == cfg.seeds[0] else None
+
+    report = RunReport(cfg)
+    results = _pool_map(one_seed, list(cfg.seeds), cfg.threads)
+    for rows, _ in results:
+        for row in rows:
+            report.add(*row)
+    if kind == "histogram":
+        theories = {v: st for v, (_, st) in fixed[0].items()}
+        report.figure_svg, report.extra_files["bins.csv"] = _histogram_outputs(
+            cfg, dict(zip(theories, results[0][1])), theories)
+    elif sweep:
+        report.figure_svg = _sweep_figure(cfg, report)
+    else:
+        report.figure_svg, report.extra_files["table.txt"] = _real_data_outputs(cfg, report)
     return report
 
 
@@ -194,6 +240,8 @@ def _gauss_mixture_density(x: np.ndarray, st: TheoryStats, pi1: float) -> np.nda
 
 
 def _histogram_outputs(cfg, score_map, theories) -> tuple[str, str]:
+    """Decision-value histograms of the first seed against the predicted
+    Gaussian mixture: the figure and ``bins.csv``."""
     lo = min(float(s.min()) for s in score_map.values())
     hi = max(float(s.max()) for s in score_map.values())
     edges = np.linspace(lo, hi, cfg.bins + 1)
@@ -214,46 +262,6 @@ def _histogram_outputs(cfg, score_map, theories) -> tuple[str, str]:
     return fig.render(), "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
-
-def run_sweep(cfg: ExperimentConfig) -> RunReport:
-    """Accuracy/risk versus a swept parameter (eps_plus, rho_plus or gamma),
-    empirical markers against theory curves.
-
-    The feature draw and the test set are shared across the grid per seed;
-    for the eps_plus sweep only the flips are redrawn per grid point.
-    """
-    report = RunReport(cfg)
-    points = []
-    for g, value in enumerate(cfg.grid):
-        point = cfg.at_grid_point(value)
-        flip_stream = 10 + g if cfg.sweep_param == "eps_plus" else 1
-        points.append((value, point.eps_plus, flip_stream, point.gamma,
-                       _variants(point, cfg.model, cfg.n)))
-
-    def one_seed(seed: int):
-        train = _draw(cfg, cfg.n, seed, 0)
-        cells, values = [], []
-        for value, eps_plus, flip_stream, gamma, variants in points:
-            noisy = flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, flip_stream))
-            cells += [(noisy, v, rho, gamma, st) for v, (rho, st) in variants.items()]
-            values += [value] * len(variants)
-        scored, _ = _score(train.X, cells, _test_scores(cfg, seed, 2))
-        return [(v, value, seed, acc, risk, st)
-                for (_, v, *_, st), value, (_, acc, risk) in zip(cells, values, scored)]
-
-    for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for v, value, seed, acc, risk, st in rows:
-            report.add(v, value, seed, "accuracy", acc, st.accuracy)
-            report.add(v, value, seed, "risk", risk, st.risk)
-
-    report.figure_svg = _sweep_figure(cfg, report)
-    return report
-
-
 def _sweep_figure(cfg: ExperimentConfig, report: RunReport) -> str:
     fig = Figure(title=f"accuracy vs {cfg.sweep_param} (p={cfg.p}, n={cfg.n})",
                  xlabel=cfg.sweep_param, ylabel="test accuracy")
@@ -265,12 +273,31 @@ def _sweep_figure(cfg: ExperimentConfig, report: RunReport) -> str:
     return fig.render()
 
 
+def _real_data_outputs(cfg: ExperimentConfig, report: RunReport) -> tuple[str, str]:
+    """The accuracy-by-variant figure and ``table.txt``."""
+    fig = Figure(title="accuracy by variant", xlabel="variant index", ylabel="accuracy")
+    xs = list(range(len(cfg.variants)))
+    fig.line(xs, [report.mean_over_seeds(v, "accuracy") for v in cfg.variants],
+             label="empirical", markers=True)
+    fig.line(xs, [report.theory_value(v, "accuracy") for v in cfg.variants],
+             label="theory", dashed=True)
+    lines = [
+        f"accuracy (% mean +- std over {len(cfg.seeds)} seeds), "
+        f"eps_plus={cfg.eps_plus}, eps_minus={cfg.eps_minus}"
+    ]
+    for v in cfg.variants:
+        vals = [100.0 * r.empirical for r in report.rows
+                if r.variant == v and r.metric == "accuracy"]
+        lines.append(f"{v:<12s} {np.mean(vals):6.2f} +- {np.std(vals):.2f}")
+    return fig.render(), "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # noise-rate estimation
 # ---------------------------------------------------------------------------
 
 
-def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
+def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
     Each cell also reports the solver's ``residual`` and ``roots``, the
@@ -278,9 +305,14 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     point was taken; 2: the estimate is ambiguous).
 
     With ``data_path`` set the sweep is skipped: the rates of the ingested
-    noisy dataset are estimated once (single-shot), with SNR and class
-    proportion taken from :func:`standardize_and_estimate` (approximate,
-    noisy-label based), and reported as one row set at the first seed.
+    noisy dataset are estimated once (single-shot) and reported as one row
+    set at the first seed.  That estimate is biased: the SNR and ``pi1``
+    it inverts at are read from the noisy labels by
+    :func:`standardize_and_estimate`, whose centering also moves the
+    theory's origin.  On 10 CSVs of ``n = 1000`` draws of
+    ``GmmSpec.isotropic(100, 1/3, 2)`` flipped at ``(0.3, 0.2)``, with
+    ``gamma = 0.1`` and the default probes, the mean estimate is ``(0.000,
+    0.138)``, read at ``pi1 = 0.465`` and ``snr = 0.52``.
     """
     probe1 = RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus)
     probe2 = RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus)
@@ -292,7 +324,7 @@ def run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
         rows = []
         for g, eps_plus in enumerate(cfg.grid):
             noisy = flip_labels(
-                _draw(cfg, cfg.n, seed, NOISE_FEATURE_STREAMS + g),
+                generate_gmm(cfg.model, cfg.n, derive_seed(seed, NOISE_FEATURE_STREAMS + g)),
                 eps_plus, cfg.eps_minus, derive_seed(seed, NOISE_FLIP_STREAMS + g))
             est = estimate_noise_rates(noisy, probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1)
             rows.append((eps_plus, seed, est))
@@ -336,82 +368,10 @@ def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
 
 
 # ---------------------------------------------------------------------------
-# real data (or its synthetic stand-in)
-# ---------------------------------------------------------------------------
-
-
-def run_real_data(cfg: ExperimentConfig) -> RunReport:
-    """Table-style variant comparison with noise injected on clean labels.
-
-    With ``data_path`` set, ingests the CSV, standardizes it and splits it
-    per seed into ``n`` training samples and the rest as the test set; the
-    dimension is the CSV's, so ``p`` is ignored.  Otherwise draws a
-    synthetic stand-in from ``cfg.model``.  For CSV data the theory's model
-    is isotropic with the CSV's dimension, the estimated SNR and the
-    split's class proportion, trained on the ``n`` split samples.
-    """
-    report = RunReport(cfg)
-    data = None
-    if cfg.data_path:
-        std = _ingest(cfg, clean=True)
-        data, snr = std.dataset, std.snr_estimate
-        if cfg.n >= data.n:
-            raise ValueError(f"n={cfg.n} needs held-out samples, dataset has {data.n}")
-
-    def one_seed(seed: int):
-        if data is not None:
-            order = _rng(derive_seed(seed, 3)).permutation(data.n)
-            tr, te = order[: cfg.n], order[cfg.n:]
-            train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
-                                   y_clean=data.y_clean[tr])
-            test_X, test_y = data.X[:, te], data.y_clean[te]
-
-            def test(W):
-                return W.T @ test_X, test_y
-        else:
-            train = _draw(cfg, cfg.n, seed, 5)
-            test = _test_scores(cfg, seed, 6)
-        noisy = flip_labels(train, cfg.eps_plus, cfg.eps_minus, derive_seed(seed, 4))
-        model = cfg.model if data is None else GmmSpec.isotropic(
-            noisy.p, noisy.class_counts[0] / noisy.n, snr)
-        variants = _variants(cfg, model, noisy.n)
-        cells = [(noisy, v, rho, cfg.gamma, st) for v, (rho, st) in variants.items()]
-        scored, _ = _score(noisy.X, cells, test)
-        return [(v, seed, acc, st.accuracy)
-                for (_, v, *_, st), (_, acc, _) in zip(cells, scored)]
-
-    for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for v, seed, acc, theory_acc in rows:
-            report.add(v, 0.0, seed, "accuracy", acc, theory_acc)
-
-    report.extra_files["table.txt"] = _accuracy_table(cfg, report)
-    fig = Figure(title="accuracy by variant", xlabel="variant index", ylabel="accuracy")
-    xs = list(range(len(cfg.variants)))
-    fig.line(xs, [report.mean_over_seeds(v, "accuracy") for v in cfg.variants],
-             label="empirical", markers=True)
-    fig.line(xs, [report.theory_value(v, "accuracy") for v in cfg.variants],
-             label="theory", dashed=True)
-    report.figure_svg = fig.render()
-    return report
-
-
-def _accuracy_table(cfg: ExperimentConfig, report: RunReport) -> str:
-    lines = [
-        f"accuracy (% mean +- std over {len(cfg.seeds)} seeds), "
-        f"eps_plus={cfg.eps_plus}, eps_minus={cfg.eps_minus}"
-    ]
-    for v in cfg.variants:
-        vals = [100.0 * r.empirical for r in report.rows
-                if r.variant == v and r.metric == "accuracy"]
-        lines.append(f"{v:<12s} {np.mean(vals):6.2f} +- {np.std(vals):.2f}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # multiclass
 # ---------------------------------------------------------------------------
 
-def run_multiclass(cfg: ExperimentConfig) -> RunReport:
+def _run_multiclass(cfg: ExperimentConfig) -> RunReport:
     """Monte Carlo (alpha, beta) search and the best/worst mixing path.
 
     Multiclass cells are empirical-only (the binary theory does not apply);
@@ -479,11 +439,11 @@ def theory_csv(cfg: ExperimentConfig) -> str:
 
 
 _RUNNERS = {
-    "histogram": run_histogram,
-    "sweep": run_sweep,
-    "estimate-noise": run_noise_estimation,
-    "multiclass": run_multiclass,
-    "real-data": run_real_data,
+    "histogram": _run_paired,
+    "sweep": _run_paired,
+    "estimate-noise": _run_noise_estimation,
+    "multiclass": _run_multiclass,
+    "real-data": _run_paired,
 }
 
 

@@ -66,7 +66,7 @@ def test_criterion_02_decision_moments():
         "variants = naive,unbiased,optimized,oracle\n"
         f"seeds = {','.join(str(s) for s in range(25))}\nn_test = 10000\n"
     )
-    rep = ex.run_histogram(cfg)
+    rep = ex.run_experiment(cfg)
     worst, worst_cell = 0.0, ""
     for v in cfg.variants:
         for metric in ("mean_class1", "mean_class2", "std_class1", "std_class2"):
@@ -93,7 +93,7 @@ def test_criterion_03_accuracy_risk_prediction():
         "custom_rho_plus = 0.2\ncustom_rho_minus = 0\n"
         f"seeds = {','.join(str(s) for s in range(50))}\nn_test = 10000\n"
     )
-    rep = ex.run_sweep(cfg)
+    rep = ex.run_experiment(cfg)
     worst_acc = {v: 0.0 for v in cfg.variants}
     worst_risk = {v: 0.0 for v in cfg.variants}
     for v in cfg.variants:
@@ -170,7 +170,7 @@ def test_criterion_05_unbiased_variance_inflation():
             "eps_plus = 0.4\neps_minus = 0.3\nvariants = unbiased\n"
             "seeds = 0,1,2,3,4\nn_test = 10000\n"
         )
-        rep = ex.run_histogram(cfg)
+        rep = ex.run_experiment(cfg)
         stds[p] = rep.mean_over_seeds("unbiased", "std_class2")
     ok = analytic > 0 and stds[1000] > stds[50]
     _verdict(5, ok, f"analytic nu_unbiased - nu_oracle = {analytic:.4f} (>0); "
@@ -189,7 +189,7 @@ def test_criterion_06_noise_rate_estimation():
             "probe2_rho_plus = 0\nprobe2_rho_minus = 0.4\n"
             f"seeds = {','.join(str(s) for s in range(10))}\nthreads = 2\n"
         )
-        rep = ex.run_noise_estimation(cfg)
+        rep = ex.run_experiment(cfg)
         errs = [abs(r.empirical - r.theory) for r in rep.rows if r.metric == "eps_plus_hat"]
         means[snr] = float(np.mean(errs))
 
@@ -312,7 +312,7 @@ def test_criterion_09_multi_lpc():
         "means = -2,0,2\ngamma = 1.0\ngrid_size = 5000\nvariants = custom\n"
         "seeds = 0,1,2\nn_test = 2000\ntau_points = 11\n"
     )
-    rep = ex.run_multiclass(cfg)
+    rep = ex.run_experiment(cfg)
     tau1 = rep.mean_over_seeds("multi-lpc", "accuracy", 1.0)
     tau0 = rep.mean_over_seeds("multi-lpc", "accuracy", 0.0)
     naive = rep.mean_over_seeds("naive", "accuracy")
@@ -385,7 +385,7 @@ def test_criterion_11_variant_ordering():
         "variants = naive,unbiased,optimized,oracle\nseeds = 0,1,2,3,4\n"
         "n_test = 10000\n"
     )
-    rep = ex.run_real_data(cfg)
+    rep = ex.run_experiment(cfg)
     acc = {v: rep.mean_over_seeds(v, "accuracy") for v in cfg.variants}
     ok = (
         acc["optimized"] > acc["unbiased"]

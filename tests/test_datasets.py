@@ -323,10 +323,8 @@ class TestStandardize:
         X = np.random.default_rng(0).standard_normal((3, 8))
         y = np.ones(8, dtype=int)
         ds = LabeledDataset(X=X, y_noisy=y, y_clean=y)
-        with pytest.warns(UserWarning, match="one label"):
-            res = standardize_and_estimate(ds)
-        assert res.single_class
-        assert res.pi1_estimate in (0.0, 1.0)
+        with pytest.raises(ValueError, match="one label"):
+            standardize_and_estimate(ds)
 
     def test_noisy_fallback_flagged(self):
         X = np.random.default_rng(1).standard_normal((3, 8))

@@ -254,7 +254,7 @@ class TestEmitReport:
         cfg = ex.parse_config_text(SWEEP_CFG)
         paths = {}
         for name in ("a", "b"):
-            rep = ex.run_sweep(cfg)
+            rep = ex.run_experiment(cfg)
             ex.emit_report(rep, tmp_path / name)
             paths[name] = tmp_path / name
         for fname in ("report.csv", "plot.svg", "config.echo"):
@@ -291,7 +291,7 @@ class TestEmitReport:
 
     def test_csv_self_parse_round_trip(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
-        rep = ex.run_sweep(cfg)
+        rep = ex.run_experiment(cfg)
         ex.emit_report(rep, tmp_path)
         rows = ex.read_report_csv(tmp_path / "report.csv")
         assert len(rows) == len(rep.rows)
@@ -304,7 +304,7 @@ class TestEmitReport:
 
     def test_theory_cells_paired_where_applicable(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
-        rep = ex.run_sweep(cfg)
+        rep = ex.run_experiment(cfg)
         assert all(r.theory is not None for r in rep.rows)
 
     def test_empty_variants_rejected_upstream(self):
@@ -319,7 +319,7 @@ class TestRunners:
             "pi1 = 0.5\nsnr = 2\ngamma = 1\neps_plus = 0\neps_minus = 0\n"
             "variants = naive,unbiased,optimized,oracle\nseeds = 0\nn_test = 2000\n"
         )
-        rep = ex.run_histogram(cfg)
+        rep = ex.run_experiment(cfg)
         means = {v: rep.mean_over_seeds(v, "mean_class2") for v in cfg.variants}
         # with zero noise all four variants train on the same labels; the
         # optimum's gap is 0 and its least-risk scale beta multiplies them
@@ -344,7 +344,7 @@ class TestRunners:
             "variants = custom\nseeds = 0\n"
         )
         with pytest.warns(UserWarning, match="noisy labels"):
-            rep = ex.run_noise_estimation(cfg)
+            rep = ex.run_experiment(cfg)
         metrics = {r.metric: r.empirical for r in rep.rows}
         assert set(metrics) >= {"eps_plus_hat", "eps_minus_hat", "residual", "roots",
                                 "snr_estimate", "pi1_estimate"}
@@ -361,8 +361,8 @@ class TestRunners:
                 head + "grid = " + ",".join(str(g / 100) for g in range(points)) + "\n")
 
         with pytest.raises(ConfigError, match="at most 30 grid points"):
-            ex.run_noise_estimation(grid(31))
-        rep = ex.run_noise_estimation(grid(30))
+            ex.run_experiment(grid(31))
+        rep = ex.run_experiment(grid(30))
         assert len({r.grid_value for r in rep.rows}) == 30
 
     def test_noise_estimation_rows_finite(self):
@@ -371,7 +371,7 @@ class TestRunners:
             "n = 400\np = 40\npi1 = 0.3333333\nsnr = 2\ngamma = 0.1\n"
             "eps_minus = 0.2\nvariants = custom\nseeds = 0\n"
         )
-        rep = ex.run_noise_estimation(cfg)
+        rep = ex.run_experiment(cfg)
         residuals = [r.empirical for r in rep.rows if r.metric == "residual"]
         assert residuals and all(np.isfinite(residuals))
         # number of exact solutions: 0 = least-squares point, 2 = ambiguous
@@ -385,7 +385,7 @@ class TestRunners:
             "variants = naive\nseeds = 0\n"
         )
         with pytest.raises(OSError):
-            ex.run_real_data(cfg)
+            ex.run_experiment(cfg)
 
     def test_real_data_from_csv(self, tmp_path):
         path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
@@ -396,19 +396,27 @@ class TestRunners:
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,unbiased,oracle\nseeds = 0,1\n"
         )
-        rep = ex.run_real_data(cfg)
+        rep = ex.run_experiment(cfg)
         accs = [rep.mean_over_seeds(v, "accuracy") for v in cfg.variants]
         assert all(0.4 <= a <= 1.0 for a in accs)
         assert "table.txt" in rep.extra_files
 
-    def test_threads_do_not_change_results(self):
-        cfg1 = ex.parse_config_text(SWEEP_CFG)
-        cfg4 = ex.parse_config_text(SWEEP_CFG, overrides={"threads": 4})
-        r1, r4 = ex.run_sweep(cfg1), ex.run_sweep(cfg4)
-        key = lambda r: (r.variant, r.grid_value, r.seed, r.metric)
-        a = {key(r): r.empirical for r in r1.rows}
-        b = {key(r): r.empirical for r in r4.rows}
-        assert a == b
+    @pytest.mark.parametrize("experiment", ["sweep", "histogram", "real-data-csv"])
+    def test_threads_do_not_change_results(self, experiment, tmp_path):
+        # all three go through one driver's pool: the same rows in the same
+        # order, and the same figure and extra files
+        text = {
+            "sweep": SWEEP_CFG,
+            "histogram": _public_api_cfg("histogram"),
+            "real-data-csv": (
+                "schema_version = 1\nexperiment = real-data\nlabel_column = 0\nn = 80\n"
+                f"data_path = {_toy_csv(tmp_path / 'toy.csv', 0, 120, 10, 0.9, 0.5)}\n"
+                "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\nseeds = 0,1,2\n"),
+        }[experiment]
+        r1, r4 = (ex.run_experiment(ex.parse_config_text(text, overrides={"threads": t}))
+                  for t in (1, 4))
+        assert r1.rows and r1.rows == r4.rows
+        assert r1.extra_files == r4.extra_files and r1.figure_svg == r4.figure_svg
 
     def test_oracle_weakly_dominates(self):
         # clean-label training is never beaten on average (30 seeds, one
@@ -420,7 +428,7 @@ class TestRunners:
             "custom_rho_plus = 0.2\ncustom_rho_minus = 0\n"
             f"seeds = {','.join(str(s) for s in range(30))}\nn_test = 4000\n"
         )
-        rep = ex.run_sweep(cfg)
+        rep = ex.run_experiment(cfg)
         oracle = rep.mean_over_seeds("oracle", "accuracy", 0.4)
         for v in ("naive", "unbiased", "optimized", "custom"):
             assert oracle >= rep.mean_over_seeds(v, "accuracy", 0.4)
@@ -430,7 +438,7 @@ class TestRunners:
         # every risk cell is the squared risk of lpc.train_lpc on the same
         # draw, scored on the same test set
         cfg = ex.parse_config_text(_public_api_cfg("sweep", sweep))
-        rep = ex.run_sweep(cfg)
+        rep = ex.run_experiment(cfg)
         risks = [r for r in rep.rows if r.metric == "risk"]
         assert len(risks) == 2 * len(cfg.grid) * 5
         replays = {seed: _replay(cfg, seed) for seed in cfg.seeds}
@@ -456,6 +464,32 @@ class TestRunners:
             scores = (1.0 if st.m_rho >= 0 else -1.0) * scores
             acc = np.mean(np.where(scores >= 0, 1, -1) == y)
             assert abs(row.empirical - acc) <= 1 / cfg.n_test
+
+    def test_histogram_moments_match_public_api(self):
+        # every class mean and standard deviation cell is that of the scores
+        # of lpc.train_lpc on the same draws, next to the theory's -+m_rho
+        # and sqrt(nu_rho - m_rho^2)
+        cfg = ex.parse_config_text(_public_api_cfg("histogram"))
+        rep = ex.run_experiment(cfg)
+        moments = [r for r in rep.rows if r.metric.startswith(("mean_", "std_"))]
+        assert len(moments) == 2 * 5 * 4
+        replays = {seed: _replay(cfg, seed) for seed in cfg.seeds}
+        for row in moments:
+            scores, y, st = replays[row.seed][row.variant, row.grid_value]
+            stat, label = row.metric.split("_")
+            sign = -1 if label == "class1" else +1
+            empirical = getattr(scores[y == sign], stat)()
+            theory = sign * st.m_rho if stat == "mean" else np.sqrt(st.variance)
+            assert row.empirical == pytest.approx(empirical, rel=1e-10, abs=0)
+            assert row.theory == pytest.approx(theory, rel=1e-12, abs=0)
+
+    def test_histogram_bins_are_the_first_seeds(self):
+        # bins.csv and the figure histogram the first seed's scores only
+        text = _public_api_cfg("histogram")
+        one, two = (ex.run_experiment(ex.parse_config_text(text, overrides={"seeds": seeds}))
+                    for seeds in ((1,), (1, 0)))
+        assert one.extra_files["bins.csv"] == two.extra_files["bins.csv"]
+        assert one.figure_svg == two.figure_svg
 
     def test_predicted_accuracy_non_decreasing_in_gamma(self):
         # the property that lets gamma = optimal be a constant: no variant's
@@ -492,7 +526,7 @@ class TestRunners:
             "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,optimized\nseeds = 0,1,2,3\n"
         )
-        rep = ex.run_real_data(cfg)
+        rep = ex.run_experiment(cfg)
         for v in cfg.variants:
             cells = [r.theory for r in rep.rows if r.variant == v and r.metric == "accuracy"]
             assert len(cells) == 4 and len(set(cells)) > 1
@@ -511,7 +545,7 @@ class TestRunners:
         )
         cells = [
             [(r.variant, r.seed, r.theory) for r in
-             ex.run_real_data(ex.parse_config_text(text + extra)).rows if r.metric == "accuracy"]
+             ex.run_experiment(ex.parse_config_text(text + extra)).rows if r.metric == "accuracy"]
             for extra in ("p = 10\n", "", "p = 5000\n")
         ]
         assert len(cells[0]) == 6
@@ -530,7 +564,7 @@ class TestRunners:
             for line in lines:
                 vals = dict(zip(header.split(","), line.split(",")))
                 theory[vals["variant"]] = float(vals["accuracy"])
-            cells = [r for r in ex.run_real_data(cfg).rows if r.metric == "accuracy"]
+            cells = [r for r in ex.run_experiment(cfg).rows if r.metric == "accuracy"]
             assert len(cells) == 2 * len(cfg.variants)
             for r in cells:
                 assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
@@ -542,7 +576,7 @@ class TestRunners:
                 "grid_size = 20\nseeds = 0,1\nn_test = 150\ntau_points = 3\n")
         spelled = "pis = 0.3,0.3,0.4\neps_rows = 0,0.3,0; 0,0,0.4; 0.5,0,0\n"
         for name, text in (("default", head), ("spelled", head + spelled)):
-            ex.emit_report(ex.run_multiclass(ex.parse_config_text(text)), tmp_path / name)
+            ex.emit_report(ex.run_experiment(ex.parse_config_text(text)), tmp_path / name)
         echo = (tmp_path / "default" / "config.echo").read_text().splitlines()
         assert "pis = 0.3,0.3,0.4" in echo
         assert "eps_rows = 0.0,0.3,0.0;0.0,0.0,0.4;0.5,0.0,0.0" in echo
@@ -560,7 +594,7 @@ class TestRunners:
             "means = -2,0,2\ngamma = 1.0\ngrid_size = 40\nseeds = 0,1,2\n"
             "n_test = 200\ntau_points = 3\n"
         )
-        rep = ex.run_multiclass(cfg)
+        rep = ex.run_experiment(cfg)
         res = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
                                 eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
                                 tau_points=cfg.tau_points, search_seed=cfg.search_seed)
@@ -746,10 +780,13 @@ class TestCli:
         # the moment inversion's model
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = 0\n", "needs snr > 0, got 0.0"),
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = -1\n", "needs snr > 0, got -1.0"),
+        # the CSV's label column
+        ("experiment = real-data\ndata_path = some.csv\nlabel_column = label\n",
+         "label_column 'label'.*has_header = true"),
     ], ids=["one_mean", "pis_sum", "nan_mean", "empty_class", "eps_plus_grid",
             "estimate_noise_grid", "gamma_grid", "inf_gamma_grid", "rho_plus_grid",
             "custom_pair", "singular_probe", "equal_gaps", "noise_snr_zero",
-            "noise_snr_negative"])
+            "noise_snr_negative", "label_name_without_header"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
         # each failed inside the run with exit 2 ("runtime error")
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"
