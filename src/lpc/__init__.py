@@ -16,10 +16,13 @@ from .datasets import (
     GmmSpec,
     LabeledDataset,
     StandardizeResult,
+    TrainingStats,
     derive_seed,
+    flip_label_vector,
     flip_labels,
     generate_gmm,
     generate_scores,
+    generate_training_stats,
     load_features_csv,
     standardize_and_estimate,
 )
@@ -43,16 +46,19 @@ __all__ = [
     "RhoParams",
     "StandardizeResult",
     "TheoryStats",
+    "TrainingStats",
     "decision",
     "delta",
     "derive_seed",
     "empirical_second_moment",
     "estimate_noise_rates",
     "evaluate",
+    "flip_label_vector",
     "flip_labels",
     "gaussian_upper_tail",
     "generate_gmm",
     "generate_scores",
+    "generate_training_stats",
     "load_classifier",
     "load_features_csv",
     "loo_decisions",

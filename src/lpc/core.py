@@ -6,7 +6,10 @@ The LPC is a ridge regression on reweighted labels: with the pair
 otherwise, where the ``lambda`` weights are derived from ``rho``.  The
 weight vector solves
 
-    (X X^T / n + gamma I) w = (1/n) X t.
+    (X X^T / n + gamma I) w = (1/n) X t,
+
+which reads ``X`` only through its Gram ``X X^T`` and ``X t``: a training
+draw is either features or their :class:`~lpc.datasets.TrainingStats`.
 
 ``rho = (0, 0)`` gives the plain (naive) ridge classifier; training the
 same on clean labels is the oracle variant.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, _check_labels
+from .datasets import LabeledDataset, TrainingStats, _check_labels
 
 __all__ = [
     "RhoParams",
@@ -106,25 +109,35 @@ def _targets(y_noisy: np.ndarray, rho: RhoParams) -> np.ndarray:
 
 
 class _Ridge:
-    """The regularized system ``(X X^T / n + gamma I) W = X T / n`` of one
-    training draw; ``A`` is SPD since ``gamma > 0``."""
+    """The regularized systems ``(G / n + gamma I) W = C(T) / n`` of one
+    training draw, for every ``gamma``: ``G = X X^T`` is formed once, and
+    ``C(T) = X T`` is the cross-product map.  ``A`` is SPD since ``gamma > 0``."""
 
-    def __init__(self, X: np.ndarray, gamma: float):
-        _check_inputs(X, gamma)
-        self.X = X
-        self.n = X.shape[1]
-        self.A = (X @ X.T) / self.n
-        self.A[np.diag_indices_from(self.A)] += gamma
+    def __init__(self, data: np.ndarray | TrainingStats):
+        """From a ``p x n`` feature matrix or a :class:`TrainingStats` draw."""
+        if isinstance(data, TrainingStats):
+            self.gram, self.cross, self.n = data.gram, data.cross, data.n
+        else:
+            _check_features(data)
+            self.gram, self.cross, self.n = data @ data.T, lambda T: data @ T, data.shape[1]
 
-    def weights(self, T: np.ndarray) -> np.ndarray:
+    def system(self, gamma: float) -> np.ndarray:
+        """``A = G / n + gamma I``."""
+        _check_gamma(gamma)
+        A = self.gram / self.n
+        A[np.diag_indices_from(A)] += gamma
+        return A
+
+    def weights(self, T: np.ndarray, gamma: float) -> np.ndarray:
         """``p x k`` weights for an ``n x k`` target block (``p`` for a
         vector).  Each column's normal-equation residual is verified to
         ``1e-8 * (||A||_F ||w|| + ||b||)``, a normwise backward error, so the
         check scales with ``A``; a NaN fails it."""
-        rhs = self.X @ T / self.n
-        W = np.linalg.solve(self.A, rhs)
-        res = np.linalg.norm(self.A @ W - rhs, axis=0)
-        scale = np.linalg.norm(self.A) * np.linalg.norm(W, axis=0) + np.linalg.norm(rhs, axis=0)
+        A = self.system(gamma)
+        rhs = self.cross(T) / self.n
+        W = np.linalg.solve(A, rhs)
+        res = np.linalg.norm(A @ W - rhs, axis=0)
+        scale = np.linalg.norm(A) * np.linalg.norm(W, axis=0) + np.linalg.norm(rhs, axis=0)
         if not np.all(res <= _RESIDUAL_TOL * scale):
             raise FloatingPointError(
                 f"normal-equation residual {np.max(res):.3e} exceeds "
@@ -133,21 +146,35 @@ class _Ridge:
         return W
 
 
-def _check_inputs(X: np.ndarray, gamma: float) -> None:
+def _check_gamma(gamma: float) -> None:
     if not 0 < gamma < np.inf:  # NaN fails too
         raise ValueError(f"gamma must be finite and > 0 (got {gamma}); the system may be "
                          "singular or its solve not finite")
+
+
+def _check_features(X: np.ndarray) -> None:
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite values")
 
 
-def train_lpc(ds: LabeledDataset, rho: RhoParams, gamma: float) -> Classifier:
-    """Solve the reweighted ridge system for the training labels in ``ds``.
+def train_lpc(data: LabeledDataset | TrainingStats, rho: RhoParams, gamma: float,
+              labels: np.ndarray | None = None) -> Classifier:
+    """Solve the reweighted ridge system for the training ``labels``.
 
-    One dense solve of the (SPD) regularized Gram system; the
-    normal-equation residual is verified to a ``1e-8`` normwise backward error.
+    ``data`` is a dataset (``labels`` defaults to its ``y_noisy``) or a
+    :class:`TrainingStats` draw, which needs ``labels``: one of the label
+    vectors it was drawn for.  One dense solve of the (SPD) regularized Gram
+    system; the normal-equation residual is verified to a ``1e-8`` normwise
+    backward error.
     """
-    w = _Ridge(ds.X, gamma).weights(_targets(ds.y_noisy, rho))
+    _check_gamma(gamma)
+    stats = isinstance(data, TrainingStats)
+    if labels is None:
+        if stats:
+            raise ValueError("training statistics hold no labels; pass the labels to train on")
+        labels = data.y_noisy
+    labels = _check_labels("labels", labels, data.n)
+    w = _Ridge(data if stats else data.X).weights(_targets(labels, rho), gamma)
     return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="squared")
 
 
@@ -205,7 +232,7 @@ def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
     rhs = np.hstack([X @ T / n, X])  # W and Q X from one solve
-    W, QX = np.hsplit(np.linalg.solve(_Ridge(X, gamma).A, rhs), [T.shape[1]])
+    W, QX = np.hsplit(np.linalg.solve(_Ridge(X).system(gamma), rhs), [T.shape[1]])
     d = np.einsum("ij,ij->j", X, QX)[:, None] / n
     denom = 1.0 - d
     tol = _LOO_DENOM_TOL + _LOO_SOLVE_ERR * np.finfo(float).eps * np.einsum(
@@ -279,7 +306,8 @@ def train_lpc_bce(
     case descent halts at the last finite iterate with a warning naming the
     step.  Deterministic.
     """
-    _check_inputs(ds.X, gamma)
+    _check_gamma(gamma)
+    _check_features(ds.X)
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     y01 = (ds.y_noisy == 1).astype(float)

@@ -22,10 +22,13 @@ __all__ = [
     "GmmSpec",
     "LabeledDataset",
     "StandardizeResult",
+    "TrainingStats",
     "derive_seed",
     "generate_gmm",
     "generate_scores",
+    "generate_training_stats",
     "flip_labels",
+    "flip_label_vector",
     "load_features_csv",
     "standardize_and_estimate",
 ]
@@ -107,6 +110,11 @@ class GmmSpec:
                              "both classes need at least one sample")
         return n1, n - n1
 
+    def labels(self, n: int) -> np.ndarray:
+        """The clean labels of ``n`` draws: ``n1`` times ``-1``, then ``+1``."""
+        n1, n2 = self.class_sizes(n)
+        return np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
+
     @staticmethod
     def isotropic(p: int, pi1: float, snr: float) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
@@ -167,7 +175,7 @@ def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     ``y_noisy`` initially equals ``y_clean``; apply :func:`flip_labels` to
     inject noise.  Deterministic given ``seed``.
     """
-    n1, n2 = spec.class_sizes(n)
+    n1 = spec.class_sizes(n)[0]
     X = _rng(seed).standard_normal((spec.p, n))
     if spec.cov is not None:
         r1, r2 = (_sym_sqrt(c) for c in spec.cov)
@@ -176,7 +184,7 @@ def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     nz = np.flatnonzero(spec.mu)
     X[nz, :n1] -= spec.mu[nz, None]
     X[nz, n1:] += spec.mu[nz, None]
-    y = _class_labels(n1, n2)
+    y = spec.labels(n)
     return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y)
 
 
@@ -199,7 +207,7 @@ def generate_scores(spec: GmmSpec, W: np.ndarray, n: int,
         raise ValueError(f"W must be p x k with p={spec.p}, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W contains non-finite entries")
-    n1, n2 = spec.class_sizes(n)
+    n1 = spec.class_sizes(n)[0]
     if spec.cov is None:
         R = _span_factor(W)
         S = R.T @ _rng(seed).standard_normal((R.shape[0], n))
@@ -210,7 +218,7 @@ def generate_scores(spec: GmmSpec, W: np.ndarray, n: int,
     shift = W.T @ spec.mu
     S[:, :n1] -= shift[:, None]
     S[:, n1:] += shift[:, None]
-    return S, _class_labels(n1, n2)
+    return S, spec.labels(n)
 
 
 _SPAN_TOL = 1e-8  # relative residual below which a column adds no direction
@@ -242,8 +250,110 @@ def _span_factor(W: np.ndarray) -> np.ndarray:
     return Q[:, :r].T @ W
 
 
-def _class_labels(n1: int, n2: int) -> np.ndarray:
-    return np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
+@dataclass(frozen=True)
+class TrainingStats:
+    """What a ridge fit reads of a ``p x n`` training matrix ``X`` whose
+    targets are constant on groups of samples.
+
+    ``group[i]`` is sample ``i``'s group, numbered ``0 .. r - 1``.  With
+    ``U`` the ``n x r`` matrix of normalized group indicators (``U[i, g] =
+    1 / sqrt(n_g)`` for ``i`` in group ``g``, so ``U.T U = I``), ``gram`` is
+    ``X X^T`` and ``xu`` is ``X U``.  Then ``X t = xu (U.T t)`` for every
+    ``t`` that is constant on groups; :meth:`cross` forms it.
+    """
+
+    gram: np.ndarray
+    xu: np.ndarray
+    group: np.ndarray
+    sizes: np.ndarray = field(init=False)  # n_g
+    first: np.ndarray = field(init=False)  # a sample of each group
+
+    def __post_init__(self) -> None:
+        gram, xu = np.asarray(self.gram, dtype=float), np.asarray(self.xu, dtype=float)
+        group = np.asarray(self.group)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValueError(f"gram must be square, got shape {gram.shape}")
+        if xu.ndim != 2 or xu.shape[0] != gram.shape[0]:
+            raise ValueError(f"xu must be p x r with p={gram.shape[0]}, got shape {xu.shape}")
+        groups, first, sizes = np.unique(group, return_index=True, return_counts=True)
+        if group.ndim != 1 or not np.array_equal(groups, np.arange(xu.shape[1])):
+            raise ValueError(f"group must number every sample's group 0 .. {xu.shape[1] - 1}, "
+                             "each group nonempty")
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xu))):
+            raise ValueError("statistics contain non-finite values")
+        for name, value in (("gram", gram), ("xu", xu), ("group", group),
+                            ("sizes", sizes), ("first", first)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return self.group.size
+
+    def cross(self, T: np.ndarray) -> np.ndarray:
+        """``X T`` for an ``n``-vector or ``n x k`` block ``T`` whose columns
+        are constant on groups; any other ``T`` raises ``ValueError``."""
+        T = np.asarray(T, dtype=float)
+        if T.shape[0] != self.n:
+            raise ValueError(f"targets must have {self.n} rows, got shape {T.shape}")
+        per_group = T[self.first]
+        if not np.array_equal(T, per_group[self.group]):
+            raise ValueError("targets are not constant on the label groups of these "
+                             "statistics; only targets built from the label vectors "
+                             "they were drawn for have X T")
+        scale = np.sqrt(self.sizes)
+        return self.xu @ (per_group * (scale[:, None] if T.ndim == 2 else scale))
+
+
+def generate_training_stats(spec: GmmSpec, labels, seed: int) -> TrainingStats:
+    """The :class:`TrainingStats` of ``n`` draws of ``spec``, for targets built
+    from ``labels``, drawn without the ``p x n`` features.
+
+    ``labels`` holds the clean labels ``spec.labels(n)`` first, then the
+    noisy label vectors the targets are built from (a repeated vector does
+    not change the draw).  A group is a set of samples with the same label
+    column; groups are numbered in the lexicographic order of their columns.
+    ``spec`` must be isotropic; a spec with ``cov`` raises (draw its features
+    with :func:`generate_gmm`).
+
+    With ``s_g`` the clean label of group ``g`` and ``r`` groups, ``X U`` is
+    ``mu s_g sqrt(n_g) + N(0, I)``.  The rest of ``X`` is ``X V`` for an
+    orthonormal completion ``V`` of ``U``: ``d = n - r`` columns of pure
+    noise, since the means lie in the span of ``U``.  So ``X X^T = L L^T +
+    (X U)(X U)^T`` with ``L`` the Bartlett factor of that noise (its LQ
+    factor when ``d < p``): ``p x min(p, d)``, lower trapezoidal, with
+    ``L_ii = sqrt(chi2(d - i))`` and ``N(0, 1)`` below the diagonal.  This
+    is exactly the law of the statistics of ``generate_gmm(spec, n, .)``.
+    One stream draws ``X U``, then the rows of ``L``, then the chi-squares.
+    """
+    if spec.cov is not None:
+        raise ValueError("generate_training_stats draws isotropic mixtures only; draw a "
+                         "spec with covariances by generate_gmm")
+    Y = np.atleast_2d(np.asarray(labels))
+    n = Y.shape[1]
+    if Y.ndim != 2 or not np.array_equal(Y[0], spec.labels(n)):
+        raise ValueError(f"labels must start with the clean labels spec.labels({n})")
+    if not np.all((Y == -1) | (Y == 1)):
+        raise ValueError("label entries must be -1 or +1")
+    group = np.zeros(n, dtype=np.int64)
+    for y in Y:  # rank the columns by their rows so far, then by this row
+        _, first, group, sizes = np.unique(2 * group + (y > 0), return_index=True,
+                                           return_inverse=True, return_counts=True)
+    p, r = spec.p, sizes.size
+    d = n - r
+    rng = _rng(seed)
+    xu = rng.standard_normal((p, r))
+    nz = np.flatnonzero(spec.mu)
+    xu[nz] += np.outer(spec.mu[nz], Y[0, first] * np.sqrt(sizes))
+    m = min(p, d)
+    L = np.zeros((p, m))
+    for i in range(1, p):
+        rng.standard_normal(out=L[i, :min(i, m)])
+    diag = np.arange(m)
+    L[diag, diag] = np.sqrt(rng.chisquare(d - diag))
+    gram = L @ L.T
+    del L  # before the p x p product below, to keep the peak at two p x p arrays
+    gram += xu @ xu.T
+    return TrainingStats(gram=gram, xu=xu, group=group)
 
 
 def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -256,19 +366,26 @@ def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
 def flip_labels(
     ds: LabeledDataset, eps_plus: float, eps_minus: float, seed: int
 ) -> LabeledDataset:
-    """Flip each clean label class-conditionally: ``+1 -> -1`` w.p. ``eps_plus``,
-    ``-1 -> +1`` w.p. ``eps_minus``.  Features and clean labels are untouched."""
+    """Flip each clean label class-conditionally, by :func:`flip_label_vector`.
+    Features and clean labels are untouched."""
     if ds.y_clean is None:
         raise ValueError("cannot flip without ground truth: y_clean is missing")
+    y_noisy = flip_label_vector(ds.y_clean, eps_plus, eps_minus, seed)
+    return LabeledDataset(X=ds.X, y_noisy=y_noisy, y_clean=ds.y_clean)
+
+
+def flip_label_vector(y_clean: np.ndarray, eps_plus: float, eps_minus: float,
+                      seed: int) -> np.ndarray:
+    """The noisy labels of ``y_clean``: ``+1 -> -1`` w.p. ``eps_plus``,
+    ``-1 -> +1`` w.p. ``eps_minus``, from one uniform per label."""
     if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):
         raise ValueError(f"flip probabilities must lie in [0, 1), got ({eps_plus}, {eps_minus})")
     if eps_plus + eps_minus >= 1.0:
         raise ValueError("eps_plus + eps_minus must be < 1")
-    rng = _rng(seed)
-    u = rng.uniform(size=ds.n)
-    thresh = np.where(ds.y_clean == 1, eps_plus, eps_minus)
-    y_noisy = np.where(u < thresh, -ds.y_clean, ds.y_clean)
-    return LabeledDataset(X=ds.X, y_noisy=y_noisy, y_clean=ds.y_clean)
+    y_clean = _check_labels("y_clean", y_clean, np.size(y_clean))
+    u = _rng(seed).uniform(size=y_clean.size)
+    thresh = np.where(y_clean == 1, eps_plus, eps_minus)
+    return np.where(u < thresh, -y_clean, y_clean)
 
 
 def load_features_csv(

@@ -170,8 +170,11 @@ class ExperimentConfig:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
             if self.tau_points < 2:
                 raise ConfigError(f"tau_points must be >= 2, got {self.tau_points}")
+        if self.data_path and self.experiment not in ("estimate-noise", "real-data"):
+            raise ConfigError(f"data_path is read by real-data and estimate-noise only; a "
+                              f"{self.experiment} run draws from the configured model")
         # the model the run draws from, asked for the class sizes of its draws
-        if not (self.data_path and self.experiment in ("estimate-noise", "real-data")):
+        if not self.data_path:
             multi = self.experiment == "multiclass"
             with _naming(f"{'means, pis, eps_rows' if multi else 'pi1'} with n, n_test"):
                 for n in (self.n, self.n_test):

@@ -15,33 +15,40 @@ regression targets:
 variant's Monte Carlo cell next to its closed-form prediction at a model
 point, and :func:`_run_paired` is their one driver.  A sweep has a point per
 grid value (:meth:`~ExperimentConfig.at_grid_point`); a histogram or
-real-data run has one, at grid value 0.  Per seed the driver makes one
-draw, flips its labels per point, trains every cell (point, then variant)
-with :func:`_score` and reduces the test scores to the experiment's report
-rows (:data:`_ROWS`).  :func:`_variants` resolves every variant's ``(rho,
-theory)`` at a model point and :func:`_ingest` loads and standardizes a CSV.
-Every cell that shares a training draw (and ``gamma``) is one target column
-of a single block solve on that draw's ridge system.
+real-data run has one, at grid value 0.  Per seed the driver flips the
+clean labels per point, makes one training draw, trains every cell (point,
+then variant) with :func:`_score` and reduces the test scores to the
+experiment's report rows (:data:`_ROWS`).  :func:`_variants` resolves every
+variant's ``(rho, theory)`` at a model point and :func:`_ingest` loads and
+standardizes a CSV.  A draw's Gram is formed once; every cell that shares
+the draw and ``gamma`` is one target column of a single block solve.
 
 Seed ``s`` draws from the streams ``derive_seed(s, stream)``:
 
-======================  ===========  ========  ====
-run                     train        flips     test
-======================  ===========  ========  ====
-histogram, sweep        0            1         2
-``eps_plus`` sweep      0            10 + g    2     (grid point ``g``)
-real-data, synthetic    5            4         6
-real-data, CSV          3 (a split)  4         the split's rest
-======================  ===========  ========  ====
+======================  ================  ========  ================
+run                     train             flips     test
+======================  ================  ========  ================
+histogram, sweep        0 (statistics)    1         2 (scores)
+``eps_plus`` sweep      0 (statistics)    10 + g    2 (scores)
+real-data, synthetic    5 (statistics)    4         6 (scores)
+real-data, CSV          3 (a split)       4         the split's rest
+======================  ================  ========  ================
 
-A synthetic test set is drawn as scores, not as features: given the ``p x
-k`` weights ``W`` of all the cells that share it, a class-``a`` test point's
-scores ``W.T @ x`` are exactly ``N(-+W.T mu, W.T C_a W)``, and
+(``g`` is the grid point's index.)  A synthetic training set is drawn as the
+statistics the solve reads, not as features: the targets are functions of
+the labels, which are flipped before the draw, so
+:func:`~lpc.datasets.generate_training_stats` draws the Gram ``X X^T`` and
+the per-label-group sums ``X U`` of all the seed's label vectors (clean,
+then every point's noisy ones) from a Bartlett factor, ``p x min(p, n -
+r)`` normals and chi-squares plus ``p x r`` for ``r`` groups, instead of
+``p x n`` features.  A synthetic test set is drawn as scores: given the ``p
+x k`` weights ``W`` of all the cells that share it, a class-``a`` test
+point's scores ``W.T @ x`` are exactly ``N(-+W.T mu, W.T C_a W)``, and
 :func:`~lpc.datasets.generate_scores` draws ``k x n_test`` of them instead
-of a ``p x n_test`` feature matrix.  The empirical cells are still a sample
-of ``n_test`` test points, with the same law as scoring a feature draw, and
-all the cells of a seed (every grid point of a sweep) share one test set.
-A CSV run scores its held-out split's features.
+of a ``p x n_test`` feature matrix.  Both draws have exactly the law of the
+feature draws they replace, and all the cells of a seed (every grid point
+of a sweep) share one training draw and one test set.  A CSV run trains
+on its split's features and scores its held-out rest.
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
@@ -59,13 +66,14 @@ import numpy as np
 from ..core import RhoParams, _Ridge, _targets
 from ..datasets import (
     GmmSpec,
-    LabeledDataset,
     StandardizeResult,
     _rng,
     derive_seed,
+    flip_label_vector,
     flip_labels,
     generate_gmm,
     generate_scores,
+    generate_training_stats,
     load_features_csv,
     standardize_and_estimate,
 )
@@ -99,18 +107,17 @@ def _variants(cfg: ExperimentConfig, model: GmmSpec,
     return out
 
 
-def _score(X: np.ndarray, cells: list, test) -> tuple[np.ndarray, np.ndarray]:
+def _score(ridge: _Ridge, cells: list, test) -> tuple[np.ndarray, np.ndarray]:
     """The test scores (row ``j`` of cell ``j``) and test labels of every
-    cell ``(noisy, variant, rho, gamma, ...)`` trained on the features
-    ``X``, one block solve per ``gamma``.  ``test(W) -> (scores, labels)``
+    cell ``(labels, variant, rho, gamma, ...)`` trained on one draw's ridge
+    systems, one block solve per ``gamma``.  ``test(W) -> (scores, labels)``
     scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on
-    one test set.  ``oracle`` trains on the clean labels."""
-    W = np.empty((X.shape[0], len(cells)))
+    one test set."""
+    W = np.empty((ridge.gram.shape[0], len(cells)))
     for gamma in dict.fromkeys(c[3] for c in cells):
         cols = [j for j, c in enumerate(cells) if c[3] == gamma]
-        targets = [_targets(ds.y_clean if v == "oracle" else ds.y_noisy, rho)
-                   for ds, v, rho, *_ in (cells[j] for j in cols)]
-        W[:, cols] = _Ridge(X, gamma).weights(np.column_stack(targets))
+        targets = [_targets(y, rho) for y, _, rho, *_ in (cells[j] for j in cols)]
+        W[:, cols] = ridge.weights(np.column_stack(targets), gamma)
     return test(W)
 
 
@@ -166,12 +173,13 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
     point, as the rows ``_ROWS[cfg.experiment]`` in seed, grid point,
     variant and metric order.
 
-    A synthetic run draws from ``cfg.model`` and reads the theory of that
-    model.  With ``data_path`` set, a ``real-data`` run ingests the CSV,
-    standardizes it and splits it per seed into ``n`` training samples and
-    the rest as the test set; the dimension is the CSV's, so ``p`` is
-    ignored.  Its theory's model is isotropic with the CSV's dimension, the
-    estimated SNR and the split's class proportion.
+    A synthetic run draws its training statistics and test scores from
+    ``cfg.model`` and reads the theory of that model.  With ``data_path``
+    set, a ``real-data`` run ingests the CSV, standardizes it and splits it
+    per seed into ``n`` training samples and the rest as the test set; the
+    dimension is the CSV's, so ``p`` is ignored.  Its theory's model is
+    isotropic with the CSV's dimension, the estimated SNR and the split's
+    class proportion.
     """
     kind = cfg.experiment
     sweep = kind == "sweep"
@@ -191,26 +199,33 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
 
     def one_seed(seed: int):
         if data is None:
-            train = generate_gmm(cfg.model, cfg.n, derive_seed(seed, train_stream))
+            y_clean = cfg.model.labels(cfg.n)
+        else:
+            order = _rng(derive_seed(seed, 3)).permutation(data.n)
+            tr, te = order[: cfg.n], order[cfg.n:]
+            y_clean = data.y_clean[tr]
+        noisy = [flip_label_vector(y_clean, point.eps_plus, cfg.eps_minus,
+                                   derive_seed(seed, stream))
+                 for (_, point), stream in zip(points, flip_streams)]
+        if data is None:
+            train = generate_training_stats(cfg.model, [y_clean, *noisy],
+                                            derive_seed(seed, train_stream))
 
             def test(W):
                 return generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, test_stream))
         else:
-            order = _rng(derive_seed(seed, 3)).permutation(data.n)
-            tr, te = order[: cfg.n], order[cfg.n:]
-            train = LabeledDataset(X=data.X[:, tr], y_noisy=data.y_clean[tr],
-                                   y_clean=data.y_clean[tr])
+            train = data.X[:, tr]
 
             def test(W):
                 return W.T @ data.X[:, te], data.y_clean[te]
         cells = []
-        for (value, point), stream, variants in zip(points, flip_streams, fixed):
-            noisy = flip_labels(train, point.eps_plus, cfg.eps_minus, derive_seed(seed, stream))
+        for (value, point), y_noisy, variants in zip(points, noisy, fixed):
             if variants is None:
-                variants = _variants(point, GmmSpec.isotropic(
-                    noisy.p, noisy.class_counts[0] / noisy.n, snr), cfg.n)
-            cells += [(noisy, v, rho, point.gamma, st, value) for v, (rho, st) in variants.items()]
-        scores, y = _score(train.X, cells, test)
+                pi1 = int(np.sum(y_clean == -1)) / cfg.n
+                variants = _variants(point, GmmSpec.isotropic(data.p, pi1, snr), cfg.n)
+            cells += [(y_clean if v == "oracle" else y_noisy, v, rho, point.gamma, st, value)
+                      for v, (rho, st) in variants.items()]
+        scores, y = _score(_Ridge(train), cells, test)
         rows = [(v, value, seed, m, *_METRICS[m](s, y, st))
                 for (_, v, _, _, st, value), s in zip(cells, scores) for m in _ROWS[kind]]
         return rows, scores if kind == "histogram" and seed == cfg.seeds[0] else None

@@ -150,7 +150,7 @@ def train_multi_lpc(X: np.ndarray, Yab: np.ndarray, gamma: float) -> np.ndarray:
     """Solve ``(X X^T / n + gamma I) W = (1/n) X Yab`` for the p x k weights."""
     if Yab.shape[0] != X.shape[1]:
         raise ValueError(f"label matrix rows ({Yab.shape[0]}) must match n={X.shape[1]}")
-    return _Ridge(X, gamma).weights(Yab)
+    return _Ridge(X).weights(Yab, gamma)
 
 
 def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> float:
@@ -200,7 +200,7 @@ class _SeedEvaluator:
         test = generate_multi_gmm(spec, n_test, derive_seed(seed, 1))
         onehot = build_label_matrix(train.y_noisy, AlphaBeta.naive(spec.k))
         targets = np.column_stack([onehot, np.ones(n)])
-        scores = _Ridge(train.X, gamma).weights(targets).T @ test.X
+        scores = _Ridge(train.X).weights(targets, gamma).T @ test.X
         on, y = scores[:-1], test.y_clean  # k x m one-hot part, m true classes
         off = scores[-1] - on  # k x m, all-ones minus one-hot part
         self.by_class = [(on[:, y == c], off[:, y == c]) for c in range(1, spec.k + 1)]

@@ -4,13 +4,20 @@ import pytest
 from lpc import (
     GmmSpec,
     LabeledDataset,
+    RhoParams,
+    TrainingStats,
     derive_seed,
+    flip_label_vector,
     flip_labels,
     generate_gmm,
     generate_scores,
+    generate_training_stats,
     load_features_csv,
+    optimal_rho,
     standardize_and_estimate,
+    train_lpc,
 )
+from lpc.datasets import _rng
 
 
 class TestGmmSpecValidation:
@@ -230,6 +237,136 @@ class TestFlipLabels:
             fracs[s] = np.mean(out.y_noisy[ds.y_clean == -1] != -1)
         se = np.sqrt(eps_minus * (1 - eps_minus) / (reps * n1))
         assert abs(fracs.mean() - eps_minus) < 3.0 * se
+
+
+    def test_label_vector_rule_is_flip_labels(self):
+        ds = generate_gmm(GmmSpec.isotropic(3, 0.4, 1.0), 200, 0)
+        out = flip_labels(ds, 0.4, 0.3, seed=17)
+        assert np.array_equal(flip_label_vector(ds.y_clean, 0.4, 0.3, 17), out.y_noisy)
+
+
+def _indicators(group: np.ndarray) -> np.ndarray:
+    """``U``: the normalized indicators of the sample groups ``group``."""
+    U = np.zeros((group.size, group.max() + 1))
+    U[np.arange(group.size), group] = 1.0
+    return U / np.sqrt(U.sum(axis=0))
+
+
+class TestGenerateTrainingStats:
+    # (p, pi1, n, noisy label vectors), one per regime of d = n - r against p
+    REGIMES = {
+        "d>p": (3, 0.4, 10, [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]]),
+        "d<p": (5, 0.5, 6, [[-1, 1, -1, 1, -1, 1]]),
+        "d=0": (3, 0.5, 4, [[-1, 1, -1, 1]]),  # every sample its own group
+    }
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_law_matches_feature_draws(self, regime):
+        # the mean and variance of every entry of the Gram, of X U and of the
+        # rest X X^T - (X U)(X U)^T (zero for d = 0) agree with those formed
+        # from generate_gmm's features, within 5 standard errors over 1000
+        # draws each
+        p, pi1, n, noisy = self.REGIMES[regime]
+        spec = GmmSpec(pi1=pi1, mu=np.array([0.9, -0.5, 0.3, 0.2, -0.1])[:p])
+        labels = [spec.labels(n), *(np.array(y) for y in noisy)]
+        stats = generate_training_stats(spec, labels, 0)
+        d = n - stats.sizes.size
+        assert {"d>p": d > p, "d<p": 0 < d < p, "d=0": d == 0}[regime]
+        U, upper, reps = _indicators(stats.group), np.triu_indices(p), 1000
+
+        def entries(gram, xu):
+            rest = (gram - xu @ xu.T)[upper] if d else []
+            return np.concatenate([gram[upper], xu.ravel(), rest])
+
+        drawn = np.array([entries(st.gram, st.xu) for st in (
+            generate_training_stats(spec, labels, derive_seed(s, 0)) for s in range(reps))])
+        formed = np.array([entries(X @ X.T, X @ U) for X in (
+            generate_gmm(spec, n, derive_seed(s, 1)).X for s in range(reps))])
+        means, variances, fourth = [], [], []
+        for a in (drawn, formed):
+            centered = a - a.mean(axis=0)
+            means.append(a.mean(axis=0))
+            variances.append(centered.var(axis=0))
+            fourth.append((centered**4).mean(axis=0))
+        z_mean = (means[0] - means[1]) / np.sqrt((variances[0] + variances[1]) / reps)
+        se_var = np.sqrt((fourth[0] - variances[0]**2 + fourth[1] - variances[1]**2) / reps)
+        z_var = (variances[0] - variances[1]) / se_var
+        assert np.max(np.abs(z_mean)) < 5 and np.max(np.abs(z_var)) < 5
+
+    def test_weights_match_features_for_every_variant(self):
+        # statistics formed from one feature draw train every variant's
+        # targets to train_lpc's weights on the features
+        spec = GmmSpec.isotropic(40, 1 / 3, 2.0)
+        n, gamma = 120, 0.5
+        ds = generate_gmm(spec, n, 3)
+        noisy = [flip_label_vector(ds.y_clean, e, 0.2, seed) for e, seed in ((0.1, 4), (0.4, 5))]
+        group = generate_training_stats(spec, [ds.y_clean, *noisy], 0).group
+        stats = TrainingStats(gram=ds.X @ ds.X.T, xu=ds.X @ _indicators(group), group=group)
+        for eps_plus, y in zip((0.1, 0.4), noisy):
+            for labels, rho in ((y, RhoParams()), (y, RhoParams(eps_plus, 0.2)),
+                                (y, optimal_rho(spec, n, gamma, eps_plus, 0.2)),
+                                (y, RhoParams(1.5, -0.3)), (ds.y_clean, RhoParams())):
+                w = train_lpc(ds, rho, gamma, labels=labels).w
+                w_stats = train_lpc(stats, rho, gamma, labels=labels).w
+                assert np.linalg.norm(w_stats - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_stream_order(self):
+        # X U, then the rows of L below the diagonal, then the chi-squares
+        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0, -2.0, 0.5]))
+        labels = [spec.labels(8), np.array([-1, 1, -1, -1, 1, 1, -1, 1])]
+        stats = generate_training_stats(spec, labels, 9)
+        _, first, sizes = np.unique(stats.group, return_index=True, return_counts=True)
+        p, r = 4, sizes.size
+        d = 8 - r
+        rng = _rng(9)
+        xu = rng.standard_normal((p, r)) + np.outer(spec.mu, labels[0][first] * np.sqrt(sizes))
+        L = np.zeros((p, p))
+        for i in range(1, p):
+            L[i, :i] = rng.standard_normal(i)
+        L[range(p), range(p)] = np.sqrt(rng.chisquare(d - np.arange(p)))
+        np.testing.assert_array_equal(stats.xu, xu)
+        np.testing.assert_allclose(stats.gram, L @ L.T + xu @ xu.T, rtol=1e-14, atol=1e-13)
+
+    def test_groups_and_their_sums(self):
+        # groups in the lexicographic order of the label columns; a repeated
+        # label vector changes nothing
+        spec = GmmSpec.isotropic(2, 0.5, 1.0)
+        y_clean, y = spec.labels(6), np.array([1, -1, -1, 1, 1, -1])
+        stats = generate_training_stats(spec, [y_clean, y], 4)
+        assert stats.group.tolist() == [1, 0, 0, 3, 3, 2]
+        assert stats.sizes.tolist() == [2, 1, 1, 2]
+        again = generate_training_stats(spec, [y_clean, y, y, y_clean], 4)
+        for name in ("gram", "xu", "group"):
+            assert np.array_equal(getattr(again, name), getattr(stats, name))
+
+    def test_no_remaining_noise_leaves_the_group_sums(self):
+        spec = GmmSpec.isotropic(3, 0.5, 1.0)
+        stats = generate_training_stats(spec, [spec.labels(4), [-1, 1, -1, 1]], 2)
+        assert np.array_equal(stats.gram, stats.xu @ stats.xu.T)
+
+    def test_targets_must_be_constant_on_groups(self):
+        spec = GmmSpec.isotropic(3, 0.5, 1.0)
+        y = np.array([-1, 1, -1, 1, 1, 1])
+        stats = generate_training_stats(spec, [spec.labels(6), y], 2)
+        train_lpc(stats, RhoParams(0.1, 0.2), 1.0, labels=y)
+        with pytest.raises(ValueError, match="not constant on the label groups"):
+            train_lpc(stats, RhoParams(), 1.0, labels=[1, -1, -1, 1, 1, 1])
+        with pytest.raises(ValueError, match="pass the labels"):
+            train_lpc(stats, RhoParams(), 1.0)
+
+    @pytest.mark.parametrize("spec, labels, match", [
+        (GmmSpec(0.5, np.zeros(2), cov=(np.eye(2), np.eye(2))), None, "generate_gmm"),
+        (GmmSpec.isotropic(2, 0.5, 1.0), [[1, 1, -1, -1]], "start with the clean labels"),
+        (GmmSpec.isotropic(2, 0.5, 1.0), [[-1, -1, 1, 1], [1, 0, 1, 1]], "-1 or \\+1"),
+    ], ids=["covariance", "clean_first", "label_values"])
+    def test_invalid_input_raises(self, spec, labels, match):
+        with pytest.raises(ValueError, match=match):
+            generate_training_stats(spec, labels or [spec.labels(4)], 0)
+
+    def test_nonfinite_statistics_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            TrainingStats(gram=np.full((2, 2), np.nan), xu=np.ones((2, 1)),
+                          group=np.zeros(3, dtype=int))
 
 
 class TestCsvIngestion:

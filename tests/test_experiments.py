@@ -56,17 +56,19 @@ def _public_api_cfg(experiment, sweep=None):
 
 def _replay(cfg, seed):
     """``{(variant, grid value): (test scores, test labels, theory)}`` of one
-    seed of a synthetic run, by the public API: ``lpc.train_lpc`` (on clean
-    labels for ``oracle``) on the harness's ``derive_seed`` draws, the
-    weights stacked in the harness's cell order (grid point, then variant)
-    and scored by ``lpc.generate_scores`` on the harness's test stream, and
+    seed of a synthetic run, by the public API: the labels flipped by
+    ``lpc.flip_label_vector`` per grid point, ``lpc.train_lpc`` (on clean
+    labels for ``oracle``) on ``lpc.generate_training_stats`` drawn for all
+    of them, on the harness's ``derive_seed`` streams, the weights stacked in
+    the harness's cell order (grid point, then variant) and scored by
+    ``lpc.generate_scores`` on the harness's test stream, and
     ``lpc.theory_stats``."""
-    from lpc.datasets import LabeledDataset, derive_seed
+    from lpc.datasets import derive_seed
 
     streams = (5, 4, 6) if cfg.experiment == "real-data" else (0, 1, 2)  # train, flips, test
     model = lpc.GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr)
-    train = lpc.generate_gmm(model, cfg.n, derive_seed(seed, streams[0]))
-    keys, weights, stats = [], [], []
+    y_clean = model.labels(cfg.n)
+    points = []
     for g, value in enumerate(cfg.grid or (0.0,)):
         eps_plus, gamma, custom = cfg.eps_plus, ex.OPTIMAL_GAMMA, cfg.custom_rho_plus
         flips = streams[1]
@@ -76,7 +78,12 @@ def _replay(cfg, seed):
             gamma = value
         elif cfg.experiment == "sweep":
             custom = value
-        noisy = lpc.flip_labels(train, eps_plus, cfg.eps_minus, derive_seed(seed, flips))
+        y_noisy = lpc.flip_label_vector(y_clean, eps_plus, cfg.eps_minus, derive_seed(seed, flips))
+        points.append((value, eps_plus, gamma, custom, y_noisy))
+    train = lpc.generate_training_stats(model, [y_clean] + [pt[-1] for pt in points],
+                                        derive_seed(seed, streams[0]))
+    keys, weights, stats = [], [], []
+    for value, eps_plus, gamma, custom, y_noisy in points:
         for variant in cfg.variants:
             rho = {
                 "custom": lpc.RhoParams(custom, cfg.custom_rho_minus),
@@ -85,12 +92,11 @@ def _replay(cfg, seed):
                 "optimized": lpc.optimal_rho(model, cfg.n, gamma, eps_plus, cfg.eps_minus),
                 "oracle": lpc.RhoParams(),
             }[variant]
-            ds, noise = noisy, (eps_plus, cfg.eps_minus)
+            labels, noise = y_noisy, (eps_plus, cfg.eps_minus)
             if variant == "oracle":
-                ds = LabeledDataset(X=noisy.X, y_noisy=noisy.y_clean, y_clean=noisy.y_clean)
-                noise = (0.0, 0.0)
+                labels, noise = y_clean, (0.0, 0.0)
             keys.append((variant, value))
-            weights.append(lpc.train_lpc(ds, rho, gamma).w)
+            weights.append(lpc.train_lpc(train, rho, gamma, labels=labels).w)
             stats.append(lpc.theory_stats(model, cfg.n, gamma, *noise, rho=rho))
     S, y = lpc.generate_scores(model, np.column_stack(weights), cfg.n_test,
                                derive_seed(seed, streams[2]))
@@ -783,12 +789,19 @@ class TestCli:
         # the CSV's label column
         ("experiment = real-data\ndata_path = some.csv\nlabel_column = label\n",
          "label_column 'label'.*has_header = true"),
+        # a data_path the run never reads (these exited 0 with a synthetic report)
+        ("experiment = histogram\ndata_path = some.csv\n", "data_path is read by real-data"),
+        ("experiment = sweep\nsweep_param = gamma\ngrid = 1\ndata_path = some.csv\n",
+         "a sweep run draws from the configured model"),
+        ("experiment = multiclass\ndata_path = some.csv\n", "data_path is read by real-data"),
     ], ids=["one_mean", "pis_sum", "nan_mean", "empty_class", "eps_plus_grid",
             "estimate_noise_grid", "gamma_grid", "inf_gamma_grid", "rho_plus_grid",
             "custom_pair", "singular_probe", "equal_gaps", "noise_snr_zero",
-            "noise_snr_negative", "label_name_without_header"])
+            "noise_snr_negative", "label_name_without_header", "histogram_data_path",
+            "sweep_data_path", "multiclass_data_path"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
-        # each failed inside the run with exit 2 ("runtime error")
+        # each failed inside the run with exit 2 ("runtime error"), or ran
+        # with exit 0 (an unread data_path)
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"
                               "gamma = 1\n" + lines)
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
