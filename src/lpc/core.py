@@ -270,24 +270,20 @@ def perturbed_bce_loss(
     ``((1 - rho_opposite) * loss(own) - rho_own * loss(other)) * beta``,
     where ``rho_own`` is ``rho_plus`` for label 1 and ``rho_minus`` for
     label 0.  A ridge penalty ``gamma * ||w||^2`` is added.
-    """
-    with np.errstate(over="ignore"):  # overflow to inf triggers the halt path
-        logits = w @ X
-        loss_pos = _softplus(-logits)  # -log sigmoid(t)
-        loss_neg = _softplus(logits)  # -log (1 - sigmoid(t))
-        beta = rho.beta
-        pos = y01 == 1
-        w_own = np.where(pos, (1.0 - rho.rho_minus) * beta, (1.0 - rho.rho_plus) * beta)
-        w_opp = np.where(pos, rho.rho_plus * beta, rho.rho_minus * beta)
-        own = np.where(pos, loss_pos, loss_neg)
-        opp = np.where(pos, loss_neg, loss_pos)
-        value = float(np.mean(w_own * own - w_opp * opp)) + gamma * float(w @ w)
 
-        s = np.exp(-loss_pos)  # sigmoid(t); stays nonzero far into the negative tail
-        # d/dt of loss_pos is s - 1, of loss_neg is s
-        g_own = np.where(pos, s - 1.0, s)
-        g_opp = np.where(pos, s, s - 1.0)
-        coeff = w_own * g_own - w_opp * g_opp
+    Since ``loss(other) = loss(own) + y t`` for the logit ``t`` and ``y =
+    2 y01 - 1``, that is the logistic loss minus a linear tilt,
+    ``softplus(-y t) - c_y t`` with ``c_+ = rho_plus beta`` and ``c_- =
+    -rho_minus beta``, whose derivative in ``t`` is ``-y sigmoid(-y t) - c_y``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trigger the halt path
+        y = 2.0 * y01 - 1.0
+        logits = w @ X
+        c = np.where(y01 == 1, rho.rho_plus * rho.beta, -rho.rho_minus * rho.beta)
+        loss = _softplus(-y * logits)
+        value = float(np.mean(loss - c * logits)) + gamma * float(w @ w)
+        # sigmoid(-y t) = exp(-softplus(y t)) stays nonzero far into either tail
+        coeff = -y * np.exp(-_softplus(y * logits)) - c
         grad = X @ coeff / X.shape[1] + 2.0 * gamma * w
     return value, grad
 

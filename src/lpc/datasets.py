@@ -374,14 +374,20 @@ def flip_labels(
     return LabeledDataset(X=ds.X, y_noisy=y_noisy, y_clean=ds.y_clean)
 
 
-def flip_label_vector(y_clean: np.ndarray, eps_plus: float, eps_minus: float,
-                      seed: int) -> np.ndarray:
-    """The noisy labels of ``y_clean``: ``+1 -> -1`` w.p. ``eps_plus``,
-    ``-1 -> +1`` w.p. ``eps_minus``, from one uniform per label."""
-    if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):
+def _check_flip_rates(eps_plus: float, eps_minus: float) -> None:
+    if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):  # NaN fails too
         raise ValueError(f"flip probabilities must lie in [0, 1), got ({eps_plus}, {eps_minus})")
     if eps_plus + eps_minus >= 1.0:
         raise ValueError("eps_plus + eps_minus must be < 1")
+
+
+def flip_label_vector(y_clean: np.ndarray, eps_plus: float, eps_minus: float,
+                      seed: int) -> np.ndarray:
+    """The noisy labels of ``y_clean``: ``+1 -> -1`` w.p. ``eps_plus``,
+    ``-1 -> +1`` w.p. ``eps_minus``, from one uniform per label.  The
+    uniforms depend on ``seed`` alone, so at one seed a label flipped at
+    some rates stays flipped at any larger ones."""
+    _check_flip_rates(eps_plus, eps_minus)
     y_clean = _check_labels("y_clean", y_clean, np.size(y_clean))
     u = _rng(seed).uniform(size=y_clean.size)
     thresh = np.where(y_clean == 1, eps_plus, eps_minus)

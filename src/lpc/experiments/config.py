@@ -46,10 +46,6 @@ SWEEP_PARAMS = ("eps_plus", "rho_plus", "gamma")
 # of that limit.
 OPTIMAL_GAMMA = 1e3
 
-# estimate-noise grid point g draws its features from stream 30 + g and its
-# flips from stream 60 + g of the seed, so the grid has at most 30 points.
-NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS = 30, 60
-
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent configuration input."""
@@ -139,11 +135,6 @@ class ExperimentConfig:
                 raise ConfigError("grid values must be strictly increasing")
         elif self.experiment == "sweep" or noise_grid:
             raise ConfigError(f"experiment {self.experiment!r} needs a nonempty grid")
-        if noise_grid and len(self.grid) > NOISE_FLIP_STREAMS - NOISE_FEATURE_STREAMS:
-            raise ConfigError(
-                f"estimate-noise takes at most {NOISE_FLIP_STREAMS - NOISE_FEATURE_STREAMS} "
-                f"grid points, got {len(self.grid)}: more would draw features and flips "
-                "from one random stream")
         if self.gamma == "optimal":
             if self.experiment == "multiclass":
                 raise ConfigError("multiclass experiment needs a numeric gamma")

@@ -25,18 +25,21 @@ the draw and ``gamma`` is one target column of a single block solve.
 
 Seed ``s`` draws from the streams ``derive_seed(s, stream)``:
 
-======================  ================  ========  ================
-run                     train             flips     test
-======================  ================  ========  ================
-histogram, sweep        0 (statistics)    1         2 (scores)
-``eps_plus`` sweep      0 (statistics)    10 + g    2 (scores)
-real-data, synthetic    5 (statistics)    4         6 (scores)
-real-data, CSV          3 (a split)       4         the split's rest
-======================  ================  ========  ================
+==========  ===========================  =====  ================
+run         train                        flips  test
+==========  ===========================  =====  ================
+synthetic   0 (statistics, or features)  1      2 (scores)
+CSV         3 (a split)                  1      the split's rest
+==========  ===========================  =====  ================
 
-(``g`` is the grid point's index.)  A synthetic training set is drawn as the
-statistics the solve reads, not as features: the targets are functions of
-the labels, which are flipped before the draw, so
+Every grid point of a seed flips from the seed's one flip stream: each label
+has one uniform, compared with every point's rate, so an ``eps_plus``
+sweep's flipped sets are nested (common random numbers: the cells of a seed
+move together along the grid, and each cell keeps its law).  Of the
+synthetic runs only ``estimate-noise`` draws features
+(:func:`~lpc.datasets.generate_gmm`); every other synthetic training set is
+drawn as the statistics the solve reads, not as features: the targets are
+functions of the labels, which are flipped before the draw, so
 :func:`~lpc.datasets.generate_training_stats` draws the Gram ``X X^T`` and
 the per-label-group sums ``X U`` of all the seed's label vectors (clean,
 then every point's noisy ones) from a Bartlett factor, ``p x min(p, n -
@@ -80,7 +83,7 @@ from ..datasets import (
 from ..multiclass import search_alpha_beta
 from ..noise import estimate_noise_rates
 from ..theory import TheoryStats, optimal_rho, theory_stats
-from .config import NOISE_FEATURE_STREAMS, NOISE_FLIP_STREAMS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .report import RunReport
 from .svgplot import Figure
 
@@ -184,9 +187,6 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
     kind = cfg.experiment
     sweep = kind == "sweep"
     points = [(value, cfg.at_grid_point(value)) for value in cfg.grid] if sweep else [(0.0, cfg)]
-    train_stream, flip_stream, test_stream = (5, 4, 6) if kind == "real-data" else (0, 1, 2)
-    flip_streams = [10 + g if sweep and cfg.sweep_param == "eps_plus" else flip_stream
-                    for g in range(len(points))]
     data = None
     if kind == "real-data" and cfg.data_path:
         std = _ingest(cfg, clean=True)
@@ -204,15 +204,13 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
             order = _rng(derive_seed(seed, 3)).permutation(data.n)
             tr, te = order[: cfg.n], order[cfg.n:]
             y_clean = data.y_clean[tr]
-        noisy = [flip_label_vector(y_clean, point.eps_plus, cfg.eps_minus,
-                                   derive_seed(seed, stream))
-                 for (_, point), stream in zip(points, flip_streams)]
+        noisy = [flip_label_vector(y_clean, point.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
+                 for _, point in points]
         if data is None:
-            train = generate_training_stats(cfg.model, [y_clean, *noisy],
-                                            derive_seed(seed, train_stream))
+            train = generate_training_stats(cfg.model, [y_clean, *noisy], derive_seed(seed, 0))
 
             def test(W):
-                return generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, test_stream))
+                return generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, 2))
         else:
             train = data.X[:, tr]
 
@@ -315,6 +313,11 @@ def _real_data_outputs(cfg: ExperimentConfig, report: RunReport) -> tuple[str, s
 def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
+    Per seed one feature draw (stream 0) is flipped at every grid point from
+    the seed's one flip stream (stream 1), so a label flipped at one
+    ``eps_plus`` stays flipped at every larger one; each point's labels go
+    through :func:`~lpc.noise.estimate_noise_rates`.
+
     Each cell also reports the solver's ``residual`` and ``roots``, the
     number of exact solutions in the capped simplex (0: the least-squares
     point was taken; 2: the estimate is ambiguous).
@@ -336,14 +339,11 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(cfg)
 
     def one_seed(seed: int):
-        rows = []
-        for g, eps_plus in enumerate(cfg.grid):
-            noisy = flip_labels(
-                generate_gmm(cfg.model, cfg.n, derive_seed(seed, NOISE_FEATURE_STREAMS + g)),
-                eps_plus, cfg.eps_minus, derive_seed(seed, NOISE_FLIP_STREAMS + g))
-            est = estimate_noise_rates(noisy, probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1)
-            rows.append((eps_plus, seed, est))
-        return rows
+        clean = generate_gmm(cfg.model, cfg.n, derive_seed(seed, 0))
+        return [(eps_plus, seed, estimate_noise_rates(
+                    flip_labels(clean, eps_plus, cfg.eps_minus, derive_seed(seed, 1)),
+                    probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1))
+                for eps_plus in cfg.grid]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
         for eps_plus, seed, est in rows:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RhoParams
-from .datasets import GmmSpec
+from .datasets import GmmSpec, _check_flip_rates
 
 __all__ = ["TheoryStats", "delta", "gaussian_upper_tail", "theory_stats", "optimal_rho",
            "worst_rho"]
@@ -117,15 +117,10 @@ class _ModelPart:
     delta2: float | None = None
 
 
-def _model_part(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
-                eps_minus: float = 0.0, test_class: int = 2) -> _ModelPart:
-    """The model part of ``n`` draws of ``model`` at ``gamma``; the flip rates are only checked."""
+def _model_part(model: GmmSpec, n: float, gamma: float, test_class: int = 2) -> _ModelPart:
+    """The model part of ``n`` draws of ``model`` at ``gamma``."""
     if not (n > 0 and gamma > 0):  # NaN fails too
         raise ValueError(f"theory_stats needs n > 0 and gamma > 0, got ({n}, {gamma})")
-    if not (0.0 <= eps_plus < 1.0 and 0.0 <= eps_minus < 1.0):  # NaN fails too
-        raise ValueError(f"flip probabilities must lie in [0, 1), got ({eps_plus}, {eps_minus})")
-    if eps_plus + eps_minus >= 1.0:
-        raise ValueError("eps_plus + eps_minus must be < 1")
     if test_class not in (1, 2):
         raise ValueError(f"test_class must be 1 or 2, got {test_class}")
     eta = model.p / n
@@ -148,7 +143,8 @@ def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
     ``variance``, ``accuracy`` and ``risk`` are that class's, not a mixture
     over both.
     """
-    part = _model_part(model, n, gamma, eps_plus, eps_minus, test_class)
+    _check_flip_rates(eps_plus, eps_minus)
+    part = _model_part(model, n, gamma, test_class)
     b, gap, lm, lp = rho.beta, rho.rho_plus - rho.rho_minus, rho.lambda_minus, rho.lambda_plus
     # the label weights averaged over flips, and their second moments
     ab = np.array([lm - 2.0 * b * eps_minus, lp - 2.0 * b * eps_plus])
@@ -162,7 +158,8 @@ def _label_form(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_min
     """``(c_x, V)`` with ``m_rho = c_x @ x`` and ``nu_rho = x @ V @ x`` in
     ``x = (beta, beta (rho_plus - rho_minus))``: :func:`theory_stats`'s
     ``ab`` is ``L @ x`` and its ``dd_a`` is ``x @ D_a @ x``."""
-    part = _model_part(model, n, gamma, eps_plus, eps_minus, test_class)
+    _check_flip_rates(eps_plus, eps_minus)
+    part = _model_part(model, n, gamma, test_class)
     L = np.array([[1.0 - 2.0 * eps_minus, -1.0], [1.0 - 2.0 * eps_plus, 1.0]])
     D = [np.array([[1.0, s], [s, 1.0]]) for s in (2.0 * eps_minus - 1.0, 1.0 - 2.0 * eps_plus)]
     V = L.T @ part.Q @ L + part.e[0] * D[0] + part.e[1] * D[1]

@@ -372,7 +372,9 @@ class TestBce:
         # Samples (label, logit) with w = e_0: row 0 of X holds the logits and
         # rows 1..4 are the identity, so grad[1:] * n is each sample's
         # coefficient dloss/dlogit exactly.  At rho = (0, 0) that is s for
-        # label 0 and s - 1 for label 1, with s = sigmoid(logit).
+        # label 0 and s - 1 for label 1, with s = sigmoid(logit); at label 1,
+        # logit 40, s - 1 rounds to 0, so its expected value is the exact
+        # -sigmoid(-40) = -1 / (1 + e^40).
         samples = [(0, -40.0), (0, 40.0), (1, -40.0), (1, 40.0)]
         n = len(samples)
         X = np.vstack([[t for _, t in samples], np.eye(n)])
@@ -382,6 +384,7 @@ class TestBce:
         _, grad = perturbed_bce_loss(w, X, y01, RhoParams(), 0.01)
         sigmoid = [1.0 / (1.0 + math.exp(-t)) for _, t in samples]
         expected = [s - y for (y, _), s in zip(samples, sigmoid)]
+        expected[3] = -1.0 / (1.0 + math.exp(40.0))
         np.testing.assert_allclose(grad[1:] * n, expected, rtol=1e-15, atol=0)
         assert grad[1] > 0  # label 0 at logit -40: about 4.2e-18, not rounded to 0
 

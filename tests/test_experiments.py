@@ -12,7 +12,7 @@ import pytest
 
 import lpc
 import lpc.experiments as ex
-from lpc.experiments import cli
+from lpc.experiments import cli, runner
 from lpc.experiments.cli import main as cli_main
 from lpc.experiments.config import ConfigError
 from lpc.experiments.svgplot import Figure
@@ -59,29 +59,27 @@ def _replay(cfg, seed):
     seed of a synthetic run, by the public API: the labels flipped by
     ``lpc.flip_label_vector`` per grid point, ``lpc.train_lpc`` (on clean
     labels for ``oracle``) on ``lpc.generate_training_stats`` drawn for all
-    of them, on the harness's ``derive_seed`` streams, the weights stacked in
-    the harness's cell order (grid point, then variant) and scored by
-    ``lpc.generate_scores`` on the harness's test stream, and
+    of them, on the seed's ``derive_seed`` streams (0 train, 1 flips, 2
+    test), the weights stacked in the harness's cell order (grid point, then
+    variant) and scored by ``lpc.generate_scores``, and
     ``lpc.theory_stats``."""
     from lpc.datasets import derive_seed
 
-    streams = (5, 4, 6) if cfg.experiment == "real-data" else (0, 1, 2)  # train, flips, test
     model = lpc.GmmSpec.isotropic(cfg.p, cfg.pi1, cfg.snr)
     y_clean = model.labels(cfg.n)
     points = []
-    for g, value in enumerate(cfg.grid or (0.0,)):
+    for value in cfg.grid or (0.0,):
         eps_plus, gamma, custom = cfg.eps_plus, ex.OPTIMAL_GAMMA, cfg.custom_rho_plus
-        flips = streams[1]
         if cfg.experiment == "sweep" and cfg.sweep_param == "eps_plus":
-            eps_plus, flips = value, 10 + g
+            eps_plus = value
         elif cfg.experiment == "sweep" and cfg.sweep_param == "gamma":
             gamma = value
         elif cfg.experiment == "sweep":
             custom = value
-        y_noisy = lpc.flip_label_vector(y_clean, eps_plus, cfg.eps_minus, derive_seed(seed, flips))
+        y_noisy = lpc.flip_label_vector(y_clean, eps_plus, cfg.eps_minus, derive_seed(seed, 1))
         points.append((value, eps_plus, gamma, custom, y_noisy))
     train = lpc.generate_training_stats(model, [y_clean] + [pt[-1] for pt in points],
-                                        derive_seed(seed, streams[0]))
+                                        derive_seed(seed, 0))
     keys, weights, stats = [], [], []
     for value, eps_plus, gamma, custom, y_noisy in points:
         for variant in cfg.variants:
@@ -99,7 +97,7 @@ def _replay(cfg, seed):
             weights.append(lpc.train_lpc(train, rho, gamma, labels=labels).w)
             stats.append(lpc.theory_stats(model, cfg.n, gamma, *noise, rho=rho))
     S, y = lpc.generate_scores(model, np.column_stack(weights), cfg.n_test,
-                               derive_seed(seed, streams[2]))
+                               derive_seed(seed, 2))
     return {key: (s, y, st) for key, s, st in zip(keys, S, stats)}
 
 
@@ -356,20 +354,65 @@ class TestRunners:
                                 "snr_estimate", "pi1_estimate"}
         assert 0.0 <= metrics["eps_plus_hat"] < 1.0
 
-    def test_noise_estimation_grid_fits_between_its_streams(self):
-        # grid point g draws features from stream 30 + g and flips from
-        # 60 + g, so a 31st point would draw features from point 0's flips
-        head = ("schema_version = 1\nexperiment = estimate-noise\nn = 40\np = 4\n"
-                "gamma = 0.1\neps_minus = 0.1\nvariants = custom\nseeds = 0\n")
+    def test_grid_points_share_the_seeds_draws(self):
+        # estimate-noise takes any number of grid points, since they all draw
+        # from the seed's streams
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = estimate-noise\nn = 40\np = 4\ngamma = 0.1\n"
+            "eps_minus = 0.1\nvariants = custom\nseeds = 0\n"
+            "grid = " + ",".join(str(g / 100) for g in range(31)) + "\n")
+        rep = ex.run_experiment(cfg)
+        assert len({r.grid_value for r in rep.rows}) == 31
+        # an eps_plus sweep compares each label's one uniform with every
+        # point's rate: a label flipped at one rate stays flipped at every
+        # larger one.  So the seed's label vectors make at most 2 + len(grid)
+        # groups of the training draw: a +1 label's group is the interval
+        # between grid rates its uniform falls in (len(grid) of them, as the
+        # grid starts at 0), and a -1 label is flipped at every point or none
+        cfg = ex.parse_config_text(SWEEP_CFG)
+        assert cfg.grid[0] == 0.0
+        seen = []
+        real = runner.generate_training_stats
 
-        def grid(points):
-            return ex.parse_config_text(
-                head + "grid = " + ",".join(str(g / 100) for g in range(points)) + "\n")
+        def spy(model, labels, seed):
+            seen.append(np.asarray(labels))
+            return real(model, labels, seed)
 
-        with pytest.raises(ConfigError, match="at most 30 grid points"):
-            ex.run_experiment(grid(31))
-        rep = ex.run_experiment(grid(30))
-        assert len({r.grid_value for r in rep.rows}) == 30
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "generate_training_stats", spy)
+            ex.run_experiment(cfg)
+        assert len(seen) == len(cfg.seeds)
+        for labels in seen:
+            y_clean, noisy = labels[0], labels[1:]
+            assert len(noisy) == len(cfg.grid)
+            flipped = noisy != y_clean
+            assert np.all(flipped[:-1] <= flipped[1:])
+            assert flipped[-1].any()
+            groups = np.unique(labels, axis=1).shape[1]
+            assert groups <= 2 + len(cfg.grid)
+
+    def test_noise_estimation_matches_public_api(self):
+        # every row of a synthetic run is lpc.estimate_noise_rates of the
+        # seed's one generate_gmm draw, flipped at the grid point by
+        # lpc.flip_labels from the seed's flip stream
+        from lpc.datasets import derive_seed
+
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.15,0.3\n"
+            "n = 200\np = 20\npi1 = 0.3\nsnr = 2\ngamma = 0.1\neps_minus = 0.2\n"
+            "variants = custom\nseeds = 3,5\n")
+        rep = ex.run_experiment(cfg)
+        assert len(rep.rows) == 4 * len(cfg.grid) * len(cfg.seeds)
+        probes = (lpc.RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus),
+                  lpc.RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus))
+        for row in rep.rows:
+            clean = lpc.generate_gmm(cfg.model, cfg.n, derive_seed(row.seed, 0))
+            noisy = lpc.flip_labels(clean, row.grid_value, cfg.eps_minus,
+                                    derive_seed(row.seed, 1))
+            est = lpc.estimate_noise_rates(noisy, *probes, cfg.gamma, cfg.snr, cfg.pi1)
+            expected = {"eps_plus_hat": est.eps_plus, "eps_minus_hat": est.eps_minus,
+                        "residual": est.residual, "roots": len(est.roots)}[row.metric]
+            assert row.empirical == expected
 
     def test_noise_estimation_rows_finite(self):
         cfg = ex.parse_config_text(
