@@ -6,6 +6,12 @@ Conventions used throughout the package:
 - binary labels live in ``{-1, +1}``; class 1 has mean ``-mu`` and label
   ``-1``, class 2 has mean ``+mu`` and label ``+1``,
 - class sizes are deterministic, ``n1 = round(pi1 * n)``,
+- :func:`generate_scores` and :func:`generate_training_stats` read a mixture
+  spec only through ``p``, ``cov``, ``classes`` (the label of each class, in
+  class order, ascending), ``means`` (row ``a`` is class ``a``'s mean),
+  ``class_sizes(n)`` and ``labels(n)`` (the clean labels, class by class),
+  so they draw a :class:`GmmSpec` and a k-class
+  :class:`~lpc.multiclass.MultiGmmSpec` (labels ``1..k``) alike,
 - all randomness goes through counter-based Philox streams so that draws
   are reproducible and independent of evaluation order.
 """
@@ -115,6 +121,16 @@ class GmmSpec:
         n1, n2 = self.class_sizes(n)
         return np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
 
+    @property
+    def classes(self) -> np.ndarray:
+        """The labels of class 1 and class 2: ``(-1, +1)``."""
+        return np.array([-1, 1])
+
+    @property
+    def means(self) -> np.ndarray:
+        """The class means as rows: ``(-mu, +mu)``."""
+        return np.stack([-self.mu, self.mu])
+
     @staticmethod
     def isotropic(p: int, pi1: float, snr: float) -> "GmmSpec":
         """Isotropic spec with ``mu = snr * e1``."""
@@ -188,16 +204,16 @@ def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
     return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y)
 
 
-def generate_scores(spec: GmmSpec, W: np.ndarray, n: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+def generate_scores(spec, W: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k x n`` scores ``W.T @ X`` of ``n`` samples of ``spec`` and their
     labels, drawn without the ``p x n`` features ``X``.
 
-    Class ``a``'s scores are ``N(-+W.T mu, W.T C_a W)``.  With ``R`` the
-    ``r x k`` factor of ``W`` (of ``sqrt(C_a) W`` with ``cov``) from
-    :func:`_span_factor`, so that ``R.T R = W.T C_a W``, they are
-    ``R.T Z -+ W.T mu`` for ``r x n`` standard normals ``Z``, where ``r`` is
-    the rank (at most ``min(p, k)``).  This is :func:`generate_gmm`
+    Class ``a``'s scores are ``N(W.T m_a, W.T C_a W)`` for its mean ``m_a``
+    (``-+mu`` for a :class:`GmmSpec`; a row of a ``MultiGmmSpec``'s
+    ``means``).  With ``R`` the ``r x k`` factor of ``W`` (of ``sqrt(C_a) W``
+    with ``cov``) from :func:`_span_factor`, so that ``R.T R = W.T C_a W``,
+    they are ``R.T Z + W.T m_a`` for ``r x n`` standard normals ``Z``, where
+    ``r`` is the rank (at most ``min(p, k)``).  This is :func:`generate_gmm`
     restricted to the span of ``W``: equal in law to
     ``W.T @ generate_gmm(spec, n, seed).X``, with the same class layout and
     labels, and bit-identical to it for ``W = I`` on an isotropic spec.
@@ -207,17 +223,19 @@ def generate_scores(spec: GmmSpec, W: np.ndarray, n: int,
         raise ValueError(f"W must be p x k with p={spec.p}, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W contains non-finite entries")
-    n1 = spec.class_sizes(n)[0]
+    sizes = spec.class_sizes(n)
     if spec.cov is None:
         R = _span_factor(W)
         S = R.T @ _rng(seed).standard_normal((R.shape[0], n))
     else:
+        n1 = sizes[0]
         r1, r2 = (_span_factor(_sym_sqrt(c) @ W) for c in spec.cov)
         Z = _rng(seed).standard_normal((max(r1.shape[0], r2.shape[0]), n))
         S = np.concatenate([r1.T @ Z[:r1.shape[0], :n1], r2.T @ Z[:r2.shape[0], n1:]], axis=1)
-    shift = W.T @ spec.mu
-    S[:, :n1] -= shift[:, None]
-    S[:, n1:] += shift[:, None]
+    start = 0
+    for mean, size in zip(spec.means, sizes):
+        S[:, start:start + size] += (W.T @ mean)[:, None]
+        start += size
     return S, spec.labels(n)
 
 
@@ -304,23 +322,25 @@ class TrainingStats:
         return self.xu @ (per_group * (scale[:, None] if T.ndim == 2 else scale))
 
 
-def generate_training_stats(spec: GmmSpec, labels, seed: int) -> TrainingStats:
+def generate_training_stats(spec, labels, seed: int) -> TrainingStats:
     """The :class:`TrainingStats` of ``n`` draws of ``spec``, for targets built
     from ``labels``, drawn without the ``p x n`` features.
 
     ``labels`` holds the clean labels ``spec.labels(n)`` first, then the
     noisy label vectors the targets are built from (a repeated vector does
-    not change the draw).  A group is a set of samples with the same label
-    column; groups are numbered in the lexicographic order of their columns.
-    ``spec`` must be isotropic; a spec with ``cov`` raises (draw its features
+    not change the draw); every entry is one of ``spec.classes``.  A group
+    is a set of samples with the same label column; groups are numbered in
+    the lexicographic order of their columns, a label counting as its
+    class's index.  ``spec`` is a :class:`GmmSpec` or a ``MultiGmmSpec``
+    and must be isotropic; a spec with ``cov`` raises (draw its features
     with :func:`generate_gmm`).
 
-    With ``s_g`` the clean label of group ``g`` and ``r`` groups, ``X U`` is
-    ``mu s_g sqrt(n_g) + N(0, I)``.  The rest of ``X`` is ``X V`` for an
-    orthonormal completion ``V`` of ``U``: ``d = n - r`` columns of pure
-    noise, since the means lie in the span of ``U``.  So ``X X^T = L L^T +
-    (X U)(X U)^T`` with ``L`` the Bartlett factor of that noise (its LQ
-    factor when ``d < p``): ``p x min(p, d)``, lower trapezoidal, with
+    With ``m_g`` the mean of group ``g``'s clean class and ``r`` groups,
+    ``X U`` is ``m_g sqrt(n_g) + N(0, I)``.  The rest of ``X`` is ``X V``
+    for an orthonormal completion ``V`` of ``U``: ``d = n - r`` columns of
+    pure noise, since the means lie in the span of ``U``.  So ``X X^T = L
+    L^T + (X U)(X U)^T`` with ``L`` the Bartlett factor of that noise (its
+    LQ factor when ``d < p``): ``p x min(p, d)``, lower trapezoidal, with
     ``L_ii = sqrt(chi2(d - i))`` and ``N(0, 1)`` below the diagonal.  This
     is exactly the law of the statistics of ``generate_gmm(spec, n, .)``.
     One stream draws ``X U``, then the rows of ``L``, then the chi-squares.
@@ -332,18 +352,22 @@ def generate_training_stats(spec: GmmSpec, labels, seed: int) -> TrainingStats:
     n = Y.shape[1]
     if Y.ndim != 2 or not np.array_equal(Y[0], spec.labels(n)):
         raise ValueError(f"labels must start with the clean labels spec.labels({n})")
-    if not np.all((Y == -1) | (Y == 1)):
-        raise ValueError("label entries must be -1 or +1")
+    classes = spec.classes
+    if not np.all(np.isin(Y, classes)):
+        names = [f"{c:+d}" for c in classes]
+        raise ValueError(f"label entries must be {', '.join(names[:-1])} or {names[-1]}")
+    codes = np.searchsorted(classes, Y)  # each label's class index
     group = np.zeros(n, dtype=np.int64)
-    for y in Y:  # rank the columns by their rows so far, then by this row
-        _, first, group, sizes = np.unique(2 * group + (y > 0), return_index=True,
+    for row in codes:  # rank the columns by their rows so far, then by this row
+        _, first, group, sizes = np.unique(classes.size * group + row, return_index=True,
                                            return_inverse=True, return_counts=True)
     p, r = spec.p, sizes.size
     d = n - r
     rng = _rng(seed)
     xu = rng.standard_normal((p, r))
-    nz = np.flatnonzero(spec.mu)
-    xu[nz] += np.outer(spec.mu[nz], Y[0, first] * np.sqrt(sizes))
+    means = spec.means
+    nz = np.flatnonzero(np.any(means != 0, axis=0))  # only these rows move
+    xu[nz] += means[codes[0, first]][:, nz].T * np.sqrt(sizes)
     m = min(p, d)
     L = np.zeros((p, m))
     for i in range(1, p):

@@ -37,8 +37,9 @@ has one uniform, compared with every point's rate, so an ``eps_plus``
 sweep's flipped sets are nested (common random numbers: the cells of a seed
 move together along the grid, and each cell keeps its law).  Of the
 synthetic runs only ``estimate-noise`` draws features
-(:func:`~lpc.datasets.generate_gmm`); every other synthetic training set is
-drawn as the statistics the solve reads, not as features: the targets are
+(:func:`~lpc.datasets.generate_gmm`); every other synthetic training set,
+``multiclass``'s included, is drawn as the statistics the solve reads, not
+as features: the targets are
 functions of the labels, which are flipped before the draw, so
 :func:`~lpc.datasets.generate_training_stats` draws the Gram ``X X^T`` and
 the per-label-group sums ``X U`` of all the seed's label vectors (clean,
@@ -52,6 +53,16 @@ of a ``p x n_test`` feature matrix.  Both draws have exactly the law of the
 feature draws they replace, and all the cells of a seed (every grid point
 of a sweep) share one training draw and one test set.  A CSV run trains
 on its split's features and scores its held-out rest.
+
+A ``multiclass`` seed (:func:`~lpc.multiclass.search_alpha_beta`) makes the
+same three draws through the same functions: its noisy labels by
+:func:`~lpc.multiclass.flip_multi_labels`, the statistics for its clean and
+noisy labels, and the scores of its test set under the ``p x (k + 1)``
+one-hot and all-ones weights, which serve every candidate.  At
+``configs/multiclass.cfg`` (``p = 200``, ``n = n_test = 2000``, ``k = 3``,
+6 label groups) that is 1,200 + 19,900 normals, 200 chi-squares, 2,000 flip
+uniforms and 6,000 score normals per seed, instead of two ``200 x 2000``
+feature draws and their flips (804,000 numbers).
 
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory

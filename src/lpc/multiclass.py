@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _Ridge
-from .datasets import _rng, derive_seed
+from .datasets import (
+    TrainingStats,
+    _rng,
+    derive_seed,
+    generate_scores,
+    generate_training_stats,
+)
 
 __all__ = [
     "MultiGmmSpec",
@@ -22,6 +28,7 @@ __all__ = [
     "AlphaBeta",
     "SearchResult",
     "generate_multi_gmm",
+    "flip_multi_labels",
     "build_label_matrix",
     "train_multi_lpc",
     "multi_accuracy",
@@ -76,12 +83,26 @@ class MultiGmmSpec:
     def p(self) -> int:
         return self.means.shape[1]
 
+    @property
+    def classes(self) -> np.ndarray:
+        """The labels ``1..k``, one per class."""
+        return np.arange(1, self.k + 1)
+
+    @property
+    def cov(self) -> None:
+        """``None``: every class has identity covariance."""
+        return None
+
     def class_sizes(self, n: int) -> np.ndarray:
         sizes = np.round(self.pi * n).astype(int)
         sizes[-1] = n - sizes[:-1].sum()
         if np.any(sizes < 1):
             raise ValueError(f"class sizes {sizes} at n={n} leave an empty class")
         return sizes
+
+    def labels(self, n: int) -> np.ndarray:
+        """The clean labels of ``n`` draws: class by class, ``1`` first."""
+        return np.repeat(self.classes, self.class_sizes(n))
 
 
 @dataclass(frozen=True)
@@ -115,25 +136,35 @@ class AlphaBeta:
 
 def generate_multi_gmm(spec: MultiGmmSpec, n: int, seed: int) -> MultiLabeledDataset:
     """Draw ``n`` samples of the mixture and flip labels per the eps column of
-    the true class; deterministic given ``seed``."""
+    the true class (:func:`flip_multi_labels`' rule, from uniforms drawn after
+    the features on the same stream); deterministic given ``seed``."""
     rng = _rng(seed)
-    sizes = spec.class_sizes(n)
     X = rng.standard_normal((spec.p, n))
-    y_clean = np.empty(n, dtype=np.int64)
+    y_clean = spec.labels(n)
     start = 0
-    for cls, size in enumerate(sizes, start=1):
-        stop = start + size
-        X[:, start:stop] += spec.means[cls - 1][:, None]
-        y_clean[start:stop] = cls
-        start = stop
+    for mean, size in zip(spec.means, spec.class_sizes(n)):
+        X[:, start:start + size] += mean[:, None]
+        start += size
+    y_noisy = _flip(spec, y_clean, rng.uniform(size=n))
+    return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
 
-    # one uniform draw per sample against its true class's column-cumulative
-    # flip edges: t edges passed means noisy label t + 1; past all k, clean
-    u = rng.uniform(size=n)
+
+def flip_multi_labels(spec: MultiGmmSpec, y_clean: np.ndarray, seed: int) -> np.ndarray:
+    """The noisy labels of the clean labels ``y_clean`` (in ``1..k``): a
+    sample of true class ``b`` gets label ``a`` w.p. ``eps[a, b]``, from one
+    uniform per label drawn from ``seed``."""
+    y_clean = np.asarray(y_clean)
+    if y_clean.ndim != 1 or np.any((y_clean < 1) | (y_clean > spec.k)):
+        raise ValueError(f"y_clean must be a vector of labels in 1..{spec.k}")
+    return _flip(spec, y_clean, _rng(seed).uniform(size=y_clean.size))
+
+
+def _flip(spec: MultiGmmSpec, y_clean: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # each uniform against its true class's column-cumulative flip edges:
+    # t edges passed means noisy label t + 1; past all k, clean
     edges = np.cumsum(spec.eps, axis=0)[:, y_clean - 1].T  # n x k
     t = np.count_nonzero(u[:, None] >= edges, axis=1)
-    y_noisy = np.where(t < spec.k, t + 1, y_clean)
-    return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
+    return np.where(t < spec.k, t + 1, y_clean)
 
 
 def build_label_matrix(y_noisy: np.ndarray, ab: AlphaBeta) -> np.ndarray:
@@ -146,11 +177,16 @@ def build_label_matrix(y_noisy: np.ndarray, ab: AlphaBeta) -> np.ndarray:
     return onehot * ab.alpha[None, :] + (1.0 - onehot) * ab.beta[None, :]
 
 
-def train_multi_lpc(X: np.ndarray, Yab: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve ``(X X^T / n + gamma I) W = (1/n) X Yab`` for the p x k weights."""
-    if Yab.shape[0] != X.shape[1]:
-        raise ValueError(f"label matrix rows ({Yab.shape[0]}) must match n={X.shape[1]}")
-    return _Ridge(X).weights(Yab, gamma)
+def train_multi_lpc(data: np.ndarray | TrainingStats, Yab: np.ndarray,
+                    gamma: float) -> np.ndarray:
+    """Solve ``(X X^T / n + gamma I) W = (1/n) X Yab`` for the p x k weights.
+
+    ``data`` is the ``p x n`` features ``X`` or a :class:`TrainingStats`
+    draw, whose label vectors ``Yab`` must be built from (its columns
+    constant on the draw's label groups)."""
+    if not isinstance(data, TrainingStats) and Yab.shape[0] != data.shape[1]:
+        raise ValueError(f"label matrix rows ({Yab.shape[0]}) must match n={data.shape[1]}")
+    return _Ridge(data).weights(Yab, gamma)
 
 
 def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> float:
@@ -193,17 +229,32 @@ class _SeedEvaluator:
     alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
     ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule),
     with each ``s_j`` rounded as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
+
+    Seed ``s`` draws no feature matrix; it makes the binary harness's three
+    draws, each with the law of the features it replaces:
+
+    - the noisy labels, by :func:`flip_multi_labels` from ``derive_seed(s, 1)``;
+    - the training statistics, by :func:`~lpc.datasets.generate_training_stats`
+      from ``derive_seed(s, 0)``, for the clean and the noisy labels: a group
+      per ``(clean, noisy)`` pair that occurs, ``X U`` of ``p x r`` normals and
+      a Bartlett factor of ``p x min(p, n - r)``;
+    - the ``(k + 1) x n_test`` test scores under the ``p x (k + 1)`` one-hot and
+      all-ones weights, by :func:`~lpc.datasets.generate_scores` from
+      ``derive_seed(s, 2)``.  Those weights have rank ``k`` (the all-ones column
+      is the sum of the others), so ``k x n_test`` normals.
     """
 
     def __init__(self, spec: MultiGmmSpec, n: int, gamma: float, seed: int, n_test: int):
-        train = generate_multi_gmm(spec, n, derive_seed(seed, 0))
-        test = generate_multi_gmm(spec, n_test, derive_seed(seed, 1))
-        onehot = build_label_matrix(train.y_noisy, AlphaBeta.naive(spec.k))
-        targets = np.column_stack([onehot, np.ones(n)])
-        scores = _Ridge(train.X).weights(targets, gamma).T @ test.X
-        on, y = scores[:-1], test.y_clean  # k x m one-hot part, m true classes
+        y_clean = spec.labels(n)
+        y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
+        stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
+        targets = np.column_stack([build_label_matrix(y_noisy, AlphaBeta.naive(spec.k)),
+                                   np.ones(n)])
+        scores, y = generate_scores(spec, train_multi_lpc(stats, targets, gamma), n_test,
+                                    derive_seed(seed, 2))
+        on = scores[:-1]  # k x m one-hot part, m true classes y
         off = scores[-1] - on  # k x m, all-ones minus one-hot part
-        self.by_class = [(on[:, y == c], off[:, y == c]) for c in range(1, spec.k + 1)]
+        self.by_class = [(on[:, y == c], off[:, y == c]) for c in spec.classes]
         self.m = y.size
 
     def accuracies(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -287,6 +338,16 @@ def search_alpha_beta(
     training and ``n_test`` test samples each), and evaluates the
     interpolation ``tau * best + (1 - tau) * worst`` on a ``tau`` grid.
     Fully deterministic given ``eval_seeds`` and ``search_seed``.
+
+    A replicate is drawn as the statistics and scores a fit reads, not as
+    features (:class:`_SeedEvaluator`): seed ``s`` flips its labels from
+    ``derive_seed(s, 1)``, draws its training statistics from
+    ``derive_seed(s, 0)`` and its test scores from ``derive_seed(s, 2)``, as a
+    binary seed does.  At ``p = 200``, ``n = n_test = 2000`` and ``k = 3``
+    (``configs/multiclass.cfg``, 6 label groups) that is 1,200 + 19,900
+    normals, 200 chi-squares, 2,000 flip uniforms and 6,000 score normals
+    per seed, against 804,000 numbers for two ``p x 2000`` feature draws and
+    their flips.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")

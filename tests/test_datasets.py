@@ -18,6 +18,7 @@ from lpc import (
     train_lpc,
 )
 from lpc.datasets import _rng
+from lpc.multiclass import MultiGmmSpec, generate_multi_gmm
 
 
 class TestGmmSpecValidation:
@@ -124,26 +125,42 @@ class TestGenerateScores:
         assert np.array_equal(S, ds.X)
         assert np.array_equal(y, ds.y_clean)
 
-    @pytest.mark.parametrize("p, k, cov", [(6, 3, False), (6, 3, True), (3, 5, False),
-                                           (3, 5, True)],
-                             ids=["tall", "tall_cov", "wide", "wide_cov"])
-    def test_class_moments(self, p, k, cov):
+    @pytest.mark.parametrize("p, k, model", [(6, 3, "isotropic"), (6, 3, "cov"),
+                                             (3, 5, "isotropic"), (3, 5, "cov"),
+                                             (6, 3, "k=3")],
+                             ids=["tall", "tall_cov", "wide", "wide_cov", "multi_k3"])
+    def test_class_moments(self, p, k, model):
         # per class, the sample mean and covariance are within 5 standard
-        # errors of -+W.T mu and W.T C_a W (C1 != C2 with cov)
+        # errors of W.T m_a and W.T C_a W (C1 != C2 with cov); for the k = 3
+        # MultiGmmSpec, of those of W.T X for generate_multi_gmm's features X
         mu = np.linspace(0.5, -1.0, p)
-        covs = (_ramp_cov(p, 0.5, 3.0, 1), _ramp_cov(p, 0.2, 1.0, 2)) if cov else None
-        spec = GmmSpec(pi1=0.4, mu=mu, cov=covs)
         W = np.random.default_rng(3).standard_normal((p, k))
+        if model == "k=3":
+            spec = MultiGmmSpec(means=np.stack([-mu, np.zeros(p), np.roll(mu, 2)]),
+                                pi=[0.3, 0.3, 0.4], eps=np.zeros((3, 3)))
+            covs = [np.eye(p)] * 3
+            ref = generate_multi_gmm(spec, 20000, 5)
+            ref_scores, ref_y = W.T @ ref.X, ref.y_clean
+        else:
+            covs = ((_ramp_cov(p, 0.5, 3.0, 1), _ramp_cov(p, 0.2, 1.0, 2)) if model == "cov"
+                    else (np.eye(p), np.eye(p)))
+            spec = GmmSpec(pi1=0.4, mu=mu, cov=covs if model == "cov" else None)
         S, y = generate_scores(spec, W, 20000, 4)
         assert S.shape == (k, 20000)
-        for a, sign in ((0, -1.0), (1, 1.0)):
-            C = covs[a] if cov else np.eye(p)
-            sigma = W.T @ C @ W
-            Sa = S[:, y == sign]
+        for a, label in enumerate(spec.classes):
+            sigma = W.T @ covs[a] @ W
+            Sa = S[:, y == label]
             m, d = Sa.shape[1], np.diag(sigma)
-            assert np.all(np.abs(Sa.mean(axis=1) - sign * W.T @ mu) <= 5 * np.sqrt(d / m))
-            cov_se = np.sqrt((np.outer(d, d) + sigma**2) / m)
-            assert np.all(np.abs(np.cov(Sa) - sigma) <= 5 * cov_se)
+            mean_se2, cov_se2 = d / m, (np.outer(d, d) + sigma**2) / m
+            if model == "k=3":
+                Ra = ref_scores[:, ref_y == label]
+                mean, cov = Ra.mean(axis=1), np.cov(Ra)
+                mean_se2 = mean_se2 + d / Ra.shape[1]
+                cov_se2 = cov_se2 + (np.outer(d, d) + sigma**2) / Ra.shape[1]
+            else:
+                mean, cov = W.T @ spec.means[a], sigma
+            assert np.all(np.abs(Sa.mean(axis=1) - mean) <= 5 * np.sqrt(mean_se2))
+            assert np.all(np.abs(np.cov(Sa) - cov) <= 5 * np.sqrt(cov_se2))
 
     def test_wide_weights_stay_in_the_row_space(self):
         # k > p: the k scores of a sample are W.T x for one x in R^p
@@ -253,26 +270,31 @@ def _indicators(group: np.ndarray) -> np.ndarray:
 
 
 class TestGenerateTrainingStats:
-    # (p, pi1, n, noisy label vectors), one per regime of d = n - r against p
+    MU = np.array([0.9, -0.5, 0.3, 0.2, -0.1])
+    # (spec, noisy label vectors), keyed by the regime of d = n - r against p
     REGIMES = {
-        "d>p": (3, 0.4, 10, [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]]),
-        "d<p": (5, 0.5, 6, [[-1, 1, -1, 1, -1, 1]]),
-        "d=0": (3, 0.5, 4, [[-1, 1, -1, 1]]),  # every sample its own group
+        "d>p": (GmmSpec(0.4, MU[:3]), [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]]),
+        "d<p": (GmmSpec(0.5, MU), [[-1, 1, -1, 1, -1, 1]]),
+        "d=0": (GmmSpec(0.5, MU[:3]), [[-1, 1, -1, 1]]),  # every sample its own group
+        "d>p_multi_k3": (MultiGmmSpec(means=np.stack([-MU[:3], np.zeros(3), MU[2::-1]]),
+                                      pi=[0.25, 0.25, 0.5], eps=np.zeros((3, 3))),
+                         [[1, 2, 1, 2, 2, 3, 3, 3, 1, 3, 2, 3]]),
     }
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_law_matches_feature_draws(self, regime):
         # the mean and variance of every entry of the Gram, of X U and of the
         # rest X X^T - (X U)(X U)^T (zero for d = 0) agree with those formed
-        # from generate_gmm's features, within 5 standard errors over 1000
-        # draws each
-        p, pi1, n, noisy = self.REGIMES[regime]
-        spec = GmmSpec(pi1=pi1, mu=np.array([0.9, -0.5, 0.3, 0.2, -0.1])[:p])
+        # from generate_gmm's features (generate_multi_gmm's for a
+        # MultiGmmSpec), within 5 standard errors over 1000 draws each
+        spec, noisy = self.REGIMES[regime]
+        p, n = spec.p, len(noisy[0])
         labels = [spec.labels(n), *(np.array(y) for y in noisy)]
         stats = generate_training_stats(spec, labels, 0)
         d = n - stats.sizes.size
-        assert {"d>p": d > p, "d<p": 0 < d < p, "d=0": d == 0}[regime]
+        assert {"d>p": d > p, "d<p": 0 < d < p, "d=0": d == 0}[regime.split("_")[0]]
         U, upper, reps = _indicators(stats.group), np.triu_indices(p), 1000
+        features = generate_gmm if isinstance(spec, GmmSpec) else generate_multi_gmm
 
         def entries(gram, xu):
             rest = (gram - xu @ xu.T)[upper] if d else []
@@ -281,7 +303,7 @@ class TestGenerateTrainingStats:
         drawn = np.array([entries(st.gram, st.xu) for st in (
             generate_training_stats(spec, labels, derive_seed(s, 0)) for s in range(reps))])
         formed = np.array([entries(X @ X.T, X @ U) for X in (
-            generate_gmm(spec, n, derive_seed(s, 1)).X for s in range(reps))])
+            features(spec, n, derive_seed(s, 1)).X for s in range(reps))])
         means, variances, fourth = [], [], []
         for a in (drawn, formed):
             centered = a - a.mean(axis=0)
@@ -358,7 +380,12 @@ class TestGenerateTrainingStats:
         (GmmSpec(0.5, np.zeros(2), cov=(np.eye(2), np.eye(2))), None, "generate_gmm"),
         (GmmSpec.isotropic(2, 0.5, 1.0), [[1, 1, -1, -1]], "start with the clean labels"),
         (GmmSpec.isotropic(2, 0.5, 1.0), [[-1, -1, 1, 1], [1, 0, 1, 1]], "-1 or \\+1"),
-    ], ids=["covariance", "clean_first", "label_values"])
+        (MultiGmmSpec(np.eye(3), [0.25, 0.25, 0.5], np.zeros((3, 3))),
+         [[1, 3, 3, 2], [1, 2, 3, 3]], "start with the clean labels"),
+        (MultiGmmSpec(np.eye(3), [0.25, 0.25, 0.5], np.zeros((3, 3))),
+         [[1, 2, 3, 3], [1, 4, 3, 0]], "\\+1, \\+2 or \\+3"),
+    ], ids=["covariance", "clean_first", "label_values", "multi_clean_first",
+            "multi_label_values"])
     def test_invalid_input_raises(self, spec, labels, match):
         with pytest.raises(ValueError, match=match):
             generate_training_stats(spec, labels or [spec.labels(4)], 0)

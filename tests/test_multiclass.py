@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from lpc.datasets import derive_seed
+from lpc.datasets import (
+    GmmSpec,
+    TrainingStats,
+    derive_seed,
+    flip_label_vector,
+    generate_scores,
+    generate_training_stats,
+)
 from lpc.multiclass import (
     _CHUNK_ROWS,
     AlphaBeta,
     MultiGmmSpec,
     _SeedEvaluator,
     build_label_matrix,
+    flip_multi_labels,
     generate_multi_gmm,
     multi_accuracy,
     search_alpha_beta,
@@ -66,24 +74,62 @@ class TestGenerate:
         ds = generate_multi_gmm(spec, 200, 1)
         assert np.array_equal(ds.y_noisy, ds.y_clean)
 
-    def test_flip_fractions_match_matrix(self):
-        ds = generate_multi_gmm(_spec3(), 20000, 5)
-        for true_cls in range(1, 4):
-            idx = ds.y_clean == true_cls
-            n_cls = int(np.sum(idx))
-            for noisy_cls in range(1, 4):
-                if noisy_cls == true_cls:
-                    continue
-                rate = EPS3[noisy_cls - 1, true_cls - 1]
-                count = int(np.sum(ds.y_noisy[idx] == noisy_cls))
-                tol = 3.0 * np.sqrt(n_cls * max(rate, 0.01) * (1 - min(rate, 0.99)))
-                assert abs(count - rate * n_cls) <= tol
-
     def test_deterministic(self):
         a = generate_multi_gmm(_spec3(), 600, 9)
         b = generate_multi_gmm(_spec3(), 600, 9)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y_noisy, b.y_noisy)
+
+    def test_flip_fractions_match_matrix(self):
+        ds = generate_multi_gmm(_spec3(), 20000, 5)
+        _check_flip_fractions(ds.y_clean, ds.y_noisy)
+
+    def test_flip_multi_labels_fractions_match_matrix(self):
+        y_clean = _spec3().labels(20000)
+        _check_flip_fractions(y_clean, flip_multi_labels(_spec3(), y_clean, 5))
+
+    @pytest.mark.parametrize("y_clean", [[1, 4, 2], [0, 1, 2], [[1, 2], [3, 1]]],
+                             ids=["above", "below", "matrix"])
+    def test_flip_multi_labels_rejects_bad_labels(self, y_clean):
+        with pytest.raises(ValueError, match="labels in 1..3"):
+            flip_multi_labels(_spec3(), np.array(y_clean), 0)
+
+    def test_two_classes_draw_as_the_binary_model(self):
+        # means (-mu, +mu): the same noisy labels, training statistics and test
+        # scores, bit for bit, as the binary spec at the same seeds (class 1
+        # is label -1, class 2 label +1)
+        mu = np.linspace(-0.7, 1.1, 7)
+        binary = GmmSpec(pi1=0.4, mu=mu)
+        multi = MultiGmmSpec(means=np.stack([-mu, mu]), pi=[0.4, 0.6],
+                             eps=np.array([[0.0, 0.3], [0.2, 0.0]]))
+        n, W = 50, np.random.default_rng(1).standard_normal((7, 3))
+        for seed in range(3):
+            y_b = flip_label_vector(binary.labels(n), 0.3, 0.2, derive_seed(seed, 1))
+            y_m = flip_multi_labels(multi, multi.labels(n), derive_seed(seed, 1))
+            assert np.array_equal(y_m, np.where(y_b > 0, 2, 1))
+            st_b = generate_training_stats(binary, [binary.labels(n), y_b], derive_seed(seed, 0))
+            st_m = generate_training_stats(multi, [multi.labels(n), y_m], derive_seed(seed, 0))
+            for name in ("gram", "xu", "group"):
+                assert np.array_equal(getattr(st_m, name), getattr(st_b, name)), name
+            S_b, t_b = generate_scores(binary, W, n, derive_seed(seed, 2))
+            S_m, t_m = generate_scores(multi, W, n, derive_seed(seed, 2))
+            assert np.array_equal(S_m, S_b)
+            assert np.array_equal(t_m, np.where(t_b > 0, 2, 1))
+
+
+def _check_flip_fractions(y_clean, y_noisy):
+    """Each off-diagonal flip count of ``_spec3`` is within 3 standard
+    deviations of its ``EPS3`` rate."""
+    for true_cls in range(1, 4):
+        idx = y_clean == true_cls
+        n_cls = int(np.sum(idx))
+        for noisy_cls in range(1, 4):
+            if noisy_cls == true_cls:
+                continue
+            rate = EPS3[noisy_cls - 1, true_cls - 1]
+            count = int(np.sum(y_noisy[idx] == noisy_cls))
+            tol = 3.0 * np.sqrt(n_cls * max(rate, 0.01) * (1 - min(rate, 0.99)))
+            assert abs(count - rate * n_cls) <= tol
 
 
 class TestLabelMatrix:
@@ -147,6 +193,23 @@ class TestTrainMulti:
         A = X @ X.T / 200 + gamma * np.eye(30)
         res = np.linalg.norm(A @ W - X @ Y / 200, axis=0)
         assert np.all(res <= 1e-8 * np.maximum(np.linalg.norm(W, axis=0), 1e-30))
+
+    def test_statistics_match_features(self):
+        # statistics formed from one feature draw train any label matrix built
+        # from its noisy labels to the features' weights
+        spec, n, gamma = _spec3(p=12), 90, 0.6
+        ds = generate_multi_gmm(spec, n, 2)
+        group = generate_training_stats(spec, [ds.y_clean, ds.y_noisy], 0).group
+        sizes = np.bincount(group)
+        U = np.zeros((n, sizes.size))
+        U[np.arange(n), group] = 1.0 / np.sqrt(sizes[group])
+        stats = TrainingStats(gram=ds.X @ ds.X.T, xu=ds.X @ U, group=group)
+        ab = AlphaBeta(alpha=np.array([1.5, -0.2, 0.7]), beta=np.array([0.3, -1.0, 0.0]))
+        Y = build_label_matrix(ds.y_noisy, ab)
+        W = train_multi_lpc(ds.X, Y, gamma)
+        assert np.linalg.norm(train_multi_lpc(stats, Y, gamma) - W) <= 1e-12 * np.linalg.norm(W)
+        with pytest.raises(ValueError, match="targets must have 90 rows"):
+            train_multi_lpc(stats, Y[1:], gamma)
 
     def test_binary_recoding(self):
         # one-hot two-class training: the column difference is the +-1 ridge
@@ -293,12 +356,22 @@ class TestBlockScoring:
                                 n_test=n_test, tau_points=3, search_seed=5)
 
         def public(ab):
+            # seed s flips from stream 1, trains from stream 0 and tests from
+            # stream 2, whose scores are drawn under the one-hot and all-ones
+            # weights; a candidate's label matrix is onehot diag(alpha - beta)
+            # + ones beta', so its weights are W M and its scores M.T S
+            M = np.vstack([np.diag(ab.alpha - ab.beta), ab.beta])
             accs = []
             for seed in seeds:
-                train = generate_multi_gmm(spec, n, derive_seed(seed, 0))
-                test = generate_multi_gmm(spec, n_test, derive_seed(seed, 1))
-                W = train_multi_lpc(train.X, build_label_matrix(train.y_noisy, ab), gamma)
-                accs.append(multi_accuracy(W, test.X, test.y_clean))
+                y_clean = spec.labels(n)
+                y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
+                stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
+                onehot = build_label_matrix(y_noisy, AlphaBeta.naive(3))
+                W = train_multi_lpc(stats, np.column_stack([onehot, np.ones(n)]), gamma)
+                W_ab = train_multi_lpc(stats, build_label_matrix(y_noisy, ab), gamma)
+                assert np.linalg.norm(W @ M - W_ab) <= 1e-12 * np.linalg.norm(W_ab)
+                S, y = generate_scores(spec, W, n_test, derive_seed(seed, 2))
+                accs.append(multi_accuracy(M, S, y))
             return np.mean(accs)
 
         for ab, acc in [(res.ab_best, res.tau_accuracy[-1].mean()),
