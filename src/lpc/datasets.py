@@ -275,31 +275,54 @@ class TrainingStats:
 
     ``group[i]`` is sample ``i``'s group, numbered ``0 .. r - 1``.  With
     ``U`` the ``n x r`` matrix of normalized group indicators (``U[i, g] =
-    1 / sqrt(n_g)`` for ``i`` in group ``g``, so ``U.T U = I``), ``gram`` is
-    ``X X^T`` and ``xu`` is ``X U``.  Then ``X t = xu (U.T t)`` for every
-    ``t`` that is constant on groups; :meth:`cross` forms it.
+    1 / sqrt(n_g)`` for ``i`` in group ``g``, so ``U.T U = I``), ``xu`` is
+    ``X U``.  Then ``X t = xu (U.T t)`` for every ``t`` that is constant on
+    groups; :meth:`cross` forms it.
+
+    ``gram`` is the Gram ``X X^T`` in the coordinates of an orthogonal frame
+    ``Q``.  With ``frame=None`` the frame is the identity and ``gram`` is the
+    dense ``p x p`` Gram (``TrainingStats(gram=X @ X.T, xu=X @ U,
+    group=group)`` holds a feature draw exactly).  Otherwise ``frame`` is the
+    compact WY pair ``(V, T)`` of ``Q = I - V T V^T`` (``p x s`` and ``s x
+    s``) and ``gram`` is the lower band of ``Q^T X X^T Q`` by diagonals:
+    ``gram[j, i] = (Q^T X X^T Q)[i + j, i]`` for ``i + j < p`` (zero beyond),
+    ``(w + 1) x p`` for half-width ``w``.  :func:`generate_training_stats`
+    draws the banded form.
     """
 
     gram: np.ndarray
     xu: np.ndarray
     group: np.ndarray
+    frame: tuple[np.ndarray, np.ndarray] | None = None
     sizes: np.ndarray = field(init=False)  # n_g
     first: np.ndarray = field(init=False)  # a sample of each group
 
     def __post_init__(self) -> None:
         gram, xu = np.asarray(self.gram, dtype=float), np.asarray(self.xu, dtype=float)
         group = np.asarray(self.group)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError(f"gram must be square, got shape {gram.shape}")
-        if xu.ndim != 2 or xu.shape[0] != gram.shape[0]:
-            raise ValueError(f"xu must be p x r with p={gram.shape[0]}, got shape {xu.shape}")
+        if xu.ndim != 2:
+            raise ValueError(f"xu must be p x r, got shape {xu.shape}")
+        p = xu.shape[0]
+        frame = self.frame
+        if frame is None:
+            if gram.shape != (p, p):
+                raise ValueError(f"gram must be p x p with p={p} (the rows of xu), "
+                                 f"got shape {gram.shape}")
+        else:
+            frame = tuple(np.asarray(a, dtype=float) for a in frame)
+            if len(frame) != 2 or frame[0].ndim != 2 or frame[0].shape[0] != p or \
+                    frame[1].shape != (frame[0].shape[1],) * 2:
+                raise ValueError(f"frame must be the pair (V, T) of p x s and s x s with p={p}")
+            if gram.ndim != 2 or gram.shape[1] != p or not 0 < gram.shape[0] <= p:
+                raise ValueError(f"a banded gram must be (w + 1) x p with w < p={p}, "
+                                 f"got shape {gram.shape}")
         groups, first, sizes = np.unique(group, return_index=True, return_counts=True)
         if group.ndim != 1 or not np.array_equal(groups, np.arange(xu.shape[1])):
             raise ValueError(f"group must number every sample's group 0 .. {xu.shape[1] - 1}, "
                              "each group nonempty")
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xu))):
+        if not all(np.all(np.isfinite(a)) for a in (gram, xu, *(frame or ()))):
             raise ValueError("statistics contain non-finite values")
-        for name, value in (("gram", gram), ("xu", xu), ("group", group),
+        for name, value in (("gram", gram), ("xu", xu), ("group", group), ("frame", frame),
                             ("sizes", sizes), ("first", first)):
             object.__setattr__(self, name, value)
 
@@ -338,12 +361,27 @@ def generate_training_stats(spec, labels, seed: int) -> TrainingStats:
     With ``m_g`` the mean of group ``g``'s clean class and ``r`` groups,
     ``X U`` is ``m_g sqrt(n_g) + N(0, I)``.  The rest of ``X`` is ``X V``
     for an orthonormal completion ``V`` of ``U``: ``d = n - r`` columns of
-    pure noise, since the means lie in the span of ``U``.  So ``X X^T = L
-    L^T + (X U)(X U)^T`` with ``L`` the Bartlett factor of that noise (its
-    LQ factor when ``d < p``): ``p x min(p, d)``, lower trapezoidal, with
-    ``L_ii = sqrt(chi2(d - i))`` and ``N(0, 1)`` below the diagonal.  This
-    is exactly the law of the statistics of ``generate_gmm(spec, n, .)``.
-    One stream draws ``X U``, then the rows of ``L``, then the chi-squares.
+    pure noise ``Z``, since the means lie in the span of ``U``; so ``X X^T
+    = Z Z^T + (X U)(X U)^T``.  The frame ``Q`` is the Householder QR of
+    ``[means.T, X U]`` (``k`` mean rows), whose first ``s = min(p, k + r)``
+    columns span the means and ``X U``.  In it ``Z Z^T`` is drawn as ``B
+    B^T``, with ``B`` the ``p x min(p, d)`` lower band of half-width ``s``
+    that the block Golub-Kahan reduction of ``Q^T Z`` started at the leading
+    ``s`` coordinates yields (Dumitriu and Edelman 2002, block by block):
+    ``B[i, i] = sqrt(chi2(d - i))``, ``B[i, i - s] = sqrt(chi2(p - i))`` and
+    ``N(0, 1)`` strictly between.  The leading ``s x s`` block adds ``(Q^T X
+    U)(Q^T X U)^T``, so the frame Gram is banded with half-width ``s``.
+
+    ``Q`` depends on the means and ``X U`` alone, which are independent of
+    ``Z``, and the reduction's left factor fixes the leading ``s``
+    coordinates.  So the draw is exact up to an orthogonal map that fixes
+    span(means, ``X U``) pointwise: ``X U``, every ridge fit's ``W^T W`` and
+    ``W^T m_a``, and hence every score an isotropic test set gives (what
+    :func:`generate_scores` reads), have exactly the law of
+    ``generate_gmm(spec, n, .)``'s.  The entries of the Gram itself do not
+    have the Wishart's law.  With ``s >= p``, ``B`` is the Bartlett factor.
+    One stream draws ``X U``, then the band's normals row by row, then the
+    chi-squares of the diagonal and of the outer diagonal.
     """
     if spec.cov is not None:
         raise ValueError("generate_training_stats draws isotropic mixtures only; draw a "
@@ -353,10 +391,10 @@ def generate_training_stats(spec, labels, seed: int) -> TrainingStats:
     if Y.ndim != 2 or not np.array_equal(Y[0], spec.labels(n)):
         raise ValueError(f"labels must start with the clean labels spec.labels({n})")
     classes = spec.classes
-    if not np.all(np.isin(Y, classes)):
+    codes = np.minimum(np.searchsorted(classes, Y), classes.size - 1)  # each label's class index
+    if not np.array_equal(classes[codes], Y):
         names = [f"{c:+d}" for c in classes]
         raise ValueError(f"label entries must be {', '.join(names[:-1])} or {names[-1]}")
-    codes = np.searchsorted(classes, Y)  # each label's class index
     group = np.zeros(n, dtype=np.int64)
     for row in codes:  # rank the columns by their rows so far, then by this row
         _, first, group, sizes = np.unique(classes.size * group + row, return_index=True,
@@ -368,16 +406,41 @@ def generate_training_stats(spec, labels, seed: int) -> TrainingStats:
     means = spec.means
     nz = np.flatnonzero(np.any(means != 0, axis=0))  # only these rows move
     xu[nz] += means[codes[0, first]][:, nz].T * np.sqrt(sizes)
-    m = min(p, d)
-    L = np.zeros((p, m))
-    for i in range(1, p):
-        rng.standard_normal(out=L[i, :min(i, m)])
-    diag = np.arange(m)
-    L[diag, diag] = np.sqrt(rng.chisquare(d - diag))
-    gram = L @ L.T
-    del L  # before the p x p product below, to keep the peak at two p x p arrays
-    gram += xu @ xu.T
-    return TrainingStats(gram=gram, xu=xu, group=group)
+    h, tau = np.linalg.qr(np.hstack([means.T, xu]), mode="raw")
+    s, m = tau.size, min(p, d)
+    # B by rows: band[i, t] = B[i, i - s + t], so t = s is the diagonal
+    i, t = np.arange(p)[:, None], np.arange(s + 1)
+    c = i - s + t  # the column of band[i, t]
+    normal = (0 < t) & (t < s) & (0 <= c) & (c < m)  # strictly between the two diagonals
+    band = np.zeros((p, s + 1))
+    band[normal] = rng.standard_normal(np.count_nonzero(normal))
+    outer = np.arange(s, min(p, m + s))
+    chi = np.sqrt(rng.chisquare(np.concatenate([d - np.arange(m), p - outer])))
+    band[:m, s], band[outer, 0] = chi[:m], chi[m:]
+    R = np.triu(h.T[:s])[:, means.shape[0]:]  # Q^T X U, in the leading s coordinates
+    RR = R @ R.T
+    gram = np.zeros((min(s, p - 1) + 1, p))
+    for j, line in enumerate(gram):  # (B B^T)[i, i - j] = sum_t B[i, i - s + t] B[i - j, i - s + t]
+        line[:p - j] = np.einsum("it,it->i", band[j:, :s + 1 - j], band[:p - j, j:])
+        line[:s - j] += np.diagonal(RR, -j)
+    return TrainingStats(gram=gram, xu=xu, group=group, frame=_wy_frame(h, tau))
+
+
+def _wy_frame(h: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compact WY pair ``(V, T)`` of the ``Q`` of ``np.linalg.qr(A,
+    mode="raw")``'s ``(h, tau)``: ``Q = H_0 ... H_{s-1} = I - V T V^T`` with
+    ``H_j = I - tau_j v_j v_j^T``.  Since ``v_j^T v_j = 2 / tau_j``, ``T`` is
+    the inverse of ``diag(1 / tau) + triu(V^T V, 1)`` (Joffrain et al.,
+    *Accumulating Householder transformations, revisited*, 2006); a
+    reflector with ``tau_j = 0`` is the identity, and its zeroed ``v_j``
+    drops out."""
+    s = tau.size
+    V = np.tril(h.T[:, :s], -1)
+    V[np.arange(s), np.arange(s)] = 1.0
+    V[:, tau == 0] = 0.0
+    M = np.triu(V.T @ V, 1)
+    M[np.arange(s), np.arange(s)] = 1.0 / np.where(tau == 0, 1.0, tau)
+    return V, np.linalg.inv(M)
 
 
 def _sym_sqrt(cov: np.ndarray) -> np.ndarray:

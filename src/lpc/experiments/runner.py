@@ -41,17 +41,22 @@ synthetic runs only ``estimate-noise`` draws features
 ``multiclass``'s included, is drawn as the statistics the solve reads, not
 as features: the targets are
 functions of the labels, which are flipped before the draw, so
-:func:`~lpc.datasets.generate_training_stats` draws the Gram ``X X^T`` and
-the per-label-group sums ``X U`` of all the seed's label vectors (clean,
-then every point's noisy ones) from a Bartlett factor, ``p x min(p, n -
-r)`` normals and chi-squares plus ``p x r`` for ``r`` groups, instead of
-``p x n`` features.  A synthetic test set is drawn as scores: given the ``p
-x k`` weights ``W`` of all the cells that share it, a class-``a`` test
-point's scores ``W.T @ x`` are exactly ``N(-+W.T mu, W.T C_a W)``, and
-:func:`~lpc.datasets.generate_scores` draws ``k x n_test`` of them instead
-of a ``p x n_test`` feature matrix.  Both draws have exactly the law of the
-feature draws they replace, and all the cells of a seed (every grid point
-of a sweep) share one training draw and one test set.  A CSV run trains
+:func:`~lpc.datasets.generate_training_stats` draws the per-label-group sums
+``X U`` of all the seed's label vectors (clean, then every point's noisy
+ones), ``p x r`` normals for ``r`` groups, and the Gram ``X X^T`` in the
+orthogonal frame of the means and ``X U``, where its noise part is banded
+with half-width ``s = k + r`` (``k`` mean rows): about ``p (s - 1)``
+normals and ``2 p`` chi-squares instead of ``p x n`` features, and a ridge
+fit in ``b x b`` blocks instead of a ``p x p`` solve.  A synthetic test set
+is drawn as scores: given the ``p x k`` weights ``W`` of all the cells that
+share it, a class-``a`` test point's scores ``W.T @ x`` are exactly
+``N(-+W.T mu, W.T C_a W)``, and :func:`~lpc.datasets.generate_scores` draws
+``k x n_test`` of them instead of a ``p x n_test`` feature matrix.  The
+training draw is exact up to an orthogonal map that fixes the span of the
+means and ``X U``, which every fit's weights and every isotropic test
+score see through; so the empirical cells have exactly the law of the
+feature draws the two draws replace.  All the cells of a seed (every grid
+point of a sweep) share one training draw and one test set.  A CSV run trains
 on its split's features and scores its held-out rest.
 
 A ``multiclass`` seed (:func:`~lpc.multiclass.search_alpha_beta`) makes the
@@ -60,7 +65,7 @@ same three draws through the same functions: its noisy labels by
 noisy labels, and the scores of its test set under the ``p x (k + 1)``
 one-hot and all-ones weights, which serve every candidate.  At
 ``configs/multiclass.cfg`` (``p = 200``, ``n = n_test = 2000``, ``k = 3``,
-6 label groups) that is 1,200 + 19,900 normals, 200 chi-squares, 2,000 flip
+6 label groups) that is 1,200 + 1,564 normals, 391 chi-squares, 2,000 flip
 uniforms and 6,000 score normals per seed, instead of two ``200 x 2000``
 feature draws and their flips (804,000 numbers).
 
@@ -127,7 +132,7 @@ def _score(ridge: _Ridge, cells: list, test) -> tuple[np.ndarray, np.ndarray]:
     systems, one block solve per ``gamma``.  ``test(W) -> (scores, labels)``
     scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on
     one test set."""
-    W = np.empty((ridge.gram.shape[0], len(cells)))
+    W = np.empty((ridge.p, len(cells)))
     for gamma in dict.fromkeys(c[3] for c in cells):
         cols = [j for j, c in enumerate(cells) if c[3] == gamma]
         targets = [_targets(y, rho) for y, _, rho, *_ in (cells[j] for j in cols)]

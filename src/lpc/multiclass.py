@@ -237,7 +237,8 @@ class _SeedEvaluator:
     - the training statistics, by :func:`~lpc.datasets.generate_training_stats`
       from ``derive_seed(s, 0)``, for the clean and the noisy labels: a group
       per ``(clean, noisy)`` pair that occurs, ``X U`` of ``p x r`` normals and
-      a Bartlett factor of ``p x min(p, n - r)``;
+      the noise Gram's band of half-width ``s = k + r`` in the frame of the
+      means and ``X U`` (about ``p (s - 1)`` normals and ``2 p`` chi-squares);
     - the ``(k + 1) x n_test`` test scores under the ``p x (k + 1)`` one-hot and
       all-ones weights, by :func:`~lpc.datasets.generate_scores` from
       ``derive_seed(s, 2)``.  Those weights have rank ``k`` (the all-ones column
@@ -344,10 +345,10 @@ def search_alpha_beta(
     ``derive_seed(s, 1)``, draws its training statistics from
     ``derive_seed(s, 0)`` and its test scores from ``derive_seed(s, 2)``, as a
     binary seed does.  At ``p = 200``, ``n = n_test = 2000`` and ``k = 3``
-    (``configs/multiclass.cfg``, 6 label groups) that is 1,200 + 19,900
-    normals, 200 chi-squares, 2,000 flip uniforms and 6,000 score normals
-    per seed, against 804,000 numbers for two ``p x 2000`` feature draws and
-    their flips.
+    (``configs/multiclass.cfg``, 6 label groups, a band of half-width 9)
+    that is 1,200 + 1,564 normals, 391 chi-squares, 2,000 flip uniforms and
+    6,000 score normals per seed, against 804,000 numbers for two ``p x
+    2000`` feature draws and their flips.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")

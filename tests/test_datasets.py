@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,14 @@ from lpc import (
     standardize_and_estimate,
     train_lpc,
 )
+from lpc.core import _BLOCK, _targets
 from lpc.datasets import _rng
-from lpc.multiclass import MultiGmmSpec, generate_multi_gmm
+from lpc.multiclass import (
+    MultiGmmSpec,
+    flip_multi_labels,
+    generate_multi_gmm,
+    train_multi_lpc,
+)
 
 
 class TestGmmSpecValidation:
@@ -269,41 +277,100 @@ def _indicators(group: np.ndarray) -> np.ndarray:
     return U / np.sqrt(U.sum(axis=0))
 
 
+def _dense_frame_gram(gram, V, T) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, G_f)``, dense: the frame ``Q = I - V T V^T`` of a banded draw
+    and its Gram in the frame, from ``gram`` and ``frame = (V, T)`` (or
+    stacks of them, one draw per leading index)."""
+    p = gram.shape[-1]
+    G = np.zeros(gram.shape[:-2] + (p, p))
+    for j in range(gram.shape[-2]):
+        i = np.arange(p - j)
+        G[..., i + j, i] = G[..., i, i + j] = gram[..., j, :p - j]
+    return np.eye(p) - V @ T @ np.swapaxes(V, -1, -2), G
+
+
+def _frame_width(stats: TrainingStats) -> int:
+    """``s``: the frame's reflector count, the band's half-width."""
+    return stats.frame[0].shape[1]
+
+
+def _flipped(spec, n, seed):
+    """One noisy label vector of ``n`` draws of ``spec``, as a list."""
+    if isinstance(spec, GmmSpec):
+        return [flip_label_vector(spec.labels(n), 0.3, 0.2, seed)]
+    return [flip_multi_labels(spec, spec.labels(n), seed)]
+
+
 class TestGenerateTrainingStats:
-    MU = np.array([0.9, -0.5, 0.3, 0.2, -0.1])
-    # (spec, noisy label vectors), keyed by the regime of d = n - r against p
+    MU = np.array([0.9, -0.5, 0.3, 0.2, -0.1, 0.4, -0.6, 0.1, 0.5, -0.2])
+    MULTI = MultiGmmSpec(means=np.stack([-MU[:3], np.zeros(3), MU[2::-1]]),
+                         pi=[0.25, 0.25, 0.5], eps=np.zeros((3, 3)))
+    # three means in general position in p = 16
+    NONCOLLINEAR = MultiGmmSpec(means=np.stack([np.resize(MU, 16), np.resize(MU[::-1], 16),
+                                                np.resize(MU[::2], 16)]),
+                                pi=[0.3, 0.3, 0.4], eps=np.array([[0, 0.2, 0.1], [0.1, 0, 0.2],
+                                                                  [0.2, 0.1, 0]]))
+    # (spec, noisy label vectors, the regime's condition on (p, d, s, blocks))
     REGIMES = {
-        "d>p": (GmmSpec(0.4, MU[:3]), [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]]),
-        "d<p": (GmmSpec(0.5, MU), [[-1, 1, -1, 1, -1, 1]]),
-        "d=0": (GmmSpec(0.5, MU[:3]), [[-1, 1, -1, 1]]),  # every sample its own group
-        "d>p_multi_k3": (MultiGmmSpec(means=np.stack([-MU[:3], np.zeros(3), MU[2::-1]]),
-                                      pi=[0.25, 0.25, 0.5], eps=np.zeros((3, 3))),
-                         [[1, 2, 1, 2, 2, 3, 3, 3, 1, 3, 2, 3]]),
+        "d>p": (GmmSpec(0.4, MU[:8]), _flipped(GmmSpec(0.4, MU[:8]), 20, 5),
+                lambda p, d, s, blocks: d > p > s),
+        "d<p": (GmmSpec(0.5, MU), _flipped(GmmSpec(0.5, MU), 12, 3),
+                lambda p, d, s, blocks: s < d < p),
+        "d=0": (GmmSpec(0.5, MU[:8]), [[-1, 1, -1, 1]],  # every sample its own group
+                lambda p, d, s, blocks: d == 0 and s < p),
+        "d>p_multi_k3": (MULTI, [[1, 2, 1, 2, 2, 3, 3, 3, 1, 3, 2, 3]],
+                         lambda p, d, s, blocks: d > p),
+        "s>=p": (GmmSpec(0.4, MU[:3]), [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]],
+                 lambda p, d, s, blocks: s >= p),
+        "3_blocks": (GmmSpec(1 / 3, np.resize(MU, 66)),
+                     _flipped(GmmSpec(1 / 3, np.resize(MU, 66)), 80, 2),
+                     lambda p, d, s, blocks: blocks >= 3),
+        "multi_noncollinear": (NONCOLLINEAR, _flipped(NONCOLLINEAR, 30, 1),
+                               lambda p, d, s, blocks: s < p < d),
     }
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_law_matches_feature_draws(self, regime):
-        # the mean and variance of every entry of the Gram, of X U and of the
-        # rest X X^T - (X U)(X U)^T (zero for d = 0) agree with those formed
-        # from generate_gmm's features (generate_multi_gmm's for a
-        # MultiGmmSpec), within 5 standard errors over 1000 draws each
-        spec, noisy = self.REGIMES[regime]
+        # the draw is exact up to an orthogonal map fixing span(means, X U):
+        # the entries of X U, tr G, tr G^2 and, at two gammas with A = G/n +
+        # gamma I, the entries of (X U)^T A^-1 X U, means^T A^-1 X U and
+        # (X U)^T A^-2 X U agree in mean and variance with those formed from
+        # generate_gmm's features (generate_multi_gmm's for a MultiGmmSpec),
+        # within 5 standard errors over 1000 draws each
+        spec, noisy, condition = self.REGIMES[regime]
         p, n = spec.p, len(noisy[0])
         labels = [spec.labels(n), *(np.array(y) for y in noisy)]
         stats = generate_training_stats(spec, labels, 0)
-        d = n - stats.sizes.size
-        assert {"d>p": d > p, "d<p": 0 < d < p, "d=0": d == 0}[regime.split("_")[0]]
-        U, upper, reps = _indicators(stats.group), np.triu_indices(p), 1000
+        d, s = n - stats.sizes.size, _frame_width(stats)
+        assert condition(p, d, s, -(-p // max(s, _BLOCK)))
+        U, reps = _indicators(stats.group), 1000
         features = generate_gmm if isinstance(spec, GmmSpec) else generate_multi_gmm
 
-        def entries(gram, xu):
-            rest = (gram - xu @ xu.T)[upper] if d else []
-            return np.concatenate([gram[upper], xu.ravel(), rest])
+        def invariants(G, xu, xu_frame, means_frame):
+            # stacked per draw: G, X U, and X U and the means' rows in G's frame
+            out = [xu, np.trace(G, axis1=1, axis2=2), np.sum(G * G, axis=(1, 2))]
+            for gamma in (0.3, 1.5):
+                Y = np.linalg.solve(G / n + gamma * np.eye(p), xu_frame)  # A^-1 X U
+                out += [xu_frame.transpose(0, 2, 1) @ Y, means_frame @ Y,
+                        Y.transpose(0, 2, 1) @ Y]
+            return np.column_stack([a.reshape(len(G), -1) for a in out])
 
-        drawn = np.array([entries(st.gram, st.xu) for st in (
-            generate_training_stats(spec, labels, derive_seed(s, 0)) for s in range(reps))])
-        formed = np.array([entries(X @ X.T, X @ U) for X in (
-            features(spec, n, derive_seed(s, 1)).X for s in range(reps))])
+        def drawn_invariants(seeds):
+            stats = [generate_training_stats(spec, labels, derive_seed(s, 0)) for s in seeds]
+            Q, G = _dense_frame_gram(*map(np.array, zip(*((st.gram, *st.frame) for st in stats))))
+            xu = np.array([st.xu for st in stats])
+            return invariants(G, xu, Q.transpose(0, 2, 1) @ xu, spec.means @ Q)
+
+        def formed_invariants(seeds):
+            X = np.array([features(spec, n, derive_seed(s, 1)).X for s in seeds])
+            return invariants(X @ X.transpose(0, 2, 1), X @ U, X @ U, spec.means)
+
+        chunks = np.array_split(np.arange(reps), 4)  # about 10 MB a chunk at p = 66
+        drawn = np.vstack([drawn_invariants(c) for c in chunks])
+        formed = np.vstack([formed_invariants(c) for c in chunks])
+        # a zero mean row gives entries that are 0 in every draw
+        constant = np.all(drawn == 0, axis=0) & np.all(formed == 0, axis=0)
+        drawn, formed = drawn[:, ~constant], formed[:, ~constant]
         means, variances, fourth = [], [], []
         for a in (drawn, formed):
             centered = a - a.mean(axis=0)
@@ -314,6 +381,37 @@ class TestGenerateTrainingStats:
         se_var = np.sqrt((fourth[0] - variances[0]**2 + fourth[1] - variances[1]**2) / reps)
         z_var = (variances[0] - variances[1]) / se_var
         assert np.max(np.abs(z_mean)) < 5 and np.max(np.abs(z_var)) < 5
+
+    def test_band_fit_is_the_dense_fit_in_its_frame(self):
+        # a draw over several blocks trains to the weights of its Gram made
+        # dense in the original coordinates (one block, identity frame)
+        spec = GmmSpec.isotropic(100, 0.4, 1.5)
+        labels = [spec.labels(150), *_flipped(spec, 150, 4)]
+        stats = generate_training_stats(spec, labels, 8)
+        assert 100 > 2 * max(_frame_width(stats), _BLOCK)
+        Q, G = _dense_frame_gram(stats.gram, *stats.frame)
+        dense = TrainingStats(gram=Q @ G @ Q.T, xu=stats.xu, group=stats.group)
+        T = np.column_stack([_targets(labels[1], RhoParams(0.3, 0.2)), labels[0]])
+        for gamma in (1e-2, 1.0):
+            for targets in (T, T[:, 0]):
+                W = train_multi_lpc(stats, targets, gamma)
+                W_dense = train_multi_lpc(dense, targets, gamma)
+                assert W.shape == W_dense.shape
+                assert np.linalg.norm(W - W_dense) <= 1e-12 * np.linalg.norm(W_dense)
+
+    def test_no_p_by_p_array(self):
+        # p = n = 20000: a dense Gram alone would take 3.2 GB
+        spec = GmmSpec.isotropic(20000, 0.5, 2.0)
+        y = spec.labels(20000)
+        noisy = flip_label_vector(y, 0.2, 0.1, 1)
+        tracemalloc.start()
+        try:
+            stats = generate_training_stats(spec, [y, noisy], 0)
+            train_lpc(stats, RhoParams(0.2, 0.1), 0.5, labels=noisy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_weights_match_features_for_every_variant(self):
         # statistics formed from one feature draw train every variant's
@@ -333,21 +431,31 @@ class TestGenerateTrainingStats:
                 assert np.linalg.norm(w_stats - w) <= 1e-12 * np.linalg.norm(w)
 
     def test_stream_order(self):
-        # X U, then the rows of L below the diagonal, then the chi-squares
-        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0, -2.0, 0.5]))
-        labels = [spec.labels(8), np.array([-1, 1, -1, -1, 1, 1, -1, 1])]
+        # X U, then the band's normals row by row, then the chi-squares of
+        # the diagonal and of the outer diagonal (d < p: rows 6 and 7 have
+        # no diagonal entry)
+        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0, -2.0, 0.5, 0.0, 0.0, 0.3, 0.0]))
+        labels = [spec.labels(10), np.array([-1, 1, -1, -1, 1, 1, -1, 1, -1, 1])]
         stats = generate_training_stats(spec, labels, 9)
         _, first, sizes = np.unique(stats.group, return_index=True, return_counts=True)
-        p, r = 4, sizes.size
-        d = 8 - r
+        p, r = 8, sizes.size
+        d, s = 10 - r, 2 + r
+        assert (d, s) == (6, 6)
         rng = _rng(9)
         xu = rng.standard_normal((p, r)) + np.outer(spec.mu, labels[0][first] * np.sqrt(sizes))
-        L = np.zeros((p, p))
-        for i in range(1, p):
-            L[i, :i] = rng.standard_normal(i)
-        L[range(p), range(p)] = np.sqrt(rng.chisquare(d - np.arange(p)))
+        B = np.zeros((p, d))
+        for i in range(p):
+            lo, hi = max(0, i - s + 1), min(i, d)
+            B[i, lo:hi] = rng.standard_normal(max(hi - lo, 0))
+        B[range(d), range(d)] = np.sqrt(rng.chisquare(d - np.arange(d)))
+        B[[6, 7], [0, 1]] = np.sqrt(rng.chisquare([2, 1]))
+        Q = np.linalg.qr(np.hstack([spec.means.T, xu]), mode="complete")[0]
+        G = B @ B.T + (Q.T @ xu) @ (Q.T @ xu).T
         np.testing.assert_array_equal(stats.xu, xu)
-        np.testing.assert_allclose(stats.gram, L @ L.T + xu @ xu.T, rtol=1e-14, atol=1e-13)
+        Q_drawn, G_drawn = _dense_frame_gram(stats.gram, *stats.frame)
+        np.testing.assert_allclose(Q_drawn, Q, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(G_drawn, G, rtol=1e-14, atol=1e-13)
+        assert stats.gram.shape == (s + 1, p)
 
     def test_groups_and_their_sums(self):
         # groups in the lexicographic order of the label columns; a repeated
@@ -360,11 +468,15 @@ class TestGenerateTrainingStats:
         again = generate_training_stats(spec, [y_clean, y, y, y_clean], 4)
         for name in ("gram", "xu", "group"):
             assert np.array_equal(getattr(again, name), getattr(stats, name))
+        assert all(np.array_equal(a, b) for a, b in zip(again.frame, stats.frame))
 
     def test_no_remaining_noise_leaves_the_group_sums(self):
-        spec = GmmSpec.isotropic(3, 0.5, 1.0)
+        spec = GmmSpec.isotropic(8, 0.5, 1.0)
         stats = generate_training_stats(spec, [spec.labels(4), [-1, 1, -1, 1]], 2)
-        assert np.array_equal(stats.gram, stats.xu @ stats.xu.T)
+        Q, G = _dense_frame_gram(stats.gram, *stats.frame)
+        np.testing.assert_allclose(Q @ G @ Q.T, stats.xu @ stats.xu.T, rtol=0, atol=1e-13)
+        s = _frame_width(stats)
+        assert s < 8 and not np.any(G[s:]) and not np.any(G[:, s:])
 
     def test_targets_must_be_constant_on_groups(self):
         spec = GmmSpec.isotropic(3, 0.5, 1.0)
