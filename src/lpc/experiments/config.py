@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
+        if self.search_seed < 0:
+            raise ConfigError(f"search_seed must be >= 0, got {self.search_seed}")
         if self.bins < 1:
             raise ConfigError(f"bins must be >= 1, got {self.bins}")
         if not self.variants:

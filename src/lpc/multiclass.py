@@ -9,6 +9,7 @@ binary reweighting: column ``j`` of the ``n x k`` target matrix equals
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,15 +214,18 @@ class SearchResult:
     naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed
 
 
-# Candidate rows per block; at 800 test columns of one class a block's running
-# minimum margin and the product that updates it take 0.8 MB.  A product of
-# 128 rows x 6 x 800 columns crosses OpenBLAS's threading threshold, which
-# doubled the CPU time of the search without shortening it (2-core VM).
-_CHUNK_ROWS = 64
+# Candidate rows per block.  _accuracies allocates its running minimum margin
+# and the product that updates it once per call, each _CHUNK_ROWS x (a class's
+# most test columns): 0.5 MB at 80 rows x 800 columns.  80 rows searched as
+# fast as 96 and kept the search's tracemalloc peak at 1.85 MiB (96: 2.05 MiB).
+# One product of r rows x 2k x m columns stays single-threaded while r 2k m is
+# below about 1.0e6 (OpenBLAS 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on
+# both threads for no shorter wall time; 2-core VM).
+_CHUNK_ROWS = 80
 
 
 class _SeedEvaluator:
-    """Per-seed precomputation that scores (alpha, beta) candidates in blocks.
+    """Per-seed score tables of the (alpha, beta) candidates.
 
     Training is linear in the label matrix, itself affine in (alpha, beta): one
     solve of the one-hot and all-ones targets gives per-class test score tables
@@ -229,6 +233,8 @@ class _SeedEvaluator:
     alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
     ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule),
     with each ``s_j`` rounded as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
+    ``by_class[c]`` holds the tables ``(on, off)``, each ``k x m_c``, of the test
+    columns of true class ``c + 1``, and ``m`` the test columns of all classes.
 
     Seed ``s`` draws no feature matrix; it makes the binary harness's three
     draws, each with the law of the features it replaces:
@@ -258,59 +264,83 @@ class _SeedEvaluator:
         self.by_class = [(on[:, y == c], off[:, y == c]) for c in spec.classes]
         self.m = y.size
 
-    def accuracies(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``.
 
-        For true class c, the margins ``s_c - s_j`` of a block of candidates
-        against one class j are one BLAS product: coefficient rows ``(+alpha_c,
-        +beta_c, -alpha_j, -beta_j)``, each scaled to max |entry| 1, times ``F =
-        [on; off]``, its columns scaled to unit l1 norm; positive scales keep
-        every sign.  A test column whose smallest margin over j is above ``tau``
-        is a certain hit, below ``-tau`` a certain miss.  A candidate with a
-        column in between is recounted by the rounded rule of the class
-        docstring, which stays the definition.
+def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
+                B: np.ndarray) -> np.ndarray:
+    """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``
+    on each evaluator's seed: a C x len(evaluators) array.
 
-        ``tau`` bounds, in these units, the rounding of the product plus that of
-        the two rounded scores.  With u = eps / 2 and the 4 nonzero terms of a
-        margin summing to at most 1 in absolute value (the rows' max |entry| times
-        the columns' l1 norm; the computed norm can fall short by a relative
-        gamma_2k, a second-order term):
-        - the product, a 2k-term dot product in any summation order, errs by at
-          most gamma_2k = 2k u / (1 - 2k u), about k eps (Higham 2002, 3.1);
-        - the two scalings round each factor once: 2 u = eps;
-        - ``s_c`` and ``s_j`` each err by at most gamma_2 times the sum of their
-          two terms' magnitudes, about eps over all four terms.
-        That is (k + 2) eps plus second-order terms, and ``tau = (k + 3) eps``
-        keeps one eps for those and for underflow in the product.  Outside
-        ``[-tau, tau]`` the true margin exceeds both scores' errors, so the
-        rounded scores differ with its sign and ``>`` and ``>=`` agree with it;
-        this holds while no product ``alpha_j * on_j`` or ``beta_j * off_j`` of
-        the rounded rule underflows (a magnitude below 2**-1022, not zero).
-        """
-        k = A.shape[1]
-        tau = (k + 3) * np.finfo(float).eps
-        hits = np.zeros(A.shape[0], dtype=np.int64)
-        for c, (on, off) in enumerate(self.by_class):
-            F = np.vstack([on, off])  # 2k x m_c
+    For true class c, the margins ``s_c - s_j`` of a block of candidates
+    against one class j are one BLAS product: coefficient rows ``(+alpha_c,
+    +beta_c, -alpha_j, -beta_j)``, each scaled to max |entry| 1, times ``F =
+    [on; off]``, its columns scaled to unit l1 norm; positive scales keep
+    every sign.  A test column whose smallest margin over j is above ``tau``
+    is a certain hit, below ``-tau`` a certain miss.  A candidate with a
+    column in between is recounted by the rounded rule of
+    :class:`_SeedEvaluator`, which stays the definition.
+
+    The loops run over the true class c, then over blocks of ``_CHUNK_ROWS``
+    candidates, then over the seeds.  Each seed's scaled ``F`` of class c is
+    built once per class, and each block's ``(k - 1)`` coefficient rows per
+    candidate once for all seeds.  The products and their running minimum go
+    into two buffers of ``_CHUNK_ROWS`` x (the most columns of any class and
+    seed) allocated once per call, each seed's block a contiguous ``r x m_c``
+    view of their head; the comparisons with ``tau`` go into one boolean
+    buffer of that size and are counted per row as int32.
+
+    ``tau`` bounds, in these units, the rounding of the product plus that of
+    the two rounded scores.  With u = eps / 2 and the 4 nonzero terms of a
+    margin summing to at most 1 in absolute value (the rows' max |entry| times
+    the columns' l1 norm; the computed norm can fall short by a relative
+    gamma_2k, a second-order term):
+    - the product, a 2k-term dot product in any summation order, errs by at
+      most gamma_2k = 2k u / (1 - 2k u), about k eps (Higham 2002, 3.1);
+    - the two scalings round each factor once: 2 u = eps;
+    - ``s_c`` and ``s_j`` each err by at most gamma_2 times the sum of their
+      two terms' magnitudes, about eps over all four terms.
+    That is (k + 2) eps plus second-order terms, and ``tau = (k + 3) eps``
+    keeps one eps for those and for underflow in the product.  Outside
+    ``[-tau, tau]`` the true margin exceeds both scores' errors, so the
+    rounded scores differ with its sign and ``>`` and ``>=`` agree with it;
+    this holds while no product ``alpha_j * on_j`` or ``beta_j * off_j`` of
+    the rounded rule underflows (a magnitude below 2**-1022, not zero).
+    """
+    C, k = A.shape
+    tau = (k + 3) * np.finfo(float).eps
+    width = max(on.shape[1] for ev in evaluators for on, _ in ev.by_class)
+    size = min(C, _CHUNK_ROWS) * width
+    least_buf, prod_buf, mask_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    hits = np.zeros((C, len(evaluators)))  # whole counts, exact below 2**53
+    for c in range(k):
+        tables = []
+        for ev in evaluators:
+            F = np.vstack(ev.by_class[c])  # 2k x m_c
             l1 = np.abs(F).sum(axis=0)
             F /= np.where(l1 > 0, l1, 1.0)
-            others, t = np.delete(np.arange(k), c), np.arange(k - 1)
-            for lo in range(0, A.shape[0], _CHUNK_ROWS):
-                a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
-                coef = np.zeros((k - 1, len(a), 2 * k))
-                coef[:, :, c], coef[:, :, k + c] = a[:, c], b[:, c]
-                coef[t, :, others], coef[t, :, k + others] = -a[:, others].T, -b[:, others].T
-                top = np.abs(coef).max(axis=2, keepdims=True)
-                coef /= np.where(top > 0, top, 1.0)  # a zero row keeps zero margins
-                least = coef[0] @ F
+            tables.append(F)
+        others, t = np.delete(np.arange(k), c), np.arange(k - 1)
+        for lo in range(0, C, _CHUNK_ROWS):
+            a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
+            r = len(a)
+            coef = np.zeros((k - 1, r, 2 * k))
+            coef[:, :, c], coef[:, :, k + c] = a[:, c], b[:, c]
+            coef[t, :, others], coef[t, :, k + others] = -a[:, others].T, -b[:, others].T
+            top = np.abs(coef).max(axis=2, keepdims=True)
+            coef /= np.where(top > 0, top, 1.0)  # a zero row keeps zero margins
+            for s, (ev, F) in enumerate(zip(evaluators, tables)):
+                least, prod, mask = (buf[:r * F.shape[1]].reshape(r, -1)
+                                     for buf in (least_buf, prod_buf, mask_buf))
+                np.matmul(coef[0], F, out=least)
                 for coef_j in coef[1:]:
-                    np.minimum(least, coef_j @ F, out=least)
-                n = np.count_nonzero(least > tau, axis=1)
-                if np.count_nonzero(least >= -tau) > n.sum():  # a column within tau
-                    unsure = np.count_nonzero(least >= -tau, axis=1) > n
-                    n[unsure] = _rule_hits(a[unsure], b[unsure], on, off, c)
-                hits[lo:lo + _CHUNK_ROWS] += n
-        return hits / self.m
+                    np.minimum(least, np.matmul(coef_j, F, out=prod), out=least)
+                n = np.add.reduce(np.greater(least, tau, out=mask), axis=1, dtype=np.int32)
+                np.greater_equal(least, -tau, out=mask)
+                if np.count_nonzero(mask) > n.sum():  # a column within tau
+                    unsure = np.add.reduce(mask, axis=1, dtype=np.int32) > n
+                    n[unsure] = _rule_hits(a[unsure], b[unsure], *ev.by_class[c], c)
+                hits[lo:lo + r, s] += n
+    hits /= [ev.m for ev in evaluators]
+    return hits
 
 
 def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
@@ -326,7 +356,7 @@ def search_alpha_beta(
     spec: MultiGmmSpec,
     n: int,
     grid_size: int,
-    eval_seeds: list[int],
+    eval_seeds: Sequence[int] | np.ndarray,
     gamma: float,
     n_test: int = 2000,
     tau_points: int = 11,
@@ -338,7 +368,8 @@ def search_alpha_beta(
     each by mean held-out accuracy over ``eval_seeds`` replicates (``n``
     training and ``n_test`` test samples each), and evaluates the
     interpolation ``tau * best + (1 - tau) * worst`` on a ``tau`` grid.
-    Fully deterministic given ``eval_seeds`` and ``search_seed``.
+    Fully deterministic given ``eval_seeds`` (any nonempty sequence of seeds,
+    a numpy array included) and ``search_seed >= 0``.
 
     A replicate is drawn as the statistics and scores a fit reads, not as
     features (:class:`_SeedEvaluator`): seed ``s`` flips its labels from
@@ -352,8 +383,10 @@ def search_alpha_beta(
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if not eval_seeds:
+    if len(eval_seeds) == 0:
         raise ValueError("eval_seeds must be nonempty")
+    if search_seed < 0:
+        raise ValueError(f"search_seed must be >= 0, got {search_seed}")
     if tau_points < 2:
         raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
     k = spec.k
@@ -361,7 +394,7 @@ def search_alpha_beta(
     evaluators = [_SeedEvaluator(spec, n, gamma, seed, n_test) for seed in eval_seeds]
 
     def accuracy(block: np.ndarray) -> np.ndarray:  # n_rows x n_seeds
-        return np.column_stack([ev.accuracies(block[:, :k], block[:, k:]) for ev in evaluators])
+        return _accuracies(evaluators, block[:, :k], block[:, k:])
 
     mean_acc = accuracy(rows).mean(axis=1)
     best_i, worst_i = int(np.argmax(mean_acc)), int(np.argmin(mean_acc))

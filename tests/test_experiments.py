@@ -186,7 +186,8 @@ class TestConfigParsing:
         ("grid_size = 0", "grid_size"),
         ("gamma = optimal", "numeric gamma"),
         ("eps_rows = 0,0.3; 0,0; 0.5,0", "eps matrix"),
-    ], ids=["tau_points", "grid_size", "gamma", "eps_row_width"])
+        ("search_seed = -3", "search_seed"),
+    ], ids=["tau_points", "grid_size", "gamma", "eps_row_width", "search_seed"])
     def test_multiclass_search_ranges(self, bad, match):
         head = "schema_version = 1\nexperiment = multiclass\n"
         edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\n")
@@ -789,6 +790,14 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_search_seed_refused_at_parse(self, tmp_path, capsys):
+        # it ran, masked to the Philox key 2**64 - 3, and config.echo showed -3
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = multiclass\n"
+                              "n = 60\np = 4\nn_test = 60\ngrid_size = 5\nsearch_seed = -3\n")
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: search_seed must be >= 0")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [

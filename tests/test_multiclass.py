@@ -1,19 +1,25 @@
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lpc.datasets import (
     GmmSpec,
     TrainingStats,
+    _rng,
     derive_seed,
     flip_label_vector,
     generate_scores,
     generate_training_stats,
 )
+from lpc.experiments import parse_config_file
 from lpc.multiclass import (
     _CHUNK_ROWS,
     AlphaBeta,
     MultiGmmSpec,
     _SeedEvaluator,
+    _accuracies,
     build_label_matrix,
     flip_multi_labels,
     generate_multi_gmm,
@@ -258,9 +264,20 @@ class TestAccuracyAndSearch:
         with pytest.raises(ValueError, match="eval_seeds"):
             search_alpha_beta(_spec3(), 600, grid_size=1, eval_seeds=[], gamma=1.0)
 
+    @pytest.mark.parametrize("seeds", [np.array([0]), np.arange(2)], ids=["one", "arange"])
+    def test_eval_seeds_may_be_an_array(self, seeds):
+        # a one-seed array was refused as empty, and a longer one raised
+        # numpy's truth-value error
+        kwargs = dict(grid_size=20, gamma=1.0, n_test=60, tau_points=3, search_seed=2)
+        a = search_alpha_beta(_spec3(p=4), 60, eval_seeds=seeds, **kwargs)
+        b = search_alpha_beta(_spec3(p=4), 60, eval_seeds=[int(s) for s in seeds], **kwargs)
+        np.testing.assert_array_equal(a.candidate_accuracy, b.candidate_accuracy)
+        np.testing.assert_array_equal(a.tau_accuracy, b.tau_accuracy)
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(tau_points=0), "tau_points"),
         (dict(tau_points=1), "tau_points"),
+        (dict(search_seed=-3), "search_seed"),
     ])
     def test_search_range_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -280,6 +297,13 @@ def _scalar_accuracies(ev, A, B):
     ])
 
 
+def _tables_evaluator(by_class):
+    """An evaluator of the given per-class ``(on, off)`` tables."""
+    ev = _SeedEvaluator.__new__(_SeedEvaluator)
+    ev.by_class, ev.m = by_class, sum(on.shape[1] for on, _ in by_class)
+    return ev
+
+
 class TestBlockScoring:
     def test_matches_scalar_rule_with_ties(self):
         ev = _SeedEvaluator(_spec3(p=10), 300, gamma=1.0, seed=4, n_test=250)
@@ -288,7 +312,7 @@ class TestBlockScoring:
         A[0], B[0] = 0.0, 0.0  # every class ties at zero
         A[1], B[1] = 1.0, 1.0  # s_j = on_j + off_j: near-ties within rounding
         A[2:6] = 0.7  # equal alphas
-        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_matches_scalar_rule_at_other_class_counts(self, k):
@@ -303,7 +327,7 @@ class TestBlockScoring:
         A[0], B[0] = 0.0, 0.0
         A[1], B[1] = 1.0, 1.0
         A[2:6, 1:] = A[2:6, :1]  # equal alphas
-        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
     @pytest.mark.parametrize("power", [0, -500, 500])
     def test_rounding_level_margins_at_any_scale(self, power):
@@ -324,31 +348,65 @@ class TestBlockScoring:
             on[j] = (a[c] * on[c] + b[c] * off[c] - b[j] * off[j]) / a[j]
             tables.append((on, off))
         A[0], B[0] = 0.0, 0.0
-        ev, scaled = _SeedEvaluator.__new__(_SeedEvaluator), _SeedEvaluator.__new__(_SeedEvaluator)
-        ev.by_class, ev.m = tables, k * rows * per
-        scaled.by_class = [(on * 2.0 ** -power, off * 2.0 ** -power) for on, off in tables]
-        scaled.m = ev.m
-        np.testing.assert_array_equal(scaled.accuracies(A * 2.0 ** power, B * 2.0 ** power),
-                                      _scalar_accuracies(ev, A, B))
+        # a second seed of every third column has blocks of another width
+        ev = _tables_evaluator(tables)
+        thinned = _tables_evaluator([(on[:, ::3], off[:, ::3]) for on, off in tables])
+        scaled = [_tables_evaluator([(on * 2.0 ** -power, off * 2.0 ** -power)
+                                     for on, off in e.by_class]) for e in (ev, thinned)]
+        acc = _accuracies(scaled, A * 2.0 ** power, B * 2.0 ** power)
+        np.testing.assert_array_equal(acc[:, 0], _scalar_accuracies(ev, A, B))
+        np.testing.assert_array_equal(acc[:, 1], _scalar_accuracies(thinned, A, B))
 
     def test_exact_integer_ties(self):
-        # small integer tables make most columns tie across classes
+        # small integer tables make most columns tie across classes; two
+        # seeds whose classes have different column counts
         rng = np.random.default_rng(1)
-        ev = _SeedEvaluator.__new__(_SeedEvaluator)
-        ev.by_class = [(rng.integers(-1, 2, (3, m)).astype(float),
-                        rng.integers(-1, 2, (3, m)).astype(float)) for m in (7, 5, 9)]
-        ev.m = 21
+        evs = [_tables_evaluator([(rng.integers(-1, 2, (3, m)).astype(float),
+                                   rng.integers(-1, 2, (3, m)).astype(float)) for m in widths])
+               for widths in [(7, 5, 9), (11, 3, 4)]]
         A = rng.integers(-1, 2, (200, 3)).astype(float)
         B = rng.integers(-1, 2, (200, 3)).astype(float)
-        np.testing.assert_array_equal(ev.accuracies(A, B), _scalar_accuracies(ev, A, B))
+        acc = _accuracies(evs, A, B)
+        for s, ev in enumerate(evs):
+            np.testing.assert_array_equal(acc[:, s], _scalar_accuracies(ev, A, B))
+
+    def test_seeds_of_different_widths_over_several_blocks(self):
+        # one call scores three seeds whose class column counts differ, so one
+        # buffer holds blocks of several widths (the widest not the first
+        # seed's); the candidates fill two blocks and part of a third
+        spec = _spec3(p=8)
+        evs = [_SeedEvaluator(spec, 200, gamma=0.7, seed=s, n_test=n_test)
+               for s, n_test in [(0, 90), (1, 160), (2, 45)]]
+        rng = np.random.default_rng(6)
+        A, B = rng.uniform(-2, 2, (2, 2 * _CHUNK_ROWS + 7, 3))
+        A[0], B[0] = 0.0, 0.0  # every class ties at zero
+        A[1], B[1] = 1.0, 1.0  # near-ties within rounding
+        A[_CHUNK_ROWS:_CHUNK_ROWS + 4] = 0.7  # equal alphas from a block's first row
+        A[-1], B[-1] = 0.0, 0.0  # the zero row again, in the partial block
+        acc = _accuracies(evs, A, B)
+        assert acc.shape == (len(A), len(evs))
+        for s, ev in enumerate(evs):
+            np.testing.assert_array_equal(acc[:, s], _scalar_accuracies(ev, A, B))
+
+    def test_search_scores_every_candidate_by_the_rule(self):
+        # each candidate's search score is its seed mean of the rule's
+        # accuracies, over more candidates than one block holds
+        spec, n, seeds, gamma, n_test, grid = _spec3(p=8), 200, [3, 5], 0.9, 150, _CHUNK_ROWS + 9
+        res = search_alpha_beta(spec, n, grid_size=grid, eval_seeds=seeds, gamma=gamma,
+                                n_test=n_test, tau_points=3, search_seed=11)
+        rows = _rng(11).uniform(-2.0, 2.0, size=(grid, 6))
+        per_seed = [_scalar_accuracies(_SeedEvaluator(spec, n, gamma, s, n_test),
+                                       rows[:, :3], rows[:, 3:]) for s in seeds]
+        np.testing.assert_array_equal(res.candidate_accuracy,
+                                      np.column_stack(per_seed).mean(axis=1))
 
     def test_chunk_boundary(self):
         ev = _SeedEvaluator(_spec3(p=6), 200, gamma=0.5, seed=2, n_test=120)
         rng = np.random.default_rng(3)
         A, B = rng.uniform(-2, 2, (2, _CHUNK_ROWS + 1, 3))
-        row_by_row = np.concatenate([ev.accuracies(A[i:i + 1], B[i:i + 1])
+        row_by_row = np.concatenate([_accuracies([ev], A[i:i + 1], B[i:i + 1])
                                      for i in range(len(A))])
-        np.testing.assert_array_equal(ev.accuracies(A, B), row_by_row)
+        np.testing.assert_array_equal(_accuracies([ev], A, B), row_by_row)
 
     def test_search_matches_public_api(self):
         spec, n, seeds, gamma, n_test = _spec3(p=10), 300, [0, 1], 0.8, 250
@@ -378,3 +436,23 @@ class TestBlockScoring:
                         (res.ab_worst, res.tau_accuracy[0].mean()),
                         (AlphaBeta.naive(3), res.naive_seed_accuracy.mean())]:
             assert abs(public(ab) - acc) <= 1.0 / n_test
+
+
+def test_search_memory_at_shipped_size():
+    # configs/multiclass.cfg's search (3 seeds, 5000 candidates) holds its
+    # score tables, two blocks of margins and one of comparisons
+    cfg = parse_config_file(pathlib.Path(__file__).resolve().parent.parent
+                            / "configs" / "multiclass.cfg")
+    assert (len(cfg.seeds), cfg.grid_size) == (3, 5000)
+    # a first search imports modules (numpy's seed sequence pulls in secrets),
+    # which would count about 0.7 MiB of module objects
+    search_alpha_beta(cfg.model, 60, grid_size=2, eval_seeds=[0], gamma=cfg.gamma, n_test=60)
+    tracemalloc.start()
+    try:
+        search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size, eval_seeds=cfg.seeds,
+                          gamma=cfg.gamma, n_test=cfg.n_test, tau_points=cfg.tau_points,
+                          search_seed=cfg.search_seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
