@@ -143,14 +143,18 @@ class _Ridge:
 
     def weights(self, T: np.ndarray, gamma: float) -> np.ndarray:
         """``p x k`` weights for an ``n x k`` target block (``p`` for a
-        vector).  Each column's normal-equation residual is verified to
-        ``1e-8 * (||A||_F ||w|| + ||b||)``, a normwise backward error, so the
-        check scales with ``A``; a NaN fails it."""
+        vector): :meth:`solve` of ``X T / n``."""
+        return self.solve(self.cross(T) / self.n, gamma)
+
+    def solve(self, rhs: np.ndarray, gamma: float) -> np.ndarray:
+        """``A^{-1} rhs`` for a ``p x k`` block (or a ``p`` vector).  Each
+        column's normal-equation residual is verified to ``1e-8 * (||A||_F
+        ||w|| + ||b||)``, a normwise backward error, so the check scales with
+        ``A``; a NaN fails it."""
         _check_gamma(gamma)
         D = self.diag.copy()
         nb, b = D.shape[:2]
         D[:, np.arange(b), np.arange(b)] += gamma
-        rhs = self.cross(T) / self.n
         shape = rhs.shape
         R = np.zeros((nb * b, rhs.size // self.p))  # zero rows pad it to whole blocks
         R[:self.p] = self._frame(rhs, transpose=True).reshape(self.p, -1)
@@ -292,52 +296,50 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
 
         s_i = (x_i @ w - c_i * d_i) / (1 - d_i),   d_i = x_i Q x_i / n,
 
-    with ``c_i`` the regression target of sample ``i``.  One dense solve
-    serves all ``n`` indices.  An index whose ``1 - d_i`` is too near zero
-    for ``1e-8`` accuracy is scored by the exact PRESS form on the dual
-    system instead.
+    with ``c_i`` the regression target of sample ``i`` and ``Q`` the inverse
+    of the regularized Gram.  That is :func:`_loo_operator`, one label-free
+    solve of the draw, and one label step.  An index whose ``|1 - d_i|`` is
+    too near zero for ``1e-8`` accuracy is degenerate by the draw alone, not
+    by its labels; it is scored by the exact PRESS form on the dual system
+    instead.
     """
-    return _loo_block(ds.X, _targets(ds.y_noisy, rho)[:, None], gamma)[:, 0]
+    return _loo_operator(ds.X, gamma)(_targets(ds.y_noisy, rho)[:, None])[:, 0]
 
 
-def _loo_block(X: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
-    """:func:`loo_decisions` for an ``n x k`` target block: one dense solve,
-    of ``X T / n`` and ``X`` stacked, serves every column, and a degenerate
-    index is rescored in every column.
+def _loo_operator(X: np.ndarray, gamma: float):
+    """The label-free part of :func:`loo_decisions` for one feature draw:
+    a map from any ``n x k`` target block ``T`` to its LOO scores.
 
-    The degenerate rows use the dual system ``K = X^T X / n + gamma I``:
-    ``1 - H = gamma K^{-1}`` for the hat matrix ``H``, so the PRESS identity
-    reads ``s_i = t_i - [K^{-1} T]_i / [K^{-1}]_ii`` with no subtraction in
-    the denominator.  ``K`` is solved for those rows' unit vectors only.
+    One residual-verified :meth:`_Ridge.solve` gives ``Q X``, hence the
+    leverages ``d`` and, per block, ``W = (Q X) T / n``, so every label
+    vector and probe of the draw shares it.  A row is degenerate where
+    ``|1 - d_i| < tol``, and is rescored in every column from the dual
+    system ``K = X^T X / n + gamma I``: ``1 - H = gamma K^{-1}`` for the hat
+    matrix ``H``, so the PRESS identity reads ``s_i = t_i - [K^{-1} T]_i /
+    [K^{-1}]_ii`` with no subtraction in the denominator.  ``K`` is solved
+    once, for those rows' unit vectors only.
     """
     n = X.shape[1]
     if n < 2:
         raise ValueError("loo_decisions needs n >= 2")
-    _check_features(X)
-    _check_gamma(gamma)
-    A = X @ X.T / n
-    A[np.diag_indices_from(A)] += gamma
-    W, QX = np.hsplit(np.linalg.solve(A, np.hstack([X @ T / n, X])), [T.shape[1]])  # W and Q X
+    QX = _Ridge(X).solve(X, gamma)
     d = np.einsum("ij,ij->j", X, QX)[:, None] / n
     denom = 1.0 - d
     tol = _LOO_DENOM_TOL + _LOO_SOLVE_ERR * np.finfo(float).eps * np.einsum(
         "ij,ij->j", X, X)[:, None] / (n * gamma)
-    scores = (X.T @ W - T * d) / np.where(np.abs(denom) < tol, np.nan, denom)
-
-    bad = np.flatnonzero(~np.all(np.isfinite(scores), axis=1))
+    denom[np.abs(denom) < tol] = np.nan
+    bad = np.flatnonzero(np.isnan(denom))
     if bad.size:
-        warnings.warn(
-            f"loo downdate denominator degenerate for {bad.size} indices; "
-            "scoring them by the dual PRESS form",
-            stacklevel=3,
-        )
-        K = X.T @ X / n
-        K[np.diag_indices_from(K)] += gamma
-        cols = np.arange(bad.size)
-        E = np.zeros((n, bad.size))
-        E[bad, cols] = 1.0
-        Z = np.linalg.solve(K, E)  # the bad columns of K^{-1}
-        scores[bad] = T[bad] - (Z.T @ T) / Z[bad, cols][:, None]
+        warnings.warn(f"loo downdate denominator degenerate for {bad.size} indices; "
+                      "scoring them by the dual PRESS form", stacklevel=3)
+        Z = np.linalg.solve(X.T @ X / n + gamma * np.eye(n), np.eye(n)[:, bad])  # K^{-1} e_bad
+        Z_ii = Z[bad, np.arange(bad.size)][:, None]
+
+    def scores(T: np.ndarray) -> np.ndarray:
+        S = (X.T @ (QX @ T / n) - T * d) / denom
+        if bad.size:
+            S[bad] = T[bad] - (Z.T @ T) / Z_ii
+        return S
     return scores
 
 

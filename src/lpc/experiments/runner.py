@@ -82,14 +82,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..core import RhoParams, _Ridge, _targets
+from ..core import RhoParams, _loo_operator, _Ridge, _targets
 from ..datasets import (
     GmmSpec,
     StandardizeResult,
     _rng,
     derive_seed,
     flip_label_vector,
-    flip_labels,
     generate_gmm,
     generate_scores,
     generate_training_stats,
@@ -97,7 +96,7 @@ from ..datasets import (
     standardize_and_estimate,
 )
 from ..multiclass import search_alpha_beta
-from ..noise import estimate_noise_rates
+from ..noise import _estimate, estimate_noise_rates
 from ..theory import TheoryStats, optimal_rho, theory_stats
 from .config import ConfigError, ExperimentConfig
 from .report import RunReport
@@ -329,10 +328,14 @@ def _real_data_outputs(cfg: ExperimentConfig, report: RunReport) -> tuple[str, s
 def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     """Sweep the true eps_plus and recover it from leave-one-out moments.
 
-    Per seed one feature draw (stream 0) is flipped at every grid point from
-    the seed's one flip stream (stream 1), so a label flipped at one
-    ``eps_plus`` stays flipped at every larger one; each point's labels go
-    through :func:`~lpc.noise.estimate_noise_rates`.
+    Per seed one feature draw (stream 0) gets one leave-one-out operator, a
+    single label-free solve (:func:`~lpc.core._loo_operator`).  Its clean
+    labels are flipped at every grid point by
+    :func:`~lpc.datasets.flip_label_vector` from the seed's one flip stream
+    (stream 1), so a label flipped at one ``eps_plus`` stays flipped at
+    every larger one.  Each point's labels go through the label step of
+    :func:`~lpc.noise.estimate_noise_rates`, so a cell equals that function
+    on the point's flipped draw.
 
     Each cell also reports the solver's ``residual`` and ``roots``, the
     number of exact solutions in the capped simplex (0: the least-squares
@@ -356,9 +359,10 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
 
     def one_seed(seed: int):
         clean = generate_gmm(cfg.model, cfg.n, derive_seed(seed, 0))
-        return [(eps_plus, seed, estimate_noise_rates(
-                    flip_labels(clean, eps_plus, cfg.eps_minus, derive_seed(seed, 1)),
-                    probe1, probe2, cfg.gamma, cfg.snr, cfg.pi1))
+        loo, flips = _loo_operator(clean.X, cfg.gamma), derive_seed(seed, 1)
+        return [(eps_plus, seed, _estimate(
+                    loo, flip_label_vector(clean.y_clean, eps_plus, cfg.eps_minus, flips),
+                    cfg.model, cfg.gamma, (probe1, probe2)))
                 for eps_plus in cfg.grid]
 
     for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, RhoParams, _loo_block, _targets, loo_decisions
+from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets, loo_decisions
 from .datasets import GmmSpec, LabeledDataset
 from .theory import _model_part
 
@@ -81,9 +81,11 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     """Estimate ``(eps_plus, eps_minus)`` from one noisy dataset.
 
     ``snr`` and ``pi1`` are assumed known (or pre-estimated); they and
-    ``ds.p`` make the isotropic model the moments are matched to.  One
-    dense solve gives both probes' leave-one-out moments, and
-    :func:`solve_noise_system` inverts them over the capped simplex
+    ``ds.p`` make the isotropic model the moments are matched to.  The
+    draw's leave-one-out operator (:func:`~lpc.core._loo_operator`: one
+    label-free solve, for any number of target columns; a row is degenerate
+    by the draw alone) scores both probes in one label step, and
+    :func:`solve_noise_system` inverts their moments over the capped simplex
     ``{eps >= 0, eps_plus + eps_minus <= 0.99}``.  A residual above ``5%``
     of the measured moments sets ``high_residual`` rather than raising.
     """
@@ -91,9 +93,14 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     model = GmmSpec.isotropic(ds.p, pi1, snr)
-    T = np.column_stack([_targets(ds.y_noisy, probe) for probe in (probe1, probe2)])
-    nu_hat = np.mean(_loo_block(ds.X, T, gamma) ** 2, axis=0)
-    return solve_noise_system(nu_hat, model, ds.n, gamma, (probe1, probe2))
+    return _estimate(_loo_operator(ds.X, gamma), ds.y_noisy, model, gamma, (probe1, probe2))
+
+
+def _estimate(loo, y_noisy: np.ndarray, model: GmmSpec, gamma: float, probes) -> NoiseEstimate:
+    """:func:`estimate_noise_rates` for one label vector of a draw whose
+    leave-one-out operator is ``loo``: both probes' targets are one block."""
+    T = np.column_stack([_targets(y_noisy, probe) for probe in probes])
+    return solve_noise_system(np.mean(loo(T) ** 2, axis=0), model, T.shape[0], gamma, probes)
 
 
 def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: float,

@@ -11,6 +11,7 @@ from lpc import (
     RhoParams,
     decision,
     evaluate,
+    flip_label_vector,
     flip_labels,
     generate_gmm,
     load_classifier,
@@ -19,7 +20,7 @@ from lpc import (
     train_lpc,
     train_lpc_bce,
 )
-from lpc.core import _loo_block, _targets, perturbed_bce_loss
+from lpc.core import _loo_operator, _targets, perturbed_bce_loss
 
 
 def _noisy_dataset(p, n, pi1=0.4, snr=1.5, eps=(0.2, 0.1), seed=0):
@@ -301,26 +302,54 @@ class TestLooDecisions:
         )
 
     def test_block_matches_brute_force_per_column(self):
-        # the two-probe block of the noise estimator: one factorization for
-        # both columns, and a degenerate index is rescored in both
+        # one operator per draw serves every label vector of it: 4 flips times
+        # the noise estimator's two probes, scored as one block.  Each column
+        # matches its own brute force, and a degenerate index, found from the
+        # draw alone when the operator is built, is rescored in every column
         from lpc.datasets import LabeledDataset
 
         rhos, gamma = (RhoParams(0.2, 0.1), RhoParams(0.0, 0.4)), 1e-3
         base = _noisy_dataset(3, 12, seed=2)
-        X = base.X.copy()
-        X[:, 0] *= 1e6
-        for ds in (base, LabeledDataset(X=X, y_noisy=base.y_noisy)):
-            T = np.column_stack([_targets(ds.y_noisy, rho) for rho in rhos])
-            if ds is base:
-                block = _loo_block(ds.X, T, gamma)
-            else:
-                with pytest.warns(UserWarning, match="degenerate"):
-                    block = _loo_block(ds.X, T, gamma)
-            for k, rho in enumerate(rhos):
-                expected = self._brute_force(ds, rho, gamma)
+        flips = [flip_label_vector(base.y_clean, eps, 0.3, seed=7) for eps in (0.0, 0.2, 0.4, 0.6)]
+        scaled = base.X.copy()
+        scaled[:, 0] *= 1e6
+        for X, degenerate in ((base.X, 0), (scaled, 1)):
+            with warnings.catch_warnings(record=True) as built:
+                warnings.simplefilter("always")
+                loo = _loo_operator(X, gamma)
+            assert [str(w.message) for w in built] == [
+                f"loo downdate denominator degenerate for {degenerate} indices; "
+                "scoring them by the dual PRESS form"] * bool(degenerate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = loo(np.column_stack([_targets(y, rho) for y in flips for rho in rhos]))
+            for k, (y, rho) in enumerate(itertools.product(flips, rhos)):
+                expected = self._brute_force(LabeledDataset(X=X, y_noisy=y), rho, gamma)
                 np.testing.assert_allclose(
                     block[:, k], expected, rtol=0, atol=1e-8 * np.max(np.abs(expected))
                 )
+
+    def test_degenerate_warning_names_the_public_caller(self):
+        # the dual-PRESS warning points at the caller of the public function,
+        # not into lpc, and keeps the text perfbench counts it by
+        from lpc import estimate_noise_rates
+        from lpc.datasets import LabeledDataset
+
+        base = _noisy_dataset(3, 12, seed=2)
+        X = base.X.copy()
+        X[:, 0] *= 1e6
+        ds = LabeledDataset(X=X, y_noisy=base.y_noisy, y_clean=base.y_clean)
+        probes = RhoParams(0.0, 0.1), RhoParams(0.0, 0.4)
+        for call in (lambda: loo_decisions(ds, probes[0], 1e-3),
+                     lambda: estimate_noise_rates(ds, *probes, 1e-3, 1.5, 0.4)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            degenerate = [w for w in caught if "degenerate" in str(w.message)]
+            assert [str(w.message) for w in degenerate] == [
+                "loo downdate denominator degenerate for 1 indices; "
+                "scoring them by the dual PRESS form"]
+            assert degenerate[0].filename == __file__
 
     def test_large_gamma_shrinks_scores(self):
         ds = _noisy_dataset(4, 20, seed=8)

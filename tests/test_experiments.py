@@ -415,6 +415,27 @@ class TestRunners:
                         "residual": est.residual, "roots": len(est.roots)}[row.metric]
             assert row.empirical == expected
 
+    def test_noise_estimation_solves_once_per_seed(self):
+        # the grid points of a seed share its feature draw, so the label-free
+        # leave-one-out solve (the p x p one) is made once per seed, whatever
+        # the grid length
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.1,0.2,0.3\n"
+            "n = 60\np = 8\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
+            "seeds = 0,1,2\n", overrides={"threads": 1})
+        shapes = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return real(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", spy)
+            rep = ex.run_experiment(cfg)
+        assert len({r.grid_value for r in rep.rows}) == 4
+        assert shapes.count((cfg.p, cfg.p)) == len(cfg.seeds) == 3
+
     def test_noise_estimation_rows_finite(self):
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.3\n"
@@ -451,10 +472,11 @@ class TestRunners:
         assert all(0.4 <= a <= 1.0 for a in accs)
         assert "table.txt" in rep.extra_files
 
-    @pytest.mark.parametrize("experiment", ["sweep", "histogram", "real-data-csv"])
+    @pytest.mark.parametrize("experiment",
+                             ["sweep", "histogram", "real-data-csv", "estimate-noise"])
     def test_threads_do_not_change_results(self, experiment, tmp_path):
-        # all three go through one driver's pool: the same rows in the same
-        # order, and the same figure and extra files
+        # the paired driver and the noise driver run their seeds in the pool:
+        # the same rows in the same order, and the same figure and extra files
         text = {
             "sweep": SWEEP_CFG,
             "histogram": _public_api_cfg("histogram"),
@@ -462,6 +484,10 @@ class TestRunners:
                 "schema_version = 1\nexperiment = real-data\nlabel_column = 0\nn = 80\n"
                 f"data_path = {_toy_csv(tmp_path / 'toy.csv', 0, 120, 10, 0.9, 0.5)}\n"
                 "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\nseeds = 0,1,2\n"),
+            "estimate-noise": (
+                "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.2,0.4\n"
+                "n = 200\np = 20\npi1 = 0.3\ngamma = 0.1\neps_minus = 0.2\n"
+                "variants = custom\nseeds = 0,1,2,3\n"),
         }[experiment]
         r1, r4 = (ex.run_experiment(ex.parse_config_text(text, overrides={"threads": t}))
                   for t in (1, 4))
