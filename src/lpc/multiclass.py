@@ -215,12 +215,15 @@ class SearchResult:
 
 
 # Candidate rows per block.  _accuracies allocates its running minimum margin
-# and the product that updates it once per call, each _CHUNK_ROWS x (a class's
-# most test columns): 0.5 MB at 80 rows x 800 columns.  80 rows searched as
-# fast as 96 and kept the search's tracemalloc peak at 1.85 MiB (96: 2.05 MiB).
-# One product of r rows x 2k x m columns stays single-threaded while r 2k m is
-# below about 1.0e6 (OpenBLAS 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on
-# both threads for no shorter wall time; 2-core VM).
+# and the product that updates it once per call, each a float32 _CHUNK_ROWS x
+# (a class's most test columns): 0.26 MB at 80 rows x 800 columns.  The search
+# ran at least as fast at 80 rows as at 96 to 200, on one thread at every
+# size, and its tracemalloc peak is 1.31 MiB at 80 rows (120: 1.58, 160: 1.86,
+# 200: 2.19).  One sgemm of r rows x 2k x m columns stays single-threaded
+# while r 2k m is below about 1.0e6 with the table in C order (OpenBLAS
+# 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on both threads and 3x slower;
+# 2-core VM).  With the table in Fortran order, as np.vstack leaves it, the
+# product is slower and threads from 112 x 6 x 800.
 _CHUNK_ROWS = 80
 
 
@@ -232,7 +235,7 @@ class _SeedEvaluator:
     ``on_j`` and ``off_j = all - on_j``; a candidate scores class j as ``s_j =
     alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
     ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule),
-    with each ``s_j`` rounded as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
+    with each ``s_j`` rounded in float64 as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
     ``by_class[c]`` holds the tables ``(on, off)``, each ``k x m_c``, of the test
     columns of true class ``c + 1``, and ``m`` the test columns of all classes.
 
@@ -271,45 +274,54 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
     on each evaluator's seed: a C x len(evaluators) array.
 
     For true class c, the margins ``s_c - s_j`` of a block of candidates
-    against one class j are one BLAS product: coefficient rows ``(+alpha_c,
-    +beta_c, -alpha_j, -beta_j)``, each scaled to max |entry| 1, times ``F =
-    [on; off]``, its columns scaled to unit l1 norm; positive scales keep
-    every sign.  A test column whose smallest margin over j is above ``tau``
-    is a certain hit, below ``-tau`` a certain miss.  A candidate with a
-    column in between is recounted by the rounded rule of
-    :class:`_SeedEvaluator`, which stays the definition.
+    against one class j are one float32 BLAS product: coefficient rows
+    ``(+alpha_c, +beta_c, -alpha_j, -beta_j)``, each scaled in float64 to max
+    |entry| 1, times ``F = [on; off]``, its columns scaled in float64 to unit
+    l1 norm, both then cast to float32; positive scales keep every sign.  A
+    test column whose smallest margin over j is above ``tau`` is a certain hit,
+    below ``-tau`` a certain miss.  A candidate with a column in between is
+    recounted in float64 by the rounded rule of :class:`_SeedEvaluator`, which
+    stays the definition, so every count is exactly the rule's.
 
     The loops run over the true class c, then over blocks of ``_CHUNK_ROWS``
     candidates, then over the seeds.  Each seed's scaled ``F`` of class c is
     built once per class, and each block's ``(k - 1)`` coefficient rows per
     candidate once for all seeds.  The products and their running minimum go
-    into two buffers of ``_CHUNK_ROWS`` x (the most columns of any class and
-    seed) allocated once per call, each seed's block a contiguous ``r x m_c``
-    view of their head; the comparisons with ``tau`` go into one boolean
-    buffer of that size and are counted per row as int32.
+    into two float32 buffers of ``_CHUNK_ROWS`` x (the most columns of any
+    class and seed) allocated once per call, each seed's block a contiguous
+    ``r x m_c`` view of their head; the comparisons with ``tau`` go into one
+    boolean buffer of that size and are counted per row as int32.
 
-    ``tau`` bounds, in these units, the rounding of the product plus that of
-    the two rounded scores.  With u = eps / 2 and the 4 nonzero terms of a
-    margin summing to at most 1 in absolute value (the rows' max |entry| times
-    the columns' l1 norm; the computed norm can fall short by a relative
-    gamma_2k, a second-order term):
+    ``tau`` bounds, in these units, the error of the float32 margin plus that
+    of the two rounded float64 scores.  The 4 nonzero terms of a margin sum to
+    at most 1 in absolute value (the rows' max |entry| times the columns' l1
+    norm; the float64 scalings and the computed norm move that by a relative
+    gamma_2k of float64, a second-order term).  With u = eps32 / 2 = 2**-24:
+    - the two casts round each factor once: 2 u = eps32;
     - the product, a 2k-term dot product in any summation order, errs by at
-      most gamma_2k = 2k u / (1 - 2k u), about k eps (Higham 2002, 3.1);
-    - the two scalings round each factor once: 2 u = eps;
-    - ``s_c`` and ``s_j`` each err by at most gamma_2 times the sum of their
-      two terms' magnitudes, about eps over all four terms.
-    That is (k + 2) eps plus second-order terms, and ``tau = (k + 3) eps``
-    keeps one eps for those and for underflow in the product.  Outside
-    ``[-tau, tau]`` the true margin exceeds both scores' errors, so the
-    rounded scores differ with its sign and ``>`` and ``>=`` agree with it;
-    this holds while no product ``alpha_j * on_j`` or ``beta_j * off_j`` of
-    the rounded rule underflows (a magnitude below 2**-1022, not zero).
+      most gamma_2k = 2k u / (1 - 2k u), about k eps32 (Higham 2002, 3.1);
+    - ``s_c`` and ``s_j`` each err by at most gamma_2 of float64 times the sum
+      of their two terms' magnitudes, about eps64 over all four terms;
+    - float32 underflow, a cast entry or a product below 2**-126 (an entry
+      far below its column's l1 norm or its row's largest coefficient), errs
+      by an absolute amount instead: at most 2**-150 per cast entry times the
+      other factor's magnitude, at most 1, and 2**-150 per product.  That is
+      3 * 2**-150 per term and at most 6k * 2**-150 over the 2k terms,
+      negligible against ``tau`` because the terms sum to at most 1 in these
+      units.
+    That is (k + 1) eps32 plus eps64-sized, second-order and underflow terms,
+    and ``tau = (k + 3) eps32`` keeps two eps32 for those.  Outside ``[-tau,
+    tau]`` the true margin exceeds both scores' errors, so the rounded scores
+    differ with its sign and ``>`` and ``>=`` agree with it; this holds while
+    no product ``alpha_j * on_j`` or ``beta_j * off_j`` of the rounded rule
+    underflows in float64 (a magnitude below 2**-1022, not zero).
     """
     C, k = A.shape
-    tau = (k + 3) * np.finfo(float).eps
+    tau = (k + 3) * np.finfo(np.float32).eps
     width = max(on.shape[1] for ev in evaluators for on, _ in ev.by_class)
     size = min(C, _CHUNK_ROWS) * width
-    least_buf, prod_buf, mask_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    least_buf, prod_buf = np.empty(size, np.float32), np.empty(size, np.float32)
+    mask_buf = np.empty(size, dtype=bool)
     hits = np.zeros((C, len(evaluators)))  # whole counts, exact below 2**53
     for c in range(k):
         tables = []
@@ -317,7 +329,7 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
             F = np.vstack(ev.by_class[c])  # 2k x m_c
             l1 = np.abs(F).sum(axis=0)
             F /= np.where(l1 > 0, l1, 1.0)
-            tables.append(F)
+            tables.append(np.ascontiguousarray(F, dtype=np.float32))
         others, t = np.delete(np.arange(k), c), np.arange(k - 1)
         for lo in range(0, C, _CHUNK_ROWS):
             a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
@@ -327,6 +339,7 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
             coef[t, :, others], coef[t, :, k + others] = -a[:, others].T, -b[:, others].T
             top = np.abs(coef).max(axis=2, keepdims=True)
             coef /= np.where(top > 0, top, 1.0)  # a zero row keeps zero margins
+            coef = coef.astype(np.float32)
             for s, (ev, F) in enumerate(zip(evaluators, tables)):
                 least, prod, mask = (buf[:r * F.shape[1]].reshape(r, -1)
                                      for buf in (least_buf, prod_buf, mask_buf))

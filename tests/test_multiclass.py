@@ -304,6 +304,18 @@ def _tables_evaluator(by_class):
     return ev
 
 
+def _near_tie_tables(rng, A, B, per):
+    """k = 2 tables on which candidate row i's two class scores agree up to
+    rounding on its own ``per`` test columns of either true class."""
+    a, b = np.repeat(A, per, axis=0).T, np.repeat(B, per, axis=0).T  # k x columns
+    tables = []
+    for c, j in [(0, 1), (1, 0)]:
+        on, off = rng.uniform(-1, 1, (2, 2, a.shape[1]))
+        on[j] = (a[c] * on[c] + b[c] * off[c] - b[j] * off[j]) / a[j]
+        tables.append((on, off))
+    return tables
+
+
 class TestBlockScoring:
     def test_matches_scalar_rule_with_ties(self):
         ev = _SeedEvaluator(_spec3(p=10), 300, gamma=1.0, seed=4, n_test=250)
@@ -338,15 +350,9 @@ class TestBlockScoring:
         # count: the threshold is relative to each coefficient row and each
         # test column, with no absolute floor
         rng = np.random.default_rng(1)
-        k, rows, per = 2, 20, 10
-        A, B = rng.uniform(0.5, 2, (2, rows, k))
+        A, B = rng.uniform(0.5, 2, (2, 20, 2))
         A[1], B[1] = 1.0, 1.0
-        a, b = np.repeat(A, per, axis=0).T, np.repeat(B, per, axis=0).T  # k x columns
-        tables = []
-        for c, j in [(0, 1), (1, 0)]:
-            on, off = rng.uniform(-1, 1, (2, k, rows * per))
-            on[j] = (a[c] * on[c] + b[c] * off[c] - b[j] * off[j]) / a[j]
-            tables.append((on, off))
+        tables = _near_tie_tables(rng, A, B, per=10)
         A[0], B[0] = 0.0, 0.0
         # a second seed of every third column has blocks of another width
         ev = _tables_evaluator(tables)
@@ -356,6 +362,37 @@ class TestBlockScoring:
         acc = _accuracies(scaled, A * 2.0 ** power, B * 2.0 ** power)
         np.testing.assert_array_equal(acc[:, 0], _scalar_accuracies(ev, A, B))
         np.testing.assert_array_equal(acc[:, 1], _scalar_accuracies(thinned, A, B))
+
+    def test_margins_between_float64_and_float32_rounding(self):
+        # the near-ties above, each column's on[j] moved by a relative 1e-12
+        # to 1e-7 of either sign: margins far above float64 rounding and
+        # within float32's, where the float32 product alone gets some signs wrong
+        rng = np.random.default_rng(2)
+        A, B = rng.uniform(0.5, 2, (2, 20, 2))
+        tables = _near_tie_tables(rng, A, B, per=10)
+        for (on, _), j in zip(tables, [1, 0]):
+            sign = rng.choice([-1.0, 1.0], on.shape[1])
+            on[j] *= 1.0 + sign * 10.0 ** rng.uniform(-12, -7, on.shape[1])
+        ev = _tables_evaluator(tables)
+        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_entries_beyond_float32_range(self, k):
+        # entries 1, 2**-130, 2**-160 and 2**-200 times a uniform draw: relative
+        # to a column's l1 norm the float32 cast leaves some subnormal and
+        # flushes others to zero, and for k = 3 a margin between two classes
+        # of tiny entries is itself below 2**-126.  Class 1's last column is
+        # all zero (l1 = 0), which the rule counts as a hit
+        rng = np.random.default_rng(k)
+        tables = [tuple(rng.uniform(-1, 1, (2, k, m))
+                        * 2.0 ** -rng.choice([0, 130, 160, 200], (2, k, m)))
+                  for m in (150, 130, 170)[:k]]
+        tables[0][0][:, -1] = tables[0][1][:, -1] = 0.0
+        ev = _tables_evaluator(tables)
+        A, B = rng.uniform(-2, 2, (2, 60, k))
+        A[0], B[0] = 0.0, 0.0
+        A[1], B[1] = 1.0, 1.0
+        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
     def test_exact_integer_ties(self):
         # small integer tables make most columns tie across classes; two
