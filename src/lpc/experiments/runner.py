@@ -18,10 +18,13 @@ grid value (:meth:`~ExperimentConfig.at_grid_point`); a histogram or
 real-data run has one, at grid value 0.  Per seed the driver flips the
 clean labels per point, makes one training draw, trains every cell (point,
 then variant) with :func:`_score` and reduces the test scores to the
-experiment's report rows (:data:`_ROWS`).  :func:`_variants` resolves every
-variant's ``(rho, theory)`` at a model point and :func:`_ingest` loads and
-standardizes a CSV.  A draw's Gram is formed once; every cell that shares
-the draw and ``gamma`` is one target column of a single block solve.
+experiment's report rows (:data:`_ROWS`).  :func:`_variants` reads every
+variant's ``(rho, theory)`` off one model part of :mod:`lpc.theory`, built
+once per model point: once per grid point of a synthetic run, once per seed
+and grid point of a CSV run (each split has its own class proportion), and
+once for :func:`theory_csv`.  :func:`_ingest` loads and standardizes a CSV.
+A draw's Gram is formed once; every cell that shares the draw and ``gamma``
+is one target column of a single block solve.
 
 Seed ``s`` draws from the streams ``derive_seed(s, stream)``:
 
@@ -97,7 +100,7 @@ from ..datasets import (
 )
 from ..multiclass import search_alpha_beta
 from ..noise import _estimate, estimate_noise_rates
-from ..theory import TheoryStats, optimal_rho, theory_stats
+from ..theory import TheoryStats, _model_part, _ModelPart
 from .config import ConfigError, ExperimentConfig
 from .report import RunReport
 from .svgplot import Figure
@@ -105,23 +108,24 @@ from .svgplot import Figure
 __all__ = ["run_experiment", "theory_csv"]
 
 
-def _variants(cfg: ExperimentConfig, model: GmmSpec,
-              n: int) -> dict[str, tuple[RhoParams, TheoryStats]]:
+def _variants(cfg: ExperimentConfig, part: _ModelPart) -> dict[str, tuple[RhoParams, TheoryStats]]:
     """``{variant: (rho, theory)}`` of every configured variant at the
-    config's flip rates and gamma (a grid point's: :meth:`~ExperimentConfig.at_grid_point`),
-    trained on ``n`` draws of ``model``."""
+    config's flip rates (a grid point's: :meth:`~ExperimentConfig.at_grid_point`),
+    all read from ``part``, the model part of the point's model, ``n`` and
+    ``gamma``: the optimized ``rho`` and every variant's theory, the
+    oracle's at zero noise."""
     out = {}
     for v in cfg.variants:
         if v == "unbiased":
             rho = RhoParams(cfg.eps_plus, cfg.eps_minus)
         elif v == "optimized":
-            rho = optimal_rho(model, n, cfg.gamma, cfg.eps_plus, cfg.eps_minus)
+            rho = part.optimal_rho(cfg.eps_plus, cfg.eps_minus)
         elif v == "custom":
             rho = RhoParams(cfg.custom_rho_plus, cfg.custom_rho_minus)
         else:  # naive, oracle
             rho = RhoParams()
         noise = (0.0, 0.0) if v == "oracle" else (cfg.eps_plus, cfg.eps_minus)
-        out[v] = rho, theory_stats(model, n, cfg.gamma, *noise, rho=rho)
+        out[v] = rho, part.stats(*noise, rho)
     return out
 
 
@@ -210,7 +214,7 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
             raise ValueError(f"n={cfg.n} needs held-out samples, dataset has {data.n}")
         fixed = [None] * len(points)  # each split's theory reads its class proportion
     else:
-        fixed = [_variants(point, cfg.model, cfg.n) for _, point in points]
+        fixed = [_variants(pt, _model_part(cfg.model, cfg.n, pt.gamma)) for _, pt in points]
 
     def one_seed(seed: int):
         if data is None:
@@ -235,7 +239,8 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
         for (value, point), y_noisy, variants in zip(points, noisy, fixed):
             if variants is None:
                 pi1 = int(np.sum(y_clean == -1)) / cfg.n
-                variants = _variants(point, GmmSpec.isotropic(data.p, pi1, snr), cfg.n)
+                model = GmmSpec.isotropic(data.p, pi1, snr)
+                variants = _variants(point, _model_part(model, cfg.n, point.gamma))
             cells += [(y_clean if v == "oracle" else y_noisy, v, rho, point.gamma, st, value)
                       for v, (rho, st) in variants.items()]
         scores, y = _score(_Ridge(train), cells, test)
@@ -462,11 +467,12 @@ def theory_csv(cfg: ExperimentConfig) -> str:
         raise ConfigError("theory describes the binary model; a multiclass run has "
                           "no closed form")
     eta = cfg.p / cfg.n
-    oracle = theory_stats(cfg.model, cfg.n, cfg.gamma)
+    part = _model_part(cfg.model, cfg.n, cfg.gamma)
+    oracle = part.stats(0.0, 0.0, RhoParams())
     cols = ("variant", "eta", "gamma", "delta", "h", "m_rho", "nu_rho",
             "variance", "kappa", "m_oracle", "nu_oracle", "accuracy", "risk")
     lines = [",".join(cols)]
-    for v, (_, st) in _variants(cfg, cfg.model, cfg.n).items():
+    for v, (_, st) in _variants(cfg, part).items():
         vals = (v, eta, cfg.gamma, st.delta, st.h, st.m_rho, st.nu_rho, st.variance,
                 st.kappa, oracle.m_rho, oracle.nu_rho, st.accuracy, st.risk)
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))

@@ -11,6 +11,14 @@ weights ``ab`` and their second moments ``dd``; in ``x = (beta, beta (rho_plus
 root of ``c_x @ x``, and :mod:`lpc.noise` reads the isotropic model part.
 All are pure functions of the model (a :class:`~lpc.datasets.GmmSpec`), the
 sample count and scalars: the reference values of the Monte Carlo runs.
+
+The model part depends on the model, ``n``, ``gamma`` and (on the general
+path) the test class, not on the flip rates or ``rho``.  ``_model_part``
+builds and checks it once (on the general path, one run of the fixed
+point), and its methods ``stats``, ``optimal_rho`` and ``worst_rho``
+evaluate the closed forms at any rates and ``rho``; each public function
+builds one part and calls one method, and the experiment harness builds one
+part per model point and reads every variant from it.
 """
 
 from __future__ import annotations
@@ -106,7 +114,9 @@ class TheoryStats:
 @dataclass(frozen=True)
 class _ModelPart:
     """The coefficients of ``m_rho = c @ ab`` and ``nu_rho = ab @ Q @ ab + e @ dd``
-    and the label-free :class:`TheoryStats` fields."""
+    and the label-free :class:`TheoryStats` fields of one ``(model, n, gamma,
+    test_class)``; its methods evaluate the closed forms at any flip rates and
+    ``rho`` without rebuilding it."""
 
     c: np.ndarray
     Q: np.ndarray
@@ -116,11 +126,51 @@ class _ModelPart:
     kappa: float | None = None
     delta2: float | None = None
 
+    def stats(self, eps_plus: float, eps_minus: float, rho: RhoParams) -> TheoryStats:
+        """:func:`theory_stats` of this part."""
+        _check_flip_rates(eps_plus, eps_minus)
+        b, gap, lm, lp = rho.beta, rho.rho_plus - rho.rho_minus, rho.lambda_minus, rho.lambda_plus
+        # the label weights averaged over flips, and their second moments
+        ab = np.array([lm - 2.0 * b * eps_minus, lp - 2.0 * b * eps_plus])
+        dd = np.array([4.0 * b**2 * eps_minus * gap + lm**2, -4.0 * b**2 * eps_plus * gap + lp**2])
+        m_rho, nu_rho = float(self.c @ ab), float(ab @ self.Q @ ab + self.e @ dd)
+        return TheoryStats(self.delta, self.h, m_rho, nu_rho, self.kappa, self.delta2)
+
+    def _label_form(self, eps_plus: float,
+                    eps_minus: float) -> tuple[list[float], list[list[float]]]:
+        """``(c_x, V)`` with ``m_rho = c_x @ x`` and ``nu_rho = x @ V @ x`` in
+        ``x = (beta, beta (rho_plus - rho_minus))``: :meth:`stats`'s ``ab``
+        is ``L @ x`` and its ``dd_a`` is ``x @ D_a @ x``."""
+        _check_flip_rates(eps_plus, eps_minus)
+        L = np.array([[1.0 - 2.0 * eps_minus, -1.0], [1.0 - 2.0 * eps_plus, 1.0]])
+        D = [np.array([[1.0, s], [s, 1.0]]) for s in (2.0 * eps_minus - 1.0, 1.0 - 2.0 * eps_plus)]
+        V = L.T @ self.Q @ L + self.e[0] * D[0] + self.e[1] * D[1]
+        return (L.T @ self.c).tolist(), V.tolist()
+
+    def optimal_rho(self, eps_plus: float, eps_minus: float) -> RhoParams:
+        """:func:`optimal_rho` of this part."""
+        (c0, c1), ((v00, v01), (_, v11)) = self._label_form(eps_plus, eps_minus)
+        det = v00 * v11 - v01 * v01  # V is positive definite where the theory is valid
+        beta, beta_g = (v11 * c0 - v01 * c1) / det, (v00 * c1 - v01 * c0) / det
+        if beta == 0.0:
+            raise ValueError("the optimal label weights have beta = 0: no rho reaches them")
+        g = beta_g / beta
+        return RhoParams((g + 1.0 - 1.0 / beta) / 2.0, (1.0 - 1.0 / beta - g) / 2.0)
+
+    def worst_rho(self, eps_plus: float, eps_minus: float) -> RhoParams:
+        """:func:`worst_rho` of this part."""
+        c0, c1 = self._label_form(eps_plus, eps_minus)[0]
+        if abs(c1) <= 1e-12 * abs(c0):
+            raise ValueError("the decision mean has no root in rho_plus - rho_minus: it does "
+                             "not move with it (balanced classes) or is 0 (no signal)")
+        g = -c0 / c1
+        return RhoParams(g / 2.0, -g / 2.0)
+
 
 def _model_part(model: GmmSpec, n: float, gamma: float, test_class: int = 2) -> _ModelPart:
     """The model part of ``n`` draws of ``model`` at ``gamma``."""
-    if not (n > 0 and gamma > 0):  # NaN fails too
-        raise ValueError(f"theory_stats needs n > 0 and gamma > 0, got ({n}, {gamma})")
+    if not (0 < n < math.inf and 0 < gamma < math.inf):  # NaN fails too
+        raise ValueError(f"the theory needs finite n > 0 and gamma > 0, got ({n}, {gamma})")
     if test_class not in (1, 2):
         raise ValueError(f"test_class must be 1 or 2, got {test_class}")
     eta = model.p / n
@@ -143,27 +193,7 @@ def theory_stats(model: GmmSpec, n: float, gamma: float, eps_plus: float = 0.0,
     ``variance``, ``accuracy`` and ``risk`` are that class's, not a mixture
     over both.
     """
-    _check_flip_rates(eps_plus, eps_minus)
-    part = _model_part(model, n, gamma, test_class)
-    b, gap, lm, lp = rho.beta, rho.rho_plus - rho.rho_minus, rho.lambda_minus, rho.lambda_plus
-    # the label weights averaged over flips, and their second moments
-    ab = np.array([lm - 2.0 * b * eps_minus, lp - 2.0 * b * eps_plus])
-    dd = np.array([4.0 * b**2 * eps_minus * gap + lm**2, -4.0 * b**2 * eps_plus * gap + lp**2])
-    m_rho, nu_rho = float(part.c @ ab), float(ab @ part.Q @ ab + part.e @ dd)
-    return TheoryStats(part.delta, part.h, m_rho, nu_rho, part.kappa, part.delta2)
-
-
-def _label_form(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
-                test_class: int) -> tuple[list[float], list[list[float]]]:
-    """``(c_x, V)`` with ``m_rho = c_x @ x`` and ``nu_rho = x @ V @ x`` in
-    ``x = (beta, beta (rho_plus - rho_minus))``: :func:`theory_stats`'s
-    ``ab`` is ``L @ x`` and its ``dd_a`` is ``x @ D_a @ x``."""
-    _check_flip_rates(eps_plus, eps_minus)
-    part = _model_part(model, n, gamma, test_class)
-    L = np.array([[1.0 - 2.0 * eps_minus, -1.0], [1.0 - 2.0 * eps_plus, 1.0]])
-    D = [np.array([[1.0, s], [s, 1.0]]) for s in (2.0 * eps_minus - 1.0, 1.0 - 2.0 * eps_plus)]
-    V = L.T @ part.Q @ L + part.e[0] * D[0] + part.e[1] * D[1]
-    return (L.T @ part.c).tolist(), V.tolist()
+    return _model_part(model, n, gamma, test_class).stats(eps_plus, eps_minus, rho)
 
 
 def optimal_rho(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
@@ -175,26 +205,14 @@ def optimal_rho(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_min
     noise rates alone); of the optimal pairs this is the least-risk one,
     ``x* = V^-1 c_x``, where ``m_rho = nu_rho > 0``, off the singular line.
     """
-    (c0, c1), ((v00, v01), (_, v11)) = _label_form(model, n, gamma, eps_plus, eps_minus,
-                                                   test_class)
-    det = v00 * v11 - v01 * v01  # V is positive definite where the theory is valid
-    beta, beta_g = (v11 * c0 - v01 * c1) / det, (v00 * c1 - v01 * c0) / det
-    if beta == 0.0:
-        raise ValueError("the optimal label weights have beta = 0: no rho reaches them")
-    g = beta_g / beta
-    return RhoParams((g + 1.0 - 1.0 / beta) / 2.0, (1.0 - 1.0 / beta - g) / 2.0)
+    return _model_part(model, n, gamma, test_class).optimal_rho(eps_plus, eps_minus)
 
 
 def worst_rho(model: GmmSpec, n: float, gamma: float, eps_plus: float, eps_minus: float,
               test_class: int = 2) -> RhoParams:
     """The ``rho`` at which the decision mean vanishes (random-guess point),
     ``g = -c_x[0] / c_x[1]``, returned at ``beta = 1`` as ``(g/2, -g/2)``."""
-    c0, c1 = _label_form(model, n, gamma, eps_plus, eps_minus, test_class)[0]
-    if abs(c1) <= 1e-12 * abs(c0):
-        raise ValueError(
-            "the decision mean has no root in rho_plus - rho_minus (balanced classes)")
-    g = -c0 / c1
-    return RhoParams(g / 2.0, -g / 2.0)
+    return _model_part(model, n, gamma, test_class).worst_rho(eps_plus, eps_minus)
 
 
 def _isotropic_part(model: GmmSpec, eta: float, gamma: float) -> _ModelPart:

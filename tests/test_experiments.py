@@ -645,6 +645,34 @@ class TestRunners:
             for r in cells:
                 assert r.theory == pytest.approx(theory[r.variant], rel=1e-12, abs=0)
 
+    def test_one_model_part_per_model_point(self, tmp_path, monkeypatch):
+        # every variant's rho and theory at a model point are read off one
+        # model part: one per grid point of a sweep, one per seed of a CSV
+        # run (each split has its class proportion), one in theory_csv
+        builds = []
+        build = lpc.theory._isotropic_part
+        monkeypatch.setattr(lpc.theory, "_isotropic_part",
+                            lambda *args: builds.append(args) or build(*args))
+
+        def parts(run, cfg):
+            builds.clear()
+            run(cfg)
+            return len(builds)
+
+        sweep = ex.parse_config_text(_public_api_cfg("sweep", "eps_plus"),
+                                     overrides={"threads": 1})
+        assert len(sweep.variants) == 5 and len(sweep.grid) == 2
+        assert parts(ex.run_experiment, sweep) == 2
+        assert parts(ex.theory_csv, sweep) == 1
+        path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
+                        p_pos=0.5)
+        csv = ex.parse_config_text(
+            "schema_version = 1\nexperiment = real-data\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 80\n"
+            "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
+            "variants = naive,optimized,oracle\nseeds = 0,1,2\n", overrides={"threads": 1})
+        assert parts(ex.run_experiment, csv) == 3
+
     def test_multiclass_defaults_echo_what_the_run_used(self, tmp_path):
         # without pis or eps_rows lines the run uses the config's defaults
         # and config.echo prints them, so spelling them out changes no byte

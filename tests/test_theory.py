@@ -13,6 +13,7 @@ from lpc import (
     theory_stats,
     worst_rho,
 )
+from lpc import theory
 
 # heavy-noise high-dimensional reference configuration used across tests (eta = 0.2)
 HIGHDIM = dict(p=1000, n=5000, pi1=1 / 3, gamma=0.1, eps_plus=0.4, eps_minus=0.3, snr=2.0)
@@ -348,18 +349,14 @@ class TestOptimalRho:
 
     @pytest.mark.parametrize("case", GENERAL_CASES)
     def test_general_path_matches_grid_argmax(self, case):
-        # a coarse grid over the gap at beta = 1, (g/2, -g/2), which never
-        # meets the singular line, then a fine one around its argmax
-        setting, test_class = GENERAL_CASES[case]
-        target = _gap(optimal_rho(*setting, test_class=test_class))
-
-        def argmax(grid):
-            accs = [_stats_at(setting, RhoParams(g / 2, -g / 2), test_class).accuracy
-                    for g in grid]
-            return grid[int(np.argmax(accs))]
-
-        coarse = argmax(np.linspace(-2.0, 4.0, 241))
-        best = argmax(np.linspace(coarse - 0.025, coarse + 0.025, 51))
+        # one grid of step 1e-3 over the gap at beta = 1, (g/2, -g/2), which
+        # never meets the singular line, read off one model part
+        (model, n, gamma, ep, em), test_class = GENERAL_CASES[case]
+        part = theory._model_part(model, n, gamma, test_class)
+        target = _gap(part.optimal_rho(ep, em))
+        grid = np.linspace(-2.0, 4.0, 6001)
+        accs = [part.stats(ep, em, RhoParams(g / 2, -g / 2)).accuracy for g in grid]
+        best = grid[int(np.argmax(accs))]
         assert abs(best - target) <= 1e-3 + 1e-12
 
     def test_unequal_covariances_move_the_optimum(self):
@@ -410,6 +407,11 @@ class TestWorstRho:
     def test_balanced_classes_rejected(self):
         with pytest.raises(ValueError, match="no root"):
             worst_rho(GmmSpec.isotropic(100, 0.5, 2.0), 200, 1.0, 0.4, 0.3)
+
+    def test_zero_snr_rejected(self):
+        # no signal: the decision mean is 0 at every rho, also with pi1 != 1/2
+        with pytest.raises(ValueError, match=r"no root.*\(no signal\)"):
+            worst_rho(GmmSpec.isotropic(100, 0.3, 0.0), 200, 1.0, 0.2, 0.1)
 
 
 class TestGeneralCovariance:
@@ -491,6 +493,44 @@ class TestGeneralCovariance:
 def test_theory_config_validation():
     with pytest.raises(ValueError, match="n > 0"):
         _iso(p=3, n=0, pi1=0.5, gamma=1.0, snr=1.0)
+
+
+@pytest.mark.parametrize("entry", [theory_stats, optimal_rho, worst_rho],
+                         ids=["theory_stats", "optimal_rho", "worst_rho"])
+@pytest.mark.parametrize("key", ["n", "gamma"])
+@pytest.mark.parametrize("path", ["isotropic", "general"])
+def test_infinite_model_point_rejected(entry, key, path):
+    # an infinite n or gamma is refused, with its cause, before any model
+    # part is built: on the general path, before the trace fixed point runs
+    model, n, gamma, ep, em = (QUICK_START if path == "isotropic"
+                               else _unequal_covariances(2.0))
+    point = {"n": n, "gamma": gamma, key: math.inf}
+    with pytest.raises(ValueError, match="needs finite n > 0 and gamma > 0"):
+        entry(model, point["n"], point["gamma"], ep, em)
+
+
+def test_one_fixed_point_serves_a_rho_grid(monkeypatch):
+    # criterion 08's ramp at p = 200: one model part, so one run of the
+    # trace fixed point, serves a 1201-point rho grid and both closed-form
+    # rhos, with the public functions' values
+    p = 200
+    mu = np.random.default_rng(7).standard_normal(p)
+    mu *= 2.0 / np.linalg.norm(mu)
+    model = GmmSpec(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
+    n, gamma, ep, em = 1000, 0.5, 0.3, 0.2
+    runs = []
+    fixed_point = theory._general_fixed_point
+    monkeypatch.setattr(theory, "_general_fixed_point",
+                        lambda *args: runs.append(args) or fixed_point(*args))
+    part = theory._model_part(model, n, gamma)
+    grid = np.linspace(-2.0, 4.0, 1201)
+    stats = [part.stats(ep, em, RhoParams(g / 2, -g / 2)) for g in grid]
+    best, worst = part.optimal_rho(ep, em), part.worst_rho(ep, em)
+    assert len(runs) == 1
+    assert abs(grid[int(np.argmax([st.accuracy for st in stats]))] - _gap(best)) <= 5e-3
+    assert stats[600] == theory_stats(model, n, gamma, ep, em, RhoParams(0.5, -0.5))
+    assert (best, worst) == (optimal_rho(model, n, gamma, ep, em),
+                             worst_rho(model, n, gamma, ep, em))
 
 
 @pytest.mark.parametrize("key, match", [
