@@ -273,6 +273,7 @@ def decision(c: Classifier, X_test: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: classifier expects p={c.p}, test data has p={X_test.shape[0]}"
         )
+    _check_features(X_test)
     return c.w @ X_test
 
 

@@ -176,12 +176,17 @@ class LabeledDataset:
         return self.X.shape[1]
 
 
-def _check_labels(name: str, y, n: int) -> np.ndarray:
+def _check_labels(name: str, y, n: int, labels=(-1, 1)) -> np.ndarray:
+    """``y`` as an int vector of ``n`` entries of ``labels``: the binary
+    ``(-1, 1)``, or the multiclass ``range(1, k + 1)``."""
+    spelled = (f"labels in {labels[0]}..{labels[-1]}" if isinstance(labels, range)
+               else " or ".join(f"{v:+d}" for v in labels))
     y = np.asarray(y)
     if y.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {y.shape}")
-    if not np.all(np.isin(y, (-1, 1))):
-        raise ValueError(f"{name} entries must be -1 or +1")
+        raise ValueError(f"{name} must have shape ({n},): a vector of {spelled}, got {y.shape}")
+    bad = y[~np.isin(y, labels)]
+    if bad.size:
+        raise ValueError(f"{name} entries must be {spelled}; {bad[0]} is out of range")
     return y.astype(np.int64)
 
 

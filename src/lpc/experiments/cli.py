@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seeds", default=None,
                      help="comma-separated seed list overriding the config")
-    run.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
@@ -37,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # `theory` takes no overrides
         overrides = {k: v for k, v in vars(args).items()
-                     if k in ("out", "seeds", "threads") and v is not None}
+                     if k in ("out", "seeds") and v is not None}
         if "seeds" in overrides:
             try:
                 overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))

@@ -85,7 +85,6 @@ class ExperimentConfig:
     n_test: int = 10_000
     bins: int = 60
     out: str = ""
-    threads: int = 1
     # noise estimation
     probe1_rho_plus: float = 0.0
     probe1_rho_minus: float = 0.1
@@ -103,6 +102,10 @@ class ExperimentConfig:
     grid_size: int = 5000
     tau_points: int = 11
     search_seed: int = 0
+
+    # Not a field, so never parsed, echoed or hashed: seeds run one after
+    # another.  The benchmark's provenance (perfbench/worker.py) reads it.
+    threads = 1
 
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
@@ -156,8 +159,6 @@ class ExperimentConfig:
                 and self.eps_plus + self.eps_minus < 1):
             raise ConfigError(f"eps_plus and eps_minus must be >= 0 with eps_plus + eps_minus "
                               f"< 1, got ({self.eps_plus}, {self.eps_minus})")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.experiment == "multiclass":
             if self.grid_size < 1:
                 raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
@@ -217,14 +218,9 @@ class ExperimentConfig:
         return self.out or f"runs/{self.experiment}"
 
     def config_hash(self) -> str:
-        """Hash of the semantically meaningful fields (output location and
-        worker count excluded)."""
-        skip = {"out", "threads"}
-        parts = [
-            f"{f.name}={getattr(self, f.name)!r}"
-            for f in fields(self)
-            if f.name not in skip
-        ]
+        """Hash of the semantically meaningful fields (output location
+        excluded)."""
+        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.name != "out"]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
     def echo_lines(self) -> list[str]:

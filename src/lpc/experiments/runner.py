@@ -81,7 +81,6 @@ Empirical accuracies are orientation-calibrated: predictions are
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -154,13 +153,6 @@ def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
         cfg.data_path, label, has_clean_labels=clean, has_header=cfg.has_header))
 
 
-def _pool_map(fn, args, threads: int):
-    if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args))
-
-
 # ---------------------------------------------------------------------------
 # paired cells: histogram, sweep, real data
 # ---------------------------------------------------------------------------
@@ -216,7 +208,8 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
     else:
         fixed = [_variants(pt, _model_part(cfg.model, cfg.n, pt.gamma)) for _, pt in points]
 
-    def one_seed(seed: int):
+    report = RunReport(cfg)
+    for seed in cfg.seeds:
         if data is None:
             y_clean = cfg.model.labels(cfg.n)
         else:
@@ -244,19 +237,15 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
             cells += [(y_clean if v == "oracle" else y_noisy, v, rho, point.gamma, st, value)
                       for v, (rho, st) in variants.items()]
         scores, y = _score(_Ridge(train), cells, test)
-        rows = [(v, value, seed, m, *_METRICS[m](s, y, st))
-                for (_, v, _, _, st, value), s in zip(cells, scores) for m in _ROWS[kind]]
-        return rows, scores if kind == "histogram" and seed == cfg.seeds[0] else None
-
-    report = RunReport(cfg)
-    results = _pool_map(one_seed, list(cfg.seeds), cfg.threads)
-    for rows, _ in results:
-        for row in rows:
-            report.add(*row)
+        for (_, v, _, _, st, value), s in zip(cells, scores):
+            for m in _ROWS[kind]:
+                report.add(v, value, seed, m, *_METRICS[m](s, y, st))
+        if seed == cfg.seeds[0]:
+            first_scores = scores
     if kind == "histogram":
         theories = {v: st for v, (_, st) in fixed[0].items()}
         report.figure_svg, report.extra_files["bins.csv"] = _histogram_outputs(
-            cfg, dict(zip(theories, results[0][1])), theories)
+            cfg, dict(zip(theories, first_scores)), theories)
     elif sweep:
         report.figure_svg = _sweep_figure(cfg, report)
     else:
@@ -361,17 +350,12 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
     report = RunReport(cfg)
-
-    def one_seed(seed: int):
+    for seed in cfg.seeds:
         clean = generate_gmm(cfg.model, cfg.n, derive_seed(seed, 0))
         loo, flips = _loo_operator(clean.X, cfg.gamma), derive_seed(seed, 1)
-        return [(eps_plus, seed, _estimate(
-                    loo, flip_label_vector(clean.y_clean, eps_plus, cfg.eps_minus, flips),
-                    cfg.model, cfg.gamma, (probe1, probe2)))
-                for eps_plus in cfg.grid]
-
-    for rows in _pool_map(one_seed, list(cfg.seeds), cfg.threads):
-        for eps_plus, seed, est in rows:
+        for eps_plus in cfg.grid:
+            est = _estimate(loo, flip_label_vector(clean.y_clean, eps_plus, cfg.eps_minus, flips),
+                            cfg.model, cfg.gamma, (probe1, probe2))
             report.add("estimator", eps_plus, seed, "eps_plus_hat", est.eps_plus, eps_plus)
             report.add("estimator", eps_plus, seed, "eps_minus_hat", est.eps_minus,
                        cfg.eps_minus)

@@ -17,6 +17,7 @@ import numpy as np
 from .core import _Ridge
 from .datasets import (
     TrainingStats,
+    _check_labels,
     _rng,
     derive_seed,
     generate_scores,
@@ -154,9 +155,7 @@ def flip_multi_labels(spec: MultiGmmSpec, y_clean: np.ndarray, seed: int) -> np.
     """The noisy labels of the clean labels ``y_clean`` (in ``1..k``): a
     sample of true class ``b`` gets label ``a`` w.p. ``eps[a, b]``, from one
     uniform per label drawn from ``seed``."""
-    y_clean = np.asarray(y_clean)
-    if y_clean.ndim != 1 or np.any((y_clean < 1) | (y_clean > spec.k)):
-        raise ValueError(f"y_clean must be a vector of labels in 1..{spec.k}")
+    y_clean = _check_labels("y_clean", y_clean, np.size(y_clean), range(1, spec.k + 1))
     return _flip(spec, y_clean, _rng(seed).uniform(size=y_clean.size))
 
 
@@ -170,10 +169,8 @@ def _flip(spec: MultiGmmSpec, y_clean: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def build_label_matrix(y_noisy: np.ndarray, ab: AlphaBeta) -> np.ndarray:
     """n x k target matrix (k = alpha size): column j is alpha_j where label == j, else beta_j."""
-    y_noisy, k = np.asarray(y_noisy), ab.alpha.size
-    if np.any((y_noisy < 1) | (y_noisy > k)):
-        bad = y_noisy[(y_noisy < 1) | (y_noisy > k)][0]
-        raise ValueError(f"label {bad} out of range 1..{k}")
+    k = ab.alpha.size
+    y_noisy = _check_labels("y_noisy", y_noisy, np.size(y_noisy), range(1, k + 1))
     onehot = (y_noisy[:, None] == np.arange(1, k + 1)[None, :]).astype(float)
     return onehot * ab.alpha[None, :] + (1.0 - onehot) * ab.beta[None, :]
 

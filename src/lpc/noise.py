@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets, loo_decisions
 from .datasets import GmmSpec, LabeledDataset
-from .theory import _model_part
+from .theory import _model_part, _quadratic_roots
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
@@ -174,23 +174,6 @@ def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: floa
         roots=tuple(map(tuple, roots.tolist())),
         high_residual=bool(residuals[best] > 0.05 * np.sum(np.abs(nu_hat))),
     )
-
-
-def _quadratic_roots(c2: float, c1: float, c0: float) -> np.ndarray:
-    """Real roots of ``c2 x^2 + c1 x + c0``, computed without cancellation.
-
-    A discriminant within its own rounding error ``4 eps c1^2`` of 0 is a
-    double root.
-    """
-    if c2 == 0.0:
-        return np.array([-c0 / c1] if c1 != 0.0 else [])
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if abs(disc) <= 4.0 * np.finfo(float).eps * c1 * c1:
-        return np.array([-0.5 * c1 / c2])
-    if disc < 0.0:
-        return np.array([])
-    m = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
-    return np.array([m / c2, c0 / m])
 
 
 def _snap(points: np.ndarray) -> np.ndarray:

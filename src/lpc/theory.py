@@ -48,12 +48,24 @@ def delta(eta: float, gamma: float) -> float:
     """
     if not (eta > 0 and gamma > 0):  # NaN fails too
         raise ValueError(f"delta needs eta > 0 and gamma > 0, got ({eta}, {gamma})")
-    b = eta - gamma - 1.0
-    disc = math.sqrt(b * b + 4.0 * eta * gamma)
-    if b >= 0:
-        return (b + disc) / (2.0 * gamma)
-    # avoid cancellation between b and the discriminant
-    return 2.0 * eta / (disc - b)
+    return float(max(_quadratic_roots(gamma, -(eta - gamma - 1.0), -eta)))
+
+
+def _quadratic_roots(c2: float, c1: float, c0: float) -> np.ndarray:
+    """Real roots of ``c2 x^2 + c1 x + c0``, computed without cancellation.
+
+    A discriminant within its own rounding error ``4 eps c1^2`` of 0 is a
+    double root.
+    """
+    if c2 == 0.0:
+        return np.array([-c0 / c1] if c1 != 0.0 else [])
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if abs(disc) <= 4.0 * np.finfo(float).eps * c1 * c1:
+        return np.array([-0.5 * c1 / c2])
+    if disc < 0.0:
+        return np.array([])
+    m = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+    return np.array([m / c2, c0 / m])
 
 
 def gaussian_upper_tail(x: float) -> float:
@@ -223,7 +235,8 @@ def _isotropic_part(model: GmmSpec, eta: float, gamma: float) -> _ModelPart:
     h = 1.0 - eta / (1.0 + gd) ** 2
     if not h > _H_GUARD:
         raise ValueError(
-            f"theory outside validity range: h = {h:.3e} <= 0 at (eta, gamma) = ({eta}, {gamma})"
+            f"theory outside validity range: h = {h:.3e} <= {_H_GUARD:g} at "
+            f"(eta, gamma) = ({eta}, {gamma})"
         )
     s2 = float(model.mu @ model.mu)
     D = s2 + 1.0 + gd
@@ -292,7 +305,7 @@ def _general_part(model: GmmSpec, eta: float, gamma: float, test_class: int) -> 
     h_like = float(np.linalg.det(np.eye(2) - G))
     if h_like <= _H_GUARD:
         raise ValueError(
-            f"theory outside validity range: det(I - G) = {h_like:.3e} at "
+            f"theory outside validity range: det(I - G) = {h_like:.3e} <= {_H_GUARD:g} at "
             f"(eta, gamma) = ({eta}, {gamma})"
         )
     alpha = np.linalg.inv(np.eye(2) - G)[test_class - 1]

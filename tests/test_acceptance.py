@@ -187,7 +187,7 @@ def test_criterion_06_noise_rate_estimation():
             f"snr = {snr}\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
             "probe1_rho_plus = 0\nprobe1_rho_minus = 0.1\n"
             "probe2_rho_plus = 0\nprobe2_rho_minus = 0.4\n"
-            f"seeds = {','.join(str(s) for s in range(10))}\nthreads = 2\n"
+            f"seeds = {','.join(str(s) for s in range(10))}\n"
         )
         rep = ex.run_experiment(cfg)
         errs = [abs(r.empirical - r.theory) for r in rep.rows if r.metric == "eps_plus_hat"]

@@ -182,6 +182,15 @@ class TestDecisionEvaluate:
         with pytest.raises(ValueError, match="p=3.*p=2"):
             decision(c, np.ones((2, 4)))
 
+    def test_nonfinite_test_features_rejected(self):
+        # a NaN score was counted as a -1 prediction: evaluate returned an
+        # accuracy next to a NaN risk
+        c = Classifier(w=np.array([1.0]), gamma=1.0, rho=RhoParams())
+        X = np.array([[1.0, np.nan, 1.0]])
+        for fn in (lambda: decision(c, X), lambda: evaluate(c, X, np.array([1, -1, 1]))):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn()
+
     def test_perfect_scores(self):
         c = Classifier(w=np.array([1.0]), gamma=1.0, rho=RhoParams())
         X = np.array([[1.0, -1.0, 1.0]])

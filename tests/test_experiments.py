@@ -204,7 +204,7 @@ class TestConfigHash:
 
     def test_output_fields_do_not_change_hash(self):
         base = ex.parse_config_text(SWEEP_CFG)
-        moved = ex.parse_config_text(SWEEP_CFG, overrides={"out": "elsewhere", "threads": 8})
+        moved = ex.parse_config_text(SWEEP_CFG, overrides={"out": "elsewhere"})
         assert base.config_hash() == moved.config_hash()
 
 
@@ -422,7 +422,7 @@ class TestRunners:
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.1,0.2,0.3\n"
             "n = 60\np = 8\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
-            "seeds = 0,1,2\n", overrides={"threads": 1})
+            "seeds = 0,1,2\n")
         shapes = []
         real = np.linalg.solve
 
@@ -472,27 +472,31 @@ class TestRunners:
         assert all(0.4 <= a <= 1.0 for a in accs)
         assert "table.txt" in rep.extra_files
 
-    @pytest.mark.parametrize("experiment",
-                             ["sweep", "histogram", "real-data-csv", "estimate-noise"])
-    def test_threads_do_not_change_results(self, experiment, tmp_path):
-        # the paired driver and the noise driver run their seeds in the pool:
-        # the same rows in the same order, and the same figure and extra files
-        text = {
-            "sweep": SWEEP_CFG,
-            "histogram": _public_api_cfg("histogram"),
-            "real-data-csv": (
-                "schema_version = 1\nexperiment = real-data\nlabel_column = 0\nn = 80\n"
-                f"data_path = {_toy_csv(tmp_path / 'toy.csv', 0, 120, 10, 0.9, 0.5)}\n"
-                "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\nseeds = 0,1,2\n"),
-            "estimate-noise": (
-                "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.2,0.4\n"
-                "n = 200\np = 20\npi1 = 0.3\ngamma = 0.1\neps_minus = 0.2\n"
-                "variants = custom\nseeds = 0,1,2,3\n"),
-        }[experiment]
-        r1, r4 = (ex.run_experiment(ex.parse_config_text(text, overrides={"threads": t}))
-                  for t in (1, 4))
-        assert r1.rows and r1.rows == r4.rows
-        assert r1.extra_files == r4.extra_files and r1.figure_svg == r4.figure_svg
+    def test_real_data_reads_a_named_label_column(self, tmp_path):
+        # has_header = true with the label column given by name: the same run
+        # as the headerless file with the label first
+        plain = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
+                         p_pos=0.5)
+        rows = [[f"x{j}" for j in range(10)] + ["label"]]
+        rows += [r[1:] + r[:1] for r in (line.split(",") for line in plain.read_text().splitlines())]
+        named = tmp_path / "named.csv"
+        named.write_text("".join(",".join(r) + "\n" for r in rows))
+        text = ("schema_version = 1\nexperiment = real-data\nn = 80\ngamma = 1\n"
+                "eps_plus = 0.2\neps_minus = 0.1\nseeds = 0,1\n")
+        ref = ex.run_experiment(ex.parse_config_text(
+            text + f"data_path = {plain}\nlabel_column = 0\n"))
+        got = ex.run_experiment(ex.parse_config_text(
+            text + f"data_path = {named}\nhas_header = true\nlabel_column = label\n"))
+        assert got.rows and got.rows == ref.rows
+        assert got.extra_files == ref.extra_files
+
+    def test_real_data_needs_held_out_samples(self, tmp_path):
+        path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=60, features=5, shift=0.9,
+                        p_pos=0.5)
+        cfg = ex.parse_config_text("schema_version = 1\nexperiment = real-data\n"
+                                   f"data_path = {path}\nn = 60\n")
+        with pytest.raises(ValueError, match="n=60 needs held-out samples, dataset has 60"):
+            ex.run_experiment(cfg)
 
     def test_oracle_weakly_dominates(self):
         # clean-label training is never beaten on average (30 seeds, one
@@ -659,8 +663,7 @@ class TestRunners:
             run(cfg)
             return len(builds)
 
-        sweep = ex.parse_config_text(_public_api_cfg("sweep", "eps_plus"),
-                                     overrides={"threads": 1})
+        sweep = ex.parse_config_text(_public_api_cfg("sweep", "eps_plus"))
         assert len(sweep.variants) == 5 and len(sweep.grid) == 2
         assert parts(ex.run_experiment, sweep) == 2
         assert parts(ex.theory_csv, sweep) == 1
@@ -670,7 +673,7 @@ class TestRunners:
             "schema_version = 1\nexperiment = real-data\n"
             f"data_path = {path}\nlabel_column = 0\nn = 80\n"
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
-            "variants = naive,optimized,oracle\nseeds = 0,1,2\n", overrides={"threads": 1})
+            "variants = naive,optimized,oracle\nseeds = 0,1,2\n")
         assert parts(ex.run_experiment, csv) == 3
 
     def test_multiclass_defaults_echo_what_the_run_used(self, tmp_path):
@@ -800,6 +803,16 @@ class TestCli:
         assert cli_main(["theory", "--config", str(CONFIG_DIR / "multiclass.cfg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "multiclass" in err
+
+    def test_threads_is_not_an_option(self, tmp_path):
+        # seeds run one after another: neither the config key nor the flag
+        # is read
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            ex.parse_config_text(SWEEP_CFG + "threads = 2\n")
+        cfg = self._write_cfg(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1

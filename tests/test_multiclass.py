@@ -100,6 +100,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="labels in 1..3"):
             flip_multi_labels(_spec3(), np.array(y_clean), 0)
 
+    def test_flip_multi_labels_accepts_float_labels(self):
+        # float labels raised IndexError (they index the flip edges), while
+        # the binary flip_label_vector accepts float +-1 labels
+        y_clean = _spec3().labels(500)
+        flipped = flip_multi_labels(_spec3(), y_clean.astype(float), 7)
+        np.testing.assert_array_equal(flipped, flip_multi_labels(_spec3(), y_clean, 7))
+        assert flipped.dtype == np.int64
+
     def test_two_classes_draw_as_the_binary_model(self):
         # means (-mu, +mu): the same noisy labels, training statistics and test
         # scores, bit for bit, as the binary spec at the same seeds (class 1

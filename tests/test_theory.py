@@ -98,6 +98,12 @@ class TestIsotropicStats:
         assert st.m_rho == pytest.approx(mu @ Qbar @ mu / (1 + d), abs=1e-14)
         assert st.nu_rho == pytest.approx(st.kappa + (1 - st.h) / st.h, abs=1e-14)
 
+    def test_validity_guard_names_its_bound(self):
+        # at eta = 1 and a vanishing gamma, h is positive but under the guard;
+        # the message said "h = 6.325e-07 <= 0"
+        with pytest.raises(ValueError, match=r"h = 6\.325e-07 <= 1e-06 at \(eta, gamma\)"):
+            _iso(p=100, n=100, pi1=0.5, snr=2.0, gamma=1e-13)
+
     def test_naive_mean_scaling(self):
         st = _iso(**HIGHDIM)
         oracle = _oracle(HIGHDIM)
