@@ -283,10 +283,14 @@ def evaluate(c: Classifier, X_test: np.ndarray, y_test: np.ndarray) -> tuple[flo
     if scores.size == 0:
         raise ValueError("empty test set")
     y_test = _check_labels("y_test", y_test, scores.size)
-    pred = np.where(scores >= 0, 1, -1)
-    accuracy = float(np.mean(pred == y_test))
-    risk = float(np.mean((scores - y_test) ** 2))
-    return accuracy, risk
+    return _accuracy(scores, y_test), float(np.mean((scores - y_test) ** 2))
+
+
+def _accuracy(scores: np.ndarray, y: np.ndarray, sign: float = 1.0) -> float:
+    """The binary decision rule: the fraction of labels ``y`` that the sign
+    of ``sign * scores`` matches, with sign(0) = +1.  ``sign = -1`` flips the
+    orientation (the harness passes ``sign(m_rho)``)."""
+    return float(np.mean(np.where(sign * scores >= 0, 1, -1) == y))
 
 
 def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarray:
@@ -318,7 +322,8 @@ def _loo_operator(X: np.ndarray, gamma: float):
     system ``K = X^T X / n + gamma I``: ``1 - H = gamma K^{-1}`` for the hat
     matrix ``H``, so the PRESS identity reads ``s_i = t_i - [K^{-1} T]_i /
     [K^{-1}]_ii`` with no subtraction in the denominator.  ``K`` is solved
-    once, for those rows' unit vectors only.
+    once, for those rows' unit vectors only, by the same residual-verified
+    :meth:`_Ridge.solve`.
     """
     n = X.shape[1]
     if n < 2:
@@ -333,7 +338,8 @@ def _loo_operator(X: np.ndarray, gamma: float):
     if bad.size:
         warnings.warn(f"loo downdate denominator degenerate for {bad.size} indices; "
                       "scoring them by the dual PRESS form", stacklevel=3)
-        Z = np.linalg.solve(X.T @ X / n + gamma * np.eye(n), np.eye(n)[:, bad])  # K^{-1} e_bad
+        # K = (s X^T)(s X^T)^T / p + gamma I with s = sqrt(p / n): a ridge system
+        Z = _Ridge(X.T * np.sqrt(X.shape[0] / n)).solve(np.eye(n)[:, bad], gamma)  # K^{-1} e_bad
         Z_ii = Z[bad, np.arange(bad.size)][:, None]
 
     def scores(T: np.ndarray) -> np.ndarray:
@@ -405,7 +411,8 @@ def train_lpc_bce(
                 stacklevel=2,
             )
             break
-        w_next = w - learning_rate * grad
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            w_next = w - learning_rate * grad
         if not np.all(np.isfinite(w_next)):
             warnings.warn(
                 f"bce descent halted at step {step}: non-finite update; "

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 - feature matrices are ``p x n`` (one sample per column),
 - binary labels live in ``{-1, +1}``; class 1 has mean ``-mu`` and label
   ``-1``, class 2 has mean ``+mu`` and label ``+1``,
-- class sizes are deterministic, ``n1 = round(pi1 * n)``,
+- class sizes are deterministic, ``n1 = round(pi1 * n)`` (:func:`_class_sizes`
+  for any number of classes),
 - :func:`generate_scores` and :func:`generate_training_stats` read a mixture
   spec only through ``p``, ``cov``, ``classes`` (the label of each class, in
   class order, ascending), ``means`` (row ``a`` is class ``a``'s mean),
@@ -76,6 +77,18 @@ def _check_covariance(name: str, cov: np.ndarray, p: int) -> np.ndarray:
     return cov
 
 
+def _class_sizes(pi, n: int) -> np.ndarray:
+    """The class sizes of ``n`` draws at the class proportions ``pi``:
+    ``round(pi_a * n)`` (half to even), the last class taking the rest.  A
+    class left empty raises."""
+    sizes = np.round(np.asarray(pi) * n).astype(int)
+    sizes[-1] = n - sizes[:-1].sum()
+    if np.any(sizes < 1):
+        raise ValueError(f"proportions {tuple(np.asarray(pi).tolist())} with n={n} leave class "
+                         f"sizes {tuple(sizes.tolist())}; every class needs at least one sample")
+    return sizes
+
+
 @dataclass(frozen=True)
 class GmmSpec:
     """Parameters of the two-cluster Gaussian mixture.
@@ -108,18 +121,14 @@ class GmmSpec:
     def p(self) -> int:
         return self.mu.size
 
-    def class_sizes(self, n: int) -> tuple[int, int]:
-        """``(n1, n2)`` of ``n`` samples, ``n1 = round(pi1 * n)``; both nonzero."""
-        n1 = int(round(self.pi1 * n))
-        if not 0 < n1 < n:
-            raise ValueError(f"pi1={self.pi1} with n={n} leaves class sizes ({n1}, {n - n1}); "
-                             "both classes need at least one sample")
-        return n1, n - n1
+    def class_sizes(self, n: int) -> np.ndarray:
+        """``(n1, n2)`` of ``n`` samples, ``n1 = round(pi1 * n)``
+        (:func:`_class_sizes`)."""
+        return _class_sizes((self.pi1, 1.0 - self.pi1), n)
 
     def labels(self, n: int) -> np.ndarray:
         """The clean labels of ``n`` draws: ``n1`` times ``-1``, then ``+1``."""
-        n1, n2 = self.class_sizes(n)
-        return np.concatenate([np.full(n1, -1, dtype=np.int64), np.full(n2, +1, dtype=np.int64)])
+        return np.repeat(self.classes, self.class_sizes(n))
 
     @property
     def classes(self) -> np.ndarray:

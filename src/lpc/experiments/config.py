@@ -20,8 +20,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from ..core import RhoParams
-from ..datasets import GmmSpec
-from ..multiclass import MultiGmmSpec
+from ..datasets import GmmSpec, _check_flip_rates
+from ..multiclass import MultiGmmSpec, _check_search
 from ..noise import _check_probes
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "parse_config_text"]
@@ -52,12 +52,13 @@ class ConfigError(Exception):
 
 
 @contextmanager
-def _naming(keys: str):
-    """A ``ValueError`` or ``ConfigError`` becomes a ``ConfigError`` that names ``keys``."""
+def _naming(keys: str = ""):
+    """A ``ValueError`` or ``ConfigError`` becomes a ``ConfigError`` that names
+    ``keys``; without ``keys`` its message, which names them, is kept."""
     try:
         yield
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{keys}: {exc}") from None
+        raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,11 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
-        if self.search_seed < 0:
-            raise ConfigError(f"search_seed must be >= 0, got {self.search_seed}")
+        # search_seed is checked for every run, grid_size and tau_points where
+        # the search reads them
+        with _naming():
+            _check_search(self.search_seed, *(
+                (self.grid_size, self.tau_points) if self.experiment == "multiclass" else ()))
         if self.bins < 1:
             raise ConfigError(f"bins must be >= 1, got {self.bins}")
         if not self.variants:
@@ -155,15 +159,8 @@ class ExperimentConfig:
             raise ConfigError(f"pi1 must lie in (0, 1), got {self.pi1}")
         if not math.isfinite(self.snr):
             raise ConfigError(f"snr must be finite, got {self.snr}")
-        if not (self.eps_plus >= 0 and self.eps_minus >= 0
-                and self.eps_plus + self.eps_minus < 1):
-            raise ConfigError(f"eps_plus and eps_minus must be >= 0 with eps_plus + eps_minus "
-                              f"< 1, got ({self.eps_plus}, {self.eps_minus})")
-        if self.experiment == "multiclass":
-            if self.grid_size < 1:
-                raise ConfigError(f"grid_size must be >= 1, got {self.grid_size}")
-            if self.tau_points < 2:
-                raise ConfigError(f"tau_points must be >= 2, got {self.tau_points}")
+        with _naming("eps_plus and eps_minus"):
+            _check_flip_rates(self.eps_plus, self.eps_minus)
         if self.data_path and self.experiment not in ("estimate-noise", "real-data"):
             raise ConfigError(f"data_path is read by real-data and estimate-noise only; a "
                               f"{self.experiment} run draws from the configured model")

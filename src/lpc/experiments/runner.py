@@ -84,7 +84,7 @@ import math
 
 import numpy as np
 
-from ..core import RhoParams, _loo_operator, _Ridge, _targets
+from ..core import RhoParams, _accuracy, _loo_operator, _Ridge, _targets
 from ..datasets import (
     GmmSpec,
     StandardizeResult,
@@ -158,11 +158,6 @@ def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
 # ---------------------------------------------------------------------------
 
 
-def _oriented_accuracy(s: np.ndarray, y: np.ndarray, st: TheoryStats) -> float:
-    pred = np.where((1.0 if st.m_rho >= 0 else -1.0) * s >= 0, 1, -1)
-    return float(np.mean(pred == y))
-
-
 # metric -> (empirical, theory) of one cell's test scores s, test labels y
 # and theory st
 _METRICS = {
@@ -170,7 +165,7 @@ _METRICS = {
     "mean_class2": lambda s, y, st: (s[y == +1].mean(), st.m_rho),
     "std_class1": lambda s, y, st: (s[y == -1].std(), math.sqrt(st.variance)),
     "std_class2": lambda s, y, st: (s[y == +1].std(), math.sqrt(st.variance)),
-    "accuracy": lambda s, y, st: (_oriented_accuracy(s, y, st), st.accuracy),
+    "accuracy": lambda s, y, st: (_accuracy(s, y, 1.0 if st.m_rho >= 0 else -1.0), st.accuracy),
     "risk": lambda s, y, st: (np.mean((s - y) ** 2), st.risk),
 }
 
@@ -329,7 +324,8 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     (stream 1), so a label flipped at one ``eps_plus`` stays flipped at
     every larger one.  Each point's labels go through the label step of
     :func:`~lpc.noise.estimate_noise_rates`, so a cell equals that function
-    on the point's flipped draw.
+    on the point's flipped draw; every cell inverts at the run's one model
+    part.
 
     Each cell also reports the solver's ``residual`` and ``roots``, the
     number of exact solutions in the capped simplex (0: the least-squares
@@ -350,12 +346,13 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     if cfg.data_path:
         return _estimate_from_file(cfg, probe1, probe2)
     report = RunReport(cfg)
+    part = _model_part(cfg.model, cfg.n, cfg.gamma)
     for seed in cfg.seeds:
         clean = generate_gmm(cfg.model, cfg.n, derive_seed(seed, 0))
         loo, flips = _loo_operator(clean.X, cfg.gamma), derive_seed(seed, 1)
         for eps_plus in cfg.grid:
             est = _estimate(loo, flip_label_vector(clean.y_clean, eps_plus, cfg.eps_minus, flips),
-                            cfg.model, cfg.gamma, (probe1, probe2))
+                            cfg.pi1, part, (probe1, probe2))
             report.add("estimator", eps_plus, seed, "eps_plus_hat", est.eps_plus, eps_plus)
             report.add("estimator", eps_plus, seed, "eps_minus_hat", est.eps_minus,
                        cfg.eps_minus)

@@ -18,6 +18,7 @@ from .core import _Ridge
 from .datasets import (
     TrainingStats,
     _check_labels,
+    _class_sizes,
     _rng,
     derive_seed,
     generate_scores,
@@ -96,11 +97,9 @@ class MultiGmmSpec:
         return None
 
     def class_sizes(self, n: int) -> np.ndarray:
-        sizes = np.round(self.pi * n).astype(int)
-        sizes[-1] = n - sizes[:-1].sum()
-        if np.any(sizes < 1):
-            raise ValueError(f"class sizes {sizes} at n={n} leave an empty class")
-        return sizes
+        """The class sizes of ``n`` draws at the proportions ``pi``
+        (:func:`~lpc.datasets._class_sizes`)."""
+        return _class_sizes(self.pi, n)
 
     def labels(self, n: int) -> np.ndarray:
         """The clean labels of ``n`` draws: class by class, ``1`` first."""
@@ -231,8 +230,9 @@ class _SeedEvaluator:
     solve of the one-hot and all-ones targets gives per-class test score tables
     ``on_j`` and ``off_j = all - on_j``; a candidate scores class j as ``s_j =
     alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
-    ``s_c > s_j`` for ``j < c`` and ``s_c >= s_j`` for ``j > c`` (argmax's tie rule),
-    with each ``s_j`` rounded in float64 as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``.
+    its scores' argmax is c, ties going to the smallest class (:func:`multi_accuracy`'s
+    rule), with each ``s_j`` rounded in float64 as ``fl(fl(alpha_j * on_j) + fl(beta_j
+    * off_j))``.
     ``by_class[c]`` holds the tables ``(on, off)``, each ``k x m_c``, of the test
     columns of true class ``c + 1``, and ``m`` the test columns of all classes.
 
@@ -309,7 +309,7 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
     That is (k + 1) eps32 plus eps64-sized, second-order and underflow terms,
     and ``tau = (k + 3) eps32`` keeps two eps32 for those.  Outside ``[-tau,
     tau]`` the true margin exceeds both scores' errors, so the rounded scores
-    differ with its sign and ``>`` and ``>=`` agree with it; this holds while
+    differ with its sign and the argmax agrees with it; this holds while
     no product ``alpha_j * on_j`` or ``beta_j * off_j`` of the rounded rule
     underflows in float64 (a magnitude below 2**-1022, not zero).
     """
@@ -358,8 +358,17 @@ def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
     """Hits of each candidate row on the columns ``on``, ``off`` of true class
     ``c`` (0-based) by the rounded rule of :class:`_SeedEvaluator`."""
     s = [a[:, j, None] * on[j] + b[:, j, None] * off[j] for j in range(len(on))]
-    hit = np.logical_and.reduce([s[c] > sj for sj in s[:c]] + [s[c] >= sj for sj in s[c + 1:]])
-    return np.count_nonzero(hit, axis=1)
+    return np.count_nonzero(np.argmax(s, axis=0) == c, axis=1)
+
+
+def _check_search(search_seed: int, grid_size: int = 1, tau_points: int = 2) -> None:
+    """:func:`search_alpha_beta`'s checks of its candidate draw and its path."""
+    if search_seed < 0:
+        raise ValueError(f"search_seed must be >= 0, got {search_seed}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    if tau_points < 2:
+        raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
 
 
 def search_alpha_beta(
@@ -391,14 +400,9 @@ def search_alpha_beta(
     6,000 score normals per seed, against 804,000 numbers for two ``p x
     2000`` feature draws and their flips.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    _check_search(search_seed, grid_size, tau_points)
     if len(eval_seeds) == 0:
         raise ValueError("eval_seeds must be nonempty")
-    if search_seed < 0:
-        raise ValueError(f"search_seed must be >= 0, got {search_seed}")
-    if tau_points < 2:
-        raise ValueError(f"tau_points must be >= 2 to reach both path ends, got {tau_points}")
     k = spec.k
     rows = _rng(search_seed).uniform(-2.0, 2.0, size=(grid_size, 2 * k))  # alpha | beta
     evaluators = [_SeedEvaluator(spec, n, gamma, seed, n_test) for seed in eval_seeds]

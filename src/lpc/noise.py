@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets, loo_decisions
 from .datasets import GmmSpec, LabeledDataset
-from .theory import _model_part, _quadratic_roots
+from .theory import _model_part, _ModelPart, _quadratic_roots
 
 __all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
 
@@ -93,14 +93,16 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")
     model = GmmSpec.isotropic(ds.p, pi1, snr)
-    return _estimate(_loo_operator(ds.X, gamma), ds.y_noisy, model, gamma, (probe1, probe2))
+    return _estimate(_loo_operator(ds.X, gamma), ds.y_noisy, pi1,
+                     _model_part(model, ds.n, gamma), (probe1, probe2))
 
 
-def _estimate(loo, y_noisy: np.ndarray, model: GmmSpec, gamma: float, probes) -> NoiseEstimate:
+def _estimate(loo, y_noisy: np.ndarray, pi1: float, part: _ModelPart, probes) -> NoiseEstimate:
     """:func:`estimate_noise_rates` for one label vector of a draw whose
-    leave-one-out operator is ``loo``: both probes' targets are one block."""
+    leave-one-out operator is ``loo``: both probes' targets are one block,
+    inverted at the isotropic model part ``part`` (class-1 proportion ``pi1``)."""
     T = np.column_stack([_targets(y_noisy, probe) for probe in probes])
-    return solve_noise_system(np.mean(loo(T) ** 2, axis=0), model, T.shape[0], gamma, probes)
+    return _invert(np.mean(loo(T) ** 2, axis=0), pi1, part, probes)
 
 
 def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: float,
@@ -120,16 +122,22 @@ def solve_noise_system(nu_hat: np.ndarray, model: GmmSpec, n: float, gamma: floa
     ``v`` (the only interior stationary point that is not a root), the
     stationary points along each edge (roots of a cubic) and the corners.
     """
-    _check_probes(*probes)
     if model.cov is not None:
         raise ValueError("the moment inversion needs an isotropic model (cov = None)")
+    return _invert(nu_hat, model.pi1, _model_part(model, n, gamma), probes)
+
+
+def _invert(nu_hat: np.ndarray, pi1: float, part: _ModelPart,
+            probes: tuple[RhoParams, RhoParams]) -> NoiseEstimate:
+    """:func:`solve_noise_system` at the isotropic model part ``part`` of a
+    model with class-1 proportion ``pi1``."""
+    _check_probes(*probes)
     nu_hat = np.asarray(nu_hat, dtype=float)
     if nu_hat.shape != (2,):
         raise ValueError(f"nu_hat must hold one moment per probe, shape (2,), got {nu_hat.shape}")
     if not np.all(np.isfinite(nu_hat)):
         raise ValueError("non-finite empirical second moments")
-    pi1, pi2 = model.pi1, 1.0 - model.pi1
-    part = _model_part(model, n, gamma)
+    pi2 = 1.0 - pi1
     P = np.empty((2, 3))  # coefficients of P_k, highest power first
     a = np.empty(2)
     for k, probe in enumerate(probes):

@@ -360,6 +360,29 @@ class TestLooDecisions:
                 "scoring them by the dual PRESS form"]
             assert degenerate[0].filename == __file__
 
+    def test_dual_rows_are_residual_verified(self, monkeypatch):
+        # the dual PRESS rows come from the one verified solver: the draw's
+        # second block solve (the dual one, after the primal Q X) shifted by
+        # 1e-6 of its largest entry fails the residual check instead of
+        # scoring the rows
+        import lpc.core
+
+        X = _noisy_dataset(3, 12, seed=2).X.copy()
+        X[:, 0] *= 1e6
+        solve, calls = lpc.core._block_solve, []
+
+        def perturbed(D, E, rhs):
+            calls.append(rhs.shape)
+            Z = solve(D, E, rhs)
+            return Z + 1e-6 * np.abs(Z).max() if len(calls) == 2 else Z
+
+        monkeypatch.setattr(lpc.core, "_block_solve", perturbed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(FloatingPointError, match="normal-equation residual"):
+                _loo_operator(X, 1e-3)
+        assert calls == [(1, 3, 12), (1, 12, 1)]
+
     def test_large_gamma_shrinks_scores(self):
         ds = _noisy_dataset(4, 20, seed=8)
         scores = loo_decisions(ds, RhoParams(), gamma=1e8)
@@ -431,6 +454,22 @@ class TestBce:
         with pytest.warns(UserWarning, match="halted at step"):
             c = train_lpc_bce(ds, RhoParams(), learning_rate=1e12, iters=200)
         assert np.all(np.isfinite(c.w))
+
+    def test_halts_quietly_on_a_non_finite_update(self):
+        # the gradient at w = 0 is finite, but the step overflows: descent
+        # halts at step 0 with w = 0, and the documented warning is the only
+        # one (numpy's overflow warning leaked before it)
+        from lpc.datasets import LabeledDataset
+
+        base = _noisy_dataset(4, 20, seed=3)
+        ds = LabeledDataset(X=100.0 * base.X, y_noisy=base.y_noisy, y_clean=base.y_clean)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            c = train_lpc_bce(ds, RhoParams(0.1, 0.2), learning_rate=1e307)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "bce descent halted at step 0: non-finite update; "
+                          "returning last finite iterate")]
+        assert np.array_equal(c.w, np.zeros(4))
 
 
 class TestSerialization:

@@ -502,6 +502,23 @@ class TestGenerateTrainingStats:
         with pytest.raises(ValueError, match=match):
             generate_training_stats(spec, labels or [spec.labels(4)], 0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(gram=np.eye(2), xu=np.ones(2), group=[0, 0]), "xu must be p x r"),
+        (dict(gram=np.eye(3), xu=np.ones((2, 1)), group=[0, 0]), "gram must be p x p"),
+        (dict(gram=np.ones((1, 2)), xu=np.ones((2, 1)), group=[0, 0],
+              frame=(np.ones((2, 1)),)), r"frame must be the pair \(V, T\)"),
+        (dict(gram=np.ones((1, 2)), xu=np.ones((2, 1)), group=[0, 0],
+              frame=(np.ones((2, 1)), np.ones((2, 2)))), r"frame must be the pair \(V, T\)"),
+        (dict(gram=np.ones((3, 2)), xu=np.ones((2, 1)), group=[0, 0],
+              frame=(np.ones((2, 1)), np.ones((1, 1)))), "a banded gram must be"),
+        (dict(gram=np.eye(2), xu=np.ones((2, 2)), group=[0, 2]), "group must number"),
+        (dict(gram=np.eye(2), xu=np.ones((2, 1)), group=[[0, 0]]), "group must number"),
+    ], ids=["xu_1d", "dense_gram_shape", "frame_length", "frame_t_shape",
+            "banded_gram_shape", "group_gap", "group_2d"])
+    def test_malformed_statistics_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrainingStats(**kwargs)
+
     def test_nonfinite_statistics_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             TrainingStats(gram=np.full((2, 2), np.nan), xu=np.ones((2, 1)),
@@ -556,6 +573,19 @@ class TestCsvIngestion:
         ds = load_features_csv(path, label_column="label", has_header=True)
         assert (ds.n, ds.p) == (2, 2)
         np.testing.assert_allclose(ds.X[:, 0], [0.5, 2.0])
+
+    @pytest.mark.parametrize("text, kwargs, match", [
+        ("f1,label\n", dict(label_column="label", has_header=True), "no data rows after header"),
+        ("f1,label\n0.5,1\n", dict(label_column="lbl", has_header=True),
+         "label column 'lbl' not found in header"),
+        ("1,1.0,2.0\n-1,1.0,2.0\n", dict(label_column=3),
+         "label column index 3 out of range for 3 columns"),
+        ("1,1.0,2.0\n-1,1.0,2.0\n", dict(label_column=-4),
+         "label column index -4 out of range for 3 columns"),
+    ], ids=["header_only", "unknown_name", "index_past_end", "index_before_start"])
+    def test_malformed_layout_rejected(self, tmp_path, text, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            load_features_csv(self._write(tmp_path, text), **kwargs)
 
     def test_named_column_requires_header(self, tmp_path):
         path = self._write(tmp_path, "1,1.0\n")

@@ -151,6 +151,21 @@ class TestConfigParsing:
                 "schema_version = 1\nexperiment = sweep\ngrid = 0.4,0.2\n"
             )
 
+    @pytest.mark.parametrize("text, match", [
+        ("experiment = histogram\nseeds =\n", "seeds must be nonempty"),
+        ("experiment = histogram\nvariants =\n", "variants must be nonempty"),
+        ("experiment = sweep\nsweep_param = pi1\ngrid = 1\n", "unknown sweep_param 'pi1'"),
+        ("experiment = sweep\nsweep_param = gamma\n", "'sweep' needs a nonempty grid"),
+        ("experiment = histogram\nhas_header = maybe\n",
+         "key 'has_header': expected a boolean, got 'maybe'"),
+        ("experiment = histogram\nn 40\n", "line 3: expected 'key = value', got 'n 40'"),
+        ("experiment = histogram\nn = x\n", "key 'n': invalid literal"),
+    ], ids=["empty_seeds", "empty_variants", "unknown_sweep_param", "sweep_without_grid",
+            "bad_boolean", "line_without_equals", "non_integer"])
+    def test_malformed_config_refused(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            ex.parse_config_text("schema_version = 1\n" + text)
+
     def test_unknown_variant(self):
         with pytest.raises(ConfigError, match="variant"):
             ex.parse_config_text(
@@ -676,6 +691,20 @@ class TestRunners:
             "variants = naive,optimized,oracle\nseeds = 0,1,2\n")
         assert parts(ex.run_experiment, csv) == 3
 
+    def test_one_model_part_per_noise_run(self, monkeypatch):
+        # every seed and grid point of an estimate-noise run inverts its
+        # moments at the run's one model part (it was built per cell)
+        builds = []
+        build = lpc.theory._isotropic_part
+        monkeypatch.setattr(lpc.theory, "_isotropic_part",
+                            lambda *args: builds.append(args) or build(*args))
+        cfg = ex.parse_config_text(
+            "schema_version = 1\nexperiment = estimate-noise\nn = 40\np = 4\ngamma = 0.1\n"
+            "eps_minus = 0.1\nseeds = 0,1\ngrid = 0,0.1,0.2\n")
+        rep = ex.run_experiment(cfg)
+        assert len({(r.seed, r.grid_value) for r in rep.rows}) == 6
+        assert len(builds) == 1
+
     def test_multiclass_defaults_echo_what_the_run_used(self, tmp_path):
         # without pis or eps_rows lines the run uses the config's defaults
         # and config.echo prints them, so spelling them out changes no byte
@@ -846,9 +875,9 @@ class TestCli:
     @pytest.mark.parametrize("line, args, key", [
         ("seeds = -1\n", [], "seeds"), ("seeds = 3,3\n", [], "seeds"),
         ("bins = 0\n", [], "bins"), ("", ["--seeds=-1"], "seeds"),
-        ("", ["--seeds=3,3"], "seeds"),
+        ("", ["--seeds=3,3"], "seeds"), ("", ["--seeds=1,x"], "bad --seeds value '1,x'"),
     ], ids=["negative_seed", "repeated_seed", "zero_bins", "negative_seed_flag",
-            "repeated_seed_flag"])
+            "repeated_seed_flag", "malformed_seeds_flag"])
     def test_seeds_and_bins_refused_at_parse(self, tmp_path, capsys, line, args, key):
         # a negative seed failed inside numpy, a repeated one wrote every
         # row twice and zero bins failed in the histogram binning

@@ -56,6 +56,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="means contains non-finite"):
             MultiGmmSpec(means=means, pi=PI3, eps=EPS3)
 
+    def test_eps_entries_nonnegative(self):
+        with pytest.raises(ValueError, match="eps entries must be >= 0"):
+            MultiGmmSpec(means=np.eye(2), pi=[0.5, 0.5], eps=[[0.0, -0.1], [0.1, 0.0]])
+
+    def test_empty_class_rejected(self):
+        # n = 2 at pi = (0.3, 0.3, 0.4) rounds to sizes (1, 1), leaving none
+        # for the last class
+        assert _spec3().class_sizes(10).tolist() == [3, 3, 4]
+        with pytest.raises(ValueError, match=r"class sizes \(?\[?1,? 1,? 0"):
+            _spec3().class_sizes(2)
+
     def test_eps_column_mass_below_one(self):
         eps = np.array([[0.0, 0.6], [0.5, 0.0]])
         eps[0, 1] = 1.0
@@ -184,7 +195,23 @@ class TestLabelMatrix:
         )
 
 
+class TestAlphaBeta:
+    @pytest.mark.parametrize("alpha, beta, match", [
+        ([1.0, 2.0], [0.0], "equal length"),
+        ([[1.0, 2.0]], [[0.0, 0.0]], "1-d arrays"),
+        ([1.0, np.nan], [0.0, 0.0], "finite"),
+        ([1.0, 1.0], [np.inf, 0.0], "finite"),
+    ], ids=["lengths", "two_d", "nan_alpha", "inf_beta"])
+    def test_invalid_pairs_rejected(self, alpha, beta, match):
+        with pytest.raises(ValueError, match=match):
+            AlphaBeta(alpha=alpha, beta=beta)
+
+
 class TestTrainMulti:
+    def test_label_matrix_rows_must_match_n(self):
+        with pytest.raises(ValueError, match=r"label matrix rows \(4\) must match n=5"):
+            train_multi_lpc(np.ones((3, 5)), np.ones((4, 2)), 1.0)
+
     def test_zero_labels_zero_weights(self):
         X = np.random.default_rng(1).standard_normal((4, 10))
         W = train_multi_lpc(X, np.zeros((10, 3)), gamma=1.0)
