@@ -26,7 +26,7 @@ from .datasets import (
     load_features_csv,
     standardize_and_estimate,
 )
-from .noise import NoiseEstimate, empirical_second_moment, estimate_noise_rates
+from .noise import NoiseEstimate, estimate_noise_rates
 from .theory import (
     TheoryStats,
     delta,
@@ -50,7 +50,6 @@ __all__ = [
     "decision",
     "delta",
     "derive_seed",
-    "empirical_second_moment",
     "estimate_noise_rates",
     "evaluate",
     "flip_label_vector",

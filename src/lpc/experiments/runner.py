@@ -15,16 +15,23 @@ regression targets:
 variant's Monte Carlo cell next to its closed-form prediction at a model
 point, and :func:`_run_paired` is their one driver.  A sweep has a point per
 grid value (:meth:`~ExperimentConfig.at_grid_point`); a histogram or
-real-data run has one, at grid value 0.  Per seed the driver flips the
-clean labels per point, makes one training draw, trains every cell (point,
-then variant) with :func:`_score` and reduces the test scores to the
-experiment's report rows (:data:`_ROWS`).  :func:`_variants` reads every
+real-data run has one, at grid value 0.  A cell's numbers are fixed by
+its key: its labels (clean for ``oracle``, else its point's flip-rate pair),
+its ``rho`` and its ``gamma``.  Per seed the driver flips the clean labels
+once per distinct rate pair, makes one training draw, trains and scores each
+distinct key once with :func:`_score`, measures it once, and reports its
+values in the row of every cell (point, then variant) that has that key
+(:data:`_ROWS`): ``configs/sweep_rho.cfg`` has 55 cells per seed and 14
+keys, as ``naive``, ``unbiased``, ``optimized`` and ``oracle`` do not read
+the swept ``rho_plus`` and ``custom`` at ``rho_plus = 0`` is ``naive``.
+Equal keys share the model, noise rates, ``rho`` and ``gamma``, so they
+share the theory too.  :func:`_variants` reads every
 variant's ``(rho, theory)`` off one model part of :mod:`lpc.theory`, built
 once per model point: once per grid point of a synthetic run, once per seed
 and grid point of a CSV run (each split has its own class proportion), and
 once for :func:`theory_csv`.  :func:`_ingest` loads and standardizes a CSV.
-A draw's Gram is formed once; every cell that shares the draw and ``gamma``
-is one target column of a single block solve.
+A draw's Gram is formed once; every distinct key of a ``gamma`` is one
+target column of a single block solve.
 
 Seed ``s`` draws from the streams ``derive_seed(s, stream)``:
 
@@ -45,16 +52,17 @@ synthetic runs only ``estimate-noise`` draws features
 as features: the targets are
 functions of the labels, which are flipped before the draw, so
 :func:`~lpc.datasets.generate_training_stats` draws the per-label-group sums
-``X U`` of all the seed's label vectors (clean, then every point's noisy
-ones), ``p x r`` normals for ``r`` groups, and the Gram ``X X^T`` in the
-orthogonal frame of the means and ``X U``, where its noise part is banded
-with half-width ``s = k + r`` (``k`` mean rows): about ``p (s - 1)``
-normals and ``2 p`` chi-squares instead of ``p x n`` features, and a ridge
-fit in ``b x b`` blocks instead of a ``p x p`` solve.  A synthetic test set
-is drawn as scores: given the ``p x k`` weights ``W`` of all the cells that
-share it, a class-``a`` test point's scores ``W.T @ x`` are exactly
-``N(-+W.T mu, W.T C_a W)``, and :func:`~lpc.datasets.generate_scores` draws
-``k x n_test`` of them instead of a ``p x n_test`` feature matrix.  The
+``X U`` of all the seed's label vectors (clean, then each distinct rate
+pair's noisy ones), ``p x r`` normals for ``r`` groups, and the Gram
+``X X^T`` in the orthogonal frame of the means and ``X U``, where its noise
+part is banded with half-width ``s = k + r`` (``k`` mean rows): about
+``p (s - 1)`` normals and ``2 p`` chi-squares instead of ``p x n`` features,
+and a ridge fit in ``b x b`` blocks instead of a ``p x p`` solve.  A
+synthetic test set is drawn as scores: given the ``p x k`` weights ``W`` of
+all the distinct keys that share it, a class-``a`` test point's scores
+``W.T @ x`` are exactly ``N(-+W.T mu, W.T C_a W)``, and
+:func:`~lpc.datasets.generate_scores` draws ``k x n_test`` of them instead
+of a ``p x n_test`` feature matrix.  The
 training draw is exact up to an orthogonal map that fixes the span of the
 means and ``X U``, which every fit's weights and every isotropic test
 score see through; so the empirical cells have exactly the law of the
@@ -129,15 +137,16 @@ def _variants(cfg: ExperimentConfig, part: _ModelPart) -> dict[str, tuple[RhoPar
 
 
 def _score(ridge: _Ridge, cells: list, test) -> tuple[np.ndarray, np.ndarray]:
-    """The test scores (row ``j`` of cell ``j``) and test labels of every
-    cell ``(labels, variant, rho, gamma, ...)`` trained on one draw's ridge
-    systems, one block solve per ``gamma``.  ``test(W) -> (scores, labels)``
-    scores the ``p x len(cells)`` weights, column ``j`` of cell ``j``, on
-    one test set."""
+    """The test scores (row ``j`` of cell ``j``) and test labels of the
+    distinct cells ``(labels, rho, gamma)`` of one draw, each trained once on
+    its ridge systems, one block solve per ``gamma``.  ``test(W) -> (scores,
+    labels)`` scores the ``p x len(cells)`` weights, column ``j`` of cell
+    ``j``, on one test set: 14 columns for ``configs/sweep_rho.cfg``'s 55
+    report cells per seed."""
     W = np.empty((ridge.p, len(cells)))
-    for gamma in dict.fromkeys(c[3] for c in cells):
-        cols = [j for j, c in enumerate(cells) if c[3] == gamma]
-        targets = [_targets(y, rho) for y, _, rho, *_ in (cells[j] for j in cols)]
+    for gamma in dict.fromkeys(g for *_, g in cells):
+        cols = [j for j, c in enumerate(cells) if c[2] == gamma]
+        targets = [_targets(y, rho) for y, rho, _ in (cells[j] for j in cols)]
         W[:, cols] = ridge.weights(np.column_stack(targets), gamma)
     return test(W)
 
@@ -158,15 +167,15 @@ def _ingest(cfg: ExperimentConfig, clean: bool) -> StandardizeResult:
 # ---------------------------------------------------------------------------
 
 
-# metric -> (empirical, theory) of one cell's test scores s, test labels y
-# and theory st
+# metric -> (its empirical value at a cell's test scores s, test labels y and
+# orientation o = sign(m_rho), its theory at the cell's TheoryStats st)
 _METRICS = {
-    "mean_class1": lambda s, y, st: (s[y == -1].mean(), -st.m_rho),
-    "mean_class2": lambda s, y, st: (s[y == +1].mean(), st.m_rho),
-    "std_class1": lambda s, y, st: (s[y == -1].std(), math.sqrt(st.variance)),
-    "std_class2": lambda s, y, st: (s[y == +1].std(), math.sqrt(st.variance)),
-    "accuracy": lambda s, y, st: (_accuracy(s, y, 1.0 if st.m_rho >= 0 else -1.0), st.accuracy),
-    "risk": lambda s, y, st: (np.mean((s - y) ** 2), st.risk),
+    "mean_class1": (lambda s, y, o: s[y == -1].mean(), lambda st: -st.m_rho),
+    "mean_class2": (lambda s, y, o: s[y == +1].mean(), lambda st: st.m_rho),
+    "std_class1": (lambda s, y, o: s[y == -1].std(), lambda st: math.sqrt(st.variance)),
+    "std_class2": (lambda s, y, o: s[y == +1].std(), lambda st: math.sqrt(st.variance)),
+    "accuracy": (_accuracy, lambda st: st.accuracy),
+    "risk": (lambda s, y, o: np.mean((s - y) ** 2), lambda st: st.risk),
 }
 
 # the rows a paired experiment reports per cell and seed
@@ -211,10 +220,14 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
             order = _rng(derive_seed(seed, 3)).permutation(data.n)
             tr, te = order[: cfg.n], order[cfg.n:]
             y_clean = data.y_clean[tr]
-        noisy = [flip_label_vector(y_clean, point.eps_plus, cfg.eps_minus, derive_seed(seed, 1))
-                 for _, point in points]
+        # the label vectors a key names: "clean" (oracle) or a flip-rate pair
+        labels = {"clean": y_clean}
+        for _, point in points:
+            rates = point.eps_plus, point.eps_minus
+            if rates not in labels:
+                labels[rates] = flip_label_vector(y_clean, *rates, derive_seed(seed, 1))
         if data is None:
-            train = generate_training_stats(cfg.model, [y_clean, *noisy], derive_seed(seed, 0))
+            train = generate_training_stats(cfg.model, list(labels.values()), derive_seed(seed, 0))
 
             def test(W):
                 return generate_scores(cfg.model, W, cfg.n_test, derive_seed(seed, 2))
@@ -223,24 +236,30 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
 
             def test(W):
                 return W.T @ data.X[:, te], data.y_clean[te]
-        cells = []
-        for (value, point), y_noisy, variants in zip(points, noisy, fixed):
+        cols, rows = {}, []  # key -> its column; (variant, value, theory, column) per row
+        for (value, point), variants in zip(points, fixed):
             if variants is None:
                 pi1 = int(np.sum(y_clean == -1)) / cfg.n
                 model = GmmSpec.isotropic(data.p, pi1, snr)
                 variants = _variants(point, _model_part(model, cfg.n, point.gamma))
-            cells += [(y_clean if v == "oracle" else y_noisy, v, rho, point.gamma, st, value)
-                      for v, (rho, st) in variants.items()]
-        scores, y = _score(_Ridge(train), cells, test)
-        for (_, v, _, _, st, value), s in zip(cells, scores):
-            for m in _ROWS[kind]:
-                report.add(v, value, seed, m, *_METRICS[m](s, y, st))
+            for v, (rho, st) in variants.items():
+                key = ("clean" if v == "oracle" else (point.eps_plus, point.eps_minus),
+                       rho, point.gamma)
+                rows.append((v, value, st, cols.setdefault(key, len(cols))))
+        scores, y = _score(_Ridge(train), [(labels[k], rho, g) for k, rho, g in cols], test)
+        measured = {}  # column -> its empirical metrics; equal keys share the theory too
+        for v, value, st, j in rows:
+            if j not in measured:
+                o = 1.0 if st.m_rho >= 0 else -1.0
+                measured[j] = [_METRICS[m][0](scores[j], y, o) for m in _ROWS[kind]]
+            for m, emp in zip(_ROWS[kind], measured[j]):
+                report.add(v, value, seed, m, emp, _METRICS[m][1](st))
         if seed == cfg.seeds[0]:
-            first_scores = scores
+            first_scores = {v: scores[j] for v, _, _, j in rows}
     if kind == "histogram":
         theories = {v: st for v, (_, st) in fixed[0].items()}
         report.figure_svg, report.extra_files["bins.csv"] = _histogram_outputs(
-            cfg, dict(zip(theories, first_scores)), theories)
+            cfg, first_scores, theories)
     elif sweep:
         report.figure_svg = _sweep_figure(cfg, report)
     else:

@@ -377,7 +377,7 @@ def search_alpha_beta(
     grid_size: int,
     eval_seeds: Sequence[int] | np.ndarray,
     gamma: float,
-    n_test: int = 2000,
+    n_test: int = 10_000,
     tau_points: int = 11,
     search_seed: int = 0,
 ) -> SearchResult:

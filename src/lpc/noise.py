@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets, loo_decisions
+from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets
 from .datasets import GmmSpec, LabeledDataset
 from .theory import _model_part, _ModelPart, _quadratic_roots
 
-__all__ = ["NoiseEstimate", "empirical_second_moment", "estimate_noise_rates"]
+__all__ = ["NoiseEstimate", "estimate_noise_rates"]
 
 _SIMPLEX_CAP = 0.99
 _SNAP_TOL = 1e-12
@@ -60,12 +60,6 @@ class NoiseEstimate:
     def newton_converged(self) -> bool:
         """Whether an exact root exists (a field of the former search)."""
         return bool(self.roots)
-
-
-def empirical_second_moment(ds: LabeledDataset, rho: RhoParams, gamma: float) -> float:
-    """Mean squared leave-one-out decision value, the empirical ``nu_rho``."""
-    scores = loo_decisions(ds, rho, gamma)
-    return float(np.mean(scores**2))
 
 
 def _check_probes(probe1: RhoParams, probe2: RhoParams) -> None:

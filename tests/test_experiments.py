@@ -60,7 +60,7 @@ def _replay(cfg, seed):
     ``lpc.flip_label_vector`` per grid point, ``lpc.train_lpc`` (on clean
     labels for ``oracle``) on ``lpc.generate_training_stats`` drawn for all
     of them, on the seed's ``derive_seed`` streams (0 train, 1 flips, 2
-    test), the weights stacked in the harness's cell order (grid point, then
+    test), the weights of every cell stacked in cell order (grid point, then
     variant) and scored by ``lpc.generate_scores``, and
     ``lpc.theory_stats``."""
     from lpc.datasets import derive_seed
@@ -690,6 +690,43 @@ class TestRunners:
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,optimized,oracle\nseeds = 0,1,2\n")
         assert parts(ex.run_experiment, csv) == 3
+
+    def test_each_distinct_cell_trained_and_scored_once(self, monkeypatch):
+        # a cell's numbers are fixed by its labels (clean for oracle, else its
+        # point's flip rates), rho and gamma: a seed flips each rate pair once
+        # and trains, scores and measures each distinct cell once
+        widths, flips = [], []
+        score, flip = runner.generate_scores, runner.flip_label_vector
+        monkeypatch.setattr(runner, "generate_scores",
+                            lambda model, W, *a: widths.append(W.shape[1]) or score(model, W, *a))
+        monkeypatch.setattr(runner, "flip_label_vector",
+                            lambda *a: flips.append(a[1:3]) or flip(*a))
+        text = _public_api_cfg("sweep", "rho_plus").replace(
+            "grid = -0.3,0.6,1.5", "grid = -0.3,0,0.6").replace(
+            "custom,naive,unbiased,optimized,oracle", "custom,naive,unbiased,oracle")
+        cfg = ex.parse_config_text(text)
+        assert cfg.grid == (-0.3, 0.0, 0.6) and len(cfg.seeds) == 2
+        rep = ex.run_experiment(cfg)
+        # custom at -0.3 and 0.6; naive, which is custom at 0; unbiased; oracle
+        assert widths == [5, 5]
+        assert flips == [(cfg.eps_plus, cfg.eps_minus)] * 2
+        assert len(rep.rows) == 2 * 3 * 4 * 2  # every row is still reported
+
+        def cells(variant, grid_value):
+            return [(r.seed, r.metric, r.empirical, r.theory) for r in rep.rows
+                    if r.variant == variant and r.grid_value == grid_value]
+
+        for value in cfg.grid:
+            assert cells("naive", value) == cells("custom", 0.0)
+            assert cells("oracle", value) == cells("oracle", cfg.grid[0])
+            assert cells("unbiased", value) == cells("unbiased", cfg.grid[0])
+        assert cells("custom", -0.3) != cells("custom", 0.6)
+
+        widths.clear()
+        cfg = ex.parse_config_text(_public_api_cfg("sweep", "eps_plus"))
+        ex.run_experiment(cfg)
+        # 4 noisy variants per grid point and one oracle column for the seed
+        assert widths == [4 * len(cfg.grid) + 1] * len(cfg.seeds)
 
     def test_one_model_part_per_noise_run(self, monkeypatch):
         # every seed and grid point of an estimate-noise run inverts its

@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 import tracemalloc
 
@@ -13,7 +14,7 @@ from lpc.datasets import (
     generate_scores,
     generate_training_stats,
 )
-from lpc.experiments import parse_config_file
+from lpc.experiments import ExperimentConfig, parse_config_file
 from lpc.multiclass import (
     _CHUNK_ROWS,
     AlphaBeta,
@@ -298,6 +299,11 @@ class TestAccuracyAndSearch:
             search_alpha_beta(_spec3(), 600, grid_size=0, eval_seeds=[0], gamma=1.0)
         with pytest.raises(ValueError, match="eval_seeds"):
             search_alpha_beta(_spec3(), 600, grid_size=1, eval_seeds=[], gamma=1.0)
+
+    def test_n_test_default_is_the_configs(self):
+        # one omitted n_test gives one test-set size, in the library and the config
+        default = inspect.signature(search_alpha_beta).parameters["n_test"].default
+        assert default == ExperimentConfig.n_test
 
     @pytest.mark.parametrize("seeds", [np.array([0]), np.arange(2)], ids=["one", "arange"])
     def test_eval_seeds_may_be_an_array(self, seeds):

@@ -6,10 +6,10 @@ from lpc import (
     LabeledDataset,
     RhoParams,
     derive_seed,
-    empirical_second_moment,
     estimate_noise_rates,
     flip_labels,
     generate_gmm,
+    loo_decisions,
 )
 from lpc.core import _targets
 from lpc.noise import solve_noise_system
@@ -44,7 +44,7 @@ def _moment_surface(model, n, gamma, probes):
 class TestEmpiricalSecondMoment:
     def test_zero_features(self):
         ds = LabeledDataset(X=np.zeros((2, 6)), y_noisy=np.array([1, -1, 1, -1, 1, -1]))
-        assert empirical_second_moment(ds, RhoParams(), 1.0) == 0.0
+        assert np.mean(loo_decisions(ds, RhoParams(), 1.0) ** 2) == 0.0
 
     def test_matches_brute_force_average(self):
         ds = _noisy(2, 6, 0.5, 1.2, (0.2, 0.1), seed=4)
@@ -57,7 +57,7 @@ class TestEmpiricalSecondMoment:
             A = Xi @ Xi.T / ds.n + gamma * np.eye(ds.p)
             wi = np.linalg.solve(A, Xi @ t[keep] / ds.n)
             vals.append((ds.X[:, i] @ wi) ** 2)
-        assert empirical_second_moment(ds, rho, gamma) == pytest.approx(
+        assert np.mean(loo_decisions(ds, rho, gamma) ** 2) == pytest.approx(
             np.mean(vals), abs=1e-10
         )
 
@@ -68,7 +68,7 @@ class TestEmpiricalSecondMoment:
         vals = []
         for seed in range(3):
             ds = _noisy(p, n, pi1, snr, (ep, em), seed)
-            vals.append(empirical_second_moment(ds, RhoParams(), gamma))
+            vals.append(np.mean(loo_decisions(ds, RhoParams(), gamma) ** 2))
         nu = _exact_moments(GmmSpec.isotropic(p, pi1, snr), n, gamma, ep, em, (RhoParams(),))[0]
         assert np.mean(vals) == pytest.approx(nu, rel=0.05)
 
