@@ -6,9 +6,7 @@ from .core import (
     RhoParams,
     decision,
     evaluate,
-    load_classifier,
     loo_decisions,
-    save_classifier,
     train_lpc,
     train_lpc_bce,
 )
@@ -58,11 +56,9 @@ __all__ = [
     "generate_gmm",
     "generate_scores",
     "generate_training_stats",
-    "load_classifier",
     "load_features_csv",
     "loo_decisions",
     "optimal_rho",
-    "save_classifier",
     "standardize_and_estimate",
     "theory_stats",
     "train_lpc",

@@ -38,8 +38,6 @@ __all__ = [
     "evaluate",
     "loo_decisions",
     "perturbed_bce_loss",
-    "save_classifier",
-    "load_classifier",
 ]
 
 SINGULARITY_GUARD = 1e-8
@@ -97,8 +95,7 @@ class Classifier:
         w = np.asarray(self.w, dtype=float).reshape(-1)
         if not np.all(np.isfinite(w)):
             raise ValueError("classifier weights must be finite")
-        if not 0 < self.gamma < np.inf:  # NaN fails too
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.loss_kind not in ("squared", "bce"):
             raise ValueError(f"loss_kind must be 'squared' or 'bce', got {self.loss_kind!r}")
         object.__setattr__(self, "w", w)
@@ -422,31 +419,3 @@ def train_lpc_bce(
             break
         w = w_next
     return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="bce")
-
-
-_FORMAT_TAG = "lpc-classifier-v1"
-
-
-def save_classifier(c: Classifier, path) -> None:
-    """Serialize as text: a version tag line, then ``p + 3`` numbers
-    (gamma, rho_plus, rho_minus, w...)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{_FORMAT_TAG} {c.loss_kind}\n")
-        f.write(f"{float(c.gamma)!r}\n{float(c.rho.rho_plus)!r}\n{float(c.rho.rho_minus)!r}\n")
-        for v in c.w:
-            f.write(f"{float(v)!r}\n")
-
-
-def load_classifier(path) -> Classifier:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2 or header[0] != _FORMAT_TAG:
-            raise ValueError(f"{path}: not a {_FORMAT_TAG} file: the first line must be "
-                             f"'{_FORMAT_TAG} <loss_kind>'")
-        loss_kind = header[1]
-        values = [float(line) for line in f if line.strip()]
-    if len(values) < 4:
-        raise ValueError(f"{path}: truncated classifier file")
-    gamma, rho_plus, rho_minus = values[:3]
-    w = np.array(values[3:])
-    return Classifier(w=w, gamma=gamma, rho=RhoParams(rho_plus, rho_minus), loss_kind=loss_kind)

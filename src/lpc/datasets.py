@@ -150,17 +150,15 @@ class GmmSpec:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with clean and noisy labels.
+    """Features ``X`` (``p x n``, one sample per column) with their noisy
+    labels and, when known, their clean ones, each a vector of ``-1``/``+1``.
 
     ``y_clean`` is ``None`` for ingested data without ground truth.
-    ``class_counts`` follows the true labels when available, otherwise the
-    noisy ones.
     """
 
     X: np.ndarray
     y_noisy: np.ndarray
     y_clean: np.ndarray | None = None
-    class_counts: tuple[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
@@ -172,9 +170,6 @@ class LabeledDataset:
         if self.y_clean is not None:
             y_clean = _check_labels("y_clean", self.y_clean, X.shape[1])
             object.__setattr__(self, "y_clean", y_clean)
-        ref = self.y_clean if self.y_clean is not None else y_noisy
-        counts = (int(np.sum(ref == -1)), int(np.sum(ref == +1)))
-        object.__setattr__(self, "class_counts", counts)
 
     @property
     def p(self) -> int:
@@ -507,6 +502,7 @@ def load_features_csv(
     with ``0 -> -1``.  ``label_column`` may be a header name (requires
     ``has_header``) or a column index.  With ``has_clean_labels`` the parsed
     labels are treated as ground truth, otherwise only as noisy labels.
+    Every feature value must be finite.
     """
     rows: list[list[str]] = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -552,6 +548,8 @@ def load_features_csv(
             feats[i] = [float(v) for j, v in enumerate(row) if j != label_idx]
         except ValueError as exc:
             raise ValueError(f"{path}: unparsable value in row {rowno}: {exc}") from None
+        if not np.all(np.isfinite(feats[i])):
+            raise ValueError(f"{path}: non-finite feature value in row {rowno}")
 
     uniq = set(np.unique(labels))
     if uniq <= {0.0, 1.0}:

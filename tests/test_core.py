@@ -14,9 +14,7 @@ from lpc import (
     flip_label_vector,
     flip_labels,
     generate_gmm,
-    load_classifier,
     loo_decisions,
-    save_classifier,
     train_lpc,
     train_lpc_bce,
 )
@@ -472,35 +470,7 @@ class TestBce:
         assert np.array_equal(c.w, np.zeros(4))
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        ds = _noisy_dataset(7, 30, seed=19)
-        c = train_lpc(ds, RhoParams(0.3, -0.1), gamma=2.5)
-        path = tmp_path / "clf.txt"
-        save_classifier(c, path)
-        back = load_classifier(path)
-        np.testing.assert_array_equal(back.w, c.w)
-        assert back.gamma == c.gamma
-        assert back.rho == c.rho
-        assert back.loss_kind == "squared"
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something-else\n1.0\n")
-        with pytest.raises(ValueError, match="not a lpc-classifier"):
-            load_classifier(path)
-
-    @pytest.mark.parametrize("header, match", [
-        ("lpc-classifier-v1 garbage", "loss_kind"),
-        ("lpc-classifier-v1", "not a lpc-classifier"),
-    ], ids=["unknown_kind", "no_kind"])
-    def test_rejects_header_no_writer_writes(self, tmp_path, header, match):
-        # the first loaded as loss_kind 'garbage', the second as 'squared'
-        path = tmp_path / "clf.txt"
-        path.write_text(f"{header}\n1.0\n0.0\n0.0\n1.0\n")
-        with pytest.raises(ValueError, match=match):
-            load_classifier(path)
-
+class TestClassifier:
     @pytest.mark.parametrize("gamma, loss_kind, match", [
         (-1.0, "squared", "gamma"), (float("nan"), "squared", "gamma"),
         (1.0, "x", "loss_kind"), (float("inf"), "squared", "finite"),
@@ -508,10 +478,3 @@ class TestSerialization:
     def test_classifier_rejects_values_no_trainer_writes(self, gamma, loss_kind, match):
         with pytest.raises(ValueError, match=match):
             Classifier(w=[1.0], gamma=gamma, rho=RhoParams(), loss_kind=loss_kind)
-
-    def test_load_rejects_infinite_gamma(self, tmp_path):
-        # train_lpc refuses gamma = inf, so no saved classifier holds one
-        path = tmp_path / "clf.txt"
-        path.write_text("lpc-classifier-v1 squared\ninf\n0.0\n0.0\n1.0\n")
-        with pytest.raises(ValueError, match="gamma must be finite"):
-            load_classifier(path)

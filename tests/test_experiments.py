@@ -360,8 +360,7 @@ class TestRunners:
         path.write_text("\n".join(lines) + "\n")
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\n"
-            f"data_path = {path}\nlabel_column = 0\ngamma = 0.1\n"
-            "variants = custom\nseeds = 0\n"
+            f"data_path = {path}\nlabel_column = 0\ngamma = 0.1\nseeds = 0\n"
         )
         with pytest.warns(UserWarning, match="noisy labels"):
             rep = ex.run_experiment(cfg)
@@ -375,7 +374,7 @@ class TestRunners:
         # from the seed's streams
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\nn = 40\np = 4\ngamma = 0.1\n"
-            "eps_minus = 0.1\nvariants = custom\nseeds = 0\n"
+            "eps_minus = 0.1\nseeds = 0\n"
             "grid = " + ",".join(str(g / 100) for g in range(31)) + "\n")
         rep = ex.run_experiment(cfg)
         assert len({r.grid_value for r in rep.rows}) == 31
@@ -416,7 +415,7 @@ class TestRunners:
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.15,0.3\n"
             "n = 200\np = 20\npi1 = 0.3\nsnr = 2\ngamma = 0.1\neps_minus = 0.2\n"
-            "variants = custom\nseeds = 3,5\n")
+            "seeds = 3,5\n")
         rep = ex.run_experiment(cfg)
         assert len(rep.rows) == 4 * len(cfg.grid) * len(cfg.seeds)
         probes = (lpc.RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus),
@@ -436,8 +435,7 @@ class TestRunners:
         # the grid length
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.1,0.2,0.3\n"
-            "n = 60\np = 8\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
-            "seeds = 0,1,2\n")
+            "n = 60\np = 8\ngamma = 0.1\neps_minus = 0.2\nseeds = 0,1,2\n")
         shapes = []
         real = np.linalg.solve
 
@@ -455,7 +453,7 @@ class TestRunners:
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = estimate-noise\ngrid = 0,0.3\n"
             "n = 400\np = 40\npi1 = 0.3333333\nsnr = 2\ngamma = 0.1\n"
-            "eps_minus = 0.2\nvariants = custom\nseeds = 0\n"
+            "eps_minus = 0.2\nseeds = 0\n"
         )
         rep = ex.run_experiment(cfg)
         residuals = [r.empirical for r in rep.rows if r.metric == "residual"]
@@ -808,8 +806,10 @@ def test_shipped_config_runs_through_the_cli(path, tmp_path):
     assert rows and all(r["experiment"] == experiment for r in rows)
 
 
+# the experiments that read `variants`; every shipped config of them lists oracle
 @pytest.mark.parametrize("path", [p for p in sorted(CONFIG_DIR.glob("*.cfg"))
-                                  if "oracle" in ex.parse_config_file(p).variants],
+                                  if ex.parse_config_file(p).experiment
+                                  in ("histogram", "sweep", "real-data")],
                          ids=lambda p: p.name)
 def test_shipped_config_oracle_columns_are_the_oracle_row(path):
     # the oracle is the model at rho = (0, 0) with zero noise: the columns

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpc.core import RhoParams, train_lpc
 from lpc.datasets import (
     GmmSpec,
     TrainingStats,
@@ -267,6 +268,30 @@ class TestTrainMulti:
             ds.X @ y_pm / ds.X.shape[1],
         )
         np.testing.assert_allclose(W[:, 1] - W[:, 0], w_binary, atol=1e-10)
+
+    def test_two_classes_reduce_to_the_binary_lpc(self):
+        # at k = 2 the column difference trains on +lambda_plus = alpha_2 - beta_1
+        # for label 2 and -lambda_minus = beta_2 - alpha_1 for label 1: the
+        # binary LPC at the rho whose label weights these are
+        means = np.zeros((2, 200))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        spec = MultiGmmSpec(means=means, pi=[0.4, 0.6], eps=[[0.0, 0.2], [0.3, 0.0]])
+        y_clean = spec.labels(1000)
+        y_noisy = flip_multi_labels(spec, y_clean, 1)
+        stats = generate_training_stats(spec, [y_clean, y_noisy], 0)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            ab = AlphaBeta(alpha=rng.uniform(1.0, 2.0, 2), beta=rng.uniform(-0.5, 0.5, 2))
+            W = train_multi_lpc(stats, build_label_matrix(y_noisy, ab), 1.0)
+            lam_plus, lam_minus = ab.alpha[1] - ab.beta[0], ab.alpha[0] - ab.beta[1]
+            beta = (lam_plus + lam_minus) / 2
+            g = (lam_plus - lam_minus) / (lam_plus + lam_minus)
+            s = 1 - 1 / beta
+            rho = RhoParams((s + g) / 2, (s - g) / 2)
+            np.testing.assert_allclose((rho.lambda_plus, rho.lambda_minus),
+                                       (lam_plus, lam_minus), rtol=1e-12)
+            w = train_lpc(stats, rho, 1.0, labels=2 * y_noisy - 3).w
+            np.testing.assert_allclose(W[:, 1] - W[:, 0], w, rtol=1e-10)
 
 
 class TestAccuracyAndSearch:
