@@ -26,10 +26,12 @@ keys, as ``naive``, ``unbiased``, ``optimized`` and ``oracle`` do not read
 the swept ``rho_plus`` and ``custom`` at ``rho_plus = 0`` is ``naive``.
 Equal keys share the model, noise rates, ``rho`` and ``gamma``, so they
 share the theory too.  :func:`_variants` reads every
-variant's ``(rho, theory)`` off one model part of :mod:`lpc.theory`, built
-once per model point: once per grid point of a synthetic run, once per seed
-and grid point of a CSV run (each split has its own class proportion), and
-once for :func:`theory_csv`.  :func:`_ingest` loads and standardizes a CSV.
+variant's ``(rho, theory)`` off one model part of :mod:`lpc.theory`, which
+depends on the model, ``n`` and ``gamma`` alone: it is built once per
+distinct ``gamma`` of a synthetic run (once for a ``rho_plus`` or
+``eps_plus`` sweep, once per point of a ``gamma`` sweep), once per seed of a
+CSV run (each split has its own class proportion), and once for
+:func:`theory_csv`.  :func:`_ingest` loads and standardizes a CSV.
 A draw's Gram is formed once; every distinct key of a ``gamma`` is one
 target column of a single block solve.
 
@@ -210,7 +212,10 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
             raise ValueError(f"n={cfg.n} needs held-out samples, dataset has {data.n}")
         fixed = [None] * len(points)  # each split's theory reads its class proportion
     else:
-        fixed = [_variants(pt, _model_part(cfg.model, cfg.n, pt.gamma)) for _, pt in points]
+        # a part depends on the model, n and gamma alone: one per distinct gamma
+        gammas = dict.fromkeys(pt.gamma for _, pt in points)
+        parts = {g: _model_part(cfg.model, cfg.n, g) for g in gammas}
+        fixed = [_variants(pt, parts[pt.gamma]) for _, pt in points]
 
     report = RunReport(cfg)
     for seed in cfg.seeds:
@@ -457,8 +462,10 @@ def theory_csv(cfg: ExperimentConfig) -> str:
     zero noise.
 
     A ``data_path`` config has no configured model (a run reads its
-    dimension, SNR and class proportion from the CSV), and the binary theory
-    does not describe a ``multiclass`` run, so both raise.
+    dimension, SNR and class proportion from the CSV), the binary theory
+    does not describe a ``multiclass`` run, and an ``estimate-noise`` run
+    reports no variant (its theory cells are the true flip rates), so all
+    three raise.
     """
     if cfg.data_path:
         raise ConfigError("theory needs a synthetic model; this config sets data_path, "
@@ -466,6 +473,9 @@ def theory_csv(cfg: ExperimentConfig) -> str:
     if cfg.experiment == "multiclass":
         raise ConfigError("theory describes the binary model; a multiclass run has "
                           "no closed form")
+    if cfg.experiment == "estimate-noise":
+        raise ConfigError("an estimate-noise run reports no variant's theory: the theory "
+                          "cells of its estimates are the true flip rates")
     eta = cfg.p / cfg.n
     part = _model_part(cfg.model, cfg.n, cfg.gamma)
     oracle = part.stats(0.0, 0.0, RhoParams())

@@ -664,8 +664,9 @@ class TestRunners:
 
     def test_one_model_part_per_model_point(self, tmp_path, monkeypatch):
         # every variant's rho and theory at a model point are read off one
-        # model part: one per grid point of a sweep, one per seed of a CSV
-        # run (each split has its class proportion), one in theory_csv
+        # model part, which depends on the model, n and gamma alone: one per
+        # distinct gamma of a sweep, one per seed of a CSV run (each split
+        # has its class proportion), one in theory_csv
         builds = []
         build = lpc.theory._isotropic_part
         monkeypatch.setattr(lpc.theory, "_isotropic_part",
@@ -678,8 +679,11 @@ class TestRunners:
 
         sweep = ex.parse_config_text(_public_api_cfg("sweep", "eps_plus"))
         assert len(sweep.variants) == 5 and len(sweep.grid) == 2
-        assert parts(ex.run_experiment, sweep) == 2
+        assert parts(ex.run_experiment, sweep) == 1
         assert parts(ex.theory_csv, sweep) == 1
+        for param in ("rho_plus", "gamma"):
+            swept = ex.parse_config_text(_public_api_cfg("sweep", param))
+            assert parts(ex.run_experiment, swept) == (1 if param == "rho_plus" else 3)
         path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
                         p_pos=0.5)
         csv = ex.parse_config_text(
@@ -784,8 +788,8 @@ class TestRunners:
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_config_theory_is_finite(path):
     cfg = ex.parse_config_file(path)
-    if cfg.experiment == "multiclass":  # no binary model to print
-        with pytest.raises(ConfigError, match="multiclass"):
+    if cfg.experiment in ("multiclass", "estimate-noise"):  # no variant's theory to print
+        with pytest.raises(ConfigError, match=cfg.experiment):
             ex.theory_csv(cfg)
         return
     header, *rows = ex.theory_csv(cfg).splitlines()
@@ -869,6 +873,13 @@ class TestCli:
         assert cli_main(["theory", "--config", str(CONFIG_DIR / "multiclass.cfg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "multiclass" in err
+
+    def test_theory_rejects_estimate_noise(self, capsys):
+        # the run reports its estimates against the true flip rates, so no
+        # variant row would be a theory cell of it
+        assert cli_main(["theory", "--config", str(CONFIG_DIR / "estimate_noise.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "true flip rates" in err
 
     def test_threads_is_not_an_option(self, tmp_path):
         # seeds run one after another: neither the config key nor the flag

@@ -475,6 +475,44 @@ class TestGeneralCovariance:
         assert iso.delta == pytest.approx(delta(eta, gamma), rel=1e-9)
         assert iso.delta2 == pytest.approx(delta(eta, gamma), rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
+    def test_identity_reduction_at_small_gamma(self, gamma):
+        # at eta = 1 the guard's det(I - G) = h falls from 0.18 to 2e-6 over
+        # these gammas, where the plain iteration's contraction rate tends to 1
+        p = 100
+        mu = np.zeros(p)
+        mu[0] = 2.0
+        rates = dict(eps_plus=0.2, eps_minus=0.1, rho=RhoParams(0.2, 0.0))
+        iso = theory_stats(GmmSpec(0.5, mu), p, gamma, **rates)
+        gen = theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, gamma, **rates)
+        for got in (gen.delta, gen.delta2):
+            assert got == pytest.approx(iso.delta, rel=1e-9)
+        assert gen.m_rho == pytest.approx(iso.m_rho, rel=1e-9)
+        assert gen.nu_rho == pytest.approx(iso.nu_rho, rel=1e-9)
+
+    def test_validity_guard_on_general_path(self):
+        # the solve converges where the guard decides: det(I - G) equals the
+        # isotropic h that test_validity_guard_names_its_bound refuses
+        p = 100
+        mu = np.zeros(p)
+        mu[0] = 2.0
+        with pytest.raises(ValueError, match=r"det\(I - G\) = 6\.325e-07 <= 1e-06"):
+            theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-13)
+
+    def test_newton_solve_inverts_few_matrices(self, monkeypatch):
+        # criterion 08's ramp at eta = 1, gamma = 1e-4, near the guard: one
+        # p x p inverse per Newton step (a plain iteration takes about 1,300)
+        p = 200
+        mu = np.random.default_rng(7).standard_normal(p)
+        mu *= 2.0 / np.linalg.norm(mu)
+        model = GmmSpec(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+        part = theory._model_part(model, p, 1e-4)
+        assert len(inverses) <= 30
+        assert 0.0 < part.h < 0.1
+
     def test_psd_validation(self):
         p = 5
         mu = np.zeros(p)
@@ -516,7 +554,7 @@ def test_infinite_model_point_rejected(entry, key, path):
 
 
 def test_one_fixed_point_serves_a_rho_grid(monkeypatch):
-    # criterion 08's ramp at p = 200: one model part, so one run of the
+    # criterion 08's ramp at p = 200: one model part, so one solve of the
     # trace fixed point, serves a 1201-point rho grid and both closed-form
     # rhos, with the public functions' values
     p = 200
@@ -525,9 +563,9 @@ def test_one_fixed_point_serves_a_rho_grid(monkeypatch):
     model = GmmSpec(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
     n, gamma, ep, em = 1000, 0.5, 0.3, 0.2
     runs = []
-    fixed_point = theory._general_fixed_point
-    monkeypatch.setattr(theory, "_general_fixed_point",
-                        lambda *args: runs.append(args) or fixed_point(*args))
+    build = theory._general_part
+    monkeypatch.setattr(theory, "_general_part",
+                        lambda *args: runs.append(args) or build(*args))
     part = theory._model_part(model, n, gamma)
     grid = np.linspace(-2.0, 4.0, 1201)
     stats = [part.stats(ep, em, RhoParams(g / 2, -g / 2)) for g in grid]
