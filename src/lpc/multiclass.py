@@ -212,15 +212,18 @@ class SearchResult:
 
 # Candidate rows per block.  _accuracies allocates its running minimum margin
 # and the product that updates it once per call, each a float32 _CHUNK_ROWS x
-# (a class's most test columns): 0.26 MB at 80 rows x 800 columns.  The search
-# ran at least as fast at 80 rows as at 96 to 200, on one thread at every
-# size, and its tracemalloc peak is 1.31 MiB at 80 rows (120: 1.58, 160: 1.86,
-# 200: 2.19).  One sgemm of r rows x 2k x m columns stays single-threaded
-# while r 2k m is below about 1.0e6 with the table in C order (OpenBLAS
-# 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on both threads and 3x slower;
-# 2-core VM).  With the table in Fortran order, as np.vstack leaves it, the
-# product is slower and threads from 112 x 6 x 800.
-_CHUNK_ROWS = 80
+# (a class's most test columns): 0.32 MB at 100 rows x 800 columns.  At
+# configs/multiclass.cfg the search ran about 3% faster at 100 rows than at
+# 80 (64: 4% slower, 120: 1% faster than 100, 160: as 80), on one thread at
+# every size; its tracemalloc peak is 1.80 MiB at 100 rows (64: 1.55, 80:
+# 1.66, 120: 1.93, 160: 2.21), and 120 would leave 0.07 MiB of the 2 MiB
+# that test_search_memory_at_shipped_size allows.  One sgemm of r rows x 2k x
+# m columns stays single-threaded while r 2k m is below about 1.0e6 with the
+# table in C order (OpenBLAS 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on
+# both threads and 3x slower; 2-core VM).  With the table in Fortran order,
+# as np.vstack leaves it, the product is slower and threads from 112 x 6 x
+# 800.
+_CHUNK_ROWS = 100
 
 
 class _SeedEvaluator:
@@ -282,12 +285,15 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
 
     The loops run over the true class c, then over blocks of ``_CHUNK_ROWS``
     candidates, then over the seeds.  Each seed's scaled ``F`` of class c is
-    built once per class, and each block's ``(k - 1)`` coefficient rows per
-    candidate once for all seeds.  The products and their running minimum go
+    built once per class, and so are the coefficient rows of all C candidates
+    against each of the k - 1 other classes: one float32 ``(k - 1) x C x 2k``
+    table allocated once per call and refilled per class, which a block and
+    every seed read as a view.  The products and their running minimum go
     into two float32 buffers of ``_CHUNK_ROWS`` x (the most columns of any
     class and seed) allocated once per call, each seed's block a contiguous
     ``r x m_c`` view of their head; the comparisons with ``tau`` go into one
-    boolean buffer of that size and are counted per row as int32.
+    boolean buffer of that size and are counted per row as int16, or as
+    int32 when a class of some seed has 2**15 columns or more.
 
     ``tau`` bounds, in these units, the error of the float32 margin plus that
     of the two rounded float64 scores.  The 4 nonzero terms of a margin sum to
@@ -316,9 +322,11 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
     C, k = A.shape
     tau = (k + 3) * np.finfo(np.float32).eps
     width = max(on.shape[1] for ev in evaluators for on, _ in ev.by_class)
+    count = np.int16 if width < 2**15 else np.int32  # a row counts at most width hits
     size = min(C, _CHUNK_ROWS) * width
     least_buf, prod_buf = np.empty(size, np.float32), np.empty(size, np.float32)
     mask_buf = np.empty(size, dtype=bool)
+    coef = np.empty((k - 1, C, 2 * k), np.float32)
     hits = np.zeros((C, len(evaluators)))  # whole counts, exact below 2**53
     for c in range(k):
         tables = []
@@ -327,26 +335,28 @@ def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
             l1 = np.abs(F).sum(axis=0)
             F /= np.where(l1 > 0, l1, 1.0)
             tables.append(np.ascontiguousarray(F, dtype=np.float32))
-        others, t = np.delete(np.arange(k), c), np.arange(k - 1)
+        for coef_j, j in zip(coef, np.delete(np.arange(k), c)):
+            top = np.abs(A[:, c])
+            for col in (B[:, c], A[:, j], B[:, j]):
+                np.maximum(top, np.abs(col), out=top)
+            top[top == 0] = 1.0  # a zero row keeps zero margins
+            coef_j.fill(0.0)
+            coef_j[:, c], coef_j[:, k + c] = A[:, c] / top, B[:, c] / top
+            coef_j[:, j], coef_j[:, k + j] = -A[:, j] / top, -B[:, j] / top
         for lo in range(0, C, _CHUNK_ROWS):
             a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
             r = len(a)
-            coef = np.zeros((k - 1, r, 2 * k))
-            coef[:, :, c], coef[:, :, k + c] = a[:, c], b[:, c]
-            coef[t, :, others], coef[t, :, k + others] = -a[:, others].T, -b[:, others].T
-            top = np.abs(coef).max(axis=2, keepdims=True)
-            coef /= np.where(top > 0, top, 1.0)  # a zero row keeps zero margins
-            coef = coef.astype(np.float32)
+            block = coef[:, lo:lo + r]
             for s, (ev, F) in enumerate(zip(evaluators, tables)):
                 least, prod, mask = (buf[:r * F.shape[1]].reshape(r, -1)
                                      for buf in (least_buf, prod_buf, mask_buf))
-                np.matmul(coef[0], F, out=least)
-                for coef_j in coef[1:]:
+                np.matmul(block[0], F, out=least)
+                for coef_j in block[1:]:
                     np.minimum(least, np.matmul(coef_j, F, out=prod), out=least)
-                n = np.add.reduce(np.greater(least, tau, out=mask), axis=1, dtype=np.int32)
+                n = np.add.reduce(np.greater(least, tau, out=mask), axis=1, dtype=count)
                 np.greater_equal(least, -tau, out=mask)
                 if np.count_nonzero(mask) > n.sum():  # a column within tau
-                    unsure = np.add.reduce(mask, axis=1, dtype=np.int32) > n
+                    unsure = np.add.reduce(mask, axis=1, dtype=count) > n
                     n[unsure] = _rule_hits(a[unsure], b[unsure], *ev.by_class[c], c)
                 hits[lo:lo + r, s] += n
     hits /= [ev.m for ev in evaluators]

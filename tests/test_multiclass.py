@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lpc import multiclass
 from lpc.core import RhoParams, train_lpc
 from lpc.datasets import (
     GmmSpec,
@@ -503,6 +504,22 @@ class TestBlockScoring:
         np.testing.assert_array_equal(res.candidate_accuracy,
                                       np.column_stack(per_seed).mean(axis=1))
 
+    def test_counts_beyond_int16(self):
+        # k = 2 with a first class of 2**15 + 100 columns: every candidate
+        # of positive alphas has a certain hit on each of them, and the zero
+        # candidate ties there and is recounted, so a row counts more hits
+        # than int16 holds; the candidates fill one block and part of a second
+        rng = np.random.default_rng(8)
+        m = 2**15 + 100
+        on = np.vstack([rng.uniform(0.5, 1.0, m), rng.uniform(-1.0, -0.5, m)])
+        tables = [(on, rng.uniform(-0.1, 0.1, (2, m))), tuple(rng.uniform(-1, 1, (2, 2, 50)))]
+        ev = _tables_evaluator(tables)
+        A = rng.uniform(0.5, 2, (_CHUNK_ROWS + 5, 2))
+        B = rng.uniform(-2, 2, (_CHUNK_ROWS + 5, 2))
+        A[::7, 0] *= -1.0  # rows of few hits on the first class
+        A[-1], B[-1] = 0.0, 0.0
+        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
+
     def test_chunk_boundary(self):
         ev = _SeedEvaluator(_spec3(p=6), 200, gamma=0.5, seed=2, n_test=120)
         rng = np.random.default_rng(3)
@@ -541,12 +558,41 @@ class TestBlockScoring:
             assert abs(public(ab) - acc) <= 1.0 / n_test
 
 
-def test_search_memory_at_shipped_size():
-    # configs/multiclass.cfg's search (3 seeds, 5000 candidates) holds its
-    # score tables, two blocks of margins and one of comparisons
+def _shipped_config():
     cfg = parse_config_file(pathlib.Path(__file__).resolve().parent.parent
                             / "configs" / "multiclass.cfg")
     assert (len(cfg.seeds), cfg.grid_size) == (3, 5000)
+    return cfg
+
+
+def test_search_at_shipped_size_matches_rule(monkeypatch):
+    # configs/multiclass.cfg's 5000 candidates on its 3 seeds: a fixed random
+    # subset, the last block and every row the float32 filter recounts
+    cfg = _shipped_config()
+    evs = [_SeedEvaluator(cfg.model, cfg.n, cfg.gamma, s, cfg.n_test) for s in cfg.seeds]
+    rows = _rng(cfg.search_seed).uniform(-2.0, 2.0, size=(cfg.grid_size, 6))
+    A, B = rows[:, :3], rows[:, 3:]
+    recounted, rule_hits = [], multiclass._rule_hits
+
+    def spy(a, b, on, off, c):
+        recounted.extend(np.flatnonzero((A == row).all(axis=1))[0] for row in a)
+        return rule_hits(a, b, on, off, c)
+
+    monkeypatch.setattr(multiclass, "_rule_hits", spy)
+    acc = _accuracies(evs, A, B)
+    assert recounted
+    last = (len(A) - 1) // _CHUNK_ROWS * _CHUNK_ROWS
+    pick = np.union1d(np.random.default_rng(0).choice(len(A), 200, replace=False),
+                      np.r_[np.arange(last, len(A)), recounted])
+    for s, ev in enumerate(evs):
+        np.testing.assert_array_equal(acc[pick, s], _scalar_accuracies(ev, A[pick], B[pick]))
+
+
+def test_search_memory_at_shipped_size():
+    # configs/multiclass.cfg's search (3 seeds, 5000 candidates) holds its
+    # score tables, the coefficient table of every candidate against each
+    # other class, two blocks of margins and one of comparisons
+    cfg = _shipped_config()
     # a first search imports modules (numpy's seed sequence pulls in secrets),
     # which would count about 0.7 MiB of module objects
     search_alpha_beta(cfg.model, 60, grid_size=2, eval_seeds=[0], gamma=cfg.gamma, n_test=60)
