@@ -22,7 +22,6 @@ import numpy as np
 from ..core import RhoParams
 from ..datasets import GmmSpec, _check_flip_rates
 from ..multiclass import MultiGmmSpec, _check_search
-from ..noise import _check_probes
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "parse_config_text"]
 
@@ -84,13 +83,7 @@ class ExperimentConfig:
     # replicates / outputs
     seeds: tuple[int, ...] = (0,)
     n_test: int = 10_000
-    bins: int = 60
     out: str = ""
-    # noise estimation
-    probe1_rho_plus: float = 0.0
-    probe1_rho_minus: float = 0.1
-    probe2_rho_plus: float = 0.0
-    probe2_rho_minus: float = 0.4
     # real data
     data_path: str = ""
     label_column: str = "0"
@@ -101,12 +94,13 @@ class ExperimentConfig:
     eps_rows: tuple[tuple[float, ...], ...] = ((0.0, 0.3, 0.0), (0.0, 0.0, 0.4), (0.5, 0.0, 0.0))
     pis: tuple[float, ...] = (0.3, 0.3, 0.4)
     grid_size: int = 5000
-    tau_points: int = 11
     search_seed: int = 0
 
-    # Not a field, so never parsed, echoed or hashed: seeds run one after
-    # another.  The benchmark's provenance (perfbench/worker.py) reads it.
+    # Not fields, so never parsed, echoed or hashed: seeds run one after
+    # another, and the multiclass path has 11 points.  The benchmark reads
+    # both (perfbench/worker.py and perfbench/workloads.py).
     threads = 1
+    tau_points = 11
 
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
@@ -121,13 +115,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
-        # search_seed is checked for every run, grid_size and tau_points where
-        # the search reads them
+        # search_seed is checked for every run, grid_size where the search reads it
         with _naming():
-            _check_search(self.search_seed, *(
-                (self.grid_size, self.tau_points) if self.experiment == "multiclass" else ()))
-        if self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
+            _check_search(self.search_seed,
+                          *((self.grid_size,) if self.experiment == "multiclass" else ()))
         if not self.variants:
             raise ConfigError("variants must be nonempty")
         for v in self.variants:
@@ -181,10 +172,6 @@ class ExperimentConfig:
                 RhoParams(self.custom_rho_plus, self.custom_rho_minus)
         if noise_grid and not self.snr > 0:
             raise ConfigError(f"estimate-noise needs snr > 0, got {self.snr}")
-        if self.experiment == "estimate-noise":
-            with _naming("probe1_rho_plus/minus, probe2_rho_plus/minus"):
-                _check_probes(RhoParams(self.probe1_rho_plus, self.probe1_rho_minus),
-                              RhoParams(self.probe2_rho_plus, self.probe2_rho_minus))
         if self.experiment == "sweep" or noise_grid:  # each point as the run uses it
             for value in self.grid:
                 with _naming(f"grid point {value}"):

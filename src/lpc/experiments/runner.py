@@ -82,6 +82,11 @@ one-hot and all-ones weights, which serve every candidate.  At
 uniforms and 6,000 score normals per seed, instead of two ``200 x 2000``
 feature draws and their flips (804,000 numbers).
 
+Three settings are fixed, not configured: a histogram run bins its first
+seed's scores in :data:`_BINS` (60) bins, the noise estimator trains the
+probes :data:`_PROBES`, ``rho = (0, 0.1)`` and ``(0, 0.4)``, and the
+multiclass path has ``ExperimentConfig.tau_points`` (11) points.
+
 Empirical accuracies are orientation-calibrated: predictions are
 ``sign(m_rho) * sign(w @ x)`` with ``sign(m_rho)`` taken from the theory
 (heavy label noise turns the mean negative, as for ``naive`` at
@@ -115,6 +120,11 @@ from .report import RunReport
 from .svgplot import Figure
 
 __all__ = ["run_experiment", "theory_csv"]
+
+# the histogram's bin count, and the noise estimator's two probes; their
+# gaps rho_plus - rho_minus differ, as lpc.noise needs
+_BINS = 60
+_PROBES = RhoParams(0.0, 0.1), RhoParams(0.0, 0.4)
 
 
 def _variants(cfg: ExperimentConfig, part: _ModelPart) -> dict[str, tuple[RhoParams, TheoryStats]]:
@@ -285,7 +295,7 @@ def _histogram_outputs(cfg, score_map, theories) -> tuple[str, str]:
     Gaussian mixture: the figure and ``bins.csv``."""
     lo = min(float(s.min()) for s in score_map.values())
     hi = max(float(s.max()) for s in score_map.values())
-    edges = np.linspace(lo, hi, cfg.bins + 1)
+    edges = np.linspace(lo, hi, _BINS + 1)
     centers = (edges[:-1] + edges[1:]) / 2.0
     fig = Figure(title=f"decision values (p={cfg.p}, n={cfg.n})",
                  xlabel="w @ x", ylabel="density")
@@ -295,7 +305,7 @@ def _histogram_outputs(cfg, score_map, theories) -> tuple[str, str]:
         theory_dens = _gauss_mixture_density(centers, theories[v], cfg.pi1)
         fig.bars(centers, dens, width=float(edges[1] - edges[0]), label=f"{v} (emp)")
         fig.line(centers, theory_dens, label=f"{v} (theory)", dashed=True)
-        for i in range(cfg.bins):
+        for i in range(_BINS):
             lines.append(
                 f"{v},{float(edges[i])!r},{float(edges[i + 1])!r},"
                 f"{float(dens[i])!r},{float(theory_dens[i])!r}"
@@ -362,13 +372,11 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     :func:`standardize_and_estimate`, whose centering also moves the
     theory's origin.  On 10 CSVs of ``n = 1000`` draws of
     ``GmmSpec.isotropic(100, 1/3, 2)`` flipped at ``(0.3, 0.2)``, with
-    ``gamma = 0.1`` and the default probes, the mean estimate is ``(0.000,
-    0.138)``, read at ``pi1 = 0.465`` and ``snr = 0.52``.
+    ``gamma = 0.1`` and the probes :data:`_PROBES`, the mean estimate is
+    ``(0.000, 0.138)``, read at ``pi1 = 0.465`` and ``snr = 0.52``.
     """
-    probe1 = RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus)
-    probe2 = RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus)
     if cfg.data_path:
-        return _estimate_from_file(cfg, probe1, probe2)
+        return _estimate_from_file(cfg)
     report = RunReport(cfg)
     part = _model_part(cfg.model, cfg.n, cfg.gamma)
     for seed in cfg.seeds:
@@ -376,7 +384,7 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
         loo, flips = _loo_operator(clean.X, cfg.gamma), derive_seed(seed, 1)
         for eps_plus in cfg.grid:
             est = _estimate(loo, flip_label_vector(clean.y_clean, eps_plus, cfg.eps_minus, flips),
-                            cfg.pi1, part, (probe1, probe2))
+                            cfg.pi1, part, _PROBES)
             report.add("estimator", eps_plus, seed, "eps_plus_hat", est.eps_plus, eps_plus)
             report.add("estimator", eps_plus, seed, "eps_minus_hat", est.eps_minus,
                        cfg.eps_minus)
@@ -392,12 +400,11 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _estimate_from_file(cfg: ExperimentConfig, probe1: RhoParams,
-                        probe2: RhoParams) -> RunReport:
+def _estimate_from_file(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(cfg)
     std = _ingest(cfg, clean=False)  # warns: noisy-label SNR is biased
     snr, pi1 = std.snr_estimate, std.pi1_estimate
-    est = estimate_noise_rates(std.dataset, probe1, probe2, cfg.gamma, snr, pi1)
+    est = estimate_noise_rates(std.dataset, *_PROBES, cfg.gamma, snr, pi1)
     seed = cfg.seeds[0]
     report.add("estimator", 0.0, seed, "eps_plus_hat", est.eps_plus)
     report.add("estimator", 0.0, seed, "eps_minus_hat", est.eps_minus)

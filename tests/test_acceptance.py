@@ -185,8 +185,6 @@ def test_criterion_06_noise_rate_estimation():
             "grid = 0,0.1,0.2,0.3,0.4,0.5,0.6\n"
             "n = 1000\np = 100\npi1 = 0.3333333333333333\n"
             f"snr = {snr}\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
-            "probe1_rho_plus = 0\nprobe1_rho_minus = 0.1\n"
-            "probe2_rho_plus = 0\nprobe2_rho_minus = 0.4\n"
             f"seeds = {','.join(str(s) for s in range(10))}\n"
         )
         rep = ex.run_experiment(cfg)
@@ -310,7 +308,7 @@ def test_criterion_09_multi_lpc():
     cfg = _cfg(
         "schema_version = 1\nexperiment = multiclass\nn = 2000\np = 200\n"
         "means = -2,0,2\ngamma = 1.0\ngrid_size = 5000\nvariants = custom\n"
-        "seeds = 0,1,2\nn_test = 2000\ntau_points = 11\n"
+        "seeds = 0,1,2\nn_test = 2000\n"
     )
     rep = ex.run_experiment(cfg)
     tau1 = rep.mean_over_seeds("multi-lpc", "accuracy", 1.0)

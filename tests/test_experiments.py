@@ -197,16 +197,14 @@ class TestConfigParsing:
                                  "means = -3,-1,1,3\n" + given)
 
     @pytest.mark.parametrize("bad, match", [
-        ("tau_points = 1", "tau_points"),
         ("grid_size = 0", "grid_size"),
         ("gamma = optimal", "numeric gamma"),
         ("eps_rows = 0,0.3; 0,0; 0.5,0", "eps matrix"),
         ("search_seed = -3", "search_seed"),
-    ], ids=["tau_points", "grid_size", "gamma", "eps_row_width", "search_seed"])
+    ], ids=["grid_size", "gamma", "eps_row_width", "search_seed"])
     def test_multiclass_search_ranges(self, bad, match):
         head = "schema_version = 1\nexperiment = multiclass\n"
-        edge = ex.parse_config_text(head + "tau_points = 2\ngrid_size = 1\n")
-        assert (edge.tau_points, edge.grid_size) == (2, 1)
+        assert ex.parse_config_text(head + "grid_size = 1\n").grid_size == 1
         with pytest.raises(ConfigError, match=match):
             ex.parse_config_text(head + bad + "\n")
 
@@ -322,6 +320,20 @@ class TestEmitReport:
             key = (row["variant"], row["grid_value"], row["seed"], row["metric"])
             assert by_key[key] == row["empirical"]  # repr round-trips exactly
 
+    def test_csv_with_other_columns_names_its_path(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("variant,metric,value\nnaive,accuracy,0.9\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unexpected columns")):
+            ex.read_report_csv(path)
+
+    def test_multiclass_cells_have_no_theory_value(self):
+        rep = ex.run_experiment(ex.parse_config_text(
+            "schema_version = 1\nexperiment = multiclass\nn = 60\np = 4\nn_test = 60\n"
+            "grid_size = 5\n"))
+        assert rep.rows and all(r.theory is None for r in rep.rows)
+        with pytest.raises(KeyError, match=r"no theory cell for \(best, accuracy, None\)"):
+            rep.theory_value("best", "accuracy")
+
     def test_theory_cells_paired_where_applicable(self, tmp_path):
         cfg = ex.parse_config_text(SWEEP_CFG)
         rep = ex.run_experiment(cfg)
@@ -418,13 +430,11 @@ class TestRunners:
             "seeds = 3,5\n")
         rep = ex.run_experiment(cfg)
         assert len(rep.rows) == 4 * len(cfg.grid) * len(cfg.seeds)
-        probes = (lpc.RhoParams(cfg.probe1_rho_plus, cfg.probe1_rho_minus),
-                  lpc.RhoParams(cfg.probe2_rho_plus, cfg.probe2_rho_minus))
         for row in rep.rows:
             clean = lpc.generate_gmm(cfg.model, cfg.n, derive_seed(row.seed, 0))
             noisy = lpc.flip_labels(clean, row.grid_value, cfg.eps_minus,
                                     derive_seed(row.seed, 1))
-            est = lpc.estimate_noise_rates(noisy, *probes, cfg.gamma, cfg.snr, cfg.pi1)
+            est = lpc.estimate_noise_rates(noisy, *runner._PROBES, cfg.gamma, cfg.snr, cfg.pi1)
             expected = {"eps_plus_hat": est.eps_plus, "eps_minus_hat": est.eps_minus,
                         "residual": est.residual, "roots": len(est.roots)}[row.metric]
             assert row.empirical == expected
@@ -748,7 +758,7 @@ class TestRunners:
         # without pis or eps_rows lines the run uses the config's defaults
         # and config.echo prints them, so spelling them out changes no byte
         head = ("schema_version = 1\nexperiment = multiclass\nn = 120\np = 10\n"
-                "grid_size = 20\nseeds = 0,1\nn_test = 150\ntau_points = 3\n")
+                "grid_size = 20\nseeds = 0,1\nn_test = 150\n")
         spelled = "pis = 0.3,0.3,0.4\neps_rows = 0,0.3,0; 0,0,0.4; 0.5,0,0\n"
         for name, text in (("default", head), ("spelled", head + spelled)):
             ex.emit_report(ex.run_experiment(ex.parse_config_text(text)), tmp_path / name)
@@ -767,7 +777,7 @@ class TestRunners:
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = multiclass\nn = 150\np = 20\n"
             "means = -2,0,2\ngamma = 1.0\ngrid_size = 40\nseeds = 0,1,2\n"
-            "n_test = 200\ntau_points = 3\n"
+            "n_test = 200\n"
         )
         rep = ex.run_experiment(cfg)
         res = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
@@ -891,6 +901,19 @@ class TestCli:
             cli_main(["run", "--config", cfg, "--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line", [
+        "bins = 60", "tau_points = 11", "probe1_rho_plus = 0", "probe1_rho_minus = 0.1",
+        "probe2_rho_plus = 0", "probe2_rho_minus = 0.4",
+    ], ids=lambda line: line.split()[0])
+    def test_fixed_settings_are_not_options(self, tmp_path, capsys, line):
+        # the histogram bins, the multiclass path points and the noise
+        # probes are constants of the harness, so their keys are refused
+        cfg = self._write_cfg(tmp_path, SWEEP_CFG + line + "\n")
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        key = line.split()[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         bad = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = sweep\ngrid = 3,1\n")
@@ -927,8 +950,9 @@ class TestCli:
     ], ids=["negative_seed", "repeated_seed", "zero_bins", "negative_seed_flag",
             "repeated_seed_flag", "malformed_seeds_flag"])
     def test_seeds_and_bins_refused_at_parse(self, tmp_path, capsys, line, args, key):
-        # a negative seed failed inside numpy, a repeated one wrote every
-        # row twice and zero bins failed in the histogram binning
+        # a negative seed failed inside numpy and a repeated one wrote every
+        # row twice; zero bins failed in the histogram binning, and the bin
+        # count is now a constant whose key is refused
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = histogram\n"
                               "n = 40\np = 10\nn_test = 50\n" + line)
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
@@ -975,10 +999,6 @@ class TestCli:
         # label-weight pairs
         ("experiment = histogram\nvariants = custom\ncustom_rho_plus = 0.5\n"
          "custom_rho_minus = 0.5\n", "custom_rho_plus.*singular"),
-        ("experiment = estimate-noise\ngrid = 0.1\nprobe1_rho_plus = 0.5\n"
-         "probe1_rho_minus = 0.5\n", "probe1.*singular"),
-        ("experiment = estimate-noise\ngrid = 0.1\nprobe2_rho_minus = 0.1\n",
-         "probe1.*distinct gaps"),
         # the moment inversion's model
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = 0\n", "needs snr > 0, got 0.0"),
         ("experiment = estimate-noise\ngrid = 0.1\nsnr = -1\n", "needs snr > 0, got -1.0"),
@@ -992,7 +1012,7 @@ class TestCli:
         ("experiment = multiclass\ndata_path = some.csv\n", "data_path is read by real-data"),
     ], ids=["one_mean", "pis_sum", "nan_mean", "empty_class", "eps_plus_grid",
             "estimate_noise_grid", "gamma_grid", "inf_gamma_grid", "rho_plus_grid",
-            "custom_pair", "singular_probe", "equal_gaps", "noise_snr_zero",
+            "custom_pair", "noise_snr_zero",
             "noise_snr_negative", "label_name_without_header", "histogram_data_path",
             "sweep_data_path", "multiclass_data_path"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):

@@ -53,7 +53,7 @@ def _tiny_calls(out_dir) -> dict:
     means = np.zeros((2, 5))
     means[:, 0] = -1.0, 1.0
     cfg = ex.parse_config_text("schema_version = 1\nexperiment = histogram\nn = 40\n"
-                               "p = 10\nn_test = 50\nbins = 4\nvariants = naive\n")
+                               "p = 10\nn_test = 50\nvariants = naive\n")
     return {
         "datasets.generate_gmm": ((model, 200, 0), {}),
         "datasets.flip_labels": ((noisy, 0.2, 0.1, 1), {}),

@@ -499,6 +499,18 @@ class TestGeneralCovariance:
         with pytest.raises(ValueError, match=r"det\(I - G\) = 6\.325e-07 <= 1e-06"):
             theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-13)
 
+    def test_newton_cap_names_the_last_step(self, monkeypatch):
+        # the solve takes 14 steps here, so a cap of 3 stops it with its last
+        # correction and det(I - G)
+        monkeypatch.setattr(theory, "_NEWTON_MAX_STEPS", 3)
+        p = 100
+        mu = np.zeros(p)
+        mu[0] = 2.0
+        num = r"\d\.\d{3}e[+-]\d{2}"
+        with pytest.raises(RuntimeError, match=rf"did not converge in 3 Newton steps; "
+                           rf"last correction {num}, det\(I - G\) = {num}$"):
+            theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-6)
+
     def test_newton_solve_inverts_few_matrices(self, monkeypatch):
         # criterion 08's ramp at eta = 1, gamma = 1e-4, near the guard: one
         # p x p inverse per Newton step (a plain iteration takes about 1,300)
