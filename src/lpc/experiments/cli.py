@@ -34,14 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # `theory` takes no overrides
+        # `theory` takes no overrides; a flag's value is read as its key's line
         overrides = {k: v for k, v in vars(args).items()
                      if k in ("out", "seeds") and v is not None}
-        if "seeds" in overrides:
-            try:
-                overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-            except ValueError:
-                raise ConfigError(f"bad --seeds value {args.seeds!r}") from None
         cfg = parse_config_file(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ Config files hold one ``key = value`` pair per line; ``#`` starts a
 comment.  Lists are comma-separated, and the rows of a matrix are separated
 by ``;``.  ``schema_version = 1`` is required.  Every value has the one
 spelling :meth:`ExperimentConfig.echo_lines` prints, so a run's
-``config.echo`` parses back to its config.  See README for the
-per-experiment key schema.
+``config.echo`` parses back to its config.  A config names only keys its
+run reads (:data:`_READS`); see README for what each key means.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import get_args, get_origin, get_type_hints
 
@@ -27,17 +27,31 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "parse_config
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = (
-    "histogram",
-    "sweep",
-    "estimate-noise",
-    "multiclass",
-    "real-data",
-)
-
 KNOWN_VARIANTS = ("naive", "unbiased", "optimized", "oracle", "custom")
 
-SWEEP_PARAMS = ("eps_plus", "rho_plus", "gamma")
+# sweep_param -> the key its grid replaces
+_SWEPT = {"eps_plus": "eps_plus", "rho_plus": "custom_rho_plus", "gamma": "gamma"}
+
+# The keys a run reads, by (experiment, data_path set?), besides those every
+# run reads: the row a run names its keys from.  A sweep does not read its
+# swept key, and the custom pair is read only when variants holds custom
+# (:func:`_keys_read`).  Parse refuses any other key; config.echo and
+# config_hash cover exactly these.
+_EVERY_RUN = ("experiment", "schema_version", "seeds", "out")
+_PAIRED = ("n", "p", "pi1", "snr", "eps_plus", "eps_minus", "gamma", "variants", "n_test")
+_CSV = ("data_path", "label_column", "has_header")
+_CUSTOM = ("custom_rho_plus", "custom_rho_minus")
+_READS = {
+    ("histogram", False): _PAIRED,
+    ("sweep", False): _PAIRED + ("sweep_param", "grid"),
+    ("estimate-noise", False): ("n", "p", "pi1", "snr", "eps_minus", "gamma", "grid"),
+    ("estimate-noise", True): _CSV + ("gamma",),
+    ("multiclass", False): ("n", "p", "means", "pis", "eps_rows", "gamma", "grid_size",
+                            "search_seed", "n_test"),
+    ("real-data", False): _PAIRED,
+    ("real-data", True): _CSV + ("n", "eps_plus", "eps_minus", "gamma", "variants"),
+}
+EXPERIMENT_KINDS = tuple(dict.fromkeys(kind for kind, _ in _READS))
 
 # ``gamma = optimal``: the isotropic oracle score m / sqrt(nu - m^2) is
 # non-decreasing in gamma and tends to snr^2 / sqrt(snr^2 + eta), the
@@ -48,6 +62,19 @@ OPTIMAL_GAMMA = 1e3
 
 class ConfigError(Exception):
     """Raised for malformed or inconsistent configuration input."""
+
+
+def _keys_read(experiment: str, data_path: str, variants: tuple[str, ...],
+               sweep_param: str) -> tuple[str, ...]:
+    """The keys a run reads, sorted: its row of :data:`_READS` (a
+    ``data_path`` on an experiment that reads no CSV keeps the synthetic
+    row, which refuses it) and :data:`_EVERY_RUN`."""
+    row = _READS.get((experiment, bool(data_path))) or _READS.get((experiment, False), ())
+    if "custom" in variants:
+        row += _CUSTOM
+    if experiment == "sweep":
+        row = tuple(k for k in row if k != _SWEPT.get(sweep_param))
+    return tuple(sorted(_EVERY_RUN + row))
 
 
 @contextmanager
@@ -115,25 +142,24 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
-        # search_seed is checked for every run, grid_size where the search reads it
-        with _naming():
-            _check_search(self.search_seed,
-                          *((self.grid_size,) if self.experiment == "multiclass" else ()))
+        if self.experiment == "multiclass":
+            with _naming():
+                _check_search(self.search_seed, self.grid_size)
         if not self.variants:
             raise ConfigError("variants must be nonempty")
         for v in self.variants:
             if v not in KNOWN_VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {KNOWN_VARIANTS}")
-        if self.sweep_param not in SWEEP_PARAMS:
+        if self.sweep_param not in _SWEPT:
             raise ConfigError(
-                f"unknown sweep_param {self.sweep_param!r}; expected one of {SWEEP_PARAMS}"
+                f"unknown sweep_param {self.sweep_param!r}; expected one of {tuple(_SWEPT)}"
             )
-        noise_grid = self.experiment == "estimate-noise" and not self.data_path
+        grid_run = "grid" in self.keys_read()  # a sweep or a synthetic estimate-noise
         if self.grid:
             diffs = np.diff(np.asarray(self.grid))
             if np.any(diffs <= 0):
                 raise ConfigError("grid values must be strictly increasing")
-        elif self.experiment == "sweep" or noise_grid:
+        elif grid_run:
             raise ConfigError(f"experiment {self.experiment!r} needs a nonempty grid")
         if self.gamma == "optimal":
             if self.experiment == "multiclass":
@@ -152,9 +178,9 @@ class ExperimentConfig:
             raise ConfigError(f"snr must be finite, got {self.snr}")
         with _naming("eps_plus and eps_minus"):
             _check_flip_rates(self.eps_plus, self.eps_minus)
-        if self.data_path and self.experiment not in ("estimate-noise", "real-data"):
-            raise ConfigError(f"data_path is read by real-data and estimate-noise only; a "
-                              f"{self.experiment} run draws from the configured model")
+        if self.data_path and self.experiment == "estimate-noise" and len(self.seeds) > 1:
+            raise ConfigError(f"an estimate-noise run on data_path makes one estimate, "
+                              f"so seeds must name one seed, got {self.seeds}")
         # the model the run draws from, asked for the class sizes of its draws
         if not self.data_path:
             multi = self.experiment == "multiclass"
@@ -170,9 +196,9 @@ class ExperimentConfig:
         if "custom" in self.variants:
             with _naming("custom_rho_plus, custom_rho_minus"):
                 RhoParams(self.custom_rho_plus, self.custom_rho_minus)
-        if noise_grid and not self.snr > 0:
+        if grid_run and self.experiment == "estimate-noise" and not self.snr > 0:
             raise ConfigError(f"estimate-noise needs snr > 0, got {self.snr}")
-        if self.experiment == "sweep" or noise_grid:  # each point as the run uses it
+        if grid_run:  # each point as the run uses it
             for value in self.grid:
                 with _naming(f"grid point {value}"):
                     self.at_grid_point(value)
@@ -195,24 +221,27 @@ class ExperimentConfig:
         sweeps (``custom_rho_plus`` for ``sweep_param = rho_plus``; ``eps_plus``
         for the estimate-noise grid) replaced by ``value``."""
         sweep = self.sweep_param if self.experiment == "sweep" else "eps_plus"
-        key = "custom_rho_plus" if sweep == "rho_plus" else sweep
-        return replace(self, experiment="histogram", grid=(), **{key: value})
+        return replace(self, experiment="histogram", grid=(), **{_SWEPT[sweep]: value})
 
     def resolved_out(self) -> str:
         return self.out or f"runs/{self.experiment}"
 
+    def keys_read(self) -> tuple[str, ...]:
+        """The keys this run reads, sorted (:func:`_keys_read`)."""
+        return _keys_read(self.experiment, self.data_path, self.variants, self.sweep_param)
+
     def config_hash(self) -> str:
-        """Hash of the semantically meaningful fields (output location
-        excluded)."""
-        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.name != "out"]
+        """Hash of the keys the run reads but ``out``: two configs that
+        compute the same numbers hash the same."""
+        parts = [f"{k}={getattr(self, k)!r}" for k in self.keys_read() if k != "out"]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
     def echo_lines(self) -> list[str]:
-        """Every key in the spelling :func:`parse_config_text` reads back,
-        sorted, after the hash as a comment."""
+        """Every key the run reads in the spelling :func:`parse_config_text`
+        reads back, sorted, after the hash as a comment."""
         lines = [f"# config_hash = {self.config_hash()}"]
-        for f in sorted(fields(self), key=lambda f: f.name):
-            lines.append(f"{f.name} = {_echo_value(getattr(self, f.name))}")
+        for k in self.keys_read():
+            lines.append(f"{k} = {_echo_value(getattr(self, k))}")
         return lines
 
 
@@ -220,7 +249,7 @@ def _echo_value(v) -> str:
     if isinstance(v, tuple):
         sep = ";" if v and isinstance(v[0], tuple) else ","
         return sep.join(_echo_value(x) for x in v)
-    return repr(v) if isinstance(v, float) else str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _parse_bool(value: str) -> bool:
@@ -252,7 +281,11 @@ _KEY_PARSERS = {name: _parser(hint) for name, hint in get_type_hints(ExperimentC
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse flat ``key = value`` text into an :class:`ExperimentConfig`."""
+    """Parse flat ``key = value`` text into an :class:`ExperimentConfig`.
+
+    An override replaces its key's line, as the value's
+    :meth:`~ExperimentConfig.echo_lines` spelling.  Every key, of a line or
+    an override, must be one the run reads (:func:`_keys_read`)."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -263,12 +296,13 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         key, value = (s.strip() for s in line.split("=", 1))
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         raw[key] = value
+    raw.update((key, _echo_value(value)) for key, value in (overrides or {}).items())
 
     kwargs: dict = {}
     for key, value in raw.items():
+        if key not in _KEY_PARSERS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
             kwargs[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
@@ -277,13 +311,16 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         raise ConfigError("missing required key 'experiment'")
     if "schema_version" not in kwargs:
         raise ConfigError("missing required key 'schema_version'")
-    try:
-        cfg = ExperimentConfig(**kwargs)
-        if overrides:
-            cfg = replace(cfg, **overrides)
-    except TypeError as exc:
-        raise ConfigError(f"unknown config key: {exc}") from None
-    return cfg
+    kind = kwargs["experiment"]
+    if kind in EXPERIMENT_KINDS:  # the config refuses any other
+        reads = _keys_read(kind, *(kwargs.get(k, getattr(ExperimentConfig, k))
+                                   for k in ("data_path", "variants", "sweep_param")))
+        unread = [key for key in kwargs if key not in reads]
+        if unread:
+            csv = " with data_path" if "data_path" in reads else ""
+            raise ConfigError(f"unknown config key {unread[0]!r} for experiment {kind!r}"
+                              f"{csv}; it reads {', '.join(reads)}")
+    return ExperimentConfig(**kwargs)
 
 
 def parse_config_file(path, overrides: dict | None = None) -> ExperimentConfig:

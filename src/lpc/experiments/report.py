@@ -6,6 +6,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,18 +54,31 @@ class RunReport:
             ReportRow(variant, float(grid_value), int(seed), metric,
                       float(empirical), None if theory is None else float(theory))
         )
+        self.__dict__.pop("_by_cell", None)
 
-    def _cells(self, variant: str, metric: str, grid_value: float | None) -> list[ReportRow]:
-        return [r for r in self.rows if r.variant == variant and r.metric == metric
-                and (grid_value is None or r.grid_value == grid_value)]
+    @cached_property
+    def _by_cell(self) -> dict[tuple, list[ReportRow]]:
+        """The rows by ``(variant, metric, grid_value)``, and over every grid
+        value by ``(variant, metric, None)``, in row order: one pass over
+        ``rows``, made at the first query after the last :meth:`add`."""
+        by_cell: dict[tuple, list[ReportRow]] = {}
+        for r in self.rows:
+            for g in (r.grid_value, None):
+                by_cell.setdefault((r.variant, r.metric, g), []).append(r)
+        return by_cell
+
+    def cells(self, variant: str, metric: str, grid_value: float | None = None) -> list[ReportRow]:
+        """The rows of ``variant`` and ``metric`` at ``grid_value`` (``None``:
+        at every grid value), in row order."""
+        return self._by_cell.get((variant, metric, grid_value), [])
 
     def mean_over_seeds(self, variant: str, metric: str, grid_value: float | None = None):
-        return float(np.mean([r.empirical for r in self._cells(variant, metric, grid_value)]))
+        return float(np.mean([r.empirical for r in self.cells(variant, metric, grid_value)]))
 
     def theory_value(self, variant: str, metric: str, grid_value: float | None = None):
         """Mean theory cell over seeds (it differs per seed when the theory
         inputs do, e.g. the class proportion of a random real-data split)."""
-        vals = [r.theory for r in self._cells(variant, metric, grid_value) if r.theory is not None]
+        vals = [r.theory for r in self.cells(variant, metric, grid_value) if r.theory is not None]
         if not vals:
             raise KeyError(f"no theory cell for ({variant}, {metric}, {grid_value})")
         return float(np.mean(vals))

@@ -207,7 +207,7 @@ def _run_paired(cfg: ExperimentConfig) -> RunReport:
     ``cfg.model`` and reads the theory of that model.  With ``data_path``
     set, a ``real-data`` run ingests the CSV, standardizes it and splits it
     per seed into ``n`` training samples and the rest as the test set; the
-    dimension is the CSV's, so ``p`` is ignored.  Its theory's model is
+    dimension is the CSV's (the config names no ``p``).  Its theory's model is
     isotropic with the CSV's dimension, the estimated SNR and the split's
     class proportion.
     """
@@ -337,8 +337,7 @@ def _real_data_outputs(cfg: ExperimentConfig, report: RunReport) -> tuple[str, s
         f"eps_plus={cfg.eps_plus}, eps_minus={cfg.eps_minus}"
     ]
     for v in cfg.variants:
-        vals = [100.0 * r.empirical for r in report.rows
-                if r.variant == v and r.metric == "accuracy"]
+        vals = [100.0 * r.empirical for r in report.cells(v, "accuracy")]
         lines.append(f"{v:<12s} {np.mean(vals):6.2f} +- {np.std(vals):.2f}")
     return fig.render(), "\n".join(lines) + "\n"
 
@@ -367,7 +366,7 @@ def _run_noise_estimation(cfg: ExperimentConfig) -> RunReport:
 
     With ``data_path`` set the sweep is skipped: the rates of the ingested
     noisy dataset are estimated once (single-shot) and reported as one row
-    set at the first seed.  That estimate is biased: the SNR and ``pi1``
+    set at the config's one seed.  That estimate is biased: the SNR and ``pi1``
     it inverts at are read from the noisy labels by
     :func:`standardize_and_estimate`, whose centering also moves the
     theory's origin.  On 10 CSVs of ``n = 1000`` draws of

@@ -184,7 +184,7 @@ def test_criterion_06_noise_rate_estimation():
             "schema_version = 1\nexperiment = estimate-noise\n"
             "grid = 0,0.1,0.2,0.3,0.4,0.5,0.6\n"
             "n = 1000\np = 100\npi1 = 0.3333333333333333\n"
-            f"snr = {snr}\ngamma = 0.1\neps_minus = 0.2\nvariants = custom\n"
+            f"snr = {snr}\ngamma = 0.1\neps_minus = 0.2\n"
             f"seeds = {','.join(str(s) for s in range(10))}\n"
         )
         rep = ex.run_experiment(cfg)
@@ -307,7 +307,7 @@ def test_criterion_08_general_covariance():
 def test_criterion_09_multi_lpc():
     cfg = _cfg(
         "schema_version = 1\nexperiment = multiclass\nn = 2000\np = 200\n"
-        "means = -2,0,2\ngamma = 1.0\ngrid_size = 5000\nvariants = custom\n"
+        "means = -2,0,2\ngamma = 1.0\ngrid_size = 5000\n"
         "seeds = 0,1,2\nn_test = 2000\n"
     )
     rep = ex.run_experiment(cfg)

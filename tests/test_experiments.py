@@ -1,10 +1,13 @@
 import argparse
+import dataclasses
+import functools
 import itertools
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,9 +15,9 @@ import pytest
 
 import lpc
 import lpc.experiments as ex
-from lpc.experiments import cli, runner
+from lpc.experiments import cli, config, runner
 from lpc.experiments.cli import main as cli_main
-from lpc.experiments.config import ConfigError
+from lpc.experiments.config import ConfigError, ExperimentConfig
 from lpc.experiments.svgplot import Figure
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -43,15 +46,17 @@ _PUBLIC_API_GRIDS = {"rho_plus": (-0.3, 0.6, 1.5), "eps_plus": (0.0, 0.3),
 
 
 def _public_api_cfg(experiment, sweep=None):
-    # pi1 * n is whole, so real-data's training class proportion is pi1
+    # pi1 * n is whole, so real-data's training class proportion is pi1; a
+    # sweep names no swept key, which it does not read
     sweep_keys = (f"sweep_param = {sweep}\ngrid = {','.join(map(str, _PUBLIC_API_GRIDS[sweep]))}\n"
                   if sweep else "")
-    return (
-        f"schema_version = 1\nexperiment = {experiment}\n{sweep_keys}n = 120\np = 40\n"
-        "pi1 = 0.3\nsnr = 2\ngamma = optimal\neps_plus = 0.3\neps_minus = 0.2\n"
-        "variants = custom,naive,unbiased,optimized,oracle\n"
-        "custom_rho_plus = 0.2\ncustom_rho_minus = 0\nseeds = 0,1\nn_test = 500\n"
-    )
+    swept = {"rho_plus": "custom_rho_plus"}.get(sweep, sweep)
+    keys = "".join(f"{line}\n" for line in (
+        "gamma = optimal", "eps_plus = 0.3", "eps_minus = 0.2",
+        "variants = custom,naive,unbiased,optimized,oracle",
+        "custom_rho_plus = 0.2", "custom_rho_minus = 0") if line.split()[0] != swept)
+    return (f"schema_version = 1\nexperiment = {experiment}\n{sweep_keys}n = 120\np = 40\n"
+            f"pi1 = 0.3\nsnr = 2\n{keys}seeds = 0,1\nn_test = 500\n")
 
 
 def _replay(cfg, seed):
@@ -208,6 +213,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             ex.parse_config_text(head + bad + "\n")
 
+    @pytest.mark.parametrize("key", ["bins", "snr"])
+    def test_override_keys_checked_as_file_keys(self, key):
+        # an unknown override read "unknown config key: ExperimentConfig.__init__()
+        # got an unexpected keyword argument", and an unread one ran
+        head = "schema_version = 1\nexperiment = multiclass\n"
+
+        def error(text, overrides=None):
+            with pytest.raises(ConfigError) as exc:
+                ex.parse_config_text(text, overrides)
+            return str(exc.value)
+
+        assert error(head, {key: 3}) == error(head + f"{key} = 3\n")
+        assert error(head, {key: 3}).startswith(f"unknown config key '{key}'")
+
+    def test_override_values_read_as_file_values(self):
+        # a wrongly typed override read "unknown config key: '<' not supported
+        # between instances of 'str' and 'int'"; it is now read as the line
+        # its value would spell
+        head = "schema_version = 1\nexperiment = histogram\n"
+        assert ex.parse_config_text(head, {"n": "5"}) == ex.parse_config_text(head + "n = 5\n")
+        for value in ("x", 5.5):
+            with pytest.raises(ConfigError, match=r"^key 'n': invalid literal"):
+                ex.parse_config_text(head, {"n": value})
+
 
 class TestConfigHash:
     def test_semantic_fields_change_hash(self):
@@ -253,8 +282,9 @@ class TestConfigEcho:
         assert named == number and named.config_hash() == number.config_hash()
 
     def test_empty_list_value(self):
-        cfg = ex.parse_config_text("schema_version = 1\nexperiment = histogram\ngrid =\n")
-        assert cfg.grid == ()
+        # an empty value is the empty list, which the grid check refuses
+        with pytest.raises(ConfigError, match="'sweep' needs a nonempty grid"):
+            ex.parse_config_text("schema_version = 1\nexperiment = sweep\ngrid =\n")
 
     def test_k_key_rejected(self):
         # the class count is len(means)
@@ -486,7 +516,7 @@ class TestRunners:
                         p_pos=0.5)
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = real-data\n"
-            f"data_path = {path}\nlabel_column = 0\nn = 80\np = 10\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 80\n"
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,unbiased,oracle\nseeds = 0,1\n"
         )
@@ -625,7 +655,7 @@ class TestRunners:
                         p_pos=0.4)
         cfg = ex.parse_config_text(
             "schema_version = 1\nexperiment = real-data\n"
-            f"data_path = {path}\nlabel_column = 0\nn = 60\np = 8\n"
+            f"data_path = {path}\nlabel_column = 0\nn = 60\n"
             "gamma = 1\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,optimized\nseeds = 0,1,2,3\n"
         )
@@ -637,7 +667,8 @@ class TestRunners:
 
 
     def test_real_data_csv_dimension_is_the_data_width(self, tmp_path):
-        # eta is the ingested width over n, so the p key cannot move theory
+        # eta is the ingested width over n: the config's p cannot move theory,
+        # and a p line is refused
         path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
                         p_pos=0.5)
         text = (
@@ -646,10 +677,14 @@ class TestRunners:
             "gamma = optimal\neps_plus = 0.2\neps_minus = 0.1\n"
             "variants = naive,unbiased,oracle\nseeds = 0,1\n"
         )
+        with pytest.raises(ConfigError, match="unknown config key 'p' for experiment "
+                                              "'real-data' with data_path"):
+            ex.parse_config_text(text + "p = 10\n")
+        cfg = ex.parse_config_text(text)
         cells = [
             [(r.variant, r.seed, r.theory) for r in
-             ex.run_experiment(ex.parse_config_text(text + extra)).rows if r.metric == "accuracy"]
-            for extra in ("p = 10\n", "", "p = 5000\n")
+             ex.run_experiment(dataclasses.replace(cfg, p=p)).rows if r.metric == "accuracy"]
+            for p in (10, cfg.p, 5000)
         ]
         assert len(cells[0]) == 6
         assert cells[0] == cells[1] == cells[2]
@@ -945,14 +980,13 @@ class TestCli:
 
     @pytest.mark.parametrize("line, args, key", [
         ("seeds = -1\n", [], "seeds"), ("seeds = 3,3\n", [], "seeds"),
-        ("bins = 0\n", [], "bins"), ("", ["--seeds=-1"], "seeds"),
-        ("", ["--seeds=3,3"], "seeds"), ("", ["--seeds=1,x"], "bad --seeds value '1,x'"),
-    ], ids=["negative_seed", "repeated_seed", "zero_bins", "negative_seed_flag",
+        ("", ["--seeds=-1"], "seeds"),
+        ("", ["--seeds=3,3"], "seeds"), ("", ["--seeds=1,x"], "key 'seeds': invalid literal"),
+    ], ids=["negative_seed", "repeated_seed", "negative_seed_flag",
             "repeated_seed_flag", "malformed_seeds_flag"])
-    def test_seeds_and_bins_refused_at_parse(self, tmp_path, capsys, line, args, key):
+    def test_seeds_refused_at_parse(self, tmp_path, capsys, line, args, key):
         # a negative seed failed inside numpy and a repeated one wrote every
-        # row twice; zero bins failed in the histogram binning, and the bin
-        # count is now a constant whose key is refused
+        # row twice
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = histogram\n"
                               "n = 40\np = 10\nn_test = 50\n" + line)
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
@@ -966,6 +1000,35 @@ class TestCli:
                               "n = 60\np = 4\nn_test = 60\ngrid_size = 5\nsearch_seed = -3\n")
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: search_seed must be >= 0")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("experiment = multiclass\neps_plus = 0.3\nsnr = 7\npi1 = 0.9\nvariants = custom\n",
+         "eps_plus"),
+        ("experiment = sweep\ngrid = 0.1,0.2\nmeans = -5,5\ngrid_size = 7\nsearch_seed = 3\n",
+         "means"),
+        ("experiment = sweep\nsweep_param = eps_plus\ngrid = 0.1,0.2\neps_plus = 0.4\n",
+         "eps_plus"),
+    ], ids=["multiclass_binary_keys", "sweep_multiclass_keys", "swept_key"])
+    def test_unread_keys_refused_at_parse(self, tmp_path, capsys, lines, key):
+        # each ran with exit 0 and config.echo listed the keys it never read
+        # (the sweep overwrites eps_plus at every grid point)
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\n" + lines)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        kind = lines.split("\n")[0].split(" = ")[1]
+        assert capsys.readouterr().err.startswith(
+            f"config error: unknown config key '{key}' for experiment '{kind}'; it reads ")
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_noise_estimate_takes_one_seed(self, tmp_path, capsys):
+        # the single-shot estimate is made once and its rows carry the first
+        # seed, so `--seeds 1,2,3` wrote one row set and exited 0
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = estimate-noise\n"
+                              "data_path = some.csv\n")
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--seeds", "1,2,3"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: an estimate-noise run on data_path makes one estimate")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -1006,10 +1069,12 @@ class TestCli:
         ("experiment = real-data\ndata_path = some.csv\nlabel_column = label\n",
          "label_column 'label'.*has_header = true"),
         # a data_path the run never reads (these exited 0 with a synthetic report)
-        ("experiment = histogram\ndata_path = some.csv\n", "data_path is read by real-data"),
+        ("experiment = histogram\ndata_path = some.csv\n",
+         "unknown config key 'data_path' for experiment 'histogram'"),
         ("experiment = sweep\nsweep_param = gamma\ngrid = 1\ndata_path = some.csv\n",
-         "a sweep run draws from the configured model"),
-        ("experiment = multiclass\ndata_path = some.csv\n", "data_path is read by real-data"),
+         "unknown config key 'data_path' for experiment 'sweep'"),
+        ("experiment = multiclass\ndata_path = some.csv\n",
+         "unknown config key 'data_path' for experiment 'multiclass'"),
     ], ids=["one_mean", "pis_sum", "nan_mean", "empty_class", "eps_plus_grid",
             "estimate_noise_grid", "gamma_grid", "inf_gamma_grid", "rho_plus_grid",
             "custom_pair", "noise_snr_zero",
@@ -1017,9 +1082,8 @@ class TestCli:
             "sweep_data_path", "multiclass_data_path"])
     def test_run_time_failures_refused_at_parse(self, tmp_path, capsys, lines, match):
         # each failed inside the run with exit 2 ("runtime error"), or ran
-        # with exit 0 (an unread data_path)
-        cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\np = 4\nn_test = 50\n"
-                              "gamma = 1\n" + lines)
+        # with exit 0 (an unread data_path); every experiment reads n
+        cfg = self._write_cfg(tmp_path, "schema_version = 1\nn = 40\n" + lines)
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and re.search(match, err), err
@@ -1027,16 +1091,17 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["run", "theory"])
     def test_rho_plus_sweep_custom_pair_refused_by_both_verbs(self, tmp_path, capsys, verb):
-        # `run` exited 0 (the sweep replaces custom_rho_plus) while `theory`,
-        # which prints the configured pair, exited 2
+        # the sweep replaces custom_rho_plus, so the config names none, and a
+        # grid point that makes the custom pair singular is refused at parse,
+        # also by `theory`, which prints the pair at custom_rho_plus = 0
         cfg = self._write_cfg(tmp_path, "schema_version = 1\nexperiment = sweep\n"
-                              "sweep_param = rho_plus\ngrid = 0,0.2\nn = 40\np = 4\n"
-                              "n_test = 50\nvariants = custom\ncustom_rho_plus = 0.5\n"
-                              "custom_rho_minus = 0.5\n")
+                              "sweep_param = rho_plus\ngrid = 0,0.5\nn = 40\np = 4\n"
+                              "n_test = 50\nvariants = custom\ncustom_rho_minus = 0.5\n")
         assert cli_main([verb, "--config", cfg, *(["--out", str(tmp_path / "o")]
                                                   if verb == "run" else [])]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("config error: custom_rho_plus, custom_rho_minus: ")
+        assert out == "" and err.startswith(
+            "config error: grid point 0.5: custom_rho_plus, custom_rho_minus: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [["--seeds", "5"], ["--out", "elsewhere"],
@@ -1072,3 +1137,117 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", out_dir, "--seeds", "5"]) == 0
         rows = ex.read_report_csv(os.path.join(out_dir, "report.csv"))
         assert {r["seed"] for r in rows} == {5}
+
+
+class TestKeysRead:
+    """A run reads exactly the keys of its config's row of the key table:
+    each experiment kind, with and without ``data_path`` and for each
+    ``sweep_param``, is run on a tiny config whose attribute reads are
+    recorded."""
+
+    PAIRED = ("n = 40\np = 8\nn_test = 60\nvariants = custom,naive,unbiased,optimized,oracle\n"
+              "eps_plus = 0.2\neps_minus = 0.1\n")
+    CASES = {
+        "histogram": "experiment = histogram\n" + PAIRED,
+        "histogram-no_custom": "experiment = histogram\nn = 40\np = 8\nn_test = 60\n",
+        "real-data": "experiment = real-data\n" + PAIRED,
+        "real-data-csv": "experiment = real-data\nn = 80\nvariants = naive,custom,oracle\n"
+                         "data_path = {csv}\n",
+        "sweep-eps_plus": "experiment = sweep\nsweep_param = eps_plus\ngrid = 0,0.2\n"
+                          + PAIRED.replace("eps_plus = 0.2\n", ""),
+        "sweep-rho_plus": "experiment = sweep\nsweep_param = rho_plus\ngrid = 0,0.2\n" + PAIRED,
+        "sweep-gamma": "experiment = sweep\nsweep_param = gamma\ngrid = 0.1,1\n" + PAIRED,
+        "estimate-noise": "experiment = estimate-noise\nn = 40\np = 4\ngrid = 0,0.1\n",
+        "estimate-noise-csv": "experiment = estimate-noise\ndata_path = {csv}\n",
+        "multiclass": "experiment = multiclass\nn = 60\np = 4\nn_test = 60\ngrid_size = 5\n",
+    }
+
+    @staticmethod
+    def _cfg(case, tmp_path):
+        csv = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
+                       p_pos=0.5)
+        text = "schema_version = 1\n" + TestKeysRead.CASES[case].format(csv=csv)
+        return ex.parse_config_text(text, {"out": str(tmp_path / "out")})
+
+    @staticmethod
+    def _reads(cfg, call) -> set:
+        """The config keys ``call(cfg)`` reads: the attribute reads of
+        ``cfg`` and of the configs ``dataclasses.replace`` makes from it, less
+        the keys it replaced (a grid point reads its value, not the key's).
+        A read of ``model`` counts the keys the model is built from.  Reads
+        inside ``echo_lines``, ``config_hash``, ``dataclasses.replace`` and
+        ``__post_init__``, which touch every field, are not counted."""
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        tracked = {id(cfg): (cfg, frozenset())}  # id -> (config, the keys replaced)
+        modelled, reads, quiet = set(), set(), [0]
+        read = ExperimentConfig.__getattribute__
+
+        def getattribute(self, name):
+            if not quiet[0] and id(self) in tracked:
+                if name in names and name not in tracked[id(self)][1]:
+                    reads.add(name)
+                elif name == "model" and id(self) not in modelled:
+                    modelled.add(id(self))
+                    ExperimentConfig.model.func(self)  # records what the model reads
+            return read(self, name)
+
+        def hushed(fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                quiet[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    quiet[0] -= 1
+            return call
+
+        def replace(obj, **changes):
+            new = hushed(dataclasses.replace)(obj, **changes)
+            if id(obj) in tracked:
+                tracked[id(new)] = (new, tracked[id(obj)][1] | changes.keys())
+            return new
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExperimentConfig, "__getattribute__", getattribute)
+            for name in ("echo_lines", "config_hash", "__post_init__"):
+                mp.setattr(ExperimentConfig, name, hushed(getattr(ExperimentConfig, name)))
+            mp.setattr(config, "replace", replace)
+            call(cfg)
+        return reads
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_run_reads_its_row(self, case, tmp_path):
+        cfg = self._cfg(case, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a CSV noise estimate warns of its bias
+            reads = self._reads(cfg, lambda c: ex.emit_report(ex.run_experiment(c),
+                                                              c.resolved_out()))
+        assert (tmp_path / "out" / "report.csv").is_file()
+        # parse alone reads schema_version; an unset data_path is read to
+        # find it unset, which picks the synthetic row
+        reads.add("schema_version")
+        if not cfg.data_path:
+            reads.discard("data_path")
+        assert reads == set(cfg.keys_read())
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c.split("-")[0] in
+                                      ("histogram", "sweep") or c == "real-data"])
+    def test_theory_reads_its_row(self, case, tmp_path):
+        # a sweep's theory prints the swept key at its default
+        cfg = self._cfg(case, tmp_path)
+        reads = self._reads(cfg, ex.theory_csv) - {"data_path"}
+        swept = set()
+        if cfg.experiment == "sweep":
+            swept = {config._SWEPT[cfg.sweep_param]}
+        assert reads and reads <= set(cfg.keys_read()) | swept
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_other_key_refused(self, case, tmp_path):
+        cfg = self._cfg(case, tmp_path)
+        text = "schema_version = 1\n" + self.CASES[case].format(csv=cfg.data_path)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in cfg.keys_read():
+                line = f"{f.name} = {config._echo_value(f.default)}\n"
+                with pytest.raises(ConfigError, match=f"^unknown config key '{f.name}' "
+                                                      f"for experiment '{cfg.experiment}'"):
+                    ex.parse_config_text(text + line)
