@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from typing import get_args, get_origin, get_type_hints
 
@@ -77,6 +77,14 @@ def _keys_read(experiment: str, data_path: str, variants: tuple[str, ...],
     return tuple(sorted(_EVERY_RUN + row))
 
 
+def _refuse_unread(key: str, experiment: str, reads: tuple[str, ...]) -> None:
+    """Refuse ``key``, which a run of ``experiment`` that reads ``reads``
+    does not read."""
+    csv = " with data_path" if "data_path" in reads else ""
+    raise ConfigError(f"unknown config key {key!r} for experiment {experiment!r}{csv}; "
+                      f"it reads {', '.join(reads)}")
+
+
 @contextmanager
 def _naming(keys: str = ""):
     """A ``ValueError`` or ``ConfigError`` becomes a ``ConfigError`` that names
@@ -138,13 +146,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_KINDS}"
             )
+        reads = self.keys_read()
+        unread = [f.name for f in fields(self) if f.name not in reads
+                  and f.default is not MISSING and getattr(self, f.name) != f.default]
+        if unread:
+            _refuse_unread(unread[0], self.experiment, reads)
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and >= 0, got {self.seeds}")
         if self.experiment == "multiclass":
             with _naming():
-                _check_search(self.search_seed, self.grid_size)
+                _check_search(len(self.means), self.search_seed, self.grid_size)
         if not self.variants:
             raise ConfigError("variants must be nonempty")
         for v in self.variants:
@@ -154,7 +167,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown sweep_param {self.sweep_param!r}; expected one of {tuple(_SWEPT)}"
             )
-        grid_run = "grid" in self.keys_read()  # a sweep or a synthetic estimate-noise
+        grid_run = "grid" in reads  # a sweep or a synthetic estimate-noise
         if self.grid:
             diffs = np.diff(np.asarray(self.grid))
             if np.any(diffs <= 0):
@@ -219,9 +232,14 @@ class ExperimentConfig:
     def at_grid_point(self, value: float) -> ExperimentConfig:
         """One grid point as a one-point ``histogram`` config: the value the grid
         sweeps (``custom_rho_plus`` for ``sweep_param = rho_plus``; ``eps_plus``
-        for the estimate-noise grid) replaced by ``value``."""
+        for the estimate-noise grid) replaced by ``value`` where a cell reads
+        it (without the ``custom`` variant none reads ``custom_rho_plus``)."""
         sweep = self.sweep_param if self.experiment == "sweep" else "eps_plus"
-        return replace(self, experiment="histogram", grid=(), **{_SWEPT[sweep]: value})
+        point = {"experiment": "histogram", "grid": (),
+                 "sweep_param": ExperimentConfig.sweep_param}
+        if _SWEPT[sweep] in _keys_read("histogram", "", self.variants, ""):
+            point[_SWEPT[sweep]] = value
+        return replace(self, **point)
 
     def resolved_out(self) -> str:
         return self.out or f"runs/{self.experiment}"
@@ -317,9 +335,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
                                    for k in ("data_path", "variants", "sweep_param")))
         unread = [key for key in kwargs if key not in reads]
         if unread:
-            csv = " with data_path" if "data_path" in reads else ""
-            raise ConfigError(f"unknown config key {unread[0]!r} for experiment {kind!r}"
-                              f"{csv}; it reads {', '.join(reads)}")
+            _refuse_unread(unread[0], kind, reads)
     return ExperimentConfig(**kwargs)
 
 

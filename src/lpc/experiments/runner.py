@@ -80,7 +80,11 @@ one-hot and all-ones weights, which serve every candidate.  At
 ``configs/multiclass.cfg`` (``p = 200``, ``n = n_test = 2000``, ``k = 3``,
 6 label groups) that is 1,200 + 1,564 normals, 391 chi-squares, 2,000 flip
 uniforms and 6,000 score normals per seed, instead of two ``200 x 2000``
-feature draws and their flips (804,000 numbers).
+feature draws and their flips (804,000 numbers).  The search selects the
+best and worst candidates on their exact accuracy given each seed's
+training draw (``SearchResult.candidate_accuracy``); the reported path
+between them, its ends ``best`` and ``worst`` included, and ``naive`` are
+sampled, measured on each seed's test scores.
 
 Three settings are fixed, not configured: a histogram run bins its first
 seed's scores in :data:`_BINS` (60) bins, the noise estimator trains the
@@ -423,7 +427,7 @@ def _estimate_from_file(cfg: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _run_multiclass(cfg: ExperimentConfig) -> RunReport:
-    """Monte Carlo (alpha, beta) search and the best/worst mixing path.
+    """The (alpha, beta) search and the best/worst mixing path.
 
     Multiclass cells are empirical-only (the binary theory does not apply);
     their theory column is left empty.  ``naive``, ``best`` and ``worst``

@@ -1,5 +1,5 @@
 """Multi-class extension: k-cluster mixtures, parameterized label matrices
-and Monte Carlo search for the label parameters.
+and a search for the label parameters.
 
 Labels are class indices in ``1..k``.  The label matrix generalizes the
 binary reweighting: column ``j`` of the ``n x k`` target matrix equals
@@ -24,6 +24,7 @@ from .datasets import (
     generate_scores,
     generate_training_stats,
 )
+from .theory import _orthant, _upper_tail
 
 __all__ = [
     "MultiGmmSpec",
@@ -197,9 +198,13 @@ def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> flo
 class SearchResult:
     """The best and worst candidates and their path.
 
-    ``tau_accuracy`` runs from the worst candidate (``tau = 0``, first row)
-    to the best (``tau = 1``, last row), one column per seed; its end rows'
-    seed means are the two candidates' search scores.
+    ``candidate_accuracy`` is each candidate's exact accuracy given each
+    seed's training draw, averaged over the seeds: the score the search
+    selects on.  ``tau_accuracy`` runs from the worst candidate (``tau = 0``,
+    first row) to the best (``tau = 1``, last row), one column per seed, and
+    ``naive_seed_accuracy`` holds the naive one-hot candidate's; both are
+    sampled, measured on each seed's test draw, so the path's ends are not
+    the two candidates' search scores.
     """
 
     ab_best: AlphaBeta
@@ -210,34 +215,42 @@ class SearchResult:
     naive_seed_accuracy: np.ndarray = field(repr=False)  # per seed
 
 
-# Candidate rows per block.  _accuracies allocates its running minimum margin
-# and the product that updates it once per call, each a float32 _CHUNK_ROWS x
-# (a class's most test columns): 0.32 MB at 100 rows x 800 columns.  At
-# configs/multiclass.cfg the search ran about 3% faster at 100 rows than at
-# 80 (64: 4% slower, 120: 1% faster than 100, 160: as 80), on one thread at
-# every size; its tracemalloc peak is 1.80 MiB at 100 rows (64: 1.55, 80:
-# 1.66, 120: 1.93, 160: 2.21), and 120 would leave 0.07 MiB of the 2 MiB
-# that test_search_memory_at_shipped_size allows.  One sgemm of r rows x 2k x
-# m columns stays single-threaded while r 2k m is below about 1.0e6 with the
-# table in C order (OpenBLAS 0.3.31: 200 x 6 x 800 single, 216 x 6 x 800 on
-# both threads and 3x slower; 2-core VM).  With the table in Fortran order,
-# as np.vstack leaves it, the product is slower and threads from 112 x 6 x
-# 800.
-_CHUNK_ROWS = 100
+# Candidate rows per block of the exact scores.  A block's orthant integrands
+# hold up to 20 nodes per row, seed and class, so its memory grows with the
+# rows.  At configs/multiclass.cfg the search's tracemalloc peak is 1.20 MiB
+# at 200 rows, 1.71 at 400 and 1.96 at 500 (test_search_memory_at_shipped_size
+# allows 2), and its time falls about 10% from 200 rows to 400 and 1% more to
+# 500 (2-core VM).
+_CHUNK_ROWS = 400
 
 
 class _SeedEvaluator:
-    """Per-seed score tables of the (alpha, beta) candidates.
+    """Per-seed exact score forms and sampled score tables of the (alpha,
+    beta) candidates.
 
     Training is linear in the label matrix, itself affine in (alpha, beta): one
-    solve of the one-hot and all-ones targets gives per-class test score tables
-    ``on_j`` and ``off_j = all - on_j``; a candidate scores class j as ``s_j =
-    alpha_j * on_j + beta_j * off_j``.  A test column of true class c is a hit when
-    its scores' argmax is c, ties going to the smallest class (:func:`multi_accuracy`'s
-    rule), with each ``s_j`` rounded in float64 as ``fl(fl(alpha_j * on_j) + fl(beta_j
-    * off_j))``.
-    ``by_class[c]`` holds the tables ``(on, off)``, each ``k x m_c``, of the test
-    columns of true class ``c + 1``, and ``m`` the test columns of all classes.
+    solve of the one-hot and all-ones targets gives the ``p x (k + 1)``
+    weights ``W`` whose scores ``on_j`` (column ``j``) and ``all`` (the last)
+    serve every candidate, which scores class j as ``s_j = alpha_j * on_j +
+    beta_j * (all - on_j)``.  A test point of true class c has the ``k + 1``
+    scores ``N(W^T m_c, W^T W)`` exactly, so each margin ``s_c - s_j`` is
+    normal: its coefficients are ``u_c = alpha_c - beta_c`` on ``on_c``,
+    ``-u_j`` on ``on_j`` and ``beta_c - beta_j`` on ``all``.  Its mean and
+    the covariances of the margins of one c are linear and quadratic forms of
+    ``psi = (u, beta_i - beta_k for i < k)``, in which a margin's coefficients
+    are sums of entries; ``forms`` holds their coefficients on ``psi`` and
+    its monomials ``psi_a psi_b`` (``a <= b``), one column per (class c,
+    quantity): the ``k - 1`` means, the ``k - 1`` variances, the ``k - 1``
+    sums of the variances' diagonal terms and, at k = 3, the covariance.
+    ``weights`` holds the class shares ``m_c / m`` of the test draw.
+
+    The sampled rule scores the tau path and the naive candidate: a test
+    column of true class c is a hit when its scores' argmax is c, ties going
+    to the smallest class (:func:`multi_accuracy`'s rule), with each ``s_j``
+    rounded in float64 as ``fl(fl(alpha_j * on_j) + fl(beta_j * off_j))``,
+    ``off_j = all - on_j``.  ``by_class[c]`` holds the tables ``(on, off)``,
+    each ``k x m_c``, of the test columns of true class ``c + 1``, and ``m``
+    the test columns of all classes.
 
     Seed ``s`` draws no feature matrix; it makes the binary harness's three
     draws, each with the law of the features it replaces:
@@ -255,112 +268,103 @@ class _SeedEvaluator:
     """
 
     def __init__(self, spec: MultiGmmSpec, n: int, gamma: float, seed: int, n_test: int):
+        k = spec.k
         y_clean = spec.labels(n)
         y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
         stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
-        targets = np.column_stack([build_label_matrix(y_noisy, AlphaBeta.naive(spec.k)),
+        targets = np.column_stack([build_label_matrix(y_noisy, AlphaBeta.naive(k)),
                                    np.ones(n)])
-        scores, y = generate_scores(spec, train_multi_lpc(stats, targets, gamma), n_test,
-                                    derive_seed(seed, 2))
+        W = train_multi_lpc(stats, targets, gamma)
+        scores, y = generate_scores(spec, W, n_test, derive_seed(seed, 2))
         on = scores[:-1]  # k x m one-hot part, m true classes y
         off = scores[-1] - on  # k x m, all-ones minus one-hot part
         self.by_class = [(on[:, y == c], off[:, y == c]) for c in spec.classes]
         self.m = y.size
+        self.weights = spec.class_sizes(n_test) / n_test
+        self.forms = _score_forms(W.T @ W, W.T @ spec.means.T)
 
 
-def _accuracies(evaluators: list[_SeedEvaluator], A: np.ndarray,
-                B: np.ndarray) -> np.ndarray:
-    """Held-out accuracy of each row of the C x k alphas ``A`` and betas ``B``
-    on each evaluator's seed: a C x len(evaluators) array.
+def _score_forms(G: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """:class:`_SeedEvaluator`'s ``forms`` of the scores' covariance ``G``
+    and class means ``M`` (column c: class c's): ``(2k - 1) + (2k - 1) k``
+    rows, the coefficients on ``psi`` and on its monomials."""
+    k = M.shape[1]
+    rows, cols = np.triu_indices(2 * k - 1)
+    halve = np.where(rows == cols, 0.5, 1.0)
 
-    For true class c, the margins ``s_c - s_j`` of a block of candidates
-    against one class j are one float32 BLAS product: coefficient rows
-    ``(+alpha_c, +beta_c, -alpha_j, -beta_j)``, each scaled in float64 to max
-    |entry| 1, times ``F = [on; off]``, its columns scaled in float64 to unit
-    l1 norm, both then cast to float32; positive scales keep every sign.  A
-    test column whose smallest margin over j is above ``tau`` is a certain hit,
-    below ``-tau`` a certain miss.  A candidate with a column in between is
-    recounted in float64 by the rounded rule of :class:`_SeedEvaluator`, which
-    stays the definition, so every count is exactly the rule's.
+    def quadratic(L1, L2, G=G):  # psi^T L1^T G L2 psi, on the monomials
+        Q = L1.T @ G @ L2
+        return np.concatenate([np.zeros(2 * k - 1), (Q + Q.T)[rows, cols] * halve])
 
-    The loops run over the true class c, then over blocks of ``_CHUNK_ROWS``
-    candidates, then over the seeds.  Each seed's scaled ``F`` of class c is
-    built once per class, and so are the coefficient rows of all C candidates
-    against each of the k - 1 other classes: one float32 ``(k - 1) x C x 2k``
-    table allocated once per call and refilled per class, which a block and
-    every seed read as a view.  The products and their running minimum go
-    into two float32 buffers of ``_CHUNK_ROWS`` x (the most columns of any
-    class and seed) allocated once per call, each seed's block a contiguous
-    ``r x m_c`` view of their head; the comparisons with ``tau`` go into one
-    boolean buffer of that size and are counted per row as int16, or as
-    int32 when a class of some seed has 2**15 columns or more.
-
-    ``tau`` bounds, in these units, the error of the float32 margin plus that
-    of the two rounded float64 scores.  The 4 nonzero terms of a margin sum to
-    at most 1 in absolute value (the rows' max |entry| times the columns' l1
-    norm; the float64 scalings and the computed norm move that by a relative
-    gamma_2k of float64, a second-order term).  With u = eps32 / 2 = 2**-24:
-    - the two casts round each factor once: 2 u = eps32;
-    - the product, a 2k-term dot product in any summation order, errs by at
-      most gamma_2k = 2k u / (1 - 2k u), about k eps32 (Higham 2002, 3.1);
-    - ``s_c`` and ``s_j`` each err by at most gamma_2 of float64 times the sum
-      of their two terms' magnitudes, about eps64 over all four terms;
-    - float32 underflow, a cast entry or a product below 2**-126 (an entry
-      far below its column's l1 norm or its row's largest coefficient), errs
-      by an absolute amount instead: at most 2**-150 per cast entry times the
-      other factor's magnitude, at most 1, and 2**-150 per product.  That is
-      3 * 2**-150 per term and at most 6k * 2**-150 over the 2k terms,
-      negligible against ``tau`` because the terms sum to at most 1 in these
-      units.
-    That is (k + 1) eps32 plus eps64-sized, second-order and underflow terms,
-    and ``tau = (k + 3) eps32`` keeps two eps32 for those.  Outside ``[-tau,
-    tau]`` the true margin exceeds both scores' errors, so the rounded scores
-    differ with its sign and the argmax agrees with it; this holds while
-    no product ``alpha_j * on_j`` or ``beta_j * off_j`` of the rounded rule
-    underflows in float64 (a magnitude below 2**-1022, not zero).
-    """
-    C, k = A.shape
-    tau = (k + 3) * np.finfo(np.float32).eps
-    width = max(on.shape[1] for ev in evaluators for on, _ in ev.by_class)
-    count = np.int16 if width < 2**15 else np.int32  # a row counts at most width hits
-    size = min(C, _CHUNK_ROWS) * width
-    least_buf, prod_buf = np.empty(size, np.float32), np.empty(size, np.float32)
-    mask_buf = np.empty(size, dtype=bool)
-    coef = np.empty((k - 1, C, 2 * k), np.float32)
-    hits = np.zeros((C, len(evaluators)))  # whole counts, exact below 2**53
+    forms = []
     for c in range(k):
-        tables = []
-        for ev in evaluators:
-            F = np.vstack(ev.by_class[c])  # 2k x m_c
-            l1 = np.abs(F).sum(axis=0)
-            F /= np.where(l1 > 0, l1, 1.0)
-            tables.append(np.ascontiguousarray(F, dtype=np.float32))
-        for coef_j, j in zip(coef, np.delete(np.arange(k), c)):
-            top = np.abs(A[:, c])
-            for col in (B[:, c], A[:, j], B[:, j]):
-                np.maximum(top, np.abs(col), out=top)
-            top[top == 0] = 1.0  # a zero row keeps zero margins
-            coef_j.fill(0.0)
-            coef_j[:, c], coef_j[:, k + c] = A[:, c] / top, B[:, c] / top
-            coef_j[:, j], coef_j[:, k + j] = -A[:, j] / top, -B[:, j] / top
-        for lo in range(0, C, _CHUNK_ROWS):
-            a, b = A[lo:lo + _CHUNK_ROWS], B[lo:lo + _CHUNK_ROWS]
-            r = len(a)
-            block = coef[:, lo:lo + r]
-            for s, (ev, F) in enumerate(zip(evaluators, tables)):
-                least, prod, mask = (buf[:r * F.shape[1]].reshape(r, -1)
-                                     for buf in (least_buf, prod_buf, mask_buf))
-                np.matmul(block[0], F, out=least)
-                for coef_j in block[1:]:
-                    np.minimum(least, np.matmul(coef_j, F, out=prod), out=least)
-                n = np.add.reduce(np.greater(least, tau, out=mask), axis=1, dtype=count)
-                np.greater_equal(least, -tau, out=mask)
-                if np.count_nonzero(mask) > n.sum():  # a column within tau
-                    unsure = np.add.reduce(mask, axis=1, dtype=count) > n
-                    n[unsure] = _rule_hits(a[unsure], b[unsure], *ev.by_class[c], c)
-                hits[lo:lo + r, s] += n
-    hits /= [ev.m for ev in evaluators]
-    return hits
+        maps = [_margin_map(k, c, j) for j in range(k) if j != c]
+        forms += [np.concatenate([M[:, c] @ L, np.zeros(rows.size)]) for L in maps]
+        forms += [quadratic(L, L) for L in maps]
+        forms += [quadratic(L, L, np.diag(np.diag(G))) for L in maps]
+        forms += [quadratic(*maps)] if k == 3 else []
+    return np.column_stack(forms)
+
+
+def _margin_map(k: int, c: int, j: int) -> np.ndarray:
+    """The ``(k + 1) x (2k - 1)`` map from ``psi`` (:class:`_SeedEvaluator`)
+    to the score coefficients of the margin ``s_c - s_j`` (0-based classes)."""
+    L = np.zeros((k + 1, 2 * k - 1))
+    L[c, c], L[j, j] = 1.0, -1.0
+    for i, sign in ((c, 1.0), (j, -1.0)):  # beta_c - beta_j on all
+        if i < k - 1:
+            L[k, k + i] = sign
+    return L
+
+
+def _conditional_accuracies(evaluators: list[_SeedEvaluator], rows: np.ndarray) -> np.ndarray:
+    """Exact accuracy of each candidate row ``alpha | beta`` given each
+    evaluator's training draw: a ``len(rows) x len(evaluators)`` array.
+
+    A class-c test point is a hit when every margin ``s_c - s_j`` is
+    positive, with probability ``Phi(mean / sd)`` at k = 2 and a bivariate
+    normal orthant at k = 3 (:func:`~lpc.theory._orthant`); a row scores the
+    sum of those over the classes, weighted by the test draw's class shares.
+    A margin of zero variance has no such probability and raises
+    ``ValueError`` naming its row; zero is up to 1e-12 of the sum of the
+    variance's diagonal terms, which covers the rounding left on a margin
+    that vanishes identically (equal scores for two classes).
+    """
+    k = rows.shape[1] // 2
+    forms = np.hstack([ev.forms for ev in evaluators])
+    weights = np.array([ev.weights for ev in evaluators])
+    a, b = np.triu_indices(2 * k - 1)
+    out = np.empty((len(rows), len(evaluators)))
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        alpha, beta = rows[lo:lo + _CHUNK_ROWS, :k], rows[lo:lo + _CHUNK_ROWS, k:]
+        psi = np.hstack([alpha - beta, beta[:, :-1] - beta[:, -1:]])  # equal betas: exact 0
+        F = (np.hstack([psi, psi[:, a] * psi[:, b]]) @ forms).reshape(
+            len(psi), len(evaluators), k, -1)
+        mean, var, diag = (F[..., i * (k - 1):(i + 1) * (k - 1)] for i in range(3))
+        bad = var <= 1e-12 * diag
+        if bad.any():
+            i, _, c, j = np.argwhere(bad)[0]
+            j += j >= c
+            raise ValueError(f"candidate row {lo + i}: the margin of class {c + 1} over "
+                             f"class {j + 1} has zero variance")
+        sd = np.sqrt(var)
+        z = -mean / sd  # a margin is positive when a standard normal exceeds z
+        r = np.clip(F[..., -1] / (sd[..., 0] * sd[..., 1]), -1.0, 1.0) if k == 3 else None
+        del F, mean, var, diag, sd  # the block's forms, freed before its orthants
+        P = _upper_tail(z[..., 0]) if k == 2 else _orthant(z[..., 0], z[..., 1], r)
+        out[lo:lo + len(psi)] = (P * weights).sum(axis=2)
+    return out
+
+
+def _rule_accuracies(evaluators: list[_SeedEvaluator], rows: np.ndarray) -> np.ndarray:
+    """Sampled accuracy of each candidate row ``alpha | beta`` on each
+    evaluator's test draw by the rounded rule: ``len(rows) x
+    len(evaluators)``."""
+    k = rows.shape[1] // 2
+    A, B = rows[:, :k], rows[:, k:]
+    return np.column_stack([
+        sum(_rule_hits(A, B, on, off, c) for c, (on, off) in enumerate(ev.by_class)) / ev.m
+        for ev in evaluators])
 
 
 def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
@@ -368,11 +372,18 @@ def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
     """Hits of each candidate row on the columns ``on``, ``off`` of true class
     ``c`` (0-based) by the rounded rule of :class:`_SeedEvaluator`."""
     s = [a[:, j, None] * on[j] + b[:, j, None] * off[j] for j in range(len(on))]
-    return np.count_nonzero(np.argmax(s, axis=0) == c, axis=1)
+    hit = np.ones(s[c].shape, dtype=bool)
+    for j, s_j in enumerate(s):  # the argmax is c: above every class before, not below any after
+        if j != c:
+            hit &= s[c] > s_j if j < c else s[c] >= s_j
+    return np.count_nonzero(hit, axis=1)
 
 
-def _check_search(search_seed: int, grid_size: int = 1, tau_points: int = 2) -> None:
-    """:func:`search_alpha_beta`'s checks of its candidate draw and its path."""
+def _check_search(k: int, search_seed: int, grid_size: int = 1, tau_points: int = 2) -> None:
+    """:func:`search_alpha_beta`'s checks of its class count ``k``, its
+    candidate draw and its path."""
+    if k > 3:  # MultiGmmSpec refuses k < 2
+        raise ValueError(f"the search scores 2 or 3 classes exactly, got k={k} means")
     if search_seed < 0:
         raise ValueError(f"search_seed must be >= 0, got {search_seed}")
     if grid_size < 1:
@@ -391,14 +402,18 @@ def search_alpha_beta(
     tau_points: int = 11,
     search_seed: int = 0,
 ) -> SearchResult:
-    """Monte Carlo search over (alpha, beta) plus the best/worst mixing path.
+    """Search over (alpha, beta) plus the best/worst mixing path.
 
-    Samples ``grid_size`` candidates uniformly from ``[-2, 2]^(2k)``, scores
-    each by mean held-out accuracy over ``eval_seeds`` replicates (``n``
-    training and ``n_test`` test samples each), and evaluates the
-    interpolation ``tau * best + (1 - tau) * worst`` on a ``tau`` grid.
-    Fully deterministic given ``eval_seeds`` (any nonempty sequence of seeds,
-    a numpy array included) and ``search_seed >= 0``.
+    Samples ``grid_size`` candidates uniformly from ``[-2, 2]^(2k)`` for
+    ``k = 2`` or ``3`` classes, scores each by its exact accuracy given each
+    of the ``eval_seeds`` replicates' training draw (``n`` samples), averaged
+    over the replicates, and evaluates the interpolation ``tau * best + (1 -
+    tau) * worst`` on a ``tau`` grid.  The path and the naive one-hot
+    candidate are measured on each replicate's ``n_test`` sampled test points
+    by the rounded argmax rule (:class:`_SeedEvaluator`); those draws take
+    no part in the selection.  Fully deterministic given ``eval_seeds`` (any
+    nonempty sequence of seeds, a numpy array included) and ``search_seed >=
+    0``.
 
     A replicate is drawn as the statistics and scores a fit reads, not as
     features (:class:`_SeedEvaluator`): seed ``s`` flips its labels from
@@ -410,24 +425,19 @@ def search_alpha_beta(
     6,000 score normals per seed, against 804,000 numbers for two ``p x
     2000`` feature draws and their flips.
     """
-    _check_search(search_seed, grid_size, tau_points)
+    k = spec.k
+    _check_search(k, search_seed, grid_size, tau_points)
     if len(eval_seeds) == 0:
         raise ValueError("eval_seeds must be nonempty")
-    k = spec.k
     rows = _rng(search_seed).uniform(-2.0, 2.0, size=(grid_size, 2 * k))  # alpha | beta
     evaluators = [_SeedEvaluator(spec, n, gamma, seed, n_test) for seed in eval_seeds]
-
-    def accuracy(block: np.ndarray) -> np.ndarray:  # n_rows x n_seeds
-        return _accuracies(evaluators, block[:, :k], block[:, k:])
-
-    mean_acc = accuracy(rows).mean(axis=1)
-    best_i, worst_i = int(np.argmax(mean_acc)), int(np.argmin(mean_acc))
-    best, worst = rows[best_i], rows[worst_i]
+    mean_acc = _conditional_accuracies(evaluators, rows).mean(axis=1)
+    best, worst = rows[np.argmax(mean_acc)], rows[np.argmin(mean_acc)]
 
     # the tau path and, in its last row, the naive one-hot candidate
     taus = np.linspace(0.0, 1.0, tau_points)
     path = taus[:, None] * best + (1.0 - taus)[:, None] * worst
-    tail_acc = accuracy(np.vstack([path, np.r_[np.ones(k), np.zeros(k)]]))
+    tail_acc = _rule_accuracies(evaluators, np.vstack([path, np.r_[np.ones(k), np.zeros(k)]]))
     return SearchResult(
         ab_best=AlphaBeta(alpha=best[:k], beta=best[k:]),
         ab_worst=AlphaBeta(alpha=worst[:k], beta=worst[k:]),

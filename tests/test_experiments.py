@@ -320,21 +320,24 @@ class TestEmitReport:
 
     def test_a_run_loads_numpy_only(self, tmp_path):
         # A second BLAS (scipy's) would load with scipy; a fresh interpreter
-        # sees every import the library and a full run make.
-        code = (
-            "import sys\n"
-            "import lpc.experiments as ex\n"
-            f"cfg = ex.parse_config_text({SWEEP_CFG!r}, {{'out': {str(tmp_path)!r}}})\n"
+        # sees every import the library and a full run make: a sweep and
+        # multiclass searches at k = 2 (normal tails) and k = 3 (orthants).
+        multi = "schema_version = 1\nexperiment = multiclass\nn = 60\np = 4\nn_test = 60\n"
+        configs = {"sweep": SWEEP_CFG, "multi3": multi + "grid_size = 20\n",
+                   "multi2": multi + "grid_size = 20\nmeans = -1,1\npis = 0.5,0.5\n"
+                                     "eps_rows = 0,0.2; 0.1,0\n"}
+        code = "import sys\nimport lpc.experiments as ex\n" + "".join(
+            f"cfg = ex.parse_config_text({text!r}, {{'out': {str(tmp_path / name)!r}}})\n"
             "ex.emit_report(ex.run_experiment(cfg), cfg.resolved_out())\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
+            for name, text in configs.items()
+        ) + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         src = str(pathlib.Path(lpc.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "report.csv").is_file()
+        assert all((tmp_path / name / "report.csv").is_file() for name in configs)
         assert proc.stdout.strip() == "[]"
 
     def test_csv_self_parse_round_trip(self, tmp_path):
@@ -668,7 +671,7 @@ class TestRunners:
 
     def test_real_data_csv_dimension_is_the_data_width(self, tmp_path):
         # eta is the ingested width over n: the config's p cannot move theory,
-        # and a p line is refused
+        # and a p line is refused, as is a p set on a built config
         path = _toy_csv(tmp_path / "toy.csv", seed=0, rows=120, features=10, shift=0.9,
                         p_pos=0.5)
         text = (
@@ -681,13 +684,12 @@ class TestRunners:
                                               "'real-data' with data_path"):
             ex.parse_config_text(text + "p = 10\n")
         cfg = ex.parse_config_text(text)
-        cells = [
-            [(r.variant, r.seed, r.theory) for r in
-             ex.run_experiment(dataclasses.replace(cfg, p=p)).rows if r.metric == "accuracy"]
-            for p in (10, cfg.p, 5000)
-        ]
-        assert len(cells[0]) == 6
-        assert cells[0] == cells[1] == cells[2]
+        for p in (10, 5000):
+            with pytest.raises(ConfigError, match="unknown config key 'p' for experiment "
+                                                  "'real-data' with data_path"):
+                dataclasses.replace(cfg, p=p)
+        cells = [r for r in ex.run_experiment(cfg).rows if r.metric == "accuracy"]
+        assert len(cells) == 6 and all(np.isfinite(r.theory) for r in cells)
 
     def test_real_data_theory_matches_theory_csv(self):
         # `lpc theory` and a synthetic real-data run read the same n and pi1,
@@ -1240,6 +1242,28 @@ class TestKeysRead:
         if cfg.experiment == "sweep":
             swept = {config._SWEPT[cfg.sweep_param]}
         assert reads and reads <= set(cfg.keys_read()) | swept
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(experiment="histogram", data_path="x.csv"),
+        dict(experiment="multiclass", snr=7.0),
+        dict(experiment="sweep", grid=(0.0, 0.1), eps_plus=0.2),
+    ], ids=["histogram_data_path", "multiclass_snr", "sweep_swept_key"])
+    def test_a_built_config_refuses_unread_keys(self, kwargs):
+        # a config built without parse names only keys its run reads too
+        key = next(k for k in kwargs if k not in ("experiment", "grid"))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}' for experiment "
+                                              f"'{kwargs['experiment']}'"):
+            ExperimentConfig(**kwargs)
+
+    def test_a_grid_point_sets_only_what_its_cells_read(self):
+        # a rho_plus sweep without the custom variant: no cell of a point
+        # reads custom_rho_plus, and the point keeps its default
+        cfg = ExperimentConfig(experiment="sweep", sweep_param="rho_plus", grid=(0.0, 0.5),
+                               variants=("naive",))
+        point = cfg.at_grid_point(0.5)
+        assert (point.experiment, point.custom_rho_plus, point.sweep_param) == (
+            "histogram", 0.0, "eps_plus")
+        assert dataclasses.replace(cfg, variants=("custom",)).at_grid_point(0.5).custom_rho_plus == 0.5
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_other_key_refused(self, case, tmp_path):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import pathlib
 import tracemalloc
 
@@ -16,13 +17,14 @@ from lpc.datasets import (
     generate_scores,
     generate_training_stats,
 )
-from lpc.experiments import ExperimentConfig, parse_config_file
+from lpc.experiments import ConfigError, ExperimentConfig, parse_config_file, parse_config_text
 from lpc.multiclass import (
     _CHUNK_ROWS,
     AlphaBeta,
     MultiGmmSpec,
+    _conditional_accuracies,
+    _rule_accuracies,
     _SeedEvaluator,
-    _accuracies,
     build_label_matrix,
     flip_multi_labels,
     generate_multi_gmm,
@@ -30,6 +32,7 @@ from lpc.multiclass import (
     search_alpha_beta,
     train_multi_lpc,
 )
+from lpc.theory import gaussian_upper_tail
 
 EPS3 = np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.4], [0.5, 0.0, 0.0]])
 PI3 = np.array([0.3, 0.3, 0.4])
@@ -364,6 +367,11 @@ def _scalar_accuracies(ev, A, B):
     ])
 
 
+def _tail(evaluators, A, B):
+    """The sampled accuracies of the tau path's rule, rows ``A | B``."""
+    return _rule_accuracies(evaluators, np.hstack([A, B]))
+
+
 def _tables_evaluator(by_class):
     """An evaluator of the given per-class ``(on, off)`` tables."""
     ev = _SeedEvaluator.__new__(_SeedEvaluator)
@@ -383,7 +391,39 @@ def _near_tie_tables(rng, A, B, per):
     return tables
 
 
+def _draw_weights(spec, n, gamma, seed):
+    """Seed ``seed``'s one-hot and all-ones weights, drawn through the public
+    API as :class:`_SeedEvaluator` draws them."""
+    y_clean = spec.labels(n)
+    y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
+    stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
+    onehot = build_label_matrix(y_noisy, AlphaBeta.naive(spec.k))
+    return train_multi_lpc(stats, np.column_stack([onehot, np.ones(n)]), gamma)
+
+
+def _scipy_accuracy(spec, W, n_test, alpha, beta):
+    """A candidate's accuracy given the weights ``W``, by scipy: class c's
+    margins ``s_c - s_j`` are ``N(V W^T m_c, V W^T W V^T)`` for the rows
+    ``V`` of ``e_c - e_j`` times the candidate's score map, and a hit is
+    every margin positive."""
+    from scipy.stats import multivariate_normal, norm
+
+    D = np.hstack([np.diag(alpha - beta), beta[:, None]])  # k x (k + 1)
+    acc = 0.0
+    for c, size in enumerate(spec.class_sizes(n_test)):
+        V = np.array([np.eye(spec.k)[c] - np.eye(spec.k)[j] for j in range(spec.k)
+                      if j != c]) @ D
+        mu, cov = V @ W.T @ spec.means[c], V @ W.T @ W @ V.T
+        p = (norm.sf(-mu[0] / math.sqrt(cov[0, 0])) if spec.k == 2 else
+             multivariate_normal(mean=-mu, cov=cov).cdf(np.zeros(2)))
+        acc += size / n_test * p
+    return acc
+
+
 class TestBlockScoring:
+    """The search scores its candidates exactly, block by block, and measures
+    the tau path and the naive candidate by the sampled rounded rule."""
+
     def test_matches_scalar_rule_with_ties(self):
         ev = _SeedEvaluator(_spec3(p=10), 300, gamma=1.0, seed=4, n_test=250)
         rng = np.random.default_rng(0)
@@ -391,11 +431,10 @@ class TestBlockScoring:
         A[0], B[0] = 0.0, 0.0  # every class ties at zero
         A[1], B[1] = 1.0, 1.0  # s_j = on_j + off_j: near-ties within rounding
         A[2:6] = 0.7  # equal alphas
-        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
+        np.testing.assert_array_equal(_tail([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [2])
     def test_matches_scalar_rule_at_other_class_counts(self, k):
-        # the filter's threshold grows with k
         means = np.zeros((k, 8))
         means[:, 0] = np.linspace(-2.0, 2.0, k)
         eps = np.full((k, k), 0.1)
@@ -406,60 +445,28 @@ class TestBlockScoring:
         A[0], B[0] = 0.0, 0.0
         A[1], B[1] = 1.0, 1.0
         A[2:6, 1:] = A[2:6, :1]  # equal alphas
-        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
+        np.testing.assert_array_equal(_tail([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
     @pytest.mark.parametrize("power", [0, -500, 500])
     def test_rounding_level_margins_at_any_scale(self, power):
         # each candidate has its own columns where its two classes' scores agree
-        # up to rounding, so the product's sign alone gets some of them wrong.
-        # Row 1 is the A = B = 1 near-tie and row 0 becomes the zero candidate.
-        # Scaling (A, B) by 2**power and the score tables by 2**-power moves no
-        # count: the threshold is relative to each coefficient row and each
-        # test column, with no absolute floor
+        # up to rounding, where the rule's comparisons must round as the
+        # argmax does.  Row 1 is the A = B = 1 near-tie and row 0 becomes the
+        # zero candidate.  Scaling (A, B) by 2**power and the score tables by
+        # 2**-power moves no count
         rng = np.random.default_rng(1)
         A, B = rng.uniform(0.5, 2, (2, 20, 2))
         A[1], B[1] = 1.0, 1.0
         tables = _near_tie_tables(rng, A, B, per=10)
         A[0], B[0] = 0.0, 0.0
-        # a second seed of every third column has blocks of another width
+        # a second seed of every third column has tables of another width
         ev = _tables_evaluator(tables)
         thinned = _tables_evaluator([(on[:, ::3], off[:, ::3]) for on, off in tables])
         scaled = [_tables_evaluator([(on * 2.0 ** -power, off * 2.0 ** -power)
                                      for on, off in e.by_class]) for e in (ev, thinned)]
-        acc = _accuracies(scaled, A * 2.0 ** power, B * 2.0 ** power)
+        acc = _tail(scaled, A * 2.0 ** power, B * 2.0 ** power)
         np.testing.assert_array_equal(acc[:, 0], _scalar_accuracies(ev, A, B))
         np.testing.assert_array_equal(acc[:, 1], _scalar_accuracies(thinned, A, B))
-
-    def test_margins_between_float64_and_float32_rounding(self):
-        # the near-ties above, each column's on[j] moved by a relative 1e-12
-        # to 1e-7 of either sign: margins far above float64 rounding and
-        # within float32's, where the float32 product alone gets some signs wrong
-        rng = np.random.default_rng(2)
-        A, B = rng.uniform(0.5, 2, (2, 20, 2))
-        tables = _near_tie_tables(rng, A, B, per=10)
-        for (on, _), j in zip(tables, [1, 0]):
-            sign = rng.choice([-1.0, 1.0], on.shape[1])
-            on[j] *= 1.0 + sign * 10.0 ** rng.uniform(-12, -7, on.shape[1])
-        ev = _tables_evaluator(tables)
-        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_entries_beyond_float32_range(self, k):
-        # entries 1, 2**-130, 2**-160 and 2**-200 times a uniform draw: relative
-        # to a column's l1 norm the float32 cast leaves some subnormal and
-        # flushes others to zero, and for k = 3 a margin between two classes
-        # of tiny entries is itself below 2**-126.  Class 1's last column is
-        # all zero (l1 = 0), which the rule counts as a hit
-        rng = np.random.default_rng(k)
-        tables = [tuple(rng.uniform(-1, 1, (2, k, m))
-                        * 2.0 ** -rng.choice([0, 130, 160, 200], (2, k, m)))
-                  for m in (150, 130, 170)[:k]]
-        tables[0][0][:, -1] = tables[0][1][:, -1] = 0.0
-        ev = _tables_evaluator(tables)
-        A, B = rng.uniform(-2, 2, (2, 60, k))
-        A[0], B[0] = 0.0, 0.0
-        A[1], B[1] = 1.0, 1.0
-        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
 
     def test_exact_integer_ties(self):
         # small integer tables make most columns tie across classes; two
@@ -470,63 +477,127 @@ class TestBlockScoring:
                for widths in [(7, 5, 9), (11, 3, 4)]]
         A = rng.integers(-1, 2, (200, 3)).astype(float)
         B = rng.integers(-1, 2, (200, 3)).astype(float)
-        acc = _accuracies(evs, A, B)
+        acc = _tail(evs, A, B)
         for s, ev in enumerate(evs):
             np.testing.assert_array_equal(acc[:, s], _scalar_accuracies(ev, A, B))
 
+    def test_tail_rule_breaks_ties_toward_the_smallest_class(self):
+        # one test column per true class, every score equal: each candidate
+        # predicts class 1, and only class 1's column is a hit; with class 3's
+        # score above, class 3's column is the hit
+        ones = np.ones((3, 1))
+        ev = _tables_evaluator([(ones, ones)] * 3)
+        A, B = np.full((2, 3), 0.5), np.full((2, 3), 0.25)
+        A[1, 2] = 0.75
+        np.testing.assert_array_equal(_tail([ev], A, B)[:, 0], [1 / 3, 1 / 3])
+        hits = [multiclass._rule_hits(A, B, ones, ones, c) for c in range(3)]
+        np.testing.assert_array_equal(np.column_stack(hits), [[1, 0, 0], [0, 0, 1]])
+
     def test_seeds_of_different_widths_over_several_blocks(self):
-        # one call scores three seeds whose class column counts differ, so one
-        # buffer holds blocks of several widths (the widest not the first
-        # seed's); the candidates fill two blocks and part of a third
+        # one call scores three seeds whose test draws differ in size, so
+        # their class shares differ; the candidates fill two blocks and part
+        # of a third, and each row scores as it does alone
         spec = _spec3(p=8)
         evs = [_SeedEvaluator(spec, 200, gamma=0.7, seed=s, n_test=n_test)
                for s, n_test in [(0, 90), (1, 160), (2, 45)]]
-        rng = np.random.default_rng(6)
-        A, B = rng.uniform(-2, 2, (2, 2 * _CHUNK_ROWS + 7, 3))
-        A[0], B[0] = 0.0, 0.0  # every class ties at zero
-        A[1], B[1] = 1.0, 1.0  # near-ties within rounding
-        A[_CHUNK_ROWS:_CHUNK_ROWS + 4] = 0.7  # equal alphas from a block's first row
-        A[-1], B[-1] = 0.0, 0.0  # the zero row again, in the partial block
-        acc = _accuracies(evs, A, B)
-        assert acc.shape == (len(A), len(evs))
+        rows = np.random.default_rng(6).uniform(-2, 2, (2 * _CHUNK_ROWS + 7, 6))
+        acc = _conditional_accuracies(evs, rows)
+        assert acc.shape == (len(rows), len(evs))
+        pick = [0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 6]
         for s, ev in enumerate(evs):
-            np.testing.assert_array_equal(acc[:, s], _scalar_accuracies(ev, A, B))
+            alone = np.concatenate([_conditional_accuracies([ev], rows[i:i + 1])[:, 0]
+                                    for i in pick])
+            np.testing.assert_allclose(acc[pick, s], alone, rtol=0, atol=1e-15)
 
     def test_search_scores_every_candidate_by_the_rule(self):
-        # each candidate's search score is its seed mean of the rule's
-        # accuracies, over more candidates than one block holds
+        # each candidate's search score is its seed mean of the exact
+        # accuracies given each seed's draw, over more candidates than one
+        # block holds
         spec, n, seeds, gamma, n_test, grid = _spec3(p=8), 200, [3, 5], 0.9, 150, _CHUNK_ROWS + 9
         res = search_alpha_beta(spec, n, grid_size=grid, eval_seeds=seeds, gamma=gamma,
                                 n_test=n_test, tau_points=3, search_seed=11)
         rows = _rng(11).uniform(-2.0, 2.0, size=(grid, 6))
-        per_seed = [_scalar_accuracies(_SeedEvaluator(spec, n, gamma, s, n_test),
-                                       rows[:, :3], rows[:, 3:]) for s in seeds]
+        evs = [_SeedEvaluator(spec, n, gamma, s, n_test) for s in seeds]
         np.testing.assert_array_equal(res.candidate_accuracy,
-                                      np.column_stack(per_seed).mean(axis=1))
-
-    def test_counts_beyond_int16(self):
-        # k = 2 with a first class of 2**15 + 100 columns: every candidate
-        # of positive alphas has a certain hit on each of them, and the zero
-        # candidate ties there and is recounted, so a row counts more hits
-        # than int16 holds; the candidates fill one block and part of a second
-        rng = np.random.default_rng(8)
-        m = 2**15 + 100
-        on = np.vstack([rng.uniform(0.5, 1.0, m), rng.uniform(-1.0, -0.5, m)])
-        tables = [(on, rng.uniform(-0.1, 0.1, (2, m))), tuple(rng.uniform(-1, 1, (2, 2, 50)))]
-        ev = _tables_evaluator(tables)
-        A = rng.uniform(0.5, 2, (_CHUNK_ROWS + 5, 2))
-        B = rng.uniform(-2, 2, (_CHUNK_ROWS + 5, 2))
-        A[::7, 0] *= -1.0  # rows of few hits on the first class
-        A[-1], B[-1] = 0.0, 0.0
-        np.testing.assert_array_equal(_accuracies([ev], A, B)[:, 0], _scalar_accuracies(ev, A, B))
+                                      _conditional_accuracies(evs, rows).mean(axis=1))
+        assert res.ab_best.alpha.tolist() == rows[np.argmax(res.candidate_accuracy), :3].tolist()
+        assert res.ab_worst.beta.tolist() == rows[np.argmin(res.candidate_accuracy), 3:].tolist()
 
     def test_chunk_boundary(self):
         ev = _SeedEvaluator(_spec3(p=6), 200, gamma=0.5, seed=2, n_test=120)
-        rng = np.random.default_rng(3)
-        A, B = rng.uniform(-2, 2, (2, _CHUNK_ROWS + 1, 3))
-        row_by_row = np.concatenate([_accuracies([ev], A[i:i + 1], B[i:i + 1])
-                                     for i in range(len(A))])
-        np.testing.assert_array_equal(_accuracies([ev], A, B), row_by_row)
+        rows = np.random.default_rng(3).uniform(-2, 2, (_CHUNK_ROWS + 1, 6))
+        row_by_row = np.concatenate([_conditional_accuracies([ev], rows[i:i + 1])
+                                     for i in range(len(rows))])
+        np.testing.assert_allclose(_conditional_accuracies([ev], rows), row_by_row,
+                                   rtol=0, atol=1e-15)
+
+    def test_candidate_accuracy_is_scipys_orthants(self):
+        # a k = 3 search's candidate scores against scipy's bivariate normal
+        # orthants of each seed's margins, weighted by the test class sizes
+        spec, n, seeds, gamma, n_test = _spec3(p=10), 300, [0, 1], 0.8, 250
+        res = search_alpha_beta(spec, n, grid_size=30, eval_seeds=seeds, gamma=gamma,
+                                n_test=n_test, tau_points=3, search_seed=4)
+        rows = _rng(4).uniform(-2.0, 2.0, size=(30, 6))
+        weights = [_draw_weights(spec, n, gamma, s) for s in seeds]
+        want = [np.mean([_scipy_accuracy(spec, W, n_test, row[:3], row[3:]) for W in weights])
+                for row in rows]
+        np.testing.assert_allclose(res.candidate_accuracy, want, rtol=0, atol=1e-10)
+
+    def test_two_classes_exact_score_is_the_binary_conditional_accuracy(self):
+        # at k = 2 a candidate scores sum_a (m_a / m) P(its sign of w.x is
+        # class a's), w = w_2 - w_1 the binary LPC at the rho whose label
+        # weights are lambda_plus = alpha_2 - beta_1, lambda_minus = alpha_1 -
+        # beta_2, trained on the same draw: w.x is N(w.mu_a, |w|^2)
+        means = np.zeros((2, 50))
+        means[0, 0], means[1, 0] = -1.0, 1.0
+        spec = MultiGmmSpec(means=means, pi=[0.4, 0.6], eps=[[0.0, 0.2], [0.3, 0.0]])
+        n, gamma, seed, n_test = 400, 1.0, 3, 500
+        rng = np.random.default_rng(9)
+        rows = np.hstack([rng.uniform(1.0, 2.0, (6, 2)), rng.uniform(-0.5, 0.5, (6, 2))])
+        exact = _conditional_accuracies([_SeedEvaluator(spec, n, gamma, seed, n_test)], rows)
+        y_clean = spec.labels(n)
+        y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
+        stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
+        m1, m2 = spec.class_sizes(n_test) / n_test
+        for row, got in zip(rows, exact[:, 0]):
+            lam_plus, lam_minus = row[1] - row[2], row[0] - row[3]
+            s, g = 1 - 2 / (lam_plus + lam_minus), (lam_plus - lam_minus) / (lam_plus + lam_minus)
+            w = train_lpc(stats, RhoParams((s + g) / 2, (s - g) / 2), gamma,
+                          labels=2 * y_noisy - 3).w
+            norm = np.linalg.norm(w)
+            want = (m1 * gaussian_upper_tail(w @ means[0] / norm)
+                    + m2 * gaussian_upper_tail(-(w @ means[1]) / norm))
+            assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_margin_of_zero_variance_is_refused(self, k):
+        # equal scores for every class (row 2: alpha = beta, the same for all
+        # classes) and, at k = 2, s_1 = on_1 = all - on_2 = s_2 (row 4): a
+        # margin that vanishes identically has no hit probability
+        spec = _spec3(p=6) if k == 3 else MultiGmmSpec(
+            means=np.eye(2, 6), pi=[0.5, 0.5], eps=np.zeros((2, 2)))
+        ev = _SeedEvaluator(spec, 100, gamma=1.0, seed=0, n_test=50)
+        rows = np.random.default_rng(k).uniform(-2, 2, (5, 2 * k))
+        rows[2] = 0.7
+        with pytest.raises(ValueError, match="candidate row 2: the margin of class 1 over "
+                                             "class 2 has zero variance"):
+            _conditional_accuracies([ev], rows)
+        if k == 2:
+            rows[2] = rows[1]
+            rows[4] = [1.0, 0.0, 0.0, 1.0]
+            with pytest.raises(ValueError, match="candidate row 4: .* zero variance"):
+                _conditional_accuracies([ev], rows)
+
+    def test_four_classes_refused(self):
+        means = np.zeros((4, 6))
+        means[:, 0] = [-3.0, -1.0, 1.0, 3.0]
+        spec = MultiGmmSpec(means=means, pi=np.full(4, 0.25), eps=np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="2 or 3 classes.*k=4 means"):
+            search_alpha_beta(spec, 100, grid_size=2, eval_seeds=[0], gamma=1.0, n_test=40)
+        with pytest.raises(ConfigError, match="means"):
+            parse_config_text("schema_version = 1\nexperiment = multiclass\nmeans = -3,-1,1,3\n"
+                              "pis = 0.25,0.25,0.25,0.25\n"
+                              "eps_rows = 0,0,0,0; 0,0,0,0; 0,0,0,0; 0,0,0,0\n")
 
     def test_search_matches_public_api(self):
         spec, n, seeds, gamma, n_test = _spec3(p=10), 300, [0, 1], 0.8, 250
@@ -544,8 +615,7 @@ class TestBlockScoring:
                 y_clean = spec.labels(n)
                 y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
                 stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
-                onehot = build_label_matrix(y_noisy, AlphaBeta.naive(3))
-                W = train_multi_lpc(stats, np.column_stack([onehot, np.ones(n)]), gamma)
+                W = _draw_weights(spec, n, gamma, seed)
                 W_ab = train_multi_lpc(stats, build_label_matrix(y_noisy, ab), gamma)
                 assert np.linalg.norm(W @ M - W_ab) <= 1e-12 * np.linalg.norm(W_ab)
                 S, y = generate_scores(spec, W, n_test, derive_seed(seed, 2))
@@ -565,33 +635,28 @@ def _shipped_config():
     return cfg
 
 
-def test_search_at_shipped_size_matches_rule(monkeypatch):
-    # configs/multiclass.cfg's 5000 candidates on its 3 seeds: a fixed random
-    # subset, the last block and every row the float32 filter recounts
+def test_search_at_shipped_size_matches_rule():
+    # configs/multiclass.cfg's search: its path and naive cells are the
+    # rounded rule's counts on each seed's test draw, and its ends are the
+    # best and worst of the exact scores of all 5000 candidates
     cfg = _shipped_config()
+    res = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size, eval_seeds=cfg.seeds,
+                            gamma=cfg.gamma, n_test=cfg.n_test, tau_points=cfg.tau_points,
+                            search_seed=cfg.search_seed)
     evs = [_SeedEvaluator(cfg.model, cfg.n, cfg.gamma, s, cfg.n_test) for s in cfg.seeds]
     rows = _rng(cfg.search_seed).uniform(-2.0, 2.0, size=(cfg.grid_size, 6))
-    A, B = rows[:, :3], rows[:, 3:]
-    recounted, rule_hits = [], multiclass._rule_hits
-
-    def spy(a, b, on, off, c):
-        recounted.extend(np.flatnonzero((A == row).all(axis=1))[0] for row in a)
-        return rule_hits(a, b, on, off, c)
-
-    monkeypatch.setattr(multiclass, "_rule_hits", spy)
-    acc = _accuracies(evs, A, B)
-    assert recounted
-    last = (len(A) - 1) // _CHUNK_ROWS * _CHUNK_ROWS
-    pick = np.union1d(np.random.default_rng(0).choice(len(A), 200, replace=False),
-                      np.r_[np.arange(last, len(A)), recounted])
+    best, worst = rows[np.argmax(res.candidate_accuracy)], rows[np.argmin(res.candidate_accuracy)]
+    path = res.tau_grid[:, None] * best + (1 - res.tau_grid)[:, None] * worst
     for s, ev in enumerate(evs):
-        np.testing.assert_array_equal(acc[pick, s], _scalar_accuracies(ev, A[pick], B[pick]))
+        np.testing.assert_array_equal(res.tau_accuracy[:, s],
+                                      _scalar_accuracies(ev, path[:, :3], path[:, 3:]))
+        assert res.naive_seed_accuracy[s] == _scalar_accuracies(ev, [np.ones(3)],
+                                                                [np.zeros(3)])[0]
 
 
 def test_search_memory_at_shipped_size():
     # configs/multiclass.cfg's search (3 seeds, 5000 candidates) holds its
-    # score tables, the coefficient table of every candidate against each
-    # other class, two blocks of margins and one of comparisons
+    # candidates, their scores and one block's orthant integrands
     cfg = _shipped_config()
     # a first search imports modules (numpy's seed sequence pulls in secrets),
     # which would count about 0.7 MiB of module objects

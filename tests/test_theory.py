@@ -80,6 +80,51 @@ class TestGaussianTail:
             assert gaussian_upper_tail(x) == pytest.approx(ref, abs=1e-12)
         assert gaussian_upper_tail(1.959964) == pytest.approx(0.025, abs=1e-6)
 
+    def test_numpy_tail_is_the_scalar_one(self):
+        # Cody's erfc in numpy, on a grid and at the edges of its ranges
+        # (|x| / sqrt 2 = 0.46875, 4 and the far end), to 1e-14 relative
+        edges = np.array([0.46875, 4.0]) * math.sqrt(2.0)
+        x = np.r_[np.linspace(-8.0, 37.0, 4501), edges, -edges, np.nextafter(edges, 0)]
+        want = np.array([gaussian_upper_tail(v) for v in x])
+        got = theory._upper_tail(x)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+        assert theory._upper_tail(x[:4500].reshape(-1, 3)).shape == (1500, 3)
+        np.testing.assert_array_equal(theory._upper_tail([np.nan, np.inf, -np.inf, 40.0]),
+                                      [np.nan, 0.0, 1.0, 0.0])
+
+
+class TestOrthant:
+    R = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.925, 0.95, 0.99, 0.999, 0.9999]
+
+    @pytest.mark.parametrize("r", sorted({s * r for r in R for s in (1, -1)}))
+    def test_against_scipy(self, r):
+        # P(Z1 > h, Z2 > k) is scipy's lower orthant of (-Z1, -Z2) at (-h, -k),
+        # over every branch: 6, 12 and 20 nodes and the expansion near |r| = 1
+        from scipy.stats import multivariate_normal
+
+        h, k = (g.ravel() for g in np.meshgrid(*[np.linspace(-6.0, 6.0, 17)] * 2))
+        mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]])
+        want = np.array([mvn.cdf([-a, -b]) for a, b in zip(h, k)])
+        np.testing.assert_allclose(theory._orthant(h, k, r), want, rtol=0, atol=1e-10)
+
+    def test_perfect_correlation(self):
+        # r = 1: P(Z > max(h, k)); r = -1: P(h < Z < -k), or 0
+        h, k = np.array([0.5, -1.0, 2.0]), np.array([0.2, 0.3, -3.0])
+        np.testing.assert_allclose(theory._orthant(h, k, 1.0),
+                                   [gaussian_upper_tail(max(a, b)) for a, b in zip(h, k)],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            theory._orthant(h, k, -1.0),
+            [max(gaussian_upper_tail(a) - gaussian_upper_tail(-b), 0.0) for a, b in zip(h, k)],
+            rtol=0, atol=1e-15)
+
+    def test_shape_and_independence(self):
+        h = np.linspace(-2, 2, 6).reshape(2, 3)
+        got = theory._orthant(h, h * 0.5, 0.0)
+        assert got.shape == (2, 3)
+        want = theory._upper_tail(h) * theory._upper_tail(h * 0.5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-16)
+
 
 def _oracle(cfg_kwargs):
     """The stats of the same model at rho = (0, 0) with zero noise."""
