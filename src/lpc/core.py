@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, TrainingStats, _check_labels
+from .datasets import LabeledDataset, TrainingStats, _check_binary, _check_labels
 
 __all__ = [
     "RhoParams",
@@ -244,18 +244,20 @@ def train_lpc(data: LabeledDataset | TrainingStats, rho: RhoParams, gamma: float
               labels: np.ndarray | None = None) -> Classifier:
     """Solve the reweighted ridge system for the training ``labels``.
 
-    ``data`` is a dataset (``labels`` defaults to its ``y_noisy``) or a
-    :class:`TrainingStats` draw, which needs ``labels``: one of the label
-    vectors it was drawn for.  One solve of the (SPD) regularized Gram system
-    (dense for features, in blocks for a banded draw); the normal-equation
-    residual is verified to a ``1e-8`` normwise backward error.
+    ``data`` is a binary dataset (``labels`` defaults to its ``y_noisy``) or
+    a :class:`TrainingStats` draw, which needs ``labels``: one of the label
+    vectors it was drawn for, of ``-1``/``+1``.  One solve of the (SPD)
+    regularized Gram system (dense for features, in blocks for a banded
+    draw); the normal-equation residual is verified to a ``1e-8`` normwise
+    backward error.
     """
     _check_gamma(gamma)
     stats = isinstance(data, TrainingStats)
-    if labels is None:
-        if stats:
-            raise ValueError("training statistics hold no labels; pass the labels to train on")
-        labels = data.y_noisy
+    if not stats:
+        _check_binary(data, "train_lpc")
+        labels = data.y_noisy if labels is None else labels
+    elif labels is None:
+        raise ValueError("training statistics hold no labels; pass the labels to train on")
     labels = _check_labels("labels", labels, data.n)
     w = _Ridge(data if stats else data.X).weights(_targets(labels, rho), gamma)
     return Classifier(w=w, gamma=gamma, rho=rho, loss_kind="squared")
@@ -305,6 +307,7 @@ def loo_decisions(ds: LabeledDataset, rho: RhoParams, gamma: float) -> np.ndarra
     by its labels; it is scored by the exact PRESS form on the dual system
     instead.
     """
+    _check_binary(ds, "loo_decisions")
     return _loo_operator(ds.X, gamma)(_targets(ds.y_noisy, rho)[:, None])[:, 0]
 
 
@@ -393,6 +396,7 @@ def train_lpc_bce(
     case descent halts at the last finite iterate with a warning naming the
     step.  Deterministic.
     """
+    _check_binary(ds, "train_lpc_bce")
     _check_gamma(gamma)
     _check_features(ds.X)
     if learning_rate <= 0:

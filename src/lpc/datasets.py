@@ -1,18 +1,17 @@
-"""Synthetic two-cluster Gaussian mixtures, label flipping and CSV ingestion.
+"""Synthetic k-class Gaussian mixtures, label flipping and CSV ingestion.
 
 Conventions used throughout the package:
 
 - feature matrices are ``p x n`` (one sample per column),
-- binary labels live in ``{-1, +1}``; class 1 has mean ``-mu`` and label
-  ``-1``, class 2 has mean ``+mu`` and label ``+1``,
-- class sizes are deterministic, ``n1 = round(pi1 * n)`` (:func:`_class_sizes`
-  for any number of classes),
-- :func:`generate_scores` and :func:`generate_training_stats` read a mixture
-  spec only through ``p``, ``cov``, ``classes`` (the label of each class, in
-  class order, ascending), ``means`` (row ``a`` is class ``a``'s mean),
-  ``class_sizes(n)`` and ``labels(n)`` (the clean labels, class by class),
-  so they draw a :class:`GmmSpec` and a k-class
-  :class:`~lpc.multiclass.MultiGmmSpec` (labels ``1..k``) alike,
+- a mixture has ``k >= 2`` classes, and one label alphabet codes them
+  (:func:`_classes`): ``-1, +1`` for ``k = 2``, ``1..k`` for ``k >= 3``.  The
+  binary model is the symmetric two-class case: class 1 has mean ``-mu``
+  and label ``-1``, class 2 has mean ``+mu`` and label ``+1``,
+- class sizes are deterministic, class ``a`` gets ``round(pi_a * n)``
+  samples and the last class the rest (:func:`_class_sizes`),
+- draws are class by class, the clean labels ``GmmSpec.labels(n)`` in
+  class order, and noise is injected afterwards by one flip rule
+  (:func:`_flip`) from one uniform per label,
 - all randomness goes through counter-based Philox streams so that draws
   are reproducible and independent of evaluation order.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,69 +88,115 @@ def _class_sizes(pi, n: int) -> np.ndarray:
     return sizes
 
 
+def _classes(k: int) -> np.ndarray:
+    """The labels of ``k`` classes, in class order: ``(-1, +1)`` for the
+    binary ``k = 2``, ``1..k`` otherwise."""
+    return np.array([-1, 1]) if k == 2 else np.arange(1, k + 1)
+
+
 @dataclass(frozen=True)
 class GmmSpec:
-    """Parameters of the two-cluster Gaussian mixture.
+    """Parameters of a k-class Gaussian mixture.
 
-    ``mu`` is the mean direction: class means are ``-mu`` and ``+mu``.  With
-    ``cov=None`` both clusters have identity covariance; otherwise ``cov``
-    is the pair ``(C1, C2)`` of symmetric PSD matrices.  Label noise is
-    injected afterwards, with :func:`flip_labels`.
+    ``means`` is ``k x p`` (row ``a`` is class ``a``'s mean, ``k >= 2``) and
+    ``pi`` the ``k`` class proportions.  With ``cov=None`` every class has
+    identity covariance; otherwise ``cov`` holds one symmetric PSD ``p x
+    p`` matrix per class, ``(C1, ..., Ck)``.  Class ``a``'s label is
+    ``classes[a]`` (:func:`_classes`).  The binary model is
+    :meth:`binary`, means ``(-mu, +mu)``; its ``pi1`` and ``mu`` are read
+    only from such a spec.  Label noise is injected afterwards, by
+    :func:`flip_labels` or ``lpc.multiclass.flip_multi_labels``.
     """
 
-    pi1: float
-    mu: np.ndarray
-    cov: tuple[np.ndarray, np.ndarray] | None = None
+    means: np.ndarray
+    pi: np.ndarray
+    cov: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pi1 < 1.0:
-            raise ValueError(f"pi1 must lie in (0, 1), got {self.pi1}")
-        mu = np.asarray(self.mu, dtype=float)
+        means = np.asarray(self.means, dtype=float)
+        if means.ndim != 2 or len(means) < 2 or not means.shape[1]:
+            raise ValueError(f"means must be k x p with k >= 2 and p >= 1, got shape "
+                             f"{means.shape}")
+        if not np.isfinite(means).all():
+            raise ValueError("means contains non-finite entries")
+        object.__setattr__(self, "means", means)
+        k = self.k
+        pi = np.asarray(self.pi, dtype=float)
+        if pi.shape != (k,) or not (pi > 0).all():
+            raise ValueError(f"pi must hold k={k} positive proportions, one per mean")
+        if abs(pi.sum() - 1.0) > 1e-12:
+            raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
+        object.__setattr__(self, "pi", pi)
+        if self.cov is not None:
+            if len(self.cov) != k:
+                raise ValueError(f"cov must hold k={k} covariances, one per mean")
+            cov = tuple(_check_covariance(f"C{a + 1}", c, self.p) for a, c in enumerate(self.cov))
+            object.__setattr__(self, "cov", cov)
+
+    @staticmethod
+    def binary(pi1: float, mu, cov=None) -> "GmmSpec":
+        """The binary model: means ``(-mu, +mu)``, proportions ``(pi1, 1 -
+        pi1)``, covariances ``(C1, C2) = cov`` or identities."""
+        if not 0.0 < pi1 < 1.0:
+            raise ValueError(f"pi1 must lie in (0, 1), got {pi1}")
+        mu = np.asarray(mu, dtype=float)
         if mu.ndim != 1 or not mu.size:
             raise ValueError(f"mu must be a nonempty 1-d vector, got shape {mu.shape}")
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise ValueError("mu contains non-finite entries")
-        object.__setattr__(self, "mu", mu)
-        if self.cov is not None:
-            c1 = _check_covariance("C1", self.cov[0], self.p)
-            c2 = _check_covariance("C2", self.cov[1], self.p)
-            object.__setattr__(self, "cov", (c1, c2))
-
-    @property
-    def p(self) -> int:
-        return self.mu.size
-
-    def class_sizes(self, n: int) -> np.ndarray:
-        """``(n1, n2)`` of ``n`` samples, ``n1 = round(pi1 * n)``
-        (:func:`_class_sizes`)."""
-        return _class_sizes((self.pi1, 1.0 - self.pi1), n)
-
-    def labels(self, n: int) -> np.ndarray:
-        """The clean labels of ``n`` draws: ``n1`` times ``-1``, then ``+1``."""
-        return np.repeat(self.classes, self.class_sizes(n))
-
-    @property
-    def classes(self) -> np.ndarray:
-        """The labels of class 1 and class 2: ``(-1, +1)``."""
-        return np.array([-1, 1])
-
-    @property
-    def means(self) -> np.ndarray:
-        """The class means as rows: ``(-mu, +mu)``."""
-        return np.stack([-self.mu, self.mu])
+        return GmmSpec(np.array([-mu, mu]), (pi1, 1.0 - pi1), cov)
 
     @staticmethod
     def isotropic(p: int, pi1: float, snr: float) -> "GmmSpec":
-        """Isotropic spec with ``mu = snr * e1``."""
+        """Isotropic binary spec with ``mu = snr * e1``."""
         mu = np.zeros(p)
         mu[:1] = snr
-        return GmmSpec(pi1=pi1, mu=mu)
+        return GmmSpec.binary(pi1, mu)
+
+    @property
+    def k(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.means.shape[1]
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The binary model's mean direction, class 2's mean; a spec that is
+        not the binary model (two classes at ``(-mu, +mu)``) raises."""
+        if self.k != 2 or not np.array_equal(self.means[0], -self.means[1]):
+            raise ValueError(f"this needs the binary model, two classes at means (-mu, +mu); "
+                             f"got {self.k} classes" + " at other means" * (self.k == 2))
+        return self.means[1]
+
+    @property
+    def pi1(self) -> float:
+        """The binary model's class-1 proportion; a spec that is not the
+        binary model raises, as for :attr:`mu`."""
+        _ = self.mu
+        return float(self.pi[0])
+
+    @property
+    def classes(self) -> np.ndarray:
+        """The label of each class, in class order (:func:`_classes`)."""
+        return _classes(self.k)
+
+    def class_sizes(self, n: int) -> np.ndarray:
+        """The class sizes of ``n`` draws (:func:`_class_sizes`)."""
+        return _class_sizes(self.pi, n)
+
+    def labels(self, n: int) -> np.ndarray:
+        """The clean labels of ``n`` draws, class by class."""
+        return np.repeat(self.classes, self.class_sizes(n))
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
     """Features ``X`` (``p x n``, one sample per column) with their noisy
-    labels and, when known, their clean ones, each a vector of ``-1``/``+1``.
+    labels and, when known, their clean ones, each a vector of the ``k``
+    classes' labels (:func:`_classes`: ``-1``/``+1`` for the default ``k =
+    2``).
 
     ``y_clean`` is ``None`` for ingested data without ground truth.
     """
@@ -159,16 +204,19 @@ class LabeledDataset:
     X: np.ndarray
     y_noisy: np.ndarray
     y_clean: np.ndarray | None = None
+    k: int = 2
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-d (p x n), got ndim={X.ndim}")
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
         object.__setattr__(self, "X", X)
-        y_noisy = _check_labels("y_noisy", self.y_noisy, X.shape[1])
+        y_noisy = _check_labels("y_noisy", self.y_noisy, X.shape[1], self.k)
         object.__setattr__(self, "y_noisy", y_noisy)
         if self.y_clean is not None:
-            y_clean = _check_labels("y_clean", self.y_clean, X.shape[1])
+            y_clean = _check_labels("y_clean", self.y_clean, X.shape[1], self.k)
             object.__setattr__(self, "y_clean", y_clean)
 
     @property
@@ -180,11 +228,16 @@ class LabeledDataset:
         return self.X.shape[1]
 
 
-def _check_labels(name: str, y, n: int, labels=(-1, 1)) -> np.ndarray:
-    """``y`` as an int vector of ``n`` entries of ``labels``: the binary
-    ``(-1, 1)``, or the multiclass ``range(1, k + 1)``."""
-    spelled = (f"labels in {labels[0]}..{labels[-1]}" if isinstance(labels, range)
-               else " or ".join(f"{v:+d}" for v in labels))
+def _check_binary(ds: LabeledDataset, name: str) -> None:
+    """Refuse a dataset that is not binary: ``name`` reads labels ``-1, +1``."""
+    if ds.k != 2:
+        raise ValueError(f"{name} needs the binary model's labels -1, +1; got a k={ds.k} dataset")
+
+
+def _check_labels(name: str, y, n: int, k: int = 2) -> np.ndarray:
+    """``y`` as an int vector of ``n`` labels of ``k`` classes (:func:`_classes`)."""
+    labels = _classes(k)
+    spelled = "-1 or +1" if k == 2 else f"labels in 1..{k}"
     y = np.asarray(y)
     if y.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},): a vector of {spelled}, got {y.shape}")
@@ -194,23 +247,30 @@ def _check_labels(name: str, y, n: int, labels=(-1, 1)) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
-    """Draw ``n`` samples of ``spec``: ``n1`` columns at ``-mu``, the rest at ``+mu``.
+def _class_blocks(spec: GmmSpec, n: int) -> list[slice]:
+    """The columns of each class in a draw of ``n`` samples, in class order."""
+    ends = np.cumsum(spec.class_sizes(n))
+    return [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
 
-    ``y_noisy`` initially equals ``y_clean``; apply :func:`flip_labels` to
-    inject noise.  Deterministic given ``seed``.
+
+def generate_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledDataset:
+    """Draw ``n`` samples of ``spec``, class by class: ``p x n`` standard
+    normals, times ``sqrt(C_a)`` on class ``a``'s columns when ``cov`` is
+    set, plus class ``a``'s mean.
+
+    ``y_noisy`` initially equals ``y_clean``; apply :func:`flip_labels` (or
+    ``lpc.multiclass.flip_multi_labels``) to inject noise.  Deterministic
+    given ``seed``.
     """
-    n1 = spec.class_sizes(n)[0]
+    blocks = _class_blocks(spec, n)
     X = _rng(seed).standard_normal((spec.p, n))
     if spec.cov is not None:
-        r1, r2 = (_sym_sqrt(c) for c in spec.cov)
-        X = np.concatenate([r1 @ X[:, :n1], r2 @ X[:, n1:]], axis=1)
-    # only the rows where mu is nonzero move (x -+ 0.0 == x)
-    nz = np.flatnonzero(spec.mu)
-    X[nz, :n1] -= spec.mu[nz, None]
-    X[nz, n1:] += spec.mu[nz, None]
+        X = np.concatenate([_sym_sqrt(c) @ X[:, b] for c, b in zip(spec.cov, blocks)], axis=1)
+    for mean, b in zip(spec.means, blocks):
+        nz = np.flatnonzero(mean)  # only these rows move (x + 0.0 == x)
+        X[nz, b] += mean[nz, None]
     y = spec.labels(n)
-    return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y)
+    return LabeledDataset(X=X, y_noisy=y.copy(), y_clean=y, k=spec.k)
 
 
 def generate_scores(spec, W: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,33 +278,30 @@ def generate_scores(spec, W: np.ndarray, n: int, seed: int) -> tuple[np.ndarray,
     labels, drawn without the ``p x n`` features ``X``.
 
     Class ``a``'s scores are ``N(W.T m_a, W.T C_a W)`` for its mean ``m_a``
-    (``-+mu`` for a :class:`GmmSpec`; a row of a ``MultiGmmSpec``'s
-    ``means``).  With ``R`` the ``r x k`` factor of ``W`` (of ``sqrt(C_a) W``
-    with ``cov``) from :func:`_span_factor`, so that ``R.T R = W.T C_a W``,
-    they are ``R.T Z + W.T m_a`` for ``r x n`` standard normals ``Z``, where
-    ``r`` is the rank (at most ``min(p, k)``).  This is :func:`generate_gmm`
-    restricted to the span of ``W``: equal in law to
-    ``W.T @ generate_gmm(spec, n, seed).X``, with the same class layout and
-    labels, and bit-identical to it for ``W = I`` on an isotropic spec.
+    (row ``a`` of ``spec.means``).  With ``R`` the ``r x k`` factor of ``W``
+    (of ``sqrt(C_a) W`` with ``cov``) from :func:`_span_factor`, so that
+    ``R.T R = W.T C_a W``, they are ``R.T Z + W.T m_a`` for ``r x n``
+    standard normals ``Z``, where ``r`` is the rank (at most ``min(p, k)``).
+    This is :func:`generate_gmm` restricted to the span of ``W``: equal in
+    law to ``W.T @ generate_gmm(spec, n, seed).X``, with the same class
+    layout and labels, and bit-identical to it for ``W = I`` on an isotropic
+    spec.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != spec.p:
         raise ValueError(f"W must be p x k with p={spec.p}, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
         raise ValueError("W contains non-finite entries")
-    sizes = spec.class_sizes(n)
+    blocks = _class_blocks(spec, n)
     if spec.cov is None:
         R = _span_factor(W)
         S = R.T @ _rng(seed).standard_normal((R.shape[0], n))
     else:
-        n1 = sizes[0]
-        r1, r2 = (_span_factor(_sym_sqrt(c) @ W) for c in spec.cov)
-        Z = _rng(seed).standard_normal((max(r1.shape[0], r2.shape[0]), n))
-        S = np.concatenate([r1.T @ Z[:r1.shape[0], :n1], r2.T @ Z[:r2.shape[0], n1:]], axis=1)
-    start = 0
-    for mean, size in zip(spec.means, sizes):
-        S[:, start:start + size] += (W.T @ mean)[:, None]
-        start += size
+        factors = [_span_factor(_sym_sqrt(c) @ W) for c in spec.cov]
+        Z = _rng(seed).standard_normal((max(R.shape[0] for R in factors), n))
+        S = np.concatenate([R.T @ Z[:R.shape[0], b] for R, b in zip(factors, blocks)], axis=1)
+    for mean, b in zip(spec.means, blocks):
+        S[:, b] += (W.T @ mean)[:, None]
     return S, spec.labels(n)
 
 
@@ -363,9 +420,8 @@ def generate_training_stats(spec, labels, seed: int) -> TrainingStats:
     not change the draw); every entry is one of ``spec.classes``.  A group
     is a set of samples with the same label column; groups are numbered in
     the lexicographic order of their columns, a label counting as its
-    class's index.  ``spec`` is a :class:`GmmSpec` or a ``MultiGmmSpec``
-    and must be isotropic; a spec with ``cov`` raises (draw its features
-    with :func:`generate_gmm`).
+    class's index.  ``spec`` must be isotropic; a spec with ``cov`` raises
+    (draw its features with :func:`generate_gmm`).
 
     With ``m_g`` the mean of group ``g``'s clean class and ``r`` groups,
     ``X U`` is ``m_g sqrt(n_g) + N(0, I)``.  The rest of ``X`` is ``X V``
@@ -462,12 +518,12 @@ def _sym_sqrt(cov: np.ndarray) -> np.ndarray:
 def flip_labels(
     ds: LabeledDataset, eps_plus: float, eps_minus: float, seed: int
 ) -> LabeledDataset:
-    """Flip each clean label class-conditionally, by :func:`flip_label_vector`.
-    Features and clean labels are untouched."""
+    """Flip each clean label of a binary dataset class-conditionally, by
+    :func:`flip_label_vector`.  Features and clean labels are untouched."""
+    _check_binary(ds, "flip_labels")
     if ds.y_clean is None:
         raise ValueError("cannot flip without ground truth: y_clean is missing")
-    y_noisy = flip_label_vector(ds.y_clean, eps_plus, eps_minus, seed)
-    return LabeledDataset(X=ds.X, y_noisy=y_noisy, y_clean=ds.y_clean)
+    return replace(ds, y_noisy=flip_label_vector(ds.y_clean, eps_plus, eps_minus, seed))
 
 
 def _check_flip_rates(eps_plus: float, eps_minus: float) -> None:
@@ -480,14 +536,27 @@ def _check_flip_rates(eps_plus: float, eps_minus: float) -> None:
 def flip_label_vector(y_clean: np.ndarray, eps_plus: float, eps_minus: float,
                       seed: int) -> np.ndarray:
     """The noisy labels of ``y_clean``: ``+1 -> -1`` w.p. ``eps_plus``,
-    ``-1 -> +1`` w.p. ``eps_minus``, from one uniform per label.  The
-    uniforms depend on ``seed`` alone, so at one seed a label flipped at
-    some rates stays flipped at any larger ones."""
+    ``-1 -> +1`` w.p. ``eps_minus``, by :func:`_flip` with the flip matrix
+    ``[[0, eps_plus], [eps_minus, 0]]``.  The uniforms depend on ``seed``
+    alone, so at one seed a label flipped at some rates stays flipped at any
+    larger ones."""
     _check_flip_rates(eps_plus, eps_minus)
     y_clean = _check_labels("y_clean", y_clean, np.size(y_clean))
-    u = _rng(seed).uniform(size=y_clean.size)
-    thresh = np.where(y_clean == 1, eps_plus, eps_minus)
-    return np.where(u < thresh, -y_clean, y_clean)
+    eps = np.array([[0.0, eps_plus], [eps_minus, 0.0]])
+    return _flip(eps, y_clean, _rng(seed).uniform(size=y_clean.size))
+
+
+def _flip(eps: np.ndarray, y_clean: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one flip rule: a label of true class ``b`` becomes class ``a``'s
+    w.p. ``eps[a, b]``, for the checked ``k x k`` flip matrix ``eps`` (zero
+    diagonal, column sums below 1), checked labels ``y_clean`` and one
+    uniform ``u`` per label.  Each uniform is compared with its true class's
+    column-cumulative flip edges: passing ``t < k`` of them gives the label
+    of class ``t + 1``, passing all ``k`` the clean one."""
+    classes = _classes(len(eps))
+    edges = np.cumsum(eps, axis=0)[:, np.searchsorted(classes, y_clean)].T  # n x k
+    t = np.count_nonzero(u[:, None] >= edges, axis=1)
+    return np.where(t < classes.size, classes[np.minimum(t, classes.size - 1)], y_clean)
 
 
 def load_features_csv(
@@ -583,6 +652,7 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
     back to ``y_noisy`` biases the estimate and is flagged.  Labels of one
     class leave the SNR undefined and raise ``ValueError``.
     """
+    _check_binary(ds, "standardize_and_estimate")
     if ds.n < 2:
         raise ValueError("standardize_and_estimate needs n >= 2")
     X = ds.X - ds.X.mean(axis=1, keepdims=True)
@@ -605,5 +675,4 @@ def standardize_and_estimate(ds: LabeledDataset) -> StandardizeResult:
     X -= ((m1 + m2) / 2.0)[:, None]
     snr = float(np.linalg.norm((m2 - m1) / 2.0))
 
-    out = LabeledDataset(X=X, y_noisy=ds.y_noisy, y_clean=ds.y_clean)
-    return StandardizeResult(dataset=out, snr_estimate=snr, pi1_estimate=n1 / ds.n)
+    return StandardizeResult(dataset=replace(ds, X=X), snr_estimate=snr, pi1_estimate=n1 / ds.n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import RhoParams
 from ..datasets import GmmSpec, _check_flip_rates
-from ..multiclass import MultiGmmSpec, _check_search
+from ..multiclass import _check_flip_matrix, _check_search
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "parse_config_text"]
 
@@ -200,6 +200,8 @@ class ExperimentConfig:
             with _naming(f"{'means, pis, eps_rows' if multi else 'pi1'} with n, n_test"):
                 for n in (self.n, self.n_test):
                     self.model.class_sizes(n)
+                if multi:
+                    _check_flip_matrix(self.eps_rows, len(self.means))
         if self.data_path and not self.has_header:
             try:
                 int(self.label_column)
@@ -217,16 +219,16 @@ class ExperimentConfig:
                     self.at_grid_point(value)
 
     @cached_property
-    def model(self) -> GmmSpec | MultiGmmSpec:
+    def model(self) -> GmmSpec:
         """The model a synthetic run draws from and predicts with: for
         ``multiclass`` the collinear-means spec (the mean of class ``j`` is
-        ``means[j] * e1``), otherwise ``GmmSpec.isotropic(p, pi1, snr)``.
-        Parse builds it, except for a ``data_path`` run, whose model comes
-        from the CSV."""
+        ``means[j] * e1``; its flip matrix is ``eps_rows``), otherwise
+        ``GmmSpec.isotropic(p, pi1, snr)``.  Parse builds it, except for a
+        ``data_path`` run, whose model comes from the CSV."""
         if self.experiment == "multiclass":
             means = np.zeros((len(self.means), self.p))
             means[:, 0] = self.means
-            return MultiGmmSpec(means, self.pis, self.eps_rows)
+            return GmmSpec(means, self.pis)
         return GmmSpec.isotropic(self.p, self.pi1, self.snr)
 
     def at_grid_point(self, value: float) -> ExperimentConfig:

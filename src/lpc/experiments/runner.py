@@ -74,9 +74,14 @@ on its split's features and scores its held-out rest.
 
 A ``multiclass`` seed (:func:`~lpc.multiclass.search_alpha_beta`) makes the
 same three draws through the same functions: its noisy labels by
-:func:`~lpc.multiclass.flip_multi_labels`, the statistics for its clean and
-noisy labels, and the scores of its test set under the ``p x (k + 1)``
-one-hot and all-ones weights, which serve every candidate.  At
+:func:`~lpc.multiclass.flip_multi_labels` at the flip matrix ``eps_rows``
+(the rule ``flip_label_vector`` applies at ``[[0, eps_plus], [eps_minus,
+0]]``), the statistics for its clean and noisy labels, and the scores of
+its test set under the ``p x (k + 1)`` one-hot and all-ones weights, which
+serve every candidate.  Its model is the ``GmmSpec`` of ``means`` and
+``pis``, so at ``k = 2`` with ``means = -m, m`` it is the binary spec,
+labelled ``-1, +1``, and its seed's training draw is a binary seed's at
+the mapped rates.  At
 ``configs/multiclass.cfg`` (``p = 200``, ``n = n_test = 2000``, ``k = 3``,
 6 label groups) that is 1,200 + 1,564 normals, 391 chi-squares, 2,000 flip
 uniforms and 6,000 score normals per seed, instead of two ``200 x 2000``
@@ -434,7 +439,7 @@ def _run_multiclass(cfg: ExperimentConfig) -> RunReport:
     have one row per seed, like the path.
     """
     report = RunReport(cfg)
-    result = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
+    result = search_alpha_beta(cfg.model, cfg.eps_rows, cfg.n, grid_size=cfg.grid_size,
                                eval_seeds=list(cfg.seeds), gamma=cfg.gamma, n_test=cfg.n_test,
                                tau_points=cfg.tau_points, search_seed=cfg.search_seed)
     for j, seed in enumerate(cfg.seeds):

@@ -1,10 +1,17 @@
-"""Multi-class extension: k-cluster mixtures, parameterized label matrices
-and a search for the label parameters.
+"""Multi-class extension: flip matrices, parameterized label matrices and a
+search for the label parameters.
 
-Labels are class indices in ``1..k``.  The label matrix generalizes the
-binary reweighting: column ``j`` of the ``n x k`` target matrix equals
-``alpha_j`` on rows whose noisy label is ``j`` and ``beta_j`` elsewhere;
-``alpha = 1, beta = 0`` recovers plain one-hot ridge regression.
+The mixture is :class:`~lpc.datasets.GmmSpec` with any ``k >= 2`` classes,
+drawn by :func:`~lpc.datasets.generate_gmm`; its labels are
+:func:`~lpc.datasets._classes` codes (``1..k``, or ``-1, +1`` at ``k = 2``).
+Label noise is a ``k x k`` flip matrix ``eps``, a run parameter as the
+binary rates are: ``eps[a, b]`` is the probability that a sample of true
+class ``b`` gets class ``a``'s label (columns index the true class), and
+the diagonal, the implied no-flip mass, must be supplied as zeros.  The
+label matrix generalizes the binary reweighting: column ``j`` of the ``n x
+k`` target matrix equals ``alpha_j`` on rows whose noisy label is class
+``j``'s and ``beta_j`` elsewhere; ``alpha = 1, beta = 0`` recovers plain
+one-hot ridge regression.
 """
 
 from __future__ import annotations
@@ -16,9 +23,11 @@ import numpy as np
 
 from .core import _Ridge
 from .datasets import (
+    GmmSpec,
     TrainingStats,
     _check_labels,
-    _class_sizes,
+    _classes,
+    _flip,
     _rng,
     derive_seed,
     generate_scores,
@@ -27,91 +36,14 @@ from .datasets import (
 from .theory import _orthant, _upper_tail
 
 __all__ = [
-    "MultiGmmSpec",
-    "MultiLabeledDataset",
     "AlphaBeta",
     "SearchResult",
-    "generate_multi_gmm",
     "flip_multi_labels",
     "build_label_matrix",
     "train_multi_lpc",
     "multi_accuracy",
     "search_alpha_beta",
 ]
-
-
-@dataclass(frozen=True)
-class MultiGmmSpec:
-    """k-class Gaussian mixture with a column-stochastic flip matrix.
-
-    ``eps[a, b]`` is the probability that a sample of true class ``b`` gets
-    noisy label ``a`` (columns index the true class); the diagonal is the
-    implied no-flip mass and must be supplied as zeros.
-    """
-
-    means: np.ndarray  # k x p
-    pi: np.ndarray
-    eps: np.ndarray  # k x k, zero diagonal
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2 or len(means) < 2:
-            raise ValueError(f"means must be k x p with k >= 2, got shape {means.shape}")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("means contains non-finite entries")
-        object.__setattr__(self, "means", means)
-        k = self.k
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (k,) or not np.all(pi > 0):
-            raise ValueError(f"pi must hold k={k} positive proportions, one per mean")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
-        if len(self.eps) != k or any(np.shape(row) != (k,) for row in self.eps):
-            raise ValueError(f"eps matrix must be k={k} rows of {k} entries, one per mean")
-        eps = np.asarray(self.eps, dtype=float)
-        if np.any(np.diag(eps) != 0):
-            raise ValueError("eps diagonal must be zero (it is the implied no-flip mass)")
-        if not np.all(eps >= 0):  # NaN fails too
-            raise ValueError("eps entries must be >= 0")
-        col_mass = eps.sum(axis=0)
-        if not np.all(col_mass < 1.0):
-            raise ValueError(f"per-class flip mass (eps column sums) must be < 1, got {col_mass}")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "eps", eps)
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.means.shape[1]
-
-    @property
-    def classes(self) -> np.ndarray:
-        """The labels ``1..k``, one per class."""
-        return np.arange(1, self.k + 1)
-
-    @property
-    def cov(self) -> None:
-        """``None``: every class has identity covariance."""
-        return None
-
-    def class_sizes(self, n: int) -> np.ndarray:
-        """The class sizes of ``n`` draws at the proportions ``pi``
-        (:func:`~lpc.datasets._class_sizes`)."""
-        return _class_sizes(self.pi, n)
-
-    def labels(self, n: int) -> np.ndarray:
-        """The clean labels of ``n`` draws: class by class, ``1`` first."""
-        return np.repeat(self.classes, self.class_sizes(n))
-
-
-@dataclass(frozen=True)
-class MultiLabeledDataset:
-    X: np.ndarray  # p x n
-    y_clean: np.ndarray  # class indices 1..k
-    y_noisy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,42 +68,40 @@ class AlphaBeta:
         return AlphaBeta(alpha=np.ones(k), beta=np.zeros(k))
 
 
-def generate_multi_gmm(spec: MultiGmmSpec, n: int, seed: int) -> MultiLabeledDataset:
-    """Draw ``n`` samples of the mixture and flip labels per the eps column of
-    the true class (:func:`flip_multi_labels`' rule, from uniforms drawn after
-    the features on the same stream); deterministic given ``seed``."""
-    rng = _rng(seed)
-    X = rng.standard_normal((spec.p, n))
-    y_clean = spec.labels(n)
-    start = 0
-    for mean, size in zip(spec.means, spec.class_sizes(n)):
-        X[:, start:start + size] += mean[:, None]
-        start += size
-    y_noisy = _flip(spec, y_clean, rng.uniform(size=n))
-    return MultiLabeledDataset(X=X, y_clean=y_clean, y_noisy=y_noisy)
+def _check_flip_matrix(eps, k: int) -> np.ndarray:
+    """``eps`` as a float ``k x k`` flip matrix, after checking that its
+    diagonal is zero, its entries ``>= 0`` and its column sums (each class's
+    flip mass) below 1."""
+    if len(eps) != k or any(np.shape(row) != (k,) for row in eps):
+        raise ValueError(f"eps matrix must be k={k} rows of {k} entries, one per class")
+    eps = np.asarray(eps, dtype=float)
+    if np.any(np.diag(eps) != 0):
+        raise ValueError("eps diagonal must be zero (it is the implied no-flip mass)")
+    if not np.all(eps >= 0):  # NaN fails too
+        raise ValueError("eps entries must be >= 0")
+    col_mass = eps.sum(axis=0)
+    if not np.all(col_mass < 1.0):
+        raise ValueError(f"per-class flip mass (eps column sums) must be < 1, got {col_mass}")
+    return eps
 
 
-def flip_multi_labels(spec: MultiGmmSpec, y_clean: np.ndarray, seed: int) -> np.ndarray:
-    """The noisy labels of the clean labels ``y_clean`` (in ``1..k``): a
-    sample of true class ``b`` gets label ``a`` w.p. ``eps[a, b]``, from one
-    uniform per label drawn from ``seed``."""
-    y_clean = _check_labels("y_clean", y_clean, np.size(y_clean), range(1, spec.k + 1))
-    return _flip(spec, y_clean, _rng(seed).uniform(size=y_clean.size))
-
-
-def _flip(spec: MultiGmmSpec, y_clean: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # each uniform against its true class's column-cumulative flip edges:
-    # t edges passed means noisy label t + 1; past all k, clean
-    edges = np.cumsum(spec.eps, axis=0)[:, y_clean - 1].T  # n x k
-    t = np.count_nonzero(u[:, None] >= edges, axis=1)
-    return np.where(t < spec.k, t + 1, y_clean)
+def flip_multi_labels(eps, y_clean: np.ndarray, seed: int) -> np.ndarray:
+    """The noisy labels of the clean labels ``y_clean`` of ``k = len(eps)``
+    classes: a sample of true class ``b`` gets class ``a``'s label w.p.
+    ``eps[a, b]``, from one uniform per label drawn from ``seed``
+    (:func:`~lpc.datasets._flip`, the rule of
+    :func:`~lpc.datasets.flip_label_vector` too)."""
+    eps = _check_flip_matrix(eps, len(eps))
+    y_clean = _check_labels("y_clean", y_clean, np.size(y_clean), len(eps))
+    return _flip(eps, y_clean, _rng(seed).uniform(size=y_clean.size))
 
 
 def build_label_matrix(y_noisy: np.ndarray, ab: AlphaBeta) -> np.ndarray:
-    """n x k target matrix (k = alpha size): column j is alpha_j where label == j, else beta_j."""
+    """n x k target matrix (k = alpha size): column j is alpha_j where the
+    label is class j's, else beta_j."""
     k = ab.alpha.size
-    y_noisy = _check_labels("y_noisy", y_noisy, np.size(y_noisy), range(1, k + 1))
-    onehot = (y_noisy[:, None] == np.arange(1, k + 1)[None, :]).astype(float)
+    y_noisy = _check_labels("y_noisy", y_noisy, np.size(y_noisy), k)
+    onehot = (y_noisy[:, None] == _classes(k)[None, :]).astype(float)
     return onehot * ab.alpha[None, :] + (1.0 - onehot) * ab.beta[None, :]
 
 
@@ -188,10 +118,11 @@ def train_multi_lpc(data: np.ndarray | TrainingStats, Yab: np.ndarray,
 
 
 def multi_accuracy(W: np.ndarray, X_test: np.ndarray, y_test: np.ndarray) -> float:
-    """Fraction of argmax matches; ties break toward the smallest class index."""
+    """Fraction of argmax matches, with the ``k = W.shape[1]`` classes'
+    labels; ties break toward the first class."""
     scores = W.T @ X_test  # k x m
-    pred = np.argmax(scores, axis=0) + 1
-    return float(np.mean(pred == np.asarray(y_test)))
+    y_test = _check_labels("y_test", y_test, scores.shape[1], W.shape[1])
+    return float(np.mean(_classes(W.shape[1])[np.argmax(scores, axis=0)] == y_test))
 
 
 @dataclass(frozen=True)
@@ -255,7 +186,8 @@ class _SeedEvaluator:
     Seed ``s`` draws no feature matrix; it makes the binary harness's three
     draws, each with the law of the features it replaces:
 
-    - the noisy labels, by :func:`flip_multi_labels` from ``derive_seed(s, 1)``;
+    - the noisy labels, by :func:`flip_multi_labels` at the flip matrix
+      ``eps`` from ``derive_seed(s, 1)``;
     - the training statistics, by :func:`~lpc.datasets.generate_training_stats`
       from ``derive_seed(s, 0)``, for the clean and the noisy labels: a group
       per ``(clean, noisy)`` pair that occurs, ``X U`` of ``p x r`` normals and
@@ -267,10 +199,11 @@ class _SeedEvaluator:
       is the sum of the others), so ``k x n_test`` normals.
     """
 
-    def __init__(self, spec: MultiGmmSpec, n: int, gamma: float, seed: int, n_test: int):
+    def __init__(self, spec: GmmSpec, eps: np.ndarray, n: int, gamma: float, seed: int,
+                 n_test: int):
         k = spec.k
         y_clean = spec.labels(n)
-        y_noisy = flip_multi_labels(spec, y_clean, derive_seed(seed, 1))
+        y_noisy = flip_multi_labels(eps, y_clean, derive_seed(seed, 1))
         stats = generate_training_stats(spec, [y_clean, y_noisy], derive_seed(seed, 0))
         targets = np.column_stack([build_label_matrix(y_noisy, AlphaBeta.naive(k)),
                                    np.ones(n)])
@@ -382,7 +315,7 @@ def _rule_hits(a: np.ndarray, b: np.ndarray, on: np.ndarray, off: np.ndarray,
 def _check_search(k: int, search_seed: int, grid_size: int = 1, tau_points: int = 2) -> None:
     """:func:`search_alpha_beta`'s checks of its class count ``k``, its
     candidate draw and its path."""
-    if k > 3:  # MultiGmmSpec refuses k < 2
+    if k > 3:  # GmmSpec refuses k < 2
         raise ValueError(f"the search scores 2 or 3 classes exactly, got k={k} means")
     if search_seed < 0:
         raise ValueError(f"search_seed must be >= 0, got {search_seed}")
@@ -393,7 +326,8 @@ def _check_search(k: int, search_seed: int, grid_size: int = 1, tau_points: int 
 
 
 def search_alpha_beta(
-    spec: MultiGmmSpec,
+    spec: GmmSpec,
+    eps,
     n: int,
     grid_size: int,
     eval_seeds: Sequence[int] | np.ndarray,
@@ -405,9 +339,10 @@ def search_alpha_beta(
     """Search over (alpha, beta) plus the best/worst mixing path.
 
     Samples ``grid_size`` candidates uniformly from ``[-2, 2]^(2k)`` for
-    ``k = 2`` or ``3`` classes, scores each by its exact accuracy given each
-    of the ``eval_seeds`` replicates' training draw (``n`` samples), averaged
-    over the replicates, and evaluates the interpolation ``tau * best + (1 -
+    the ``k = 2`` or ``3`` classes of the isotropic ``spec``, whose labels
+    flip by the ``k x k`` matrix ``eps``, scores each by its exact accuracy
+    given each of the ``eval_seeds`` replicates' training draw (``n``
+    samples), averaged over the replicates, and evaluates the interpolation ``tau * best + (1 -
     tau) * worst`` on a ``tau`` grid.  The path and the naive one-hot
     candidate are measured on each replicate's ``n_test`` sampled test points
     by the rounded argmax rule (:class:`_SeedEvaluator`); those draws take
@@ -427,10 +362,11 @@ def search_alpha_beta(
     """
     k = spec.k
     _check_search(k, search_seed, grid_size, tau_points)
+    eps = _check_flip_matrix(eps, k)
     if len(eval_seeds) == 0:
         raise ValueError("eval_seeds must be nonempty")
     rows = _rng(search_seed).uniform(-2.0, 2.0, size=(grid_size, 2 * k))  # alpha | beta
-    evaluators = [_SeedEvaluator(spec, n, gamma, seed, n_test) for seed in eval_seeds]
+    evaluators = [_SeedEvaluator(spec, eps, n, gamma, seed, n_test) for seed in eval_seeds]
     mean_acc = _conditional_accuracies(evaluators, rows).mean(axis=1)
     best, worst = rows[np.argmax(mean_acc)], rows[np.argmin(mean_acc)]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SINGULARITY_GUARD, RhoParams, _loo_operator, _targets
-from .datasets import GmmSpec, LabeledDataset
+from .datasets import GmmSpec, LabeledDataset, _check_binary
 from .theory import _model_part, _ModelPart, _quadratic_roots
 
 __all__ = ["NoiseEstimate", "estimate_noise_rates"]
@@ -83,6 +83,7 @@ def estimate_noise_rates(ds: LabeledDataset, probe1: RhoParams, probe2: RhoParam
     ``{eps >= 0, eps_plus + eps_minus <= 0.99}``.  A residual above ``5%``
     of the measured moments sets ``high_residual`` rather than raising.
     """
+    _check_binary(ds, "estimate_noise_rates")
     _check_probes(probe1, probe2)
     if snr <= 0:
         raise ValueError(f"snr must be > 0, got {snr}")

@@ -255,8 +255,8 @@ def test_criterion_08_general_covariance():
             gamma=float(rng.uniform(0.05, 5.0)), eps_plus=float(ep), eps_minus=float(em),
             rho=RhoParams(float(rng.uniform(-0.4, 0.6)), float(rng.uniform(-0.2, 0.2))),
         )
-        iso = theory_stats(GmmSpec(pi1, mu), **kwargs)
-        gen = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), **kwargs,
+        iso = theory_stats(GmmSpec.binary(pi1, mu), **kwargs)
+        gen = theory_stats(GmmSpec.binary(pi1, mu, cov=(np.eye(p), np.eye(p))), **kwargs,
                            test_class=2)
         worst_red = max(
             worst_red,
@@ -274,16 +274,16 @@ def test_criterion_08_general_covariance():
     C1 = np.diag(np.linspace(0.5, 2.5, p))
     C2 = np.eye(p)
     stats = {
-        a: theory_stats(GmmSpec(pi1, mu, cov=(C1, C2)), n, gamma, ep, em, rho=rho,
+        a: theory_stats(GmmSpec.binary(pi1, mu, cov=(C1, C2)), n, gamma, ep, em, rho=rho,
                         test_class=a)
         for a in (1, 2)
     }
     sums = {a: {"mean": [], "var": []} for a in (1, 2)}
     for s in range(16):
-        ds = generate_gmm(GmmSpec(pi1=pi1, mu=mu, cov=(C1, C2)), n, derive_seed(s, 0))
+        ds = generate_gmm(GmmSpec.binary(pi1, mu, cov=(C1, C2)), n, derive_seed(s, 0))
         dsn = flip_labels(ds, ep, em, derive_seed(s, 1))
         c = train_lpc(dsn, rho, gamma)
-        tds = generate_gmm(GmmSpec(pi1=pi1, mu=mu, cov=(C1, C2)), 8000, derive_seed(s, 2))
+        tds = generate_gmm(GmmSpec.binary(pi1, mu, cov=(C1, C2)), 8000, derive_seed(s, 2))
         scores = c.w @ tds.X
         for a, lab in ((1, -1), (2, 1)):
             v = scores[tds.y_clean == lab]

@@ -15,19 +15,18 @@ from lpc import (
     generate_gmm,
     generate_scores,
     generate_training_stats,
+    estimate_noise_rates,
     load_features_csv,
+    loo_decisions,
     optimal_rho,
     standardize_and_estimate,
+    theory_stats,
     train_lpc,
+    worst_rho,
 )
 from lpc.core import _BLOCK, _targets
 from lpc.datasets import _rng
-from lpc.multiclass import (
-    MultiGmmSpec,
-    flip_multi_labels,
-    generate_multi_gmm,
-    train_multi_lpc,
-)
+from lpc.multiclass import flip_multi_labels, train_multi_lpc
 
 
 class TestGmmSpecValidation:
@@ -47,8 +46,8 @@ class TestGmmSpecValidation:
 
     @pytest.mark.parametrize("make", [
         lambda: GmmSpec.isotropic(0, 0.5, 2.0),
-        lambda: GmmSpec(0.5, np.zeros(0)),
-        lambda: GmmSpec(0.5, np.zeros((2, 2))),
+        lambda: GmmSpec.binary(0.5, np.zeros(0)),
+        lambda: GmmSpec.binary(0.5, np.zeros((2, 2))),
     ], ids=["isotropic_p0", "empty_mu", "matrix_mu"])
     def test_mu_must_be_a_nonempty_vector(self, make):
         # an IndexError, a p = 0 model and a mean flattened to p = 4
@@ -59,17 +58,51 @@ class TestGmmSpecValidation:
         C = np.eye(3)
         C[0, 1] = 0.5
         with pytest.raises(ValueError, match="C2 is not symmetric"):
-            GmmSpec(pi1=0.5, mu=np.zeros(3), cov=(np.eye(3), C))
+            GmmSpec.binary(0.5, np.zeros(3), cov=(np.eye(3), C))
 
     def test_non_psd_covariance_rejected_with_name(self):
         C = np.diag([1.0, -0.5, 1.0])
         with pytest.raises(ValueError, match="C1 is not positive semi-definite"):
-            GmmSpec(pi1=0.5, mu=np.zeros(3), cov=(C, np.eye(3)))
+            GmmSpec.binary(0.5, np.zeros(3), cov=(C, np.eye(3)))
+
+
+# entry points that read the binary model: a spec's (pi1, mu), or labels -1, +1
+_K3 = GmmSpec(np.eye(3, 4), [0.3, 0.3, 0.4])
+_ASYMMETRIC = GmmSpec(np.array([[0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]), [0.5, 0.5])
+_SPEC_READERS = {
+    "theory_stats": lambda spec: theory_stats(spec, 100, 1.0),
+    "optimal_rho": lambda spec: optimal_rho(spec, 100, 1.0, 0.2, 0.1),
+    "worst_rho": lambda spec: worst_rho(spec, 100, 1.0, 0.2, 0.1),
+}
+_DATASET_READERS = {
+    "estimate_noise_rates": lambda ds: estimate_noise_rates(
+        ds, RhoParams(0.0, 0.1), RhoParams(0.0, 0.4), 1.0, 2.0, 0.3),
+    "loo_decisions": lambda ds: loo_decisions(ds, RhoParams(), 1.0),
+    "flip_labels": lambda ds: flip_labels(ds, 0.2, 0.1, 1),
+    "train_lpc": lambda ds: train_lpc(ds, RhoParams(), 1.0),
+}
+
+
+_REFUSALS = {
+    **{f"{name}-{kind}": (read, spec) for name, read in _SPEC_READERS.items()
+       for kind, spec in (("k3", _K3), ("asymmetric", _ASYMMETRIC))},
+    **{f"{name}-k3_dataset": (read, generate_gmm(_K3, 30, 0))
+       for name, read in _DATASET_READERS.items()},
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_binary_entry_points_refuse_other_models(case):
+    # a k = 3 spec or dataset, or two classes not at (-mu, +mu), were read as
+    # the binary model (labels 1..3 through the -1/+1 targets) without a word
+    read, model = _REFUSALS[case]
+    with pytest.raises(ValueError, match="binary model"):
+        read(model)
 
 
 class TestGenerateGmm:
     def test_small_construction(self):
-        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0]))
+        spec = GmmSpec.binary(0.5, np.array([1.0, 0.0]))
         ds = generate_gmm(spec, 4, 7)
         assert np.array_equal(np.sort(ds.y_clean), [-1, -1, 1, 1])
         m1 = ds.X[:, ds.y_clean == -1].mean(axis=1)
@@ -94,7 +127,7 @@ class TestGenerateGmm:
 
     def test_general_covariance_scales_variance(self):
         C = 4.0 * np.eye(5)
-        spec = GmmSpec(pi1=0.5, mu=np.zeros(5), cov=(C, np.eye(5)))
+        spec = GmmSpec.binary(0.5, np.zeros(5), cov=(C, np.eye(5)))
         ds = generate_gmm(spec, 4000, 1)
         v1 = ds.X[:, ds.y_clean == -1].var(axis=1).mean()
         v2 = ds.X[:, ds.y_clean == +1].var(axis=1).mean()
@@ -108,7 +141,7 @@ class TestGenerateGmm:
         # shifting every row
         from lpc.datasets import _rng
 
-        spec = GmmSpec(pi1=0.3, mu=mu)
+        spec = GmmSpec.binary(0.3, mu)
         n1, _ = spec.class_sizes(50)
         X = _rng(5).standard_normal((12, 50))
         X[:, :n1] -= mu[:, None]
@@ -127,7 +160,7 @@ class TestGenerateScores:
     @pytest.mark.parametrize("mu", [np.linspace(-1.0, 2.0, 30), 2.0 * np.eye(30)[0]],
                              ids=["dense", "snr_e1"])
     def test_identity_weights_reproduce_generate_gmm(self, mu):
-        spec = GmmSpec(pi1=0.4, mu=mu)
+        spec = GmmSpec.binary(0.4, mu)
         ds = generate_gmm(spec, 200, 11)
         S, y = generate_scores(spec, np.eye(30), 200, 11)
         assert np.array_equal(S, ds.X)
@@ -140,19 +173,18 @@ class TestGenerateScores:
     def test_class_moments(self, p, k, model):
         # per class, the sample mean and covariance are within 5 standard
         # errors of W.T m_a and W.T C_a W (C1 != C2 with cov); for the k = 3
-        # MultiGmmSpec, of those of W.T X for generate_multi_gmm's features X
+        # spec, of those of W.T X for generate_gmm's features X
         mu = np.linspace(0.5, -1.0, p)
         W = np.random.default_rng(3).standard_normal((p, k))
         if model == "k=3":
-            spec = MultiGmmSpec(means=np.stack([-mu, np.zeros(p), np.roll(mu, 2)]),
-                                pi=[0.3, 0.3, 0.4], eps=np.zeros((3, 3)))
+            spec = GmmSpec(means=np.stack([-mu, np.zeros(p), np.roll(mu, 2)]), pi=[0.3, 0.3, 0.4])
             covs = [np.eye(p)] * 3
-            ref = generate_multi_gmm(spec, 20000, 5)
+            ref = generate_gmm(spec, 20000, 5)
             ref_scores, ref_y = W.T @ ref.X, ref.y_clean
         else:
             covs = ((_ramp_cov(p, 0.5, 3.0, 1), _ramp_cov(p, 0.2, 1.0, 2)) if model == "cov"
                     else (np.eye(p), np.eye(p)))
-            spec = GmmSpec(pi1=0.4, mu=mu, cov=covs if model == "cov" else None)
+            spec = GmmSpec.binary(0.4, mu, cov=covs if model == "cov" else None)
         S, y = generate_scores(spec, W, 20000, 4)
         assert S.shape == (k, 20000)
         for a, label in enumerate(spec.classes):
@@ -172,7 +204,7 @@ class TestGenerateScores:
 
     def test_wide_weights_stay_in_the_row_space(self):
         # k > p: the k scores of a sample are W.T x for one x in R^p
-        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, -0.5, 0.0]))
+        spec = GmmSpec.binary(0.5, np.array([1.0, -0.5, 0.0]))
         W = np.random.default_rng(6).standard_normal((3, 7))
         S, _ = generate_scores(spec, W, 300, 2)
         X, *_ = np.linalg.lstsq(W.T, S, rcond=None)
@@ -188,7 +220,7 @@ class TestGenerateScores:
         # hinge on the rounding residual of 2a + b
         W = np.column_stack([a, b, a, 2 * a + b, c, b])
         covs = (_ramp_cov(p, 0.5, 2.0, 9), np.eye(p)) if cov else None
-        spec = GmmSpec(pi1=0.3, mu=np.full(p, 0.2), cov=covs)
+        spec = GmmSpec.binary(0.3, np.full(p, 0.2), cov=covs)
         S, _ = generate_scores(spec, W, 500, 1)
         scale = np.abs(S).max()
         assert np.abs(S[2] - S[0]).max() <= 1e-12 * scale
@@ -294,38 +326,37 @@ def _frame_width(stats: TrainingStats) -> int:
     return stats.frame[0].shape[1]
 
 
-def _flipped(spec, n, seed):
-    """One noisy label vector of ``n`` draws of ``spec``, as a list."""
-    if isinstance(spec, GmmSpec):
+def _flipped(spec, n, seed, eps=None):
+    """One noisy label vector of ``n`` draws of ``spec``, as a list: flipped
+    by the matrix ``eps``, or for a binary spec at ``(0.3, 0.2)``."""
+    if eps is None:
         return [flip_label_vector(spec.labels(n), 0.3, 0.2, seed)]
-    return [flip_multi_labels(spec, spec.labels(n), seed)]
+    return [flip_multi_labels(eps, spec.labels(n), seed)]
 
 
 class TestGenerateTrainingStats:
     MU = np.array([0.9, -0.5, 0.3, 0.2, -0.1, 0.4, -0.6, 0.1, 0.5, -0.2])
-    MULTI = MultiGmmSpec(means=np.stack([-MU[:3], np.zeros(3), MU[2::-1]]),
-                         pi=[0.25, 0.25, 0.5], eps=np.zeros((3, 3)))
+    MULTI = GmmSpec(means=np.stack([-MU[:3], np.zeros(3), MU[2::-1]]), pi=[0.25, 0.25, 0.5])
     # three means in general position in p = 16
-    NONCOLLINEAR = MultiGmmSpec(means=np.stack([np.resize(MU, 16), np.resize(MU[::-1], 16),
-                                                np.resize(MU[::2], 16)]),
-                                pi=[0.3, 0.3, 0.4], eps=np.array([[0, 0.2, 0.1], [0.1, 0, 0.2],
-                                                                  [0.2, 0.1, 0]]))
+    NONCOLLINEAR = GmmSpec(means=np.stack([np.resize(MU, 16), np.resize(MU[::-1], 16),
+                                           np.resize(MU[::2], 16)]), pi=[0.3, 0.3, 0.4])
     # (spec, noisy label vectors, the regime's condition on (p, d, s, blocks))
     REGIMES = {
-        "d>p": (GmmSpec(0.4, MU[:8]), _flipped(GmmSpec(0.4, MU[:8]), 20, 5),
+        "d>p": (GmmSpec.binary(0.4, MU[:8]), _flipped(GmmSpec.binary(0.4, MU[:8]), 20, 5),
                 lambda p, d, s, blocks: d > p > s),
-        "d<p": (GmmSpec(0.5, MU), _flipped(GmmSpec(0.5, MU), 12, 3),
+        "d<p": (GmmSpec.binary(0.5, MU), _flipped(GmmSpec.binary(0.5, MU), 12, 3),
                 lambda p, d, s, blocks: s < d < p),
-        "d=0": (GmmSpec(0.5, MU[:8]), [[-1, 1, -1, 1]],  # every sample its own group
+        "d=0": (GmmSpec.binary(0.5, MU[:8]), [[-1, 1, -1, 1]],  # every sample its own group
                 lambda p, d, s, blocks: d == 0 and s < p),
         "d>p_multi_k3": (MULTI, [[1, 2, 1, 2, 2, 3, 3, 3, 1, 3, 2, 3]],
                          lambda p, d, s, blocks: d > p),
-        "s>=p": (GmmSpec(0.4, MU[:3]), [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]],
+        "s>=p": (GmmSpec.binary(0.4, MU[:3]), [[-1, -1, 1, -1, 1, 1, -1, 1, 1, 1]],
                  lambda p, d, s, blocks: s >= p),
-        "3_blocks": (GmmSpec(1 / 3, np.resize(MU, 66)),
-                     _flipped(GmmSpec(1 / 3, np.resize(MU, 66)), 80, 2),
+        "3_blocks": (GmmSpec.binary(1 / 3, np.resize(MU, 66)),
+                     _flipped(GmmSpec.binary(1 / 3, np.resize(MU, 66)), 80, 2),
                      lambda p, d, s, blocks: blocks >= 3),
-        "multi_noncollinear": (NONCOLLINEAR, _flipped(NONCOLLINEAR, 30, 1),
+        "multi_noncollinear": (NONCOLLINEAR, _flipped(NONCOLLINEAR, 30, 1, np.array(
+            [[0, 0.2, 0.1], [0.1, 0, 0.2], [0.2, 0.1, 0]])),
                                lambda p, d, s, blocks: s < p < d),
     }
 
@@ -335,8 +366,7 @@ class TestGenerateTrainingStats:
         # the entries of X U, tr G, tr G^2 and, at two gammas with A = G/n +
         # gamma I, the entries of (X U)^T A^-1 X U, means^T A^-1 X U and
         # (X U)^T A^-2 X U agree in mean and variance with those formed from
-        # generate_gmm's features (generate_multi_gmm's for a MultiGmmSpec),
-        # within 5 standard errors over 1000 draws each
+        # generate_gmm's features, within 5 standard errors over 1000 draws each
         spec, noisy, condition = self.REGIMES[regime]
         p, n = spec.p, len(noisy[0])
         labels = [spec.labels(n), *(np.array(y) for y in noisy)]
@@ -344,7 +374,6 @@ class TestGenerateTrainingStats:
         d, s = n - stats.sizes.size, _frame_width(stats)
         assert condition(p, d, s, -(-p // max(s, _BLOCK)))
         U, reps = _indicators(stats.group), 1000
-        features = generate_gmm if isinstance(spec, GmmSpec) else generate_multi_gmm
 
         def invariants(G, xu, xu_frame, means_frame):
             # stacked per draw: G, X U, and X U and the means' rows in G's frame
@@ -362,7 +391,7 @@ class TestGenerateTrainingStats:
             return invariants(G, xu, Q.transpose(0, 2, 1) @ xu, spec.means @ Q)
 
         def formed_invariants(seeds):
-            X = np.array([features(spec, n, derive_seed(s, 1)).X for s in seeds])
+            X = np.array([generate_gmm(spec, n, derive_seed(s, 1)).X for s in seeds])
             return invariants(X @ X.transpose(0, 2, 1), X @ U, X @ U, spec.means)
 
         chunks = np.array_split(np.arange(reps), 4)  # about 10 MB a chunk at p = 66
@@ -434,7 +463,7 @@ class TestGenerateTrainingStats:
         # X U, then the band's normals row by row, then the chi-squares of
         # the diagonal and of the outer diagonal (d < p: rows 6 and 7 have
         # no diagonal entry)
-        spec = GmmSpec(pi1=0.5, mu=np.array([1.0, 0.0, -2.0, 0.5, 0.0, 0.0, 0.3, 0.0]))
+        spec = GmmSpec.binary(0.5, np.array([1.0, 0.0, -2.0, 0.5, 0.0, 0.0, 0.3, 0.0]))
         labels = [spec.labels(10), np.array([-1, 1, -1, -1, 1, 1, -1, 1, -1, 1])]
         stats = generate_training_stats(spec, labels, 9)
         _, first, sizes = np.unique(stats.group, return_index=True, return_counts=True)
@@ -489,12 +518,12 @@ class TestGenerateTrainingStats:
             train_lpc(stats, RhoParams(), 1.0)
 
     @pytest.mark.parametrize("spec, labels, match", [
-        (GmmSpec(0.5, np.zeros(2), cov=(np.eye(2), np.eye(2))), None, "generate_gmm"),
+        (GmmSpec.binary(0.5, np.zeros(2), cov=(np.eye(2), np.eye(2))), None, "generate_gmm"),
         (GmmSpec.isotropic(2, 0.5, 1.0), [[1, 1, -1, -1]], "start with the clean labels"),
         (GmmSpec.isotropic(2, 0.5, 1.0), [[-1, -1, 1, 1], [1, 0, 1, 1]], "-1 or \\+1"),
-        (MultiGmmSpec(np.eye(3), [0.25, 0.25, 0.5], np.zeros((3, 3))),
+        (GmmSpec(np.eye(3), [0.25, 0.25, 0.5]),
          [[1, 3, 3, 2], [1, 2, 3, 3]], "start with the clean labels"),
-        (MultiGmmSpec(np.eye(3), [0.25, 0.25, 0.5], np.zeros((3, 3))),
+        (GmmSpec(np.eye(3), [0.25, 0.25, 0.5]),
          [[1, 2, 3, 3], [1, 4, 3, 0]], "\\+1, \\+2 or \\+3"),
     ], ids=["covariance", "clean_first", "label_values", "multi_clean_first",
             "multi_label_values"])
@@ -618,7 +647,7 @@ class TestStandardize:
         # signal spread over the coordinates, as for standardized real data
         p = 100
         mu = np.full(p, 2.0 / np.sqrt(p))
-        ds = generate_gmm(GmmSpec(pi1=0.5, mu=mu), 5000, 16)
+        ds = generate_gmm(GmmSpec.binary(0.5, mu), 5000, 16)
         res = standardize_and_estimate(ds)
         assert 1.9 <= res.snr_estimate <= 2.1
         assert res.pi1_estimate == pytest.approx(0.5)

@@ -395,7 +395,7 @@ class TestRunners:
         assert "bins.csv" in rep.extra_files
 
     def test_noise_estimation_from_file(self, tmp_path):
-        ds = lpc.generate_gmm(lpc.GmmSpec(pi1=0.4, mu=np.full(30, 1.5 / np.sqrt(30))), 800, 2)
+        ds = lpc.generate_gmm(lpc.GmmSpec.binary(0.4, np.full(30, 1.5 / np.sqrt(30))), 800, 2)
         noisy = lpc.flip_labels(ds, 0.3, 0.1, seed=3)
         lines = [
             ",".join([str(int(noisy.y_noisy[i]))] + [f"{v:.6f}" for v in ds.X[:, i]])
@@ -817,7 +817,7 @@ class TestRunners:
             "n_test = 200\n"
         )
         rep = ex.run_experiment(cfg)
-        res = search_alpha_beta(cfg.model, cfg.n, grid_size=cfg.grid_size,
+        res = search_alpha_beta(cfg.model, cfg.eps_rows, cfg.n, grid_size=cfg.grid_size,
                                 eval_seeds=list(cfg.seeds), gamma=1.0, n_test=cfg.n_test,
                                 tau_points=cfg.tau_points, search_seed=cfg.search_seed)
         for v, tau, mean in (("naive", 1.0, res.naive_seed_accuracy.mean()),

@@ -99,7 +99,7 @@ class TestEstimateNoiseRates:
             estimate_noise_rates(ds, PROBES[0], PROBES[1], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
             solve_noise_system(np.array([np.nan, 0.5]), *SETTING, PROBES)
-        general = GmmSpec(1 / 3, SETTING[0].mu, cov=(np.eye(100), np.eye(100)))
+        general = GmmSpec.binary(1 / 3, SETTING[0].mu, cov=(np.eye(100), np.eye(100)))
         with pytest.raises(ValueError, match="isotropic"):
             solve_noise_system(np.array([0.2, 0.5]), general, 1000, 0.1, PROBES)
 

@@ -46,8 +46,6 @@ def test_worker_entry_points_exist():
 
 def _tiny_calls(out_dir) -> dict:
     """``(args, kwargs)`` of one tiny call per traced function with a counter."""
-    from lpc.multiclass import MultiGmmSpec
-
     model = lpc.GmmSpec.isotropic(10, 0.4, 2.0)
     noisy = lpc.flip_labels(lpc.generate_gmm(model, 200, 0), 0.2, 0.1, seed=1)
     means = np.zeros((2, 5))
@@ -61,7 +59,7 @@ def _tiny_calls(out_dir) -> dict:
             (noisy, lpc.RhoParams(0.0, 0.1), lpc.RhoParams(0.0, 0.4)),
             dict(gamma=0.1, snr=2.0, pi1=0.4)),
         "multiclass.search_alpha_beta": (
-            (MultiGmmSpec(means, pi=[0.5, 0.5], eps=np.zeros((2, 2))), 60),
+            (lpc.GmmSpec(means, pi=[0.5, 0.5]), np.zeros((2, 2)), 60),
             dict(grid_size=7, eval_seeds=[0], gamma=1.0, n_test=40, tau_points=2)),
         "experiments.emit_report": ((ex.run_experiment(cfg), str(out_dir)), {}),
     }
@@ -97,12 +95,12 @@ def test_noise_estimate_fields():
 
 
 def test_search_result_candidate_accuracy():
-    from lpc.multiclass import MultiGmmSpec, search_alpha_beta
+    from lpc.multiclass import search_alpha_beta
 
-    spec = MultiGmmSpec(means=np.array([[-1.0] + [0] * 4, [1.0] + [0] * 4]),
-                        pi=np.array([0.5, 0.5]), eps=np.zeros((2, 2)))
-    res = search_alpha_beta(spec, 60, grid_size=7, eval_seeds=[0], gamma=1.0, n_test=40,
-                            tau_points=2)
+    spec = lpc.GmmSpec(means=np.array([[-1.0] + [0] * 4, [1.0] + [0] * 4]),
+                       pi=np.array([0.5, 0.5]))
+    res = search_alpha_beta(spec, np.zeros((2, 2)), 60, grid_size=7, eval_seeds=[0], gamma=1.0,
+                            n_test=40, tau_points=2)
     assert res.candidate_accuracy.shape == (7,)
 
 

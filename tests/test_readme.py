@@ -1,9 +1,15 @@
 """The README's library quick start runs as written, and the held-out
 accuracy `lpc.evaluate` reads at the optimal rho (where the raw sign rule is
-the oriented one) matches the theory it prints."""
+the oriented one) matches the theory it prints.  Every public name of `lpc`
+and `lpc.multiclass` is documented."""
 
 import pathlib
 import re
+
+import pytest
+
+import lpc
+import lpc.multiclass
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +32,12 @@ def test_shell_commands_parse_and_name_shipped_configs():
     for argv in commands:
         args = cli.build_parser().parse_args(argv[1:])
         assert (README.parent / args.config).is_file(), args.config
+
+
+@pytest.mark.parametrize("name", sorted(set(lpc.__all__) | set(lpc.multiclass.__all__)))
+def test_every_public_name_is_documented(name):
+    # named in a code span or block of the README, not only in prose
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", text, re.S)
+    code = blocks + re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+    assert any(re.search(rf"\b{name}\b", span) for span in code), name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,27 @@ class TestOrthant:
             theory._orthant(h, k, -1.0),
             [max(gaussian_upper_tail(a) - gaussian_upper_tail(-b), 0.0) for a, b in zip(h, k)],
             rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [s * r for r in (0.1, 0.8, 0.95, 0.999) for s in (1, -1)])
+    def test_memory_is_bounded_at_any_correlation(self, r, monkeypatch):
+        # one block of a 3-seed, k = 3 search: 400 rows x 3 seeds x 3 classes.
+        # The near-one branch's integrands were four 20 x points arrays, so a
+        # model whose margins correlate at |r| >= 0.925 peaked at 2.98 MiB;
+        # taken in slices of points they stay under the 20-node branch's
+        rng = np.random.default_rng(0)
+        h, k = rng.standard_normal((2, 400, 3, 3))
+        r = np.full(h.shape, r)
+        theory._orthant(h[:1], k[:1], r[:1])
+        tracemalloc.start()
+        try:
+            got = theory._orthant(h, k, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        # the slices change no value
+        monkeypatch.setattr(theory, "_NEAR_ONE_POINTS", h.size)
+        np.testing.assert_allclose(got, theory._orthant(h, k, r), rtol=0, atol=1e-16)
 
     def test_shape_and_independence(self):
         h = np.linspace(-2, 2, 6).reshape(2, 3)
@@ -271,7 +293,7 @@ def _unequal_covariances(c2):
     p = 40
     mu = np.zeros(p)
     mu[0] = 2.0
-    return GmmSpec(0.3, mu, cov=(np.eye(p), c2 * np.eye(p))), 80, 0.5, 0.4, 0.3
+    return GmmSpec.binary(0.3, mu, cov=(np.eye(p), c2 * np.eye(p))), 80, 0.5, 0.4, 0.3
 
 
 def _diagonal_ramp():
@@ -280,7 +302,7 @@ def _diagonal_ramp():
     mu = np.random.default_rng(7).standard_normal(p)
     mu *= 2.0 / np.linalg.norm(mu)
     cov = (np.diag(np.linspace(0.5, 2.5, p)), np.eye(p))
-    return GmmSpec(0.4, mu, cov=cov), 100, 0.5, 0.3, 0.2
+    return GmmSpec.binary(0.4, mu, cov=cov), 100, 0.5, 0.3, 0.2
 
 
 GENERAL_CASES = {"C2=2I": (_unequal_covariances(2.0), 2),
@@ -479,8 +501,8 @@ class TestGeneralCovariance:
                 gamma=float(rng.uniform(0.1, 5.0)), eps_plus=0.2, eps_minus=0.1,
                 rho=RhoParams(float(rng.uniform(-0.3, 0.5)), 0.0),
             )
-            iso = theory_stats(GmmSpec(pi1, mu), **cfg_kwargs)
-            gen = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), **cfg_kwargs,
+            iso = theory_stats(GmmSpec.binary(pi1, mu), **cfg_kwargs)
+            gen = theory_stats(GmmSpec.binary(pi1, mu, cov=(np.eye(p), np.eye(p))), **cfg_kwargs,
                                test_class=2)
             assert gen.m_rho == pytest.approx(iso.m_rho, rel=1e-8)
             assert gen.nu_rho == pytest.approx(iso.nu_rho, rel=1e-8)
@@ -493,7 +515,7 @@ class TestGeneralCovariance:
         p, n, c_scale, eta, gamma = 70, 100, 2.5, 0.7, 0.9
         mu = np.zeros(p)
         mu[0] = 1.5
-        gen = theory_stats(GmmSpec(0.4, mu, cov=(c_scale * np.eye(p), c_scale * np.eye(p))),
+        gen = theory_stats(GmmSpec.binary(0.4, mu, cov=(c_scale * np.eye(p), c_scale * np.eye(p))),
                            n, gamma)
         d = 0.0
         for _ in range(100000):
@@ -510,13 +532,13 @@ class TestGeneralCovariance:
         c1, c2 = np.linspace(0.01, 5.0, p), np.full(p, 3.0)
         mu = np.zeros(p)
         mu[0] = 1.0
-        gen = theory_stats(GmmSpec(pi1, mu, cov=(np.diag(c1), np.diag(c2))), n, gamma)
+        gen = theory_stats(GmmSpec.binary(pi1, mu, cov=(np.diag(c1), np.diag(c2))), n, gamma)
         d1, d2 = gen.delta, gen.delta2
         assert min(d1, d2) > 5e3
         q0 = 1.0 / (pi1 * c1 / (1.0 + d1) + (1.0 - pi1) * c2 / (1.0 + d2) + gamma)
         np.testing.assert_allclose(eta / p * np.array([c1 @ q0, c2 @ q0]), [d1, d2],
                                    rtol=1e-11)
-        iso = theory_stats(GmmSpec(pi1, mu, cov=(np.eye(p), np.eye(p))), n, gamma)
+        iso = theory_stats(GmmSpec.binary(pi1, mu, cov=(np.eye(p), np.eye(p))), n, gamma)
         assert iso.delta == pytest.approx(delta(eta, gamma), rel=1e-9)
         assert iso.delta2 == pytest.approx(delta(eta, gamma), rel=1e-9)
 
@@ -528,8 +550,8 @@ class TestGeneralCovariance:
         mu = np.zeros(p)
         mu[0] = 2.0
         rates = dict(eps_plus=0.2, eps_minus=0.1, rho=RhoParams(0.2, 0.0))
-        iso = theory_stats(GmmSpec(0.5, mu), p, gamma, **rates)
-        gen = theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, gamma, **rates)
+        iso = theory_stats(GmmSpec.binary(0.5, mu), p, gamma, **rates)
+        gen = theory_stats(GmmSpec.binary(0.5, mu, cov=(np.eye(p), np.eye(p))), p, gamma, **rates)
         for got in (gen.delta, gen.delta2):
             assert got == pytest.approx(iso.delta, rel=1e-9)
         assert gen.m_rho == pytest.approx(iso.m_rho, rel=1e-9)
@@ -542,7 +564,7 @@ class TestGeneralCovariance:
         mu = np.zeros(p)
         mu[0] = 2.0
         with pytest.raises(ValueError, match=r"det\(I - G\) = 6\.325e-07 <= 1e-06"):
-            theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-13)
+            theory_stats(GmmSpec.binary(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-13)
 
     def test_newton_cap_names_the_last_step(self, monkeypatch):
         # the solve takes 14 steps here, so a cap of 3 stops it with its last
@@ -554,7 +576,7 @@ class TestGeneralCovariance:
         num = r"\d\.\d{3}e[+-]\d{2}"
         with pytest.raises(RuntimeError, match=rf"did not converge in 3 Newton steps; "
                            rf"last correction {num}, det\(I - G\) = {num}$"):
-            theory_stats(GmmSpec(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-6)
+            theory_stats(GmmSpec.binary(0.5, mu, cov=(np.eye(p), np.eye(p))), p, 1e-6)
 
     def test_newton_solve_inverts_few_matrices(self, monkeypatch):
         # criterion 08's ramp at eta = 1, gamma = 1e-4, near the guard: one
@@ -562,7 +584,7 @@ class TestGeneralCovariance:
         p = 200
         mu = np.random.default_rng(7).standard_normal(p)
         mu *= 2.0 / np.linalg.norm(mu)
-        model = GmmSpec(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
+        model = GmmSpec.binary(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
         inverses = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
@@ -575,7 +597,7 @@ class TestGeneralCovariance:
         mu = np.zeros(p)
         bad = -np.eye(p)
         with pytest.raises(ValueError, match="PSD"):
-            GmmSpec(0.5, mu, cov=(bad, np.eye(p)))
+            GmmSpec.binary(0.5, mu, cov=(bad, np.eye(p)))
 
     def test_test_class_changes_variance_only(self):
         rng = np.random.default_rng(3)
@@ -583,7 +605,7 @@ class TestGeneralCovariance:
         mu = rng.standard_normal(p)
         mu *= 2.0 / np.linalg.norm(mu)
         C1 = np.diag(np.linspace(0.5, 2.0, p))
-        model = GmmSpec(0.4, mu, cov=(C1, np.eye(p)))
+        model = GmmSpec.binary(0.4, mu, cov=(C1, np.eye(p)))
         kwargs = dict(n=100, gamma=0.8, eps_plus=0.2, eps_minus=0.1)  # eta = 0.4
         s1 = theory_stats(model, **kwargs, test_class=1)
         s2 = theory_stats(model, **kwargs, test_class=2)
@@ -617,7 +639,7 @@ def test_one_fixed_point_serves_a_rho_grid(monkeypatch):
     p = 200
     mu = np.random.default_rng(7).standard_normal(p)
     mu *= 2.0 / np.linalg.norm(mu)
-    model = GmmSpec(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
+    model = GmmSpec.binary(0.4, mu, cov=(np.diag(np.linspace(0.5, 2.5, p)), np.eye(p)))
     n, gamma, ep, em = 1000, 0.5, 0.3, 0.2
     runs = []
     build = theory._general_part
